@@ -1,10 +1,14 @@
 """MNL likelihood evaluation and maximum-likelihood estimation.
 
 The kernel evaluates utilities through the generic expression walker in
-the DSL package, once with plain arrays (values) and once with forward
-mode dual numbers (exact gradients).  The optimizer is BFGS with an
-Armijo backtracking line search; standard errors come from a finite
-difference Hessian of the log-likelihood at the optimum.
+the DSL package with plain arrays (values).  Exact derivatives come from
+the design ∂V/∂θ that binding caches when every utility is affine in the
+parameters, and otherwise from a pass with forward-mode dual numbers.
+The optimizer is BFGS started from the BHHH inverse ``(SᵀS)⁻¹`` of the
+per-observation scores, with an Armijo backtracking line search that
+ignores changes within the log-likelihood's rounding.  Standard errors
+and t-ratios are classical, from a finite-difference Hessian of the
+log-likelihood at the optimum.
 """
 
 from logitlab.engine.dual import DUAL_FUNCS, Dual
@@ -12,6 +16,7 @@ from logitlab.engine.kernel import (
     NonFiniteUtility,
     log_likelihood,
     loglik_and_gradient,
+    loglik_and_scores,
     null_loglik,
     probabilities,
     probability_matrix,
@@ -24,6 +29,7 @@ __all__ = [
     "NonFiniteUtility",
     "log_likelihood",
     "loglik_and_gradient",
+    "loglik_and_scores",
     "null_loglik",
     "probabilities",
     "probability_matrix",

@@ -1,5 +1,17 @@
 """Maximum-likelihood estimation via BFGS with backtracking.
 
+The inverse-Hessian approximation starts from the BHHH estimate
+``(SᵀS)⁻¹``, built from the per-observation scores ``S`` at the start
+values (Berndt, Hall, Hall and Hausman 1974), so the first steps are
+scaled to the data; when ``SᵀS`` is near singular (collinear parameters)
+it starts from the identity.  The Armijo test accepts a rise of -loglik
+within its rounding (``LL_ROUNDING`` relative), so steps near the optimum
+whose gain is below the log-likelihood's precision still move the
+gradient towards the stopping test instead of backtracking to a no-op.
+
+Standard errors and t-ratios are classical: from the inverse of a
+finite-difference Hessian at the optimum.
+
 Everything here is deterministic: fixed start values, fixed step policy,
 no randomness, so repeated runs on the same inputs are bit-identical.
 """
@@ -11,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from logitlab.engine.kernel import log_likelihood, loglik_and_gradient, null_loglik
+from logitlab.engine.kernel import (
+    log_likelihood,
+    loglik_and_gradient,
+    loglik_and_scores,
+    null_loglik,
+)
 from logitlab.specdsl.binding import BoundModel
 
 ARMIJO_C = 1e-4
@@ -19,6 +36,7 @@ SHRINK = 0.5
 MAX_BACKTRACKS = 60
 HESSIAN_STEP = 1e-4  # relative FD step for std errors
 PD_TOL = 1e-8  # relative eigenvalue floor for "positive definite"
+LL_ROUNDING = 1e-15  # relative rise of -loglik the Armijo test ignores
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,19 @@ def _fd_hessian(model: BoundModel, theta: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+def _positive_definite(M: np.ndarray) -> bool:
+    eigs = np.linalg.eigvalsh(M)
+    return bool(eigs[0] > PD_TOL * max(eigs[-1], 1.0))
+
+
+def _bhhh_inverse(S: np.ndarray) -> np.ndarray:
+    """``(SᵀS)⁻¹`` from (n, k) scores, or the identity when SᵀS is not PD."""
+    info = S.T @ S
+    if S.shape[1] == 0 or not _positive_definite(info):
+        return np.eye(S.shape[1])
+    return np.linalg.inv(info)
+
+
 def _curvature(model: BoundModel, theta: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     """(hessian_pd, std_errors, t_ratios) at a candidate optimum."""
     k = len(theta)
@@ -101,8 +132,7 @@ def _curvature(model: BoundModel, theta: np.ndarray) -> tuple[bool, np.ndarray, 
     if not np.all(np.isfinite(H)):
         return False, nan, nan
     neg = -H
-    eigs = np.linalg.eigvalsh(neg)
-    if eigs[0] <= PD_TOL * max(eigs[-1], 1.0):
+    if not _positive_definite(neg):
         return False, nan, nan
     cov = np.linalg.inv(neg)
     var = np.diag(cov).copy()
@@ -127,7 +157,8 @@ def estimate(
     theta = np.array(model.start if start_override is None else start_override, dtype=float)
     k = len(theta)
     ll0 = null_loglik(model.dataset)
-    ll, grad = loglik_and_gradient(model, theta)
+    ll, S = loglik_and_scores(model, theta)
+    grad = S.sum(axis=0)
 
     if not math.isfinite(ll):
         nan = np.full(k, np.nan)
@@ -135,7 +166,7 @@ def estimate(
             model.free_names, theta, nan, nan, ll, ll0, 0, False, "non_finite", False
         )
 
-    B = np.eye(k)  # inverse Hessian approximation of -loglik
+    B = _bhhh_inverse(S)  # inverse Hessian approximation of -loglik
     reason = "max_iterations"
     iterations = 0
     for _ in range(max_iters):
@@ -157,10 +188,12 @@ def estimate(
         new_theta = theta
         for _ in range(MAX_BACKTRACKS):
             cand = theta + alpha * d
-            # Armijo test needs only the value; the dual pass runs once
-            # after acceptance.
+            # Armijo test needs only the value; the gradient pass runs
+            # once after acceptance.
             cand_ll = log_likelihood(model, cand)
-            if math.isfinite(cand_ll) and -cand_ll <= -ll + ARMIJO_C * alpha * slope:
+            if math.isfinite(cand_ll) and (
+                -cand_ll <= -ll + ARMIJO_C * alpha * slope + LL_ROUNDING * abs(ll)
+            ):
                 new_ll = cand_ll
                 new_theta = cand
                 break

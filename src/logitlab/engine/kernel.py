@@ -1,4 +1,4 @@
-"""MNL choice probabilities, log-likelihood and exact gradient.
+"""MNL choice probabilities, log-likelihood, exact gradient and scores.
 
 Utilities are evaluated for every row at once; unavailable alternatives
 are masked out before the softmax, so their probabilities are exactly
@@ -8,6 +8,10 @@ e.g. log of a zeroed attribute) never propagates.
 The log-likelihood returns ``-inf`` instead of raising when a wild
 parameter step drives utilities non-finite or the chosen probability
 underflows; the optimizer treats that as a rejected step.
+
+Derivatives come from the model's cached design ∂V/∂θ when binding found
+every utility affine in the parameters, and from a dual-number pass
+otherwise.
 """
 
 from __future__ import annotations
@@ -62,25 +66,25 @@ def log_likelihood(model: BoundModel, theta) -> float:
     """Sum of log chosen-probabilities; -inf when evaluation breaks down."""
     theta = _check_theta(theta)
     V = model.utility_matrix(theta)
-    return _loglik_from_utilities(V, model.avail, model.choice_idx)
+    return _loglik_from_utilities(V, model.avail, model.choice_idx)[0]
 
 
-def _loglik_from_utilities(V, avail, choice_idx) -> float:
+def _loglik_from_utilities(V, avail, choice_idx) -> tuple[float, np.ndarray | None]:
+    """(log-likelihood, probability matrix); P is None when LL is -inf."""
     if not np.all(np.isfinite(V[avail])):
-        return -math.inf
+        return -math.inf, None
     P = probability_matrix(V, avail)
     chosen = P[np.arange(V.shape[0]), choice_idx]
     if np.any(chosen <= 0.0):
-        return -math.inf
-    return float(np.log(chosen).sum())
+        return -math.inf, None
+    return float(np.log(chosen).sum()), P
 
 
-def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its exact gradient via dual-number evaluation.
+def utility_jacobian(model: BoundModel, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Utilities (n, J) and their exact derivatives ∂V/∂θ (n, J, k).
 
-    The gradient slot is NaN-filled when the log-likelihood is -inf.
+    One dual-number pass; derivatives are zeroed on unavailable cells.
     """
-    theta = _check_theta(theta)
     n, J, k = model.n_obs, model.n_alts, model.n_free
     V = np.empty((n, J))
     G = np.zeros((n, J, k))
@@ -93,18 +97,42 @@ def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
                 G[:, j, :] = np.broadcast_to(res.grad, (n, k))
             else:
                 V[:, j] = np.broadcast_to(res, (n,))
+    return V, np.where(model.avail[:, :, None], G, 0.0)
 
-    ll = _loglik_from_utilities(V, model.avail, model.choice_idx)
-    if not math.isfinite(ll):
-        return ll, np.full(k, np.nan)
 
-    P = probability_matrix(V, model.avail)
-    G = np.where(model.avail[:, :, None], G, 0.0)
+def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
+    """Log-likelihood and the (n, k) per-observation scores ``chosen_G - P·G``.
+
+    ``G`` is the model's cached design when its utilities are affine in
+    the parameters (utilities then come from the plain value walk), and
+    a dual-number pass otherwise.  The scores are NaN-filled when the
+    log-likelihood is -inf.
+    """
+    theta = _check_theta(theta)
+    n, k = model.n_obs, model.n_free
+    if model.design is not None:
+        V, G = model.utility_matrix(theta), model.design
+    else:
+        V, G = utility_jacobian(model, theta)
+
+    ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx)
+    if P is None:
+        return ll, np.full((n, k), np.nan)
+
     chosen_G = G[np.arange(n), model.choice_idx, :]
-    grad = (chosen_G - np.einsum("nj,njk->nk", P, G)).sum(axis=0)
-    if not np.all(np.isfinite(grad)):
-        return -math.inf, np.full(k, np.nan)
-    return ll, grad
+    S = chosen_G - np.einsum("nj,njk->nk", P, G)
+    if not np.all(np.isfinite(S)):
+        return -math.inf, np.full((n, k), np.nan)
+    return ll, S
+
+
+def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
+    """Log-likelihood and its exact gradient, the column sums of the scores.
+
+    The gradient is NaN-filled when the log-likelihood is -inf.
+    """
+    ll, S = loglik_and_scores(model, theta)
+    return ll, S.sum(axis=0)
 
 
 def null_loglik(dataset: Dataset) -> float:

@@ -4,7 +4,8 @@ Live mode performs exactly one completion per call (no regeneration) and
 persists the transcript before anyone parses it.  Replay mode returns
 recorded fixtures byte-identically from
 ``<root>/<provider>/<model>/exp<id>.json``, which is what every test and
-deterministic run uses.
+deterministic run uses.  ``requests`` is imported only on the live
+path, so replay runs and the CLI start without it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
 
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.prompts import PromptBundle
@@ -105,6 +104,8 @@ def persist_transcript(transcript: LLMTranscript, directory: str | Path) -> Path
 
 
 def _live_call(bundle: PromptBundle, provider: ProviderConfig, session) -> LLMTranscript:
+    import requests
+
     key = os.environ.get(provider.key_env)
     if not key:
         raise AuthError(f"set {provider.key_env} for live calls to '{provider.name}'")
@@ -177,7 +178,11 @@ def complete(
         return load_fixture(replay_dir, provider.name, provider.model, bundle.experiment_id)
     if mode != "live":
         raise ValueError(f"unknown mode {mode!r}")
-    transcript = _live_call(bundle, provider, session or requests.Session())
+    if session is None:
+        import requests
+
+        session = requests.Session()
+    transcript = _live_call(bundle, provider, session)
     if transcript_dir is not None:
         persist_transcript(transcript, transcript_dir)
     return transcript

@@ -4,7 +4,9 @@ Binding materializes every referenced column as a float array, resolves
 the free-parameter layout (declaration order, fixed parameters dropped),
 precomputes piecewise segment lengths, and runs the static domain checks
 (log/sqrt/box-cox arguments that contain no free parameters must be in
-range on every row where the alternative is available).
+range on every row where the alternative is available).  When every
+utility is affine in the free parameters, ∂V/∂θ does not depend on θ, so
+binding also caches it as ``design``.
 
 The expression evaluator is generic over the value algebra: plain numpy
 arrays here, dual numbers in the estimation engine.  Anything passed as
@@ -13,7 +15,7 @@ arrays here, dual numbers in the estimation engine.  Anything passed as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
@@ -130,12 +132,39 @@ def piecewise_segments(x: np.ndarray, knots: tuple[float, ...]) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def is_affine(expr: Expr, free: set[str]) -> bool:
+    """Whether ``expr`` is affine in the parameters named in ``free``.
+
+    Free parameters may enter only through ``+``, ``-``, unary ``-``,
+    products with a factor free of them, division by a denominator free of
+    them, and piecewise slopes (segments are fixed at bind time).  Under
+    log/exp/sqrt/pow/boxcox or in a denominator, the derivative depends on
+    the parameter values.
+    """
+    depends = lambda e: bool(param_names(e) & free)
+    if not depends(expr) or isinstance(expr, (Param, Piecewise)):
+        return True
+    if isinstance(expr, (Add, Sub)):
+        return is_affine(expr.left, free) and is_affine(expr.right, free)
+    if isinstance(expr, Neg):
+        return is_affine(expr.operand, free)
+    if isinstance(expr, Mul):
+        return (not depends(expr.left) and is_affine(expr.right, free)) or (
+            not depends(expr.right) and is_affine(expr.left, free)
+        )
+    if isinstance(expr, Div):
+        return not depends(expr.right) and is_affine(expr.left, free)
+    return False
+
+
 @dataclass(frozen=True)
 class BoundModel:
     """A spec matched to a dataset, ready for likelihood evaluation.
 
     Arrays are aligned to ``alternatives`` (dataset order).  ``utilities``
-    holds one expression per alternative in the same order.
+    holds one expression per alternative in the same order.  ``design``
+    is ∂V/∂θ, shape (n_obs, n_alts, n_free) and zero on unavailable cells,
+    when every utility is affine in the free parameters; None otherwise.
     """
 
     spec: UtilitySpec
@@ -149,6 +178,7 @@ class BoundModel:
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
     segments: dict[tuple, np.ndarray] = field(default_factory=dict)
+    design: np.ndarray | None = None
 
     @property
     def n_obs(self) -> int:
@@ -269,7 +299,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
 
     _domain_checks(spec, utilities, columns, fixed, avail, alternatives, segments)
 
-    return BoundModel(
+    model = BoundModel(
         spec=spec,
         dataset=dataset,
         alternatives=alternatives,
@@ -282,3 +312,9 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         choice_idx=choice_idx,
         segments=segments,
     )
+    if all(is_affine(u, set(free_names)) for u in utilities):
+        from logitlab.engine.kernel import utility_jacobian  # the engine imports this module
+
+        _, design = utility_jacobian(model, start)
+        model = replace(model, design=design)
+    return model

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from logitlab.cli import main
 
-from conftest import BEST_SPEC, FIXTURES, SYNTH_CSV, SYNTH_DICT
+from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
 
 runner = CliRunner()
 
@@ -278,3 +281,20 @@ def test_report_empty_runs_dir(tmp_path):
     res = invoke("report", "summary", "--runs", tmp_path)
     assert res.exit_code == 1
     assert "no persisted experiments" in res.stderr
+
+
+# -- start-up --------------------------------------------------------------
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only live completions need requests; replay and reports start without it."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, logitlab.cli; print('requests' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out == "False\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,10 @@ import pytest
 from logitlab import dataset as ds
 from logitlab.engine import bfgs, kernel
 from logitlab.engine.dual import Dual
+from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
+
+from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_DICT
 
 RNG_SEED = 977
 
@@ -153,6 +158,62 @@ def test_gradient_handles_boxcox_shape_near_zero(grad_model):
     ll1, g1 = kernel.loglik_and_gradient(grad_model, theta)
     np.testing.assert_allclose(ll0, ll1, atol=1e-6)
     np.testing.assert_allclose(g0, g1, atol=1e-4)
+
+
+# -- cached design vs the dual path ---------------------------------------------
+
+
+def replay_specs() -> list[parser.UtilitySpec]:
+    """Every spec the recorded fixtures propose."""
+    specs = []
+    for path in sorted(FIXTURES.glob("*/*/exp*.json")):
+        transcript = client.LLMTranscript.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        specs += extract.extract_specs(transcript).specs
+    return specs
+
+
+def test_design_path_matches_dual_path(best_spec, synth_data):
+    specs = [best_spec, *replay_specs()]
+    assert len(specs) == 14
+    rng = np.random.default_rng(RNG_SEED)
+    for spec in specs:
+        model = binding.bind(spec, synth_data)
+        assert model.design is not None, spec.name
+        dual = dataclasses.replace(model, design=None)
+        for _ in range(3):
+            theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
+            ll, grad = kernel.loglik_and_gradient(model, theta)
+            ll_dual, grad_dual = kernel.loglik_and_gradient(dual, theta)
+            assert math.isfinite(ll)
+            assert abs(ll - ll_dual) <= 1e-12 * abs(ll_dual), spec.name
+            assert np.abs(grad - grad_dual).max() <= 1e-10 * np.abs(grad_dual).max(), spec.name
+
+
+@pytest.mark.parametrize(
+    "text, affine",
+    [
+        ("b_bc * boxcox(income, lambda_inc)", False),
+        ("b_log * log(b_inc * income)", False),
+        ("b_cost * cost_car / b_scale", False),
+        ("b_cost * b_time * cost_car", False),
+        ("b_pow * pow(time_bus / 60, 2)", True),
+        ("piecewise(time_rail, 120, 240, b_r1, b_r2, b_r3)", True),
+        ("b_fix * b_time * time_car * business", True),
+        ("b_cost * cost_bus / 100", True),
+        ("asc_bus - (b_time * time_bus + 0.5) + -b_cost * cost_bus", True),
+    ],
+)
+def test_affine_predicate(text, affine):
+    free = {
+        "asc_bus", "b_bc", "lambda_inc", "b_log", "b_inc", "b_cost", "b_scale",
+        "b_time", "b_pow", "b_r1", "b_r2", "b_r3",
+    }
+    expr = parser.parse_expression(text, free | {"b_fix"})
+    assert binding.is_affine(expr, free) is affine
+
+
+def test_non_affine_spec_binds_without_design(grad_model):
+    assert grad_model.design is None
 
 
 # -- kernel properties ---------------------------------------------------------
@@ -307,9 +368,27 @@ def test_collinear_model_flagged_not_pd(synth_data):
         "U(rail) = asc_rail + b_time * time_rail + b_ivt * time_rail\n"
     )
     model = binding.bind(spec, synth_data)
+    _, scores = kernel.loglik_and_scores(model, model.start)
+    assert np.array_equal(bfgs._bhhh_inverse(scores), np.eye(model.n_free))
     result = bfgs.estimate(model)
     assert not result.hessian_pd
     assert not result.converged
+
+
+def test_line_search_does_not_stall_below_loglik_rounding(tmp_path, monkeypatch):
+    """From an identity start with a plain Armijo test, BFGS on this dataset
+    reaches steps whose gain is below the LL's rounding, rejects them and
+    runs to max_iterations."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import gen
+
+    csv_path = tmp_path / "gen35.csv"
+    gen.write_csv(gen.generate(2000, 35), csv_path)
+    data = ds.load_dataset(csv_path, SYNTH_DICT)
+    model = binding.bind(parser.parse_spec(BEST_SPEC.read_text(encoding="utf-8")), data)
+    result = bfgs.estimate(model)
+    assert result.convergence_reason == "gradient_tolerance"
+    assert result.converged
 
 
 def test_scaling_covariance(best_spec, synth_data):
