@@ -8,7 +8,6 @@ clean one-line failures with exit code 1.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from logitlab import report as report_mod
 from logitlab import runner as runner_mod
 from logitlab import validate as validate_mod
 from logitlab.engine import bfgs, kernel
+from logitlab.jsonio import dump_json, finite_fields
 from logitlab.llmgate import client as llm_client
 from logitlab.llmgate import extract as llm_extract
 from logitlab.llmgate.config import ProviderConfig, experiment
@@ -155,7 +155,7 @@ def estimate_cmd(
     for i, name in enumerate(result.names):
         click.echo(
             f"  {name:24s} {result.estimates[i]: .6f}  "
-            f"se {result.std_errors[i]: .6f}  t {result.t_ratios[i]: .3f}"
+            f"se {result.std_errors[i]: .6f}  classical t {result.t_ratios[i]: .3f}"
         )
     if out_path:
         doc = {
@@ -163,20 +163,10 @@ def estimate_cmd(
             "spec_text": serialize.serialize_spec(spec),
             "n_obs": model.n_obs,
             "estimation": result.as_dict(),
-            "fit": {
-                "loglik": _clean(fit.loglik),
-                "k": fit.k,
-                "n": fit.n,
-                "aic": _clean(fit.aic),
-                "bic": _clean(fit.bic),
-            },
+            "fit": finite_fields(fit),
         }
-        Path(out_path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        Path(out_path).write_text(dump_json(doc), encoding="utf-8")
         click.echo(f"wrote {out_path}")
-
-
-def _clean(x: float) -> float | None:
-    return x if math.isfinite(x) else None
 
 
 def _load_results_doc(path: str) -> tuple[dict, bfgs.EstimationResult]:

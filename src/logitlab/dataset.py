@@ -6,20 +6,26 @@ single source of truth for variable roles: attributes (per-alternative),
 covariates (per-person), availability flags, the choice column and
 optional identifier columns.
 
-Datasets are immutable after load and safe to share across concurrent
-estimations.
+A :class:`Dataset` holds one entry per non-blank CSV row in each of its
+read-only column arrays, so it is immutable after load and safe to share
+across concurrent estimations.  Only this module knows the CSV layout.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 VALID_KINDS = ("attribute", "availability", "covariate", "choice", "id")
 VALID_QUANTITIES = ("time", "cost", "other")
+BLOCK_ROWS = 8192  # CSV rows held as strings at once while loading
 
 
 class DatasetError(Exception):
@@ -116,31 +122,31 @@ class DataDictionary:
         raise KeyError(alternative)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One choice situation: attribute/covariate values, availability, choice."""
-
-    person_id: str
-    values: dict[str, float]
-    availability: dict[str, bool]
-    choice: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable choice dataset bound to its dictionary."""
+    """Immutable choice dataset bound to its dictionary, stored by column.
+
+    ``columns`` maps each attribute and covariate to a float64 array,
+    ``avail`` is the (n_obs, n_alts) availability matrix and ``choice_idx``
+    the chosen alternative's position.  Arrays are made read-only here;
+    ``==`` is identity, so compare fields to compare contents.
+    """
 
     alternatives: tuple[str, ...]
-    rows: tuple[Observation, ...]
+    columns: dict[str, np.ndarray]
+    avail: np.ndarray
+    choice_idx: np.ndarray
+    person_id: tuple[str, ...]
     dictionary: DataDictionary
     source: str = ""
 
+    def __post_init__(self):
+        for array in (self.avail, self.choice_idx, *self.columns.values()):
+            array.flags.writeable = False
+
     @property
     def n_obs(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> list[float]:
-        return [r.values[name] for r in self.rows]
+        return len(self.choice_idx)
 
 
 # -- dictionary markdown -------------------------------------------------
@@ -228,38 +234,18 @@ def write_dictionary(dictionary: DataDictionary, title: str = "Data dictionary")
 # -- CSV loading ---------------------------------------------------------
 
 
-def _parse_number(cell: str, column: str, row_no: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise NonFiniteValue(
-            f"row {row_no}, column {column!r}: cannot parse {cell!r} as a number"
-        ) from None
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"row {row_no}, column {column!r}: non-finite value {cell!r}")
-    return value
-
-
-def _parse_availability(cell: str, column: str, row_no: int) -> bool:
-    if cell.strip() not in ("0", "1"):
-        raise DatasetError(
-            f"row {row_no}, column {column!r}: availability must be 0 or 1, got {cell!r}"
-        )
-    return cell.strip() == "1"
-
-
 def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
     """Load and validate a choice dataset.
 
     Raises :class:`MissingColumn`, :class:`NonFiniteValue`,
-    :class:`ChoiceUnavailable` or :class:`TooFewAvailable` on the first
-    violation encountered; error messages carry the 1-based data row.
+    :class:`ChoiceUnavailable`, :class:`TooFewAvailable` or another
+    :class:`DatasetError` for the lowest violating data row; messages
+    carry that 1-based row, blank lines counted.
     """
     csv_path = Path(csv_path)
     dictionary_path = Path(dictionary_path)
     dictionary = parse_dictionary(dictionary_path.read_text(encoding="utf-8"))
-    alternatives = dictionary.alternatives
-    if len(alternatives) < 2:
+    if len(dictionary.alternatives) < 2:
         raise DatasetError("dictionary must declare availability for at least two alternatives")
 
     with csv_path.open(newline="", encoding="utf-8") as fh:
@@ -271,93 +257,136 @@ def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
         header = [h.strip() for h in raw_header]
         if len(set(header)) != len(header):
             raise DatasetError(f"{csv_path}: duplicate CSV header names")
-        col_index = {name: i for i, name in enumerate(header)}
         for e in dictionary.entries:
-            if e.name not in col_index:
+            if e.name not in header:
                 raise MissingColumn(f"dictionary column {e.name!r} not found in {csv_path.name}")
+        blocks = []
+        first_row = 1
+        while records := list(itertools.islice(reader, BLOCK_ROWS)):
+            blocks.append(_to_columns(records, first_row, header, dictionary))
+            first_row += len(records)
 
-        choice_col = dictionary.choice_entry.name
-        id_col = dictionary.id_entry.name if dictionary.id_entry else None
-        avail_cols = {alt: dictionary.availability_column(alt) for alt in alternatives}
-        value_cols = dictionary.variable_names
-
-        rows: list[Observation] = []
-        for row_no, record in enumerate(reader, start=1):
-            if not record or all(not c.strip() for c in record):
-                continue
-            cells = {name: record[i] for name, i in col_index.items()}
-            availability = {
-                alt: _parse_availability(cells[col], col, row_no)
-                for alt, col in avail_cols.items()
-            }
-            if sum(availability.values()) < 2:
-                raise TooFewAvailable(f"row {row_no}: fewer than 2 available alternatives")
-            choice = _parse_choice(cells[choice_col], alternatives, row_no)
-            if not availability[choice]:
-                raise ChoiceUnavailable(
-                    f"row {row_no}: chosen alternative {choice!r} is not available"
-                )
-            values = {
-                name: _parse_number(cells[name], name, row_no) for name in value_cols
-            }
-            person = cells[id_col].strip() if id_col else str(row_no)
-            rows.append(
-                Observation(
-                    person_id=person, values=values, availability=availability, choice=choice
-                )
-            )
-
-    if not rows:
+    if not any(len(block[2]) for block in blocks):
         raise DatasetError(f"{csv_path}: no data rows")
+    values, avail, choice_idx, person_id = map(np.concatenate, zip(*blocks))
     return Dataset(
-        alternatives=alternatives,
-        rows=tuple(rows),
+        alternatives=dictionary.alternatives,
+        columns=dict(zip(dictionary.variable_names, np.ascontiguousarray(values.T))),
+        avail=avail,
+        choice_idx=choice_idx,
+        person_id=tuple(person_id.tolist()),
         dictionary=dictionary,
         source=csv_path.name,
     )
 
 
-def _parse_choice(cell: str, alternatives: tuple[str, ...], row_no: int) -> str:
-    """Choice cells hold either an alternative name or its 1-based code."""
+def _to_columns(
+    records: list[list[str]], first_row: int, header: list[str], dictionary: DataDictionary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check data rows, the first numbered ``first_row``, and convert them by column.
+
+    Returns (n, n_vars) values, avail, choice_idx and person_id.  Each check covers
+    whole columns; the error raised is the lowest row's first in the order below.
+    """
+    alternatives, names = dictionary.alternatives, dictionary.variable_names
+    row_no = np.flatnonzero([any(map(str.strip, r)) for r in records]) + first_row
+    records = [records[i] for i in (row_no - first_row).tolist()]  # numbered, blank lines dropped
+    errors: list[tuple[int, DatasetError]] = []  # (row, error), in check order
+
+    def check(bad: np.ndarray, error: Callable[[int, int, int], DatasetError]) -> None:
+        """Note ``error(i, j, row)`` for the first failing row i, at its first failing column j."""
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), bad[0].size)
+            errors.append((int(row_no[i]), error(i, j, int(row_no[i]))))
+
+    def cells(name: str) -> list[str]:
+        return list(map(itemgetter(header.index(name)), records))
+
+    short = np.fromiter(map(len, records), np.int64, len(records)) < len(header)
+    check(short, lambda i, j, row: DatasetError(
+        f"row {row}: {len(records[i])} cells, the header has {len(header)}"
+    ))
+    if short.any():  # rows from the short one on cannot hold a lower error
+        records = records[: short.argmax()]
+    n = len(records)
+
+    flag_names = [dictionary.availability_column(alt) for alt in alternatives]
+    flags = np.array([list(map(str.strip, cells(c))) for c in flag_names], dtype=str).T
+    avail = flags == "1"
+    check((flags != "0") & ~avail, lambda i, j, row: DatasetError(
+        f"row {row}, column {flag_names[j]!r}: availability must be 0 or 1,"
+        f" got {records[i][header.index(flag_names[j])]!r}"
+    ))
+    check(avail.sum(axis=1) < 2, lambda i, j, row: TooFewAvailable(
+        f"row {row}: fewer than 2 available alternatives"
+    ))
+
+    tokens, token_at = np.unique(cells(dictionary.choice_entry.name), return_inverse=True)
+    parsed = [_choice_index(token, alternatives) for token in tokens.tolist()]
+    choice_idx = np.array([p if isinstance(p, int) else -1 for p in parsed], np.int64)[token_at]
+    check(choice_idx < 0, lambda i, j, row: DatasetError(f"row {row}: {parsed[token_at[i]]}"))
+    check((choice_idx >= 0) & ~avail[np.arange(n), choice_idx], lambda i, j, row: ChoiceUnavailable(
+        f"row {row}: chosen alternative {alternatives[choice_idx[i]]!r} is not available"
+    ))
+
+    # float() of each cell; None, hence NaN, where it fails
+    values = np.array([list(map(_float_or_none, cells(name))) for name in names], np.float64).T
+    check(~np.isfinite(values), lambda i, j, row: _number_error(
+        records[i][header.index(names[j])], names[j], row
+    ))
+
+    if errors:  # min keeps the first of equal rows, which is the earlier check
+        raise min(errors, key=itemgetter(0))[1]
+    id_entry = dictionary.id_entry
+    person_id = list(map(str.strip, cells(id_entry.name))) if id_entry else row_no.tolist()
+    return values, avail, choice_idx, np.array(person_id, dtype=str)
+
+
+def _float_or_none(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _number_error(cell: str, column: str, row_no: int) -> NonFiniteValue:
+    if _float_or_none(cell) is None:
+        return NonFiniteValue(f"row {row_no}, column {column!r}: cannot parse {cell!r} as a number")
+    return NonFiniteValue(f"row {row_no}, column {column!r}: non-finite value {cell!r}")
+
+
+def _choice_index(cell: str, alternatives: tuple[str, ...]) -> int | str:
+    """Position of the alternative a cell names or codes (1-based), or why it names none."""
     token = cell.strip()
     if token in alternatives:
-        return token
+        return alternatives.index(token)
     try:
         code = int(float(token))
-    except ValueError:
-        raise DatasetError(f"row {row_no}: unknown choice value {cell!r}") from None
+    except (ValueError, OverflowError):
+        return f"unknown choice value {cell!r}"
     if 1 <= code <= len(alternatives):
-        return alternatives[code - 1]
-    raise DatasetError(f"row {row_no}: choice code {code} out of range 1..{len(alternatives)}")
+        return code - 1
+    return f"choice code {code} out of range 1..{len(alternatives)}"
 
 
 def format_csv(dataset: Dataset) -> str:
     """Serialize a dataset back to CSV text, columns in dictionary order.
 
-    Reloading the result against the same dictionary yields an equal
-    dataset; the text is byte-identical across runs for identical input.
+    Reloading the result against the same dictionary yields the same
+    columns; the text is byte-identical across runs for identical input.
     """
-    columns = [e.name for e in dataset.dictionary.entries]
-    avail_col_to_alt = {
-        e.name: e.alternative for e in dataset.dictionary.entries if e.kind == "availability"
-    }
-    choice_col = dataset.dictionary.choice_entry.name
-    id_entry = dataset.dictionary.id_entry
+    d = dataset.dictionary
+    text = {name: _format_column(x) for name, x in dataset.columns.items()}
+    for j, alt in enumerate(dataset.alternatives):
+        text[d.availability_column(alt)] = np.where(dataset.avail[:, j], "1", "0").tolist()
+    text[d.choice_entry.name] = np.array(dataset.alternatives)[dataset.choice_idx].tolist()
+    if d.id_entry is not None:
+        text[d.id_entry.name] = list(dataset.person_id)
+    names = [e.name for e in d.entries]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for obs in dataset.rows:
-        record = []
-        for name in columns:
-            if name in avail_col_to_alt:
-                record.append("1" if obs.availability[avail_col_to_alt[name]] else "0")
-            elif name == choice_col:
-                record.append(obs.choice)
-            elif id_entry is not None and name == id_entry.name:
-                record.append(obs.person_id)
-            else:
-                record.append(_format_cell(obs.values[name]))
-        writer.writerow(record)
+    writer.writerow(names)
+    writer.writerows(zip(*(text[name] for name in names)))
     return out.getvalue()
 
 
@@ -365,10 +394,12 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     Path(path).write_text(format_csv(dataset), encoding="utf-8")
 
 
-def _format_cell(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+def _format_column(x: np.ndarray) -> list[str]:
+    """Integral values below 1e15 without a decimal point, the rest by repr."""
+    text = np.array(list(map(repr, x.tolist())), dtype=object)
+    whole = (x == np.trunc(x)) & (np.abs(x) < 1e15)
+    text[whole] = list(map(str, x[whole].astype(np.int64).tolist()))
+    return text.tolist()
 
 
 # -- description and profiling -------------------------------------------
@@ -414,9 +445,4 @@ def describe(dataset: Dataset) -> str:
 
 def availability_profile(dataset: Dataset) -> dict[str, int]:
     """Count rows in which each alternative is available."""
-    counts = {alt: 0 for alt in dataset.alternatives}
-    for obs in dataset.rows:
-        for alt, avail in obs.availability.items():
-            if avail:
-                counts[alt] += 1
-    return counts
+    return dict(zip(dataset.alternatives, dataset.avail.sum(axis=0).tolist()))

@@ -29,6 +29,7 @@ from logitlab.engine.kernel import (
     loglik_and_scores,
     null_loglik,
 )
+from logitlab.jsonio import finite_or_none
 from logitlab.specdsl.binding import BoundModel
 
 ARMIJO_C = 1e-4
@@ -71,21 +72,18 @@ class EstimationResult:
         return float(self.t_ratios[self.names.index(name)])
 
     def as_dict(self) -> dict:
-        def clean(x: float) -> float | None:
-            return None if not math.isfinite(x) else float(x)
-
         return {
             "parameters": [
                 {
                     "name": name,
-                    "estimate": clean(self.estimates[i]),
-                    "std_error": clean(self.std_errors[i]),
-                    "t_ratio": clean(self.t_ratios[i]),
+                    "estimate": finite_or_none(self.estimates[i]),
+                    "std_error": finite_or_none(self.std_errors[i]),
+                    "t_ratio": finite_or_none(self.t_ratios[i]),
                 }
                 for i, name in enumerate(self.names)
             ],
-            "loglik": clean(self.loglik),
-            "null_loglik": clean(self.null_loglik),
+            "loglik": finite_or_none(self.loglik),
+            "null_loglik": finite_or_none(self.null_loglik),
             "iterations": self.iterations,
             "converged": self.converged,
             "convergence_reason": self.convergence_reason,

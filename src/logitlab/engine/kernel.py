@@ -141,6 +141,4 @@ def null_loglik(dataset: Dataset) -> float:
     fsum keeps the result exact up to one rounding, so a dataset with a
     constant availability count reproduces -n*log(count) bit-for-bit.
     """
-    return -math.fsum(
-        math.log(sum(row.availability.values())) for row in dataset.rows
-    )
+    return -math.fsum(map(math.log, dataset.avail.sum(axis=1).tolist()))

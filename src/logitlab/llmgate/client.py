@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from logitlab.jsonio import dump_json
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.prompts import PromptBundle
 
@@ -69,10 +70,6 @@ class LLMTranscript:
         )
 
 
-def _dump(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, indent=2) + "\n"
-
-
 def fixture_path(root: str | Path, provider: str, model: str, exp_id: int) -> Path:
     return Path(root) / provider / model / f"exp{exp_id}.json"
 
@@ -87,13 +84,13 @@ def load_fixture(root: str | Path, provider: str, model: str, exp_id: int) -> LL
 def write_fixture(transcript: LLMTranscript, root: str | Path, exp_id: int) -> Path:
     path = fixture_path(root, transcript.provider, transcript.model, exp_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dump(transcript.as_dict()), encoding="utf-8")
+    path.write_text(dump_json(transcript.as_dict()), encoding="utf-8")
     return path
 
 
 def persist_transcript(transcript: LLMTranscript, directory: str | Path) -> Path:
     """Store a transcript under a content hash; same content, same file."""
-    payload = _dump(transcript.as_dict())
+    payload = dump_json(transcript.as_dict())
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from logitlab.dataset import Dataset, format_csv, write_dictionary
 from logitlab.engine.bfgs import EstimationResult, estimate
+from logitlab.jsonio import dump_json, finite_fields, finite_or_none
 from logitlab.llmgate.client import FixtureMissing, complete
 from logitlab.llmgate.config import ExperimentConfig, ProviderConfig, experiment
 from logitlab.llmgate.extract import Claim, extract_specs
@@ -203,25 +204,10 @@ def run_experiment(
 # -- persistence ----------------------------------------------------------
 
 
-def _clean(value):
-    """Make floats JSON-safe: NaN/inf become None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    return value
-
-
-def _stats_dict(s: SpecStats) -> dict:
-    return asdict(s)
-
-
-def _fit_dict(f: FitStats) -> dict:
-    return {k: _clean(v) for k, v in asdict(f).items()}
-
-
 def _vot_dict(v: VotEstimate) -> dict:
     return {
-        "value": _clean(v.value),
-        "per_alternative": {a: _clean(x) for a, x in sorted(v.per_alternative.items())},
+        "value": finite_or_none(v.value),
+        "per_alternative": {a: finite_or_none(x) for a, x in sorted(v.per_alternative.items())},
         "reliable": v.reliable,
         "notes": v.notes,
     }
@@ -232,7 +218,7 @@ def _validation_dict(v: ValidationReport) -> dict:
         "has_asc": v.has_asc,
         "converged": v.converged,
         "sign_violations": [
-            {"parameter": s["parameter"], "estimate": _clean(s["estimate"])}
+            {"parameter": s["parameter"], "estimate": finite_or_none(s["estimate"])}
             for s in v.sign_violations
         ],
         "insignificant_core": list(v.insignificant_core),
@@ -247,17 +233,13 @@ def record_to_dict(record: Record) -> dict:
         "model": record.model,
         "spec_name": record.spec_name,
         "spec_text": serialize_spec(record.spec),
-        "stats": _stats_dict(record.stats) if record.stats else None,
+        "stats": asdict(record.stats) if record.stats else None,
         "estimation": record.estimation.as_dict() if record.estimation else None,
-        "fit": _fit_dict(record.fit) if record.fit else None,
+        "fit": finite_fields(record.fit) if record.fit else None,
         "vot": _vot_dict(record.vot) if record.vot else None,
         "validation": _validation_dict(record.validation) if record.validation else None,
-        "claimed": {k: _clean(v) for k, v in asdict(record.claimed).items()}
-        if record.claimed
-        else None,
-        "reproduction": {k: _clean(v) for k, v in asdict(record.reproduction).items()}
-        if record.reproduction
-        else None,
+        "claimed": finite_fields(record.claimed) if record.claimed else None,
+        "reproduction": finite_fields(record.reproduction) if record.reproduction else None,
         "diagnostics": list(record.diagnostics),
     }
 
@@ -358,10 +340,6 @@ def record_from_dict(d: dict) -> Record:
     )
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -391,7 +369,7 @@ def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset)
                 d for d in result.diagnostics if d.startswith(f"{provider}/")
             ),
         }
-        payload = _dump(doc)
+        payload = dump_json(doc)
         (exp_dir / f"{provider}.json").write_text(payload, encoding="utf-8")
         files[f"{provider}.json"] = _sha256(payload)
 
@@ -403,7 +381,7 @@ def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset)
         "result_files": files,
     }
     path = exp_dir / "manifest.json"
-    path.write_text(_dump(manifest), encoding="utf-8")
+    path.write_text(dump_json(manifest), encoding="utf-8")
     return path
 
 

@@ -1,6 +1,6 @@
 """Bind a specification to a dataset for estimation.
 
-Binding materializes every referenced column as a float array, resolves
+Binding selects the dataset's arrays for every referenced column, resolves
 the free-parameter layout (declaration order, fixed parameters dropped),
 precomputes piecewise segment lengths, and runs the static domain checks
 (log/sqrt/box-cox arguments that contain no free parameters must be in
@@ -271,18 +271,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     needed: set[str] = set()
     for expr in utilities:
         needed |= var_names(expr)
-    columns = {
-        name: np.asarray(dataset.column(name), dtype=float) for name in sorted(needed)
-    }
-
-    n = dataset.n_obs
-    avail = np.empty((n, len(alternatives)), dtype=bool)
-    choice_idx = np.empty(n, dtype=np.int64)
-    alt_pos = {a: j for j, a in enumerate(alternatives)}
-    for i, row in enumerate(dataset.rows):
-        for a, j in alt_pos.items():
-            avail[i, j] = row.availability[a]
-        choice_idx[i] = alt_pos[row.choice]
+    columns = {name: dataset.columns[name] for name in sorted(needed)}
 
     segments: dict[tuple, np.ndarray] = {}
     for expr in utilities:
@@ -297,7 +286,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     free_names = tuple(p.name for p in free)
     start = np.array([p.start for p in free], dtype=float)
 
-    _domain_checks(spec, utilities, columns, fixed, avail, alternatives, segments)
+    _domain_checks(spec, utilities, columns, fixed, dataset.avail, alternatives, segments)
 
     model = BoundModel(
         spec=spec,
@@ -308,8 +297,8 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         start=start,
         fixed=fixed,
         columns=columns,
-        avail=avail,
-        choice_idx=choice_idx,
+        avail=dataset.avail,
+        choice_idx=dataset.choice_idx,
         segments=segments,
     )
     if all(is_affine(u, set(free_names)) for u in utilities):

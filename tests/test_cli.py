@@ -110,6 +110,7 @@ def test_estimate_prints_table():
     assert "converged=true (gradient_tolerance)" in res.stdout
     assert "LL=-841.8224" in res.stdout
     assert "b_cost" in res.stdout
+    assert "classical t -6.286" in res.stdout
 
 
 def test_metrics_command(results_file):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 
+import numpy as np
 import pytest
 
 from logitlab import dataset as ds
 
-from conftest import SYNTH_CSV, SYNTH_DICT
+from conftest import ROOT, SYNTH_CSV, SYNTH_DICT, SYNTH_FLIPPED_CSV
 
 DICT_MD = """# Tiny dictionary
 
@@ -25,10 +27,24 @@ DICT_MD = """# Tiny dictionary
 """
 
 
+HEADER = "ID,av_a,av_b,choice,time_a,cost_a,access_a,inc\n"
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def assert_same_data(a: ds.Dataset, b: ds.Dataset) -> None:
+    assert a.alternatives == b.alternatives
+    assert a.dictionary == b.dictionary
+    assert a.columns.keys() == b.columns.keys()
+    for name, values in b.columns.items():
+        np.testing.assert_array_equal(a.columns[name], values, strict=True)
+    np.testing.assert_array_equal(a.avail, b.avail, strict=True)
+    np.testing.assert_array_equal(a.choice_idx, b.choice_idx, strict=True)
+    assert a.person_id == b.person_id
 
 
 def test_loads_frozen_dataset(synth_data):
@@ -41,7 +57,7 @@ def test_choice_parsed_from_name_or_code(tmp_path):
     d = write(tmp_path, "d.md", DICT_MD)
     csv_text = "ID,av_a,av_b,choice,time_a,cost_a,access_a,inc\n1,1,1,a,10,2,1,30\n2,1,1,2,12,3,1,31\n"
     data = ds.load_dataset(write(tmp_path, "c.csv", csv_text), d)
-    assert [r.choice for r in data.rows] == ["a", "b"]
+    assert [data.alternatives[i] for i in data.choice_idx] == ["a", "b"]
 
 
 def test_rejects_unavailable_choice(tmp_path):
@@ -97,6 +113,48 @@ def test_rejects_out_of_range_choice_code(tmp_path):
         ds.load_dataset(c, d)
 
 
+def test_rejects_short_row(tmp_path):
+    d = write(tmp_path, "d.md", DICT_MD)
+    c = write(tmp_path, "c.csv", HEADER + "1,1,1,a,10,2,1,30\n2,1,1,b,12\n")
+    with pytest.raises(ds.DatasetError, match=r"^row 2: 5 cells, the header has 8$"):
+        ds.load_dataset(c, d)
+
+
+# Files with several violations: the error raised is the lowest row's, and
+# within a row the first in the order availability, two available, choice,
+# chosen available, numbers.  Blank lines count toward row numbers.
+MIXED_VIOLATIONS = [
+    (["1,1,1,a,nan,2,1,30", "2,2,1,a,10,2,1,30"],
+     ds.NonFiniteValue, "row 1, column 'time_a': non-finite value 'nan'"),
+    (["1,1,1,a,10,2,1,x", "2,1,1,a,y,2,1,30"],
+     ds.NonFiniteValue, "row 1, column 'inc': cannot parse 'x'"),
+    (["1,1,1,a,10,2,1,30", "2,1,0,a,10,2,1,30", "3,1,1"],
+     ds.TooFewAvailable, "row 2: fewer than 2"),
+    (["1,1,1,a,10,2,1,30", "2,1,1", "3,1,0,a,10,2,1,30"],
+     ds.DatasetError, "row 2: 3 cells"),
+    (["1,2,1,a,ten,2,1,30"],
+     ds.DatasetError, "row 1, column 'av_a': availability must be 0 or 1"),
+    (["1,1,1,z,ten,2,1,30"],
+     ds.DatasetError, "row 1: unknown choice value 'z'"),
+    (["", "1,1,1,a,10,2,1,30", "  ,  ", "2,1,1,q,10,2,1,nan"],
+     ds.DatasetError, "row 4: unknown choice value 'q'"),
+    (["1,1,1,inf,10,2,1,30"],
+     ds.DatasetError, "row 1: unknown choice value 'inf'"),
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, ds.BLOCK_ROWS])
+@pytest.mark.parametrize("lines, error, message", MIXED_VIOLATIONS)
+def test_lowest_row_violation_is_raised(tmp_path, monkeypatch, lines, error, message, block_rows):
+    monkeypatch.setattr(ds, "BLOCK_ROWS", block_rows)
+    d = write(tmp_path, "d.md", DICT_MD)
+    c = write(tmp_path, "c.csv", HEADER + "\n".join(lines) + "\n")
+    with pytest.raises(ds.DatasetError) as info:
+        ds.load_dataset(c, d)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
 def test_dictionary_requires_exactly_one_choice():
     with pytest.raises(ds.DatasetError, match="choice"):
         ds.DataDictionary(entries=(ds.DictEntry("x", "attribute", "a"),))
@@ -132,8 +190,42 @@ def test_csv_round_trip(synth_data, tmp_path):
     out = tmp_path / "again.csv"
     ds.write_csv(synth_data, out)
     again = ds.load_dataset(out, SYNTH_DICT)
-    assert again.rows == synth_data.rows
-    assert again.alternatives == synth_data.alternatives
+    assert_same_data(again, synth_data)
+
+
+def test_load_in_small_blocks_matches_whole_file(synth_data, monkeypatch):
+    monkeypatch.setattr(ds, "BLOCK_ROWS", 7)
+    assert_same_data(ds.load_dataset(SYNTH_CSV, SYNTH_DICT), synth_data)
+
+
+def test_columns_hold_python_float_of_each_cell(synth_data):
+    with open(SYNTH_CSV, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for name, values in synth_data.columns.items():
+        expected = np.array([float(r[name]) for r in rows])
+        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+    assert synth_data.person_id == tuple(r["ID"] for r in rows)
+    chosen = [synth_data.alternatives[i] for i in synth_data.choice_idx]
+    assert chosen == [r["choice"] for r in rows]
+
+
+def test_arrays_are_read_only(synth_data):
+    for array in (synth_data.avail, synth_data.choice_idx, synth_data.columns["time_car"]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_generator_reproduces_shipped_files():
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic_data", ROOT / "tools/make_synthetic_data.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for cost_sign, shipped in ((-1.0, SYNTH_CSV), (1.0, SYNTH_FLIPPED_CSV)):
+        data = gen.simulate(cost_sign, np.random.default_rng(gen.SEED))
+        assert ds.format_csv(data) == shipped.read_text(encoding="utf-8")
+    text = ds.write_dictionary(gen.build_dictionary(), title="Synthetic mode choice dictionary")
+    assert text == SYNTH_DICT.read_text(encoding="utf-8")
 
 
 def test_format_csv_is_deterministic(synth_data):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -15,7 +16,7 @@ from logitlab.engine.dual import Dual
 from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
 
-from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_DICT
+from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
 
 RNG_SEED = 977
 
@@ -53,11 +54,7 @@ BINARY_SPEC = "spec bin\nalt a b\nparam b_x generic\nU(a) = b_x * x_a\nU(b) = b_
 
 
 def full_availability_clone(data: ds.Dataset) -> ds.Dataset:
-    all_on = {alt: True for alt in data.alternatives}
-    rows = tuple(
-        ds.Observation(r.person_id, r.values, dict(all_on), r.choice) for r in data.rows
-    )
-    return ds.Dataset(data.alternatives, rows, data.dictionary, data.source)
+    return dataclasses.replace(data, avail=np.ones_like(data.avail))
 
 
 # -- dual numbers -------------------------------------------------------------
@@ -247,9 +244,11 @@ def test_null_loglik_equal_shares_exact(synth_data):
 
 
 def test_null_loglik_matches_recount(synth_data):
-    manual = -sum(
-        math.log(sum(r.availability.values())) for r in synth_data.rows
-    )
+    with open(SYNTH_CSV, newline="", encoding="utf-8") as fh:
+        manual = -sum(
+            math.log(sum(int(row[f"av_{alt}"]) for alt in synth_data.alternatives))
+            for row in csv.DictReader(fh)
+        )
     assert abs(kernel.null_loglik(synth_data) - manual) < 1e-9
 
 
@@ -268,7 +267,7 @@ def test_probabilities_raise_on_non_finite(synth_data):
         "U(car) = exp(b_e * time_car)\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
     )
     model = binding.bind(spec, synth_data)
-    times = np.asarray(synth_data.column("time_car"))
+    times = synth_data.columns["time_car"]
     row = int(np.argmax(times * model.avail[:, 0]))
     theta = np.array([10.0])  # exp(10 * time) overflows for any trip
     with pytest.raises(kernel.NonFiniteUtility):
@@ -316,8 +315,8 @@ def test_estimate_binary_std_error_matches_fisher_information(tmp_path):
     data = binary_dataset(tmp_path)
     model = binding.bind(parser.parse_spec(BINARY_SPEC), data)
     result = bfgs.estimate(model)
-    xa = np.asarray(data.column("x_a"))
-    xb = np.asarray(data.column("x_b"))
+    xa = data.columns["x_a"]
+    xb = data.columns["x_b"]
     dx = xa - xb
     p = 1.0 / (1.0 + np.exp(-result.estimates[0] * dx))
     se = 1.0 / math.sqrt(float((dx**2 * p * (1 - p)).sum()))
@@ -393,20 +392,13 @@ def test_line_search_does_not_stall_below_loglik_rounding(tmp_path, monkeypatch)
 
 def test_scaling_covariance(best_spec, synth_data):
     """Multiplying cost by 100 rescales its coefficient and nothing else."""
-    scaled_rows = tuple(
-        ds.Observation(
-            r.person_id,
-            {
-                k: (v * 100.0 if k.startswith("cost_") else v)
-                for k, v in r.values.items()
-            },
-            r.availability,
-            r.choice,
-        )
-        for r in synth_data.rows
-    )
-    scaled = ds.Dataset(
-        synth_data.alternatives, scaled_rows, synth_data.dictionary, "scaled"
+    scaled = dataclasses.replace(
+        synth_data,
+        columns={
+            k: (v * 100.0 if k.startswith("cost_") else v)
+            for k, v in synth_data.columns.items()
+        },
+        source="scaled",
     )
     base = bfgs.estimate(binding.bind(best_spec, synth_data))
     other = bfgs.estimate(binding.bind(best_spec, scaled))

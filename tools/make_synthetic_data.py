@@ -109,7 +109,7 @@ def _utility(alt: str, values: dict[str, float], business: float, cost_sign: flo
 
 def simulate(cost_sign: float, rng: np.random.Generator) -> ds.Dataset:
     dictionary = build_dictionary()
-    rows: list[ds.Observation] = []
+    rows: list[tuple[str, dict[str, float], list[bool], int]] = []
     for person in range(1, N_PERSONS + 1):
         female = float(rng.random() < 0.5)
         income = round(float(np.exp(rng.normal(3.6, 0.35))), 1)
@@ -134,14 +134,17 @@ def simulate(cost_sign: float, rng: np.random.Generator) -> ds.Dataset:
                     continue
                 u = _utility(alt, values, business, cost_sign) + gumbel[j]
                 if u > best_u:
-                    best, best_u = alt, u
-            rows.append(
-                ds.Observation(
-                    person_id=str(person), values=values, availability=avail, choice=best
-                )
-            )
+                    best, best_u = j, u
+            rows.append((str(person), values, [avail[a] for a in ALTS], best))
+    persons, values_by_row, avail_by_row, choices = zip(*rows)
     return ds.Dataset(
-        alternatives=ALTS, rows=tuple(rows), dictionary=dictionary, source="synthetic"
+        alternatives=ALTS,
+        columns={n: np.array([v[n] for v in values_by_row]) for n in dictionary.variable_names},
+        avail=np.array(avail_by_row),
+        choice_idx=np.array(choices),
+        person_id=persons,
+        dictionary=dictionary,
+        source="synthetic",
     )
 
 
@@ -169,9 +172,7 @@ def main() -> None:
             out / ("modechoice.csv" if label == "normal" else "modechoice_flipped.csv"),
             out / "modechoice_dict.md",
         )
-        shares = {a: 0 for a in ALTS}
-        for r in reloaded.rows:
-            shares[r.choice] += 1
+        shares = dict(zip(ALTS, np.bincount(reloaded.choice_idx, minlength=len(ALTS)).tolist()))
         print(f"{label}: n={reloaded.n_obs} shares={shares} "
               f"avail={ds.availability_profile(reloaded)}")
 
