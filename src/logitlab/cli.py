@@ -19,7 +19,7 @@ from logitlab import report as report_mod
 from logitlab import runner as runner_mod
 from logitlab import validate as validate_mod
 from logitlab.engine import bfgs, kernel
-from logitlab.jsonio import dump_json, finite_fields
+from logitlab.jsonio import dump_json, from_json, to_json
 from logitlab.llmgate import client as llm_client
 from logitlab.llmgate import extract as llm_extract
 from logitlab.llmgate.config import ProviderConfig, experiment
@@ -162,16 +162,16 @@ def estimate_cmd(
             "spec_name": spec.name,
             "spec_text": serialize.serialize_spec(spec),
             "n_obs": model.n_obs,
-            "estimation": result.as_dict(),
-            "fit": finite_fields(fit),
+            "estimation": result,
+            "fit": fit,
         }
-        Path(out_path).write_text(dump_json(doc), encoding="utf-8")
+        Path(out_path).write_text(dump_json(to_json(doc)), encoding="utf-8")
         click.echo(f"wrote {out_path}")
 
 
 def _load_results_doc(path: str) -> tuple[dict, bfgs.EstimationResult]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return doc, runner_mod.estimation_from_dict(doc["estimation"])
+    return doc, from_json(bfgs.EstimationResult, doc["estimation"])
 
 
 @main.command("metrics")

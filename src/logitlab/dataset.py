@@ -76,6 +76,9 @@ class DataDictionary:
             raise DatasetError(
                 f"dictionary must declare exactly one choice entry, found {len(choices)}"
             )
+        ids = [e.name for e in self.entries if e.kind == "id"]
+        if len(ids) > 1:
+            raise DatasetError(f"dictionary may declare at most one id entry, found {ids}")
         for e in self.entries:
             if e.kind not in VALID_KINDS:
                 raise DatasetError(f"entry {e.name!r}: unknown kind {e.kind!r}")
@@ -83,6 +86,10 @@ class DataDictionary:
                 raise DatasetError(f"availability entry {e.name!r} must name an alternative")
             if e.quantity not in VALID_QUANTITIES:
                 raise DatasetError(f"entry {e.name!r}: unknown quantity {e.quantity!r}")
+        flagged = [e.alternative for e in self.entries if e.kind == "availability"]
+        twice = sorted({a for a in flagged if flagged.count(a) > 1})
+        if twice:
+            raise DatasetError(f"alternative {twice[0]!r} has more than one availability entry")
 
     @property
     def alternatives(self) -> tuple[str, ...]:

@@ -29,7 +29,7 @@ from logitlab.engine.kernel import (
     loglik_and_scores,
     null_loglik,
 )
-from logitlab.jsonio import finite_or_none
+from logitlab.jsonio import from_json
 from logitlab.specdsl.binding import BoundModel
 
 ARMIJO_C = 1e-4
@@ -71,24 +71,42 @@ class EstimationResult:
     def t_ratio(self, name: str) -> float:
         return float(self.t_ratios[self.names.index(name)])
 
-    def as_dict(self) -> dict:
+    def to_json(self) -> dict:
+        """The estimates as a ``parameters`` table, one row per free parameter."""
+        rows = zip(self.names, self.estimates, self.std_errors, self.t_ratios)
         return {
             "parameters": [
-                {
-                    "name": name,
-                    "estimate": finite_or_none(self.estimates[i]),
-                    "std_error": finite_or_none(self.std_errors[i]),
-                    "t_ratio": finite_or_none(self.t_ratios[i]),
-                }
-                for i, name in enumerate(self.names)
+                {"name": name, "estimate": est, "std_error": se, "t_ratio": t}
+                for name, est, se, t in rows
             ],
-            "loglik": finite_or_none(self.loglik),
-            "null_loglik": finite_or_none(self.null_loglik),
+            "loglik": self.loglik,
+            "null_loglik": self.null_loglik,
             "iterations": self.iterations,
             "converged": self.converged,
             "convergence_reason": self.convergence_reason,
             "hessian_pd": self.hessian_pd,
         }
+
+    @classmethod
+    def from_json(cls, data: dict) -> EstimationResult:
+        """Inverse of :meth:`to_json`: a null estimate or error is NaN, a null loglik -inf."""
+        params = data["parameters"]
+
+        def column(key: str) -> np.ndarray:
+            return np.array([p[key] for p in params], dtype=float)  # None -> NaN
+
+        return cls(
+            names=tuple(p["name"] for p in params),
+            estimates=column("estimate"),
+            std_errors=column("std_error"),
+            t_ratios=column("t_ratio"),
+            loglik=from_json(float, data["loglik"], -math.inf),
+            null_loglik=from_json(float, data["null_loglik"], -math.inf),
+            iterations=data["iterations"],
+            converged=data["converged"],
+            convergence_reason=data["convergence_reason"],
+            hessian_pd=data["hessian_pd"],
+        )
 
 
 def _fd_hessian(model: BoundModel, theta: np.ndarray) -> np.ndarray:

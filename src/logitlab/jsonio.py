@@ -1,20 +1,83 @@
-"""JSON as logitlab writes it: byte-stable text, null for NaN and infinity."""
+"""JSON as logitlab writes it: byte-stable text, null for NaN and infinity.
 
+:func:`to_json` maps a dataclass to an object with one key per field,
+tuples, lists and arrays to lists, and a NaN or infinite float to
+``null``.  :func:`from_json` rebuilds a value from the type hints of each
+dataclass or TypedDict field, resolved once per class.  A ``null`` is
+``None`` where the hint allows it (``X | None``) and the field's
+"missing" float where the hint is a bare ``float``: NaN unless its
+``dataclasses.field(metadata=...)`` sets ``"missing"`` (``-math.inf``
+for a log-likelihood that could not be computed).  The metadata's
+``"key"`` names the JSON key when it differs from the field name.
+
+A dataclass whose JSON is not one key per field defines the hook pair
+``to_json(self)`` (JSON-ready data, which :func:`to_json` finishes) and
+the classmethod ``from_json(cls, data)``; the codec calls those instead.
+"""
+
+import dataclasses
+import functools
 import json
 import math
-from dataclasses import asdict
+import types
+import typing
+
+import numpy as np
 
 
-def finite_or_none(value):
-    """None for a NaN or infinite float; other floats as plain floats; anything else as is."""
-    if isinstance(value, float):
-        return float(value) if math.isfinite(value) else None
-    return value
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, str, object, float], ...]:
+    """(name, JSON key, type hint, missing float) of each field of a dataclass or TypedDict."""
+    hints = typing.get_type_hints(cls)
+    if not dataclasses.is_dataclass(cls):
+        return tuple((name, name, hint, math.nan) for name, hint in hints.items())
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), hints[f.name], f.metadata.get("missing", math.nan))
+        for f in dataclasses.fields(cls)
+    )
 
 
-def finite_fields(obj) -> dict:
-    """A dataclass of scalars as a dict, with :func:`finite_or_none` applied to each field."""
-    return {k: finite_or_none(v) for k, v in asdict(obj).items()}
+def to_json(obj):
+    """Plain JSON data (dicts, lists, str, numbers, bool, None) for ``obj``."""
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if dataclasses.is_dataclass(obj):
+        if hasattr(obj, "to_json"):
+            return to_json(obj.to_json())
+        return {key: to_json(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return to_json(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    return obj
+
+
+def from_json(tp, data, missing: float = math.nan):
+    """A value of type ``tp`` from :func:`to_json`'s output; ``missing`` is a bare float's null."""
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if data is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return from_json(inner, data, missing)
+    if tp is float:
+        return missing if data is None else float(data)
+    if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
+        if hasattr(tp, "from_json"):
+            return tp.from_json(data)
+        return tp(**{
+            name: from_json(hint, data[key], miss)
+            for name, key, hint, miss in _fields(tp)
+            if key in data  # an absent key leaves the field's default
+        })
+    if origin in (tuple, list):
+        return origin(from_json(args[0], v) for v in data)
+    if origin is dict:
+        return {k: from_json(args[1], v) for k, v in data.items()}
+    return data
 
 
 def dump_json(obj) -> str:

@@ -14,11 +14,11 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from logitlab.jsonio import dump_json
+from logitlab.jsonio import dump_json, from_json, to_json
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.prompts import PromptBundle
 
@@ -49,25 +49,8 @@ class LLMTranscript:
     request_params: dict
     messages: tuple[dict, ...]
     response_text: str
-    timestamp: str
-    token_counts: dict
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["messages"] = list(self.messages)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LLMTranscript":
-        return cls(
-            provider=d["provider"],
-            model=d["model"],
-            request_params=dict(d["request_params"]),
-            messages=tuple(d["messages"]),
-            response_text=d["response_text"],
-            timestamp=d.get("timestamp", ""),
-            token_counts=dict(d.get("token_counts", {})),
-        )
+    timestamp: str = ""  # these two may be absent from a stored transcript
+    token_counts: dict = field(default_factory=dict)
 
 
 def fixture_path(root: str | Path, provider: str, model: str, exp_id: int) -> Path:
@@ -78,19 +61,19 @@ def load_fixture(root: str | Path, provider: str, model: str, exp_id: int) -> LL
     path = fixture_path(root, provider, model, exp_id)
     if not path.is_file():
         raise FixtureMissing(str(path))
-    return LLMTranscript.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return from_json(LLMTranscript, json.loads(path.read_text(encoding="utf-8")))
 
 
 def write_fixture(transcript: LLMTranscript, root: str | Path, exp_id: int) -> Path:
     path = fixture_path(root, transcript.provider, transcript.model, exp_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(transcript.as_dict()), encoding="utf-8")
+    path.write_text(dump_json(to_json(transcript)), encoding="utf-8")
     return path
 
 
 def persist_transcript(transcript: LLMTranscript, directory: str | Path) -> Path:
     """Store a transcript under a content hash; same content, same file."""
-    payload = dump_json(transcript.as_dict())
+    payload = dump_json(to_json(transcript))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -117,7 +100,7 @@ def _live_call(bundle: PromptBundle, provider: ProviderConfig, session) -> LLMTr
         messages.append({"role": "system", "content": bundle.system_note})
     messages.append({"role": "user", "content": bundle.as_user_message()})
 
-    params = provider.sampling.as_dict()
+    params = to_json(provider.sampling)
     body = {"model": provider.model, "messages": messages, **params}
     url = base_url.rstrip("/") + "/chat/completions"
     headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}

@@ -66,13 +66,6 @@ class SamplingParams:
     top_p: float = 0.95
     max_tokens: int = 8192
 
-    def as_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-        }
-
 
 @dataclass(frozen=True)
 class ProviderConfig:

@@ -11,7 +11,7 @@ at the covariate baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
@@ -27,11 +27,11 @@ class MissingCoefficient(Exception):
 
 @dataclass(frozen=True)
 class FitStats:
-    loglik: float
+    loglik: float = field(metadata={"missing": -math.inf})
     k: int
     n: int
-    aic: float
-    bic: float
+    aic: float = field(metadata={"missing": math.inf})
+    bic: float = field(metadata={"missing": math.inf})
 
 
 @dataclass(frozen=True)

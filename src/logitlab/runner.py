@@ -9,7 +9,10 @@ aborts the run.
 Persistence is deterministic: one JSON document per (experiment,
 provider) under ``runs/expN/<provider>.json`` plus a manifest carrying
 content hashes of the inputs, with sorted keys and no timestamps, so
-replayed runs are byte-identical.
+replayed runs are byte-identical.  Records are written and read back by
+the dataclass codec in :mod:`logitlab.jsonio`, one key per field (the
+spec as its text, under ``spec_text``), so a field added to
+:class:`Record` or to one of its parts is persisted without code here.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from logitlab.dataset import Dataset, format_csv, write_dictionary
 from logitlab.engine.bfgs import EstimationResult, estimate
-from logitlab.jsonio import dump_json, finite_fields, finite_or_none
+from logitlab.jsonio import dump_json, from_json, to_json
 from logitlab.llmgate.client import FixtureMissing, complete
 from logitlab.llmgate.config import ExperimentConfig, ProviderConfig, experiment
 from logitlab.llmgate.extract import Claim, extract_specs
@@ -33,8 +34,8 @@ from logitlab.llmgate.prompts import build_prompt
 from logitlab.metrics import FitStats, MissingCoefficient, VotEstimate, information_criteria, value_of_time
 from logitlab.specdsl.analysis import SpecStats, analyze_structure
 from logitlab.specdsl.binding import bind
-from logitlab.specdsl.parser import UtilitySpec, parse_spec
-from logitlab.specdsl.serialize import serialize_spec
+# parse_spec is not called here; bench/spans.py wraps this module's name for it.
+from logitlab.specdsl.parser import UtilitySpec, parse_spec  # noqa: F401
 from logitlab.validate import ValidationReport, check_model
 
 REPRODUCTION_ABS_TOL = 0.5
@@ -80,7 +81,7 @@ class Record:
     provider: str
     model: str
     spec_name: str
-    spec: UtilitySpec
+    spec: UtilitySpec = field(metadata={"key": "spec_text"})
     stats: SpecStats | None = None
     estimation: EstimationResult | None = None
     fit: FitStats | None = None
@@ -204,142 +205,6 @@ def run_experiment(
 # -- persistence ----------------------------------------------------------
 
 
-def _vot_dict(v: VotEstimate) -> dict:
-    return {
-        "value": finite_or_none(v.value),
-        "per_alternative": {a: finite_or_none(x) for a, x in sorted(v.per_alternative.items())},
-        "reliable": v.reliable,
-        "notes": v.notes,
-    }
-
-
-def _validation_dict(v: ValidationReport) -> dict:
-    return {
-        "has_asc": v.has_asc,
-        "converged": v.converged,
-        "sign_violations": [
-            {"parameter": s["parameter"], "estimate": finite_or_none(s["estimate"])}
-            for s in v.sign_violations
-        ],
-        "insignificant_core": list(v.insignificant_core),
-        "exclusion": v.exclusion,
-        "notes": v.notes,
-    }
-
-
-def record_to_dict(record: Record) -> dict:
-    return {
-        "provider": record.provider,
-        "model": record.model,
-        "spec_name": record.spec_name,
-        "spec_text": serialize_spec(record.spec),
-        "stats": asdict(record.stats) if record.stats else None,
-        "estimation": record.estimation.as_dict() if record.estimation else None,
-        "fit": finite_fields(record.fit) if record.fit else None,
-        "vot": _vot_dict(record.vot) if record.vot else None,
-        "validation": _validation_dict(record.validation) if record.validation else None,
-        "claimed": finite_fields(record.claimed) if record.claimed else None,
-        "reproduction": finite_fields(record.reproduction) if record.reproduction else None,
-        "diagnostics": list(record.diagnostics),
-    }
-
-
-def estimation_from_dict(d: dict) -> EstimationResult:
-    def num(x, missing):
-        return missing if x is None else float(x)
-
-    params = d["parameters"]
-    return EstimationResult(
-        names=tuple(p["name"] for p in params),
-        estimates=np.array([num(p["estimate"], math.nan) for p in params]),
-        std_errors=np.array([num(p["std_error"], math.nan) for p in params]),
-        t_ratios=np.array([num(p["t_ratio"], math.nan) for p in params]),
-        loglik=num(d["loglik"], -math.inf),
-        null_loglik=num(d["null_loglik"], -math.inf),
-        iterations=d["iterations"],
-        converged=d["converged"],
-        convergence_reason=d["convergence_reason"],
-        hessian_pd=d["hessian_pd"],
-    )
-
-
-def record_from_dict(d: dict) -> Record:
-    def num(x, missing=math.nan):
-        return missing if x is None else float(x)
-
-    stats = SpecStats(**d["stats"]) if d["stats"] else None
-    fit = (
-        FitStats(
-            loglik=num(d["fit"]["loglik"], -math.inf),
-            k=d["fit"]["k"],
-            n=d["fit"]["n"],
-            aic=num(d["fit"]["aic"], math.inf),
-            bic=num(d["fit"]["bic"], math.inf),
-        )
-        if d["fit"]
-        else None
-    )
-    vot = (
-        VotEstimate(
-            value=num(d["vot"]["value"]),
-            per_alternative={a: num(x) for a, x in d["vot"]["per_alternative"].items()},
-            reliable=d["vot"]["reliable"],
-            notes=d["vot"]["notes"],
-        )
-        if d["vot"]
-        else None
-    )
-    validation = (
-        ValidationReport(
-            has_asc=d["validation"]["has_asc"],
-            converged=d["validation"]["converged"],
-            sign_violations=tuple(
-                {"parameter": s["parameter"], "estimate": num(s["estimate"])}
-                for s in d["validation"]["sign_violations"]
-            ),
-            insignificant_core=tuple(d["validation"]["insignificant_core"]),
-            exclusion=d["validation"]["exclusion"],
-            notes=d["validation"]["notes"],
-        )
-        if d["validation"]
-        else None
-    )
-    claimed = (
-        Claim(
-            spec_name=d["claimed"]["spec_name"],
-            loglik=num(d["claimed"]["loglik"]),
-            aic=d["claimed"]["aic"],
-            bic=d["claimed"]["bic"],
-        )
-        if d["claimed"]
-        else None
-    )
-    reproduction = (
-        ReproductionVerdict(
-            claimed_ll=num(d["reproduction"]["claimed_ll"]),
-            reestimated_ll=num(d["reproduction"]["reestimated_ll"]),
-            delta=num(d["reproduction"]["delta"]),
-            verdict=d["reproduction"]["verdict"],
-        )
-        if d["reproduction"]
-        else None
-    )
-    return Record(
-        provider=d["provider"],
-        model=d["model"],
-        spec_name=d["spec_name"],
-        spec=parse_spec(d["spec_text"]),
-        stats=stats,
-        estimation=estimation_from_dict(d["estimation"]) if d["estimation"] else None,
-        fit=fit,
-        vot=vot,
-        validation=validation,
-        claimed=claimed,
-        reproduction=reproduction,
-        diagnostics=tuple(d["diagnostics"]),
-    )
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -353,23 +218,17 @@ def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset)
     for record in result.records:
         by_provider.setdefault(record.provider, []).append(record)
 
-    config_dict = {
-        "id": result.config.id,
-        "information": result.config.information,
-        "strategy": result.config.strategy,
-        "goal": result.config.goal,
-    }
     files: dict[str, str] = {}
     for provider in sorted(by_provider):
         doc = {
-            "config": config_dict,
+            "config": result.config,
             "provider": provider,
-            "records": [record_to_dict(r) for r in by_provider[provider]],
+            "records": by_provider[provider],
             "diagnostics": sorted(
                 d for d in result.diagnostics if d.startswith(f"{provider}/")
             ),
         }
-        payload = dump_json(doc)
+        payload = dump_json(to_json(doc))
         (exp_dir / f"{provider}.json").write_text(payload, encoding="utf-8")
         files[f"{provider}.json"] = _sha256(payload)
 
@@ -400,8 +259,8 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
                 diagnostics.extend(json.loads(doc_path.read_text())["diagnostics"])
                 continue
             doc = json.loads(doc_path.read_text(encoding="utf-8"))
-            config = ExperimentConfig(**doc["config"])
-            records.extend(record_from_dict(d) for d in doc["records"])
+            config = from_json(ExperimentConfig, doc["config"])
+            records.extend(from_json(list[Record], doc["records"]))
         if config is None:
             continue
         records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))

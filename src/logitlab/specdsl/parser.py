@@ -121,6 +121,17 @@ class UtilitySpec:
     def free_parameters(self) -> tuple[ParameterDecl, ...]:
         return tuple(p for p in self.parameters if p.fixed is None)
 
+    def to_json(self) -> str:
+        """The spec's text, metadata included, as :func:`parse_spec` reads it back."""
+        from logitlab.specdsl.serialize import serialize_spec  # serialize imports this module
+
+        return serialize_spec(self)
+
+    @classmethod
+    def from_json(cls, text: str) -> UtilitySpec:
+        # a module-level lookup, so bench/spans.py's wrapper on parse_spec sees the call
+        return parse_spec(text)
+
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TypedDict
 
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
@@ -24,11 +25,16 @@ EXCLUDED_NONCONVERGENCE = "excluded_nonconvergence"
 EXCLUDED_POSITIVE_SIGN = "excluded_positive_sign"
 
 
+class SignViolation(TypedDict):
+    parameter: str
+    estimate: float
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     has_asc: bool
     converged: bool
-    sign_violations: tuple[dict, ...]  # {parameter, estimate}
+    sign_violations: tuple[SignViolation, ...]
     insignificant_core: tuple[str, ...]
     exclusion: str
     notes: str = ""
@@ -79,7 +85,7 @@ def check_model(
     """
     has_asc, unidentified = _asc_flags(spec)
 
-    violations: list[dict] = []
+    violations: list[SignViolation] = []
     weak: list[str] = []
     seen_violation: set[str] = set()
     seen_weak: set[str] = set()

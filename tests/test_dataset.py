@@ -171,6 +171,18 @@ def test_dictionary_rejects_duplicates():
         )
 
 
+def test_dictionary_rejects_second_id_entry():
+    text = DICT_MD.replace("| av_a |", "| HH | id |  |  | household |\n| av_a |")
+    with pytest.raises(ds.DatasetError, match=r"at most one id entry, found \['ID', 'HH'\]"):
+        ds.parse_dictionary(text)
+
+
+def test_dictionary_rejects_second_availability_entry_for_an_alternative():
+    text = DICT_MD.replace("| choice |", "| av_b2 | availability | b | 0/1 | b again |\n| choice |")
+    with pytest.raises(ds.DatasetError, match="alternative 'b' has more than one availability"):
+        ds.parse_dictionary(text)
+
+
 def test_quantity_inferred_from_units_and_description():
     d = ds.parse_dictionary(DICT_MD)
     assert d.entry("time_a").quantity == "time"

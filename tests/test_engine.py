@@ -13,6 +13,7 @@ import pytest
 from logitlab import dataset as ds
 from logitlab.engine import bfgs, kernel
 from logitlab.engine.dual import Dual
+from logitlab.jsonio import from_json
 from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
 
@@ -164,7 +165,7 @@ def replay_specs() -> list[parser.UtilitySpec]:
     """Every spec the recorded fixtures propose."""
     specs = []
     for path in sorted(FIXTURES.glob("*/*/exp*.json")):
-        transcript = client.LLMTranscript.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        transcript = from_json(client.LLMTranscript, json.loads(path.read_text(encoding="utf-8")))
         specs += extract.extract_specs(transcript).specs
     return specs
 

@@ -8,6 +8,7 @@ import json
 import pytest
 import requests
 
+from logitlab.jsonio import to_json
 from logitlab.llmgate import client, config, extract, prompts
 
 from conftest import FIXTURES
@@ -45,7 +46,7 @@ def test_off_preset_combination_rejected():
 
 
 def test_default_sampling_params():
-    params = config.SamplingParams().as_dict()
+    params = to_json(config.SamplingParams())
     assert params == {"temperature": 1.2, "top_p": 0.95, "max_tokens": 8192}
 
 

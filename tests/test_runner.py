@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from logitlab import runner
+from logitlab.jsonio import from_json, to_json
 from logitlab.llmgate.client import LLMTranscript, write_fixture
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.extract import Claim
+from logitlab.metrics import FitStats
 
 from conftest import FIXTURES
 
@@ -180,24 +183,65 @@ def test_per_spec_failures_stay_isolated(tmp_path, synth_data):
 # -- persistence ------------------------------------------------------------------
 
 
+def assert_same(a, b, where: str) -> None:
+    """Equal field by field, with tuple and array types checked; NaN equals NaN."""
+    if isinstance(a, float):
+        assert type(b) is float, where
+        assert a == b or (math.isnan(a) and math.isnan(b)), where
+        return
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b, err_msg=where, strict=True)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            assert_same(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert a == b, where
+
+
 def test_save_and_load_round_trip(tmp_path, synth_data):
-    result = runner.run_experiment(
-        1, [ALPHA, DELTA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path
-    )
-    exp_dir = tmp_path / "exp1"
-    assert sorted(p.name for p in exp_dir.iterdir()) == [
+    results = [
+        runner.run_experiment(1, [ALPHA, DELTA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path),
+        runner.run_experiment(3, [BETA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path),
+    ]
+    assert sorted(p.name for p in (tmp_path / "exp1").iterdir()) == [
         "alpha.json",
         "delta.json",
         "manifest.json",
     ]
+    # beta/s2_ivt is collinear: NaN standard errors and t-ratios
+    ivt = next(r for r in results[1].records if r.spec_name == "s2_ivt")
+    assert np.isnan(ivt.estimation.std_errors).all()
+    doc = json.loads((tmp_path / "exp1/alpha.json").read_text(encoding="utf-8"))
+    assert sorted(doc) == ["config", "diagnostics", "provider", "records"]
+    assert sorted(doc["records"][0]) == [
+        "claimed", "diagnostics", "estimation", "fit", "model", "provider",
+        "reproduction", "spec_name", "spec_text", "stats", "validation", "vot",
+    ]
+    parameter = doc["records"][0]["estimation"]["parameters"][0]
+    assert sorted(parameter) == ["estimate", "name", "std_error", "t_ratio"]
 
     loaded = runner.load_results(tmp_path)
-    assert len(loaded) == 1
-    back = loaded[0]
-    assert back.config == result.config
-    assert len(back.records) == len(result.records)
-    for a, b in zip(result.records, back.records):
-        assert runner.record_to_dict(a) == runner.record_to_dict(b)
+    assert len(loaded) == len(results)
+    for result, back in zip(results, loaded):
+        assert back.config == result.config
+        assert len(back.records) == len(result.records)
+        for a, b in zip(result.records, back.records):
+            assert_same(a, b, f"exp{result.config.id}/{a.provider}/{a.spec_name}")
+
+        again = tmp_path / "again"
+        runner.save_result(back, again, synth_data)
+        exp = f"exp{result.config.id}"
+        for path in sorted((tmp_path / exp).iterdir()):
+            assert (again / exp / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_manifest_hashes_inputs_and_outputs(tmp_path, synth_data):
@@ -217,7 +261,7 @@ def test_saved_documents_have_no_timestamps(tmp_path, synth_data):
     assert "timestamp" not in doc
 
 
-def test_estimation_from_dict_restores_sentinels():
+def test_from_json_restores_sentinels():
     d = {
         "parameters": [
             {"name": "b", "estimate": 1.5, "std_error": None, "t_ratio": None}
@@ -229,7 +273,25 @@ def test_estimation_from_dict_restores_sentinels():
         "convergence_reason": "non_finite",
         "hessian_pd": False,
     }
-    est = runner.estimation_from_dict(d)
+    est = from_json(runner.EstimationResult, d)
     assert est.loglik == -math.inf
     assert math.isnan(est.std_errors[0]) and math.isnan(est.t_ratios[0])
     assert est.estimates[0] == 1.5
+    assert to_json(est) == d
+
+    fit = from_json(FitStats, {"loglik": None, "k": 2, "n": 10, "aic": None, "bic": None})
+    assert fit == FitStats(loglik=-math.inf, k=2, n=10, aic=math.inf, bic=math.inf)
+
+    claim = from_json(Claim, {"spec_name": "s", "loglik": None, "aic": None, "bic": 7.0})
+    assert math.isnan(claim.loglik) and claim.aic is None and claim.bic == 7.0
+
+    stored = {
+        "provider": "p",
+        "model": "m",
+        "request_params": {"temperature": 1.2},
+        "messages": [{"role": "user", "content": "hi"}],
+        "response_text": "text",
+    }
+    transcript = from_json(LLMTranscript, stored)
+    assert transcript.timestamp == "" and transcript.token_counts == {}
+    assert transcript.messages == ({"role": "user", "content": "hi"},)

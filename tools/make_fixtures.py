@@ -29,6 +29,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from logitlab import dataset as ds  # noqa: E402
 from logitlab.engine import bfgs  # noqa: E402
+from logitlab.jsonio import to_json  # noqa: E402
 from logitlab.llmgate.client import LLMTranscript, write_fixture  # noqa: E402
 from logitlab.llmgate.config import SamplingParams, experiment  # noqa: E402
 from logitlab.llmgate.prompts import build_prompt, template_text  # noqa: E402
@@ -97,7 +98,7 @@ def make_transcript(provider: str, model: str, exp_id: int, data: ds.Dataset | N
     return LLMTranscript(
         provider=provider,
         model=model,
-        request_params=SamplingParams().as_dict(),
+        request_params=to_json(SamplingParams()),
         messages=tuple(messages),
         response_text=response_text,
         timestamp="",
@@ -206,7 +207,7 @@ def main() -> None:
     golden = LLMTranscript(
         provider="golden",
         model="golden-1",
-        request_params=SamplingParams().as_dict(),
+        request_params=to_json(SamplingParams()),
         messages=({"role": "user", "content": template_text("exp1")},),
         response_text=golden_response,
         timestamp="",
