@@ -1,13 +1,13 @@
 """Command-line entry points.
 
 Thin wrappers over the library: every command loads files, calls one
-operation and prints or writes its result.  Domain errors surface as
-clean one-line failures with exit code 1.
+operation and prints or writes its result.  The top-level group is the
+one error boundary: a domain error raised by any command, nested groups
+included, surfaces as a clean one-line failure with exit code 1.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from logitlab import report as report_mod
 from logitlab import runner as runner_mod
 from logitlab import validate as validate_mod
 from logitlab.engine import bfgs, kernel
-from logitlab.jsonio import dump_json, from_json, to_json
+from logitlab.jsonio import dump_json, from_json, load_json, to_json
 from logitlab.llmgate import client as llm_client
 from logitlab.llmgate import extract as llm_extract
 from logitlab.llmgate.config import ProviderConfig, experiment
@@ -42,19 +42,21 @@ _DOMAIN_ERRORS = (
 )
 
 
-def _fail(exc: Exception) -> None:
-    raise click.ClickException(f"{type(exc).__name__}: {exc}")
+class _ErrorBoundary(click.Group):
+    """Turns a domain error from any subcommand into ``Error: <Class>: <message>``."""
 
-
-def _load_dataset(csv_path: str, dict_path: str) -> ds.Dataset:
-    return ds.load_dataset(csv_path, dict_path)
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _DOMAIN_ERRORS as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}")
 
 
 def _read_spec(path: str) -> parser.UtilitySpec:
     return parser.parse_spec(Path(path).read_text(encoding="utf-8"))
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main() -> None:
     """Specify, estimate, validate and compare multinomial logit models."""
 
@@ -72,10 +74,7 @@ def dataset_group() -> None:
 @click.argument("dict_path", type=click.Path(exists=True))
 def dataset_validate(csv_path: str, dict_path: str) -> None:
     """Check a CSV against its data dictionary."""
-    try:
-        data = _load_dataset(csv_path, dict_path)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    data = ds.load_dataset(csv_path, dict_path)
     click.echo(f"ok: {data.n_obs} observations, {len(data.alternatives)} alternatives")
 
 
@@ -85,10 +84,7 @@ def dataset_validate(csv_path: str, dict_path: str) -> None:
 @click.option("--out", type=click.Path(), default=None, help="Write markdown here instead of stdout.")
 def dataset_describe(csv_path: str, dict_path: str, out: str | None) -> None:
     """Emit the deterministic markdown description."""
-    try:
-        data = _load_dataset(csv_path, dict_path)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    data = ds.load_dataset(csv_path, dict_path)
     text = ds.describe(data)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -111,13 +107,10 @@ def spec_group() -> None:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def spec_check(spec_path: str, csv_path: str, dict_path: str) -> None:
     """Parse a .dcm file and bind it against a dataset."""
-    try:
-        spec = _read_spec(spec_path)
-        data = _load_dataset(csv_path, dict_path)
-        stats = analysis.analyze_structure(spec, data.dictionary)
-        binding.bind(spec, data)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    spec = _read_spec(spec_path)
+    data = ds.load_dataset(csv_path, dict_path)
+    stats = analysis.analyze_structure(spec, data.dictionary)
+    binding.bind(spec, data)
     click.echo(f"ok: spec '{spec.name}' binds to {data.n_obs} observations")
     click.echo(
         f"params: {stats.n_params} free, vars: {stats.n_vars}, asc: {str(stats.has_asc).lower()}, "
@@ -140,13 +133,10 @@ def estimate_cmd(
     spec_path: str, csv_path: str, dict_path: str, max_iters: int, grad_tol: float, out_path: str | None
 ) -> None:
     """Estimate one specification by maximum likelihood."""
-    try:
-        spec = _read_spec(spec_path)
-        data = _load_dataset(csv_path, dict_path)
-        model = binding.bind(spec, data)
-        result = bfgs.estimate(model, max_iters=max_iters, grad_tol=grad_tol)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    spec = _read_spec(spec_path)
+    data = ds.load_dataset(csv_path, dict_path)
+    model = binding.bind(spec, data)
+    result = bfgs.estimate(model, max_iters=max_iters, grad_tol=grad_tol)
 
     fit = metrics_mod.information_criteria(result.loglik, result.n_free, model.n_obs)
     click.echo(f"spec '{spec.name}': converged={str(result.converged).lower()} "
@@ -169,8 +159,8 @@ def estimate_cmd(
         click.echo(f"wrote {out_path}")
 
 
-def _load_results_doc(path: str) -> tuple[dict, bfgs.EstimationResult]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_results_doc(path: str, *required: str) -> tuple[dict, bfgs.EstimationResult]:
+    doc = load_json(path, "estimation", *required)
     return doc, from_json(bfgs.EstimationResult, doc["estimation"])
 
 
@@ -180,14 +170,11 @@ def _load_results_doc(path: str) -> tuple[dict, bfgs.EstimationResult]:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Fit statistics and value of time from a results file."""
-    try:
-        doc, result = _load_results_doc(results_path)
-        spec = _read_spec(spec_path)
-        dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-        fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc["n_obs"])
-        rho = metrics_mod.rho_squared(result.loglik, result.null_loglik)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    doc, result = _load_results_doc(results_path, "n_obs")
+    spec = _read_spec(spec_path)
+    dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
+    fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc["n_obs"])
+    rho = metrics_mod.rho_squared(result.loglik, result.null_loglik)
     click.echo(f"LL={fit.loglik:.4f}  AIC={fit.aic:.4f}  BIC={fit.bic:.4f}  k={fit.k}  n={fit.n}")
     click.echo(f"rho-squared={rho:.4f}")
     try:
@@ -206,13 +193,10 @@ def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def validate_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Apply the inclusion rules to a results file."""
-    try:
-        _, result = _load_results_doc(results_path)
-        spec = _read_spec(spec_path)
-        dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-        report = validate_mod.check_model(result, spec, dictionary)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    _, result = _load_results_doc(results_path)
+    spec = _read_spec(spec_path)
+    dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
+    report = validate_mod.check_model(result, spec, dictionary)
     click.echo(f"exclusion: {report.exclusion}")
     click.echo(f"has_asc={str(report.has_asc).lower()} converged={str(report.converged).lower()}")
     for v in report.sign_violations:
@@ -271,19 +255,16 @@ def suggest_cmd(
 ) -> None:
     """Ask one model for specifications (live or replayed)."""
     config = experiment(exp_id)
-    try:
-        data = _load_dataset(csv_path, dict_path) if csv_path and dict_path else None
-        bundle = build_prompt(config, data, paper_faithful=paper_faithful)
-        transcript = llm_client.complete(
-            bundle,
-            ProviderConfig(name=provider, model=model),
-            mode="replay" if replay_dir else "live",
-            replay_dir=replay_dir,
-            transcript_dir=transcript_dir,
-        )
-        extraction = llm_extract.extract_specs(transcript)
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
+    data = ds.load_dataset(csv_path, dict_path) if csv_path and dict_path else None
+    bundle = build_prompt(config, data, paper_faithful=paper_faithful)
+    transcript = llm_client.complete(
+        bundle,
+        ProviderConfig(name=provider, model=model),
+        mode="replay" if replay_dir else "live",
+        replay_dir=replay_dir,
+        transcript_dir=transcript_dir,
+    )
+    extraction = llm_extract.extract_specs(transcript)
 
     for spec in extraction.specs:
         click.echo(f"spec: {spec.name}")
@@ -320,21 +301,18 @@ def run_cmd(
     paper_faithful: bool,
 ) -> None:
     """Run one experiment end-to-end and persist the results."""
-    try:
-        provider_list = _parse_providers(providers, replay_dir)
-        data = _load_dataset(csv_path, dict_path)
-        result = runner_mod.run_experiment(
-            experiment(exp_id),
-            provider_list,
-            data,
-            mode="replay" if replay_dir else "live",
-            replay_dir=replay_dir,
-            out_dir=out_dir,
-            paper_faithful=paper_faithful,
-        )
-    except _DOMAIN_ERRORS as exc:
-        _fail(exc)
-    included = sum(1 for r in result.records if r.validation and r.validation.included)
+    provider_list = _parse_providers(providers, replay_dir)
+    data = ds.load_dataset(csv_path, dict_path)
+    result = runner_mod.run_experiment(
+        experiment(exp_id),
+        provider_list,
+        data,
+        mode="replay" if replay_dir else "live",
+        replay_dir=replay_dir,
+        out_dir=out_dir,
+        paper_faithful=paper_faithful,
+    )
+    included = sum(1 for r in result.records if r.included)
     click.echo(
         f"experiment {exp_id}: {len(result.records)} spec(s), {included} included; "
         f"results under {out_dir}/exp{exp_id}/"

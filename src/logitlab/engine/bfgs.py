@@ -163,14 +163,13 @@ def estimate(
     model: BoundModel,
     max_iters: int = 500,
     grad_tol: float = 1e-6,
-    start_override: np.ndarray | None = None,
 ) -> EstimationResult:
     """Maximize the log-likelihood from the spec's start values.
 
     The gradient criterion scales with model size: the stop threshold is
     ``grad_tol * max(1, |LL|/n_obs)``.
     """
-    theta = np.array(model.start if start_override is None else start_override, dtype=float)
+    theta = np.array(model.start, dtype=float)
     k = len(theta)
     ll0 = null_loglik(model.dataset)
     ll, S = loglik_and_scores(model, theta)

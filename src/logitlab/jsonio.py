@@ -80,6 +80,16 @@ def from_json(tp, data, missing: float = math.nan):
     return data
 
 
+def load_json(path, *required: str) -> dict:
+    """The JSON object in the file ``path``; ValueError naming the file if a ``required`` key is absent."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{path} has no '{key}'")
+    return doc
+
+
 def dump_json(obj) -> str:
     """Sorted keys, two-space indent and a trailing newline, so equal documents give equal bytes."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -11,10 +11,9 @@ import re
 from dataclasses import dataclass
 
 from logitlab.llmgate.client import LLMTranscript
-from logitlab.specdsl.parser import SpecDslError, UtilitySpec, parse_spec
+from logitlab.specdsl.parser import NUMBER_RE, SpecDslError, UtilitySpec, parse_spec
 
 _BLOCK_RE = re.compile(r"```[ \t]*(dcm-spec|dcm-claims)[ \t]*\n(.*?)\n[ \t]*```", re.DOTALL)
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,8 @@ def _parse_claims(body: str, diagnostics: list[str]) -> list[Claim]:
         if not line:
             continue
         fields = [f for f in re.split(r"[,\s|]+", line) if f]
-        numbers = [f for f in fields if _NUMBER_RE.match(f)]
-        names = [f for f in fields if not _NUMBER_RE.match(f)]
+        numbers = [f for f in fields if NUMBER_RE.match(f)]
+        names = [f for f in fields if not NUMBER_RE.match(f)]
         if len(names) != 1 or not numbers:
             diagnostics.append(f"claims line {lineno} not parseable: {raw.strip()!r}")
             continue

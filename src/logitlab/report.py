@@ -49,10 +49,6 @@ def _model_id(record: Record) -> str:
     return f"{record.provider}/{record.model}"
 
 
-def _included(record: Record) -> bool:
-    return record.validation is not None and record.validation.included
-
-
 def summary_table(result: ExperimentResult) -> str:
     """Markdown table of all records in one experiment.
 
@@ -67,7 +63,7 @@ def summary_table(result: ExperimentResult) -> str:
         "|---|---|---:|---:|---:|---:|",
     ]
 
-    included = [r for r in result.records if _included(r) and r.fit is not None]
+    included = [r for r in result.records if r.included and r.fit is not None]
     best_ll = max((r.fit.loglik for r in included), default=None)
     best_aic = min((r.fit.aic for r in included), default=None)
 
@@ -77,9 +73,9 @@ def summary_table(result: ExperimentResult) -> str:
             name += MARKERS.get(r.validation.exclusion, "")
         if r.fit is not None:
             ll, aic, bic = _fmt2(r.fit.loglik), _fmt2(r.fit.aic), _fmt2(r.fit.bic)
-            if _included(r) and best_ll is not None and r.fit.loglik == best_ll:
+            if r.included and best_ll is not None and r.fit.loglik == best_ll:
                 ll = f"**{ll}**"
-            if _included(r) and best_aic is not None and r.fit.aic == best_aic:
+            if r.included and best_aic is not None and r.fit.aic == best_aic:
                 aic = f"**{aic}**"
         else:
             ll = aic = bic = "-"
@@ -120,7 +116,7 @@ def best_of(results: list[ExperimentResult], metric: str = "ll") -> str:
     for result in results:
         for record in result.records:
             models.add(_model_id(record))
-            if not _included(record):
+            if not record.included:
                 continue
             value = _metric_value(record, metric)
             if value is None:

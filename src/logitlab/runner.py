@@ -18,7 +18,6 @@ spec as its text, under ``spec_text``), so a field added to
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from pathlib import Path
 
 from logitlab.dataset import Dataset, format_csv, write_dictionary
 from logitlab.engine.bfgs import EstimationResult, estimate
-from logitlab.jsonio import dump_json, from_json, to_json
+from logitlab.jsonio import dump_json, from_json, load_json, to_json
 from logitlab.llmgate.client import FixtureMissing, complete
 from logitlab.llmgate.config import ExperimentConfig, ProviderConfig, experiment
 from logitlab.llmgate.extract import Claim, extract_specs
@@ -90,6 +89,11 @@ class Record:
     claimed: Claim | None = None
     reproduction: ReproductionVerdict | None = None
     diagnostics: tuple[str, ...] = ()
+
+    @property
+    def included(self) -> bool:
+        """Validated and passed every inclusion rule."""
+        return self.validation is not None and self.validation.included
 
 
 @dataclass(frozen=True)
@@ -256,9 +260,9 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
         config = None
         for doc_path in sorted(exp_dir.glob("*.json")):
             if doc_path.name == "manifest.json":
-                diagnostics.extend(json.loads(doc_path.read_text())["diagnostics"])
+                diagnostics.extend(load_json(doc_path, "diagnostics")["diagnostics"])
                 continue
-            doc = json.loads(doc_path.read_text(encoding="utf-8"))
+            doc = load_json(doc_path, "config", "records")
             config = from_json(ExperimentConfig, doc["config"])
             records.extend(from_json(list[Record], doc["records"]))
         if config is None:

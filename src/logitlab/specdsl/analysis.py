@@ -49,7 +49,8 @@ class SpecStats:
     n_interactions: int
 
 
-def _check_vars(spec: UtilitySpec, dictionary: DataDictionary) -> None:
+def check_variables(spec: UtilitySpec, dictionary: DataDictionary) -> None:
+    """Raise :class:`UnknownVariable` for the first utility naming a column the dictionary lacks."""
     known = set(dictionary.variable_names)
     for alt in spec.alternatives:
         unknown = sorted(var_names(spec.utilities[alt]) - known)
@@ -109,14 +110,10 @@ def analyze_structure(spec: UtilitySpec, dictionary: DataDictionary) -> SpecStat
     Raises :class:`UnknownVariable` if any referenced variable is missing
     from the dictionary.
     """
-    _check_vars(spec, dictionary)
+    check_variables(spec, dictionary)
     kind_of = {e.name: e.kind for e in dictionary.entries}
     quantity_of = {e.name: e.quantity for e in dictionary.entries}
-
-    used_by: dict[str, set[str]] = {}
-    for alt in spec.alternatives:
-        for name in param_names(spec.utilities[alt]):
-            used_by.setdefault(name, set()).add(alt)
+    users = spec.users
 
     n_params = len(spec.free_parameters)
     all_vars: set[str] = set()
@@ -132,16 +129,12 @@ def analyze_structure(spec: UtilitySpec, dictionary: DataDictionary) -> SpecStat
             elif isinstance(node, Call1) and node.fn in ("log", "sqrt"):
                 n_transformations += 1
 
-    has_asc = any(
-        p.role == "asc" and p.fixed is None and used_by.get(p.name)
-        for p in spec.parameters
-    )
     n_generic = 0
     n_altspecific = 0
     for p in spec.parameters:
         if p.role != "taste":
             continue
-        if len(used_by.get(p.name, ())) >= 2:
+        if len(users.get(p.name, ())) >= 2:
             n_generic += 1
         else:
             n_altspecific += 1
@@ -151,7 +144,7 @@ def analyze_structure(spec: UtilitySpec, dictionary: DataDictionary) -> SpecStat
     return SpecStats(
         n_params=n_params,
         n_vars=len(all_vars),
-        has_asc=has_asc,
+        has_asc=spec.has_asc,
         n_generic=n_generic,
         n_altspecific=n_altspecific,
         n_socioeconomic=n_socioeconomic,

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from logitlab.dataset import Dataset
-from logitlab.specdsl.analysis import UnknownVariable
+from logitlab.specdsl.analysis import check_variables
 from logitlab.specdsl.expr import (
     Add,
     BoxCox,
@@ -248,13 +248,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     Raises UnknownVariable, MissingAlternative or DomainViolation; never
     mutates its inputs.
     """
-    dict_vars = set(dataset.dictionary.variable_names)
-    for alt in spec.alternatives:
-        unknown = sorted(var_names(spec.utilities[alt]) - dict_vars)
-        if unknown:
-            raise UnknownVariable(
-                f"utility of '{alt}' references unknown variable '{unknown[0]}'"
-            )
+    check_variables(spec, dataset.dictionary)
 
     spec_alts = set(spec.alternatives)
     data_alts = set(dataset.alternatives)

@@ -121,6 +121,16 @@ class UtilitySpec:
     def free_parameters(self) -> tuple[ParameterDecl, ...]:
         return tuple(p for p in self.parameters if p.fixed is None)
 
+    @property
+    def users(self) -> dict[str, list[str]]:
+        return parameter_users(self.alternatives, self.utilities)
+
+    @property
+    def has_asc(self) -> bool:
+        """Whether a free ASC is referenced; constants that are all fixed count as none."""
+        users = self.users
+        return any(p.role == "asc" and p.fixed is None and p.name in users for p in self.parameters)
+
     def to_json(self) -> str:
         """The spec's text, metadata included, as :func:`parse_spec` reads it back."""
         from logitlab.specdsl.serialize import serialize_spec  # serialize imports this module
@@ -133,8 +143,19 @@ class UtilitySpec:
         return parse_spec(text)
 
 
+def parameter_users(alternatives: tuple[str, ...], utilities: dict[str, Expr]) -> dict[str, list[str]]:
+    """The alternatives whose utility references each parameter, in order; unused ones have no key."""
+    users: dict[str, list[str]] = {}
+    for alt in alternatives:
+        for name in param_names(utilities[alt]):
+            users.setdefault(name, []).append(alt)
+    return users
+
+
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"(?P<num>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[()+\-*/,])"
     r"|(?P<ws>\s+)"
@@ -142,7 +163,8 @@ _TOKEN_RE = re.compile(
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# A whole signed number, as in ``fixed -1.5`` and in claims lines.
+NUMBER_RE = re.compile(rf"[+-]?{_NUMBER}$")
 
 
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
@@ -399,7 +421,7 @@ def _parse_param_line(words: list[str], line: int, alts: tuple[str, ...]):
                     raise DslSyntaxError(f"unknown alternative {value!r}", line)
                 scope = value
             else:
-                if not _NUMBER_RE.match(value):
+                if not NUMBER_RE.match(value):
                     raise DslSyntaxError(f"'{word}' needs a number, got {value!r}", line)
                 if word == "fixed":
                     fixed = float(value)
@@ -421,9 +443,9 @@ def additive_terms(expr: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
     return [(sign, expr)]
 
 
-def _check_asc_usage(name: str, utilities: dict[str, Expr], u_lines: dict[str, int]) -> None:
-    used_in = []
-    for alt, expr in utilities.items():
+def _check_asc_usage(name: str, uses: list[str], utilities: dict[str, Expr], u_lines: dict[str, int]) -> None:
+    for alt in uses:
+        expr = utilities[alt]
         total = sum(
             1
             for node in iter_nodes(expr)
@@ -431,8 +453,6 @@ def _check_asc_usage(name: str, utilities: dict[str, Expr], u_lines: dict[str, i
             or (isinstance(node, BoxCox) and node.shape == name)
             or (isinstance(node, Piecewise) and name in node.params)
         )
-        if total == 0:
-            continue
         bare = sum(
             1 for _, term in additive_terms(expr) if isinstance(term, Param) and term.name == name
         )
@@ -440,12 +460,11 @@ def _check_asc_usage(name: str, utilities: dict[str, Expr], u_lines: dict[str, i
             raise SpecInvariantError(
                 f"ASC '{name}' must appear only as an additive term", u_lines[alt]
             )
-        used_in.append(alt)
-    if len(used_in) > 1:
+    if len(uses) > 1:
         raise SpecInvariantError(
-            f"ASC '{name}' appears in utilities of {', '.join(used_in)}; "
+            f"ASC '{name}' appears in utilities of {', '.join(uses)}; "
             "an ASC belongs to exactly one alternative",
-            u_lines[used_in[1]],
+            u_lines[uses[1]],
         )
 
 
@@ -522,10 +541,7 @@ def parse_spec(text: str) -> UtilitySpec:
 
     # Roles: box-cox usage outranks the asc_ naming convention.
     shapes = {node.shape for expr in utilities.values() for node in iter_nodes(expr) if isinstance(node, BoxCox)}
-    used_by: dict[str, list[str]] = {p: [] for p in decl_order}
-    for alt in alts:
-        for pname in param_names(utilities[alt]):
-            used_by[pname].append(alt)
+    users = parameter_users(alts, utilities)
 
     params: list[ParameterDecl] = []
     asc_by_alt: dict[str, str] = {}
@@ -537,13 +553,13 @@ def parse_spec(text: str) -> UtilitySpec:
             role = "asc"
         else:
             role = "taste"
+        uses = users.get(pname, [])
         if role == "asc":
-            _check_asc_usage(pname, utilities, u_lines)
+            _check_asc_usage(pname, uses, utilities, u_lines)
         if scope is None:
-            uses = used_by[pname]
             scope = uses[0] if len(uses) == 1 else "generic"
-        if role == "asc" and used_by[pname]:
-            alt = used_by[pname][0]
+        if role == "asc" and uses:
+            alt = uses[0]
             if alt in asc_by_alt:
                 raise SpecInvariantError(
                     f"alternative '{alt}' has two ASCs: {asc_by_alt[alt]} and {pname}",

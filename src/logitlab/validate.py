@@ -16,7 +16,6 @@ from typing import TypedDict
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
 from logitlab.metrics import SIGNIFICANCE_T, core_terms
-from logitlab.specdsl.expr import param_names
 from logitlab.specdsl.parser import UtilitySpec
 
 INCLUDED = "included"
@@ -50,29 +49,12 @@ class BatchPartition:
     excluded: tuple
 
 
-def _asc_flags(spec: UtilitySpec) -> tuple[bool, bool]:
-    """(has_asc, unidentified): free ASCs present; full unfixed ASC set."""
-    used: dict[str, set[str]] = {}
-    for alt in spec.alternatives:
-        for name in param_names(spec.utilities[alt]):
-            used.setdefault(name, set()).add(alt)
-
-    free_ascs = []
-    fixed_ascs = []
-    alts_with_asc: set[str] = set()
-    for p in spec.parameters:
-        if p.role != "asc" or p.name not in used:
-            continue
-        alts_with_asc |= used[p.name]
-        (fixed_ascs if p.fixed is not None else free_ascs).append(p.name)
-
-    has_asc = bool(free_ascs)
-    unidentified = (
-        has_asc
-        and not fixed_ascs
-        and alts_with_asc == set(spec.alternatives)
-    )
-    return has_asc, unidentified
+def _unidentified(spec: UtilitySpec) -> bool:
+    """Whether ASCs cover every alternative and none is fixed as the reference."""
+    users = spec.users
+    ascs = [p for p in spec.parameters if p.role == "asc" and p.name in users]
+    covered = {alt for p in ascs for alt in users[p.name]}
+    return bool(ascs) and all(p.fixed is None for p in ascs) and covered == set(spec.alternatives)
 
 
 def check_model(
@@ -83,8 +65,7 @@ def check_model(
     Sign and significance checks cover time/cost main effects only; the
     effective sign folds in any constant factors in the term.
     """
-    has_asc, unidentified = _asc_flags(spec)
-
+    has_asc = spec.has_asc
     violations: list[SignViolation] = []
     weak: list[str] = []
     seen_violation: set[str] = set()
@@ -109,7 +90,7 @@ def check_model(
         exclusion = INCLUDED
 
     notes = []
-    if unidentified:
+    if _unidentified(spec):
         notes.append("unidentified_asc: full ASC set with no fixed reference")
     if not result.converged:
         notes.append(f"stopped on {result.convergence_reason}, hessian_pd={result.hessian_pd}")

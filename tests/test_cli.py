@@ -34,12 +34,51 @@ def test_dataset_validate_ok():
     assert res.stdout == "ok: 1000 observations, 4 alternatives\n"
 
 
-def test_dataset_validate_failure_is_clean(tmp_path):
+def _bad_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("ID,av_car\n1,1\n", encoding="utf-8")
-    res = invoke("dataset", "validate", bad, DICT)
+    return ("dataset", "validate", bad, DICT), (
+        "MissingColumn: dictionary column 'av_bus' not found in bad.csv"
+    )
+
+
+def _unknown_variable(tmp_path):
+    spec = tmp_path / "unknown.dcm"
+    spec.write_text(
+        "spec unknown\nalt car bus air rail\nparam b_t generic\n"
+        "U(car) = b_t * zeppelin\nU(bus) = b_t * time_bus\n"
+        "U(air) = b_t * time_air\nU(rail) = b_t * time_rail\n",
+        encoding="utf-8",
+    )
+    return ("spec", "check", spec, "--data", CSV, "--dict", DICT), (
+        "UnknownVariable: utility of 'car' references unknown variable 'zeppelin'"
+    )
+
+
+def _missing_alternative(tmp_path):
+    spec = tmp_path / "tram.dcm"
+    spec.write_text("spec tram\nalt car tram\nparam b_t\nU(car) = b_t * time_car\nU(tram) = 0\n")
+    return ("estimate", "--spec", spec, "--data", CSV, "--dict", DICT), (
+        "MissingAlternative: spec defines utility for 'tram', not in dataset"
+    )
+
+
+def _runs_without_records(tmp_path):
+    doc = tmp_path / "exp1/alpha.json"
+    doc.parent.mkdir()
+    doc.write_text('{"config": {}}', encoding="utf-8")
+    return ("report", "summary", "--runs", tmp_path), f"ValueError: {doc} has no 'records'"
+
+
+@pytest.mark.parametrize(
+    "failing_call", [_bad_csv, _unknown_variable, _missing_alternative, _runs_without_records]
+)
+def test_dataset_validate_failure_is_clean(tmp_path, failing_call):
+    """One domain error per command group ends in one line, not a traceback."""
+    args, message = failing_call(tmp_path)
+    res = invoke(*args)
     assert res.exit_code == 1
-    assert res.stderr.startswith("Error: MissingColumn:")
+    assert res.stderr.splitlines()[0] == f"Error: {message}"
     assert "Traceback" not in res.output
 
 
@@ -282,6 +321,28 @@ def test_report_empty_runs_dir(tmp_path):
     res = invoke("report", "summary", "--runs", tmp_path)
     assert res.exit_code == 1
     assert "no persisted experiments" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, key", [("metrics", "n_obs"), ("validate", "estimation"), ("report", "config")]
+)
+def test_malformed_results_fail_in_one_line(request, tmp_path, command, key):
+    if command == "report":
+        source = request.getfixturevalue("runs_dir") / "exp3/beta.json"
+        target = tmp_path / "exp3/beta.json"
+        target.parent.mkdir()
+        args = ("report", "summary", "--runs", tmp_path)
+    else:
+        source = request.getfixturevalue("results_file")
+        target = tmp_path / "best.json"
+        args = (command, "--results", target, "--spec", SPEC, "--dict", DICT)
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    del doc[key]
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    res = invoke(*args)
+    assert res.exit_code == 1
+    assert res.stderr == f"Error: ValueError: {target} has no '{key}'\n"
+    assert "Traceback" not in res.output
 
 
 # -- start-up --------------------------------------------------------------

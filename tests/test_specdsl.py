@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logitlab import validate
 from logitlab.specdsl import analysis, binding, parser, serialize
 from logitlab.specdsl.expr import (
     Add, BoxCox, Call1, Const, Div, Mul, Neg, Param, Piecewise, Pow, Sub, Var,
@@ -17,6 +18,8 @@ from logitlab.specdsl.parser import (
     DslSyntaxError, DuplicateParameter, SpecDslError, SpecInvariantError,
     UndeclaredParameter, UnknownFunction, parse_expression, parse_spec,
 )
+
+from test_validate import result_for
 
 TWO_ALT = """spec demo
 alt a b
@@ -42,6 +45,10 @@ def test_parse_spec_roles_and_scopes():
     assert spec.parameter("b_time").role == "taste"
     assert spec.parameter("b_time").scope == "generic"
     assert [p.name for p in spec.free_parameters] == ["asc_b", "b_time", "b_cost"]
+    assert spec.users == {
+        "asc_a": ["a"], "asc_b": ["b"], "b_time": ["a", "b"], "b_cost": ["a", "b"],
+    }
+    assert spec.has_asc is True
 
 
 def test_alt_specific_scope_inferred_from_usage():
@@ -368,6 +375,9 @@ def test_fixed_only_asc_is_not_counted_as_asc(synth_data):
     )
     stats = analysis.analyze_structure(spec, synth_data.dictionary)
     assert stats.has_asc is False
+    report = validate.check_model(result_for(spec, {"b_t": -0.01}), spec, synth_data.dictionary)
+    assert report.has_asc is stats.has_asc
+    assert report.exclusion == validate.EXCLUDED_NO_ASC
 
 
 # -- binding ------------------------------------------------------------------

@@ -20,7 +20,6 @@ so reproduction verdicts are stable under re-estimation.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from logitlab import dataset as ds  # noqa: E402
+from logitlab import metrics  # noqa: E402
 from logitlab.engine import bfgs  # noqa: E402
 from logitlab.jsonio import to_json  # noqa: E402
 from logitlab.llmgate.client import LLMTranscript, write_fixture  # noqa: E402
@@ -81,9 +81,8 @@ def estimate_ll(text: str, data: ds.Dataset) -> tuple[float, int]:
 
 
 def claims_line(name: str, ll: float, k: int, n: int) -> str:
-    aic = 2 * k - 2 * ll
-    bic = k * math.log(n) - 2 * ll
-    return f"{name}  {ll:.2f}  {aic:.2f}  {bic:.2f}"
+    fit = metrics.information_criteria(ll, k, n)
+    return f"{name}  {ll:.2f}  {fit.aic:.2f}  {fit.bic:.2f}"
 
 
 def fence(tag: str, body: str) -> str:
