@@ -57,7 +57,9 @@ def _unknown_variable(tmp_path):
 
 def _missing_alternative(tmp_path):
     spec = tmp_path / "tram.dcm"
-    spec.write_text("spec tram\nalt car tram\nparam b_t\nU(car) = b_t * time_car\nU(tram) = 0\n")
+    spec.write_text(
+        "spec tram\nalt car tram\nparam b_t\nU(car) = b_t * time_car\nU(tram) = 0\n", encoding="utf-8"
+    )
     return ("estimate", "--spec", spec, "--data", CSV, "--dict", DICT), (
         "MissingAlternative: spec defines utility for 'tram', not in dataset"
     )
