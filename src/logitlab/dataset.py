@@ -336,8 +336,7 @@ def _to_columns(
         f"row {row}: chosen alternative {alternatives[choice_idx[i]]!r} is not available"
     ))
 
-    # float() of each cell; None, hence NaN, where it fails
-    values = np.array([list(map(_float_or_none, cells(name))) for name in names], np.float64).T
+    values = np.array([_float_column(cells(name)) for name in names], np.float64).T
     check(~np.isfinite(values), lambda i, j, row: _number_error(
         records[i][header.index(names[j])], names[j], row
     ))
@@ -347,6 +346,14 @@ def _to_columns(
     id_entry = dictionary.id_entry
     person_id = list(map(str.strip, cells(id_entry.name))) if id_entry else row_no.tolist()
     return values, avail, choice_idx, np.array(person_id, dtype=str)
+
+
+def _float_column(cells: list[str]) -> np.ndarray:
+    """float() of each cell, NaN where it fails; cell by cell only in a column that fails."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return np.array(list(map(_float_or_none, cells)), np.float64)
 
 
 def _float_or_none(cell: str) -> float | None:

@@ -1,9 +1,13 @@
 """MNL likelihood evaluation and maximum-likelihood estimation.
 
 The kernel evaluates utilities through the generic expression walker in
-the DSL package with plain arrays (values).  Exact derivatives come from
-the design ∂V/∂θ that binding caches when every utility is affine in the
-parameters, and otherwise from a pass with forward-mode dual numbers.
+the DSL package with plain arrays (values); the softmax runs in one
+(n, J) buffer and gives the same log-likelihood bits as the masked-copy
+formula with numpy row reductions (below eight alternatives).  The
+per-observation scores are ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with ``y`` the
+one-hot choice.  The derivatives ∂V/∂θ are the design that binding
+caches when every utility is affine in the parameters, and otherwise
+come from a pass with forward-mode dual numbers.
 The optimizer is BFGS started from the BHHH inverse ``(SᵀS)⁻¹`` of the
 per-observation scores, with an Armijo backtracking line search that
 ignores changes within the log-likelihood's rounding.  Standard errors

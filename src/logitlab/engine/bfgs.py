@@ -29,7 +29,7 @@ from logitlab.engine.kernel import (
     loglik_and_scores,
     null_loglik,
 )
-from logitlab.jsonio import from_json
+from logitlab.jsonio import from_json, require
 from logitlab.specdsl.binding import BoundModel
 
 ARMIJO_C = 1e-4
@@ -90,7 +90,11 @@ class EstimationResult:
     @classmethod
     def from_json(cls, data: dict) -> EstimationResult:
         """Inverse of :meth:`to_json`: a null estimate or error is NaN, a null loglik -inf."""
+        require(data, cls.__name__, "parameters", "loglik", "null_loglik", "iterations",
+                "converged", "convergence_reason", "hessian_pd")
         params = data["parameters"]
+        for p in params:
+            require(p, "parameter", "name", "estimate", "std_error", "t_ratio")
 
         def column(key: str) -> np.ndarray:
             return np.array([p[key] for p in params], dtype=float)  # None -> NaN

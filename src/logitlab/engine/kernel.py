@@ -9,9 +9,17 @@ The log-likelihood returns ``-inf`` instead of raising when a wild
 parameter step drives utilities non-finite or the chosen probability
 underflows; the optimizer treats that as a rejected step.
 
-Derivatives come from the model's cached design ∂V/∂θ when binding found
-every utility affine in the parameters, and from a dual-number pass
-otherwise.
+The value pass shifts, exponentiates and normalises one (n, J) buffer
+and reduces over the J alternatives column by column.  It gives the same
+bits as the textbook masked-copy softmax with numpy's row max and row sum
+(``tests/test_engine.py`` keeps that formula as its reference) for fewer
+than eight alternatives, where numpy's row sum also adds left to right.
+
+The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
+``y`` the one-hot choice, one contraction of the residuals ``Y − P``
+with ``G = ∂V/∂θ``; the gradient contracts over the rows as well.  ``G``
+is the model's cached design when binding found every utility affine in
+the parameters, and comes from a dual-number pass otherwise.
 """
 
 from __future__ import annotations
@@ -43,12 +51,22 @@ def probability_matrix(V: np.ndarray, avail: np.ndarray) -> np.ndarray:
     before exponentiation.  Rows with non-finite available utilities
     come out as NaN; callers decide whether that is an error or a
     rejected optimization step.
+
+    One (n, J) buffer is shifted, exponentiated and normalised in place;
+    the row max and the row sum (left to right) run column by column.
     """
     with np.errstate(all="ignore"):
-        masked = np.where(avail, V, -np.inf)
-        shift = masked.max(axis=1, keepdims=True)
-        expV = np.where(avail, np.exp(masked - shift), 0.0)
-        return expV / expV.sum(axis=1, keepdims=True)
+        E = np.where(avail, V, -np.inf)
+        shift = E[:, 0].copy()
+        for column in E.T[1:]:
+            np.maximum(shift, column, out=shift)
+        E -= shift[:, None]
+        np.exp(E, out=E)
+        total = E[:, 0].copy()
+        for column in E.T[1:]:
+            total += column
+        E /= total[:, None]
+        return E
 
 
 def probabilities(model: BoundModel, theta, row_index: int) -> dict[str, float]:
@@ -71,10 +89,10 @@ def log_likelihood(model: BoundModel, theta) -> float:
 
 def _loglik_from_utilities(V, avail, choice_idx) -> tuple[float, np.ndarray | None]:
     """(log-likelihood, probability matrix); P is None when LL is -inf."""
-    if not np.all(np.isfinite(V[avail])):
+    if not np.isfinite(np.where(avail, V, 0.0)).all():
         return -math.inf, None
     P = probability_matrix(V, avail)
-    chosen = P[np.arange(V.shape[0]), choice_idx]
+    chosen = np.take_along_axis(P, choice_idx[:, None], axis=1)[:, 0]
     if np.any(chosen <= 0.0):
         return -math.inf, None
     return float(np.log(chosen).sum()), P
@@ -100,39 +118,48 @@ def utility_jacobian(model: BoundModel, theta) -> tuple[np.ndarray, np.ndarray]:
     return V, np.where(model.avail[:, :, None], G, 0.0)
 
 
-def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
-    """Log-likelihood and the (n, k) per-observation scores ``chosen_G - P·G``.
+def _residuals(model: BoundModel, theta) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """Log-likelihood, ``Y - P`` and ``G = ∂V/∂θ``; the residuals are None when LL is -inf.
 
-    ``G`` is the model's cached design when its utilities are affine in
-    the parameters (utilities then come from the plain value walk), and
-    a dual-number pass otherwise.  The scores are NaN-filled when the
-    log-likelihood is -inf.
+    ``Y`` is the one-hot choice.  ``G`` is the model's cached design when
+    its utilities are affine in the parameters (utilities then come from
+    the plain value walk), and a dual-number pass otherwise.
     """
     theta = _check_theta(theta)
-    n, k = model.n_obs, model.n_free
     if model.design is not None:
         V, G = model.utility_matrix(theta), model.design
     else:
         V, G = utility_jacobian(model, theta)
-
     ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx)
     if P is None:
-        return ll, np.full((n, k), np.nan)
+        return ll, None, G
+    Y = model.choice_idx[:, None] == np.arange(model.n_alts)
+    return ll, np.subtract(Y, P, out=P), G
 
-    chosen_G = G[np.arange(n), model.choice_idx, :]
-    S = chosen_G - np.einsum("nj,njk->nk", P, G)
-    if not np.all(np.isfinite(S)):
-        return -math.inf, np.full((n, k), np.nan)
+
+def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
+    """Log-likelihood and the (n, k) per-observation scores ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ``.
+
+    The scores are NaN-filled when the log-likelihood is -inf.
+    """
+    ll, R, G = _residuals(model, theta)
+    S = None if R is None else np.einsum("nj,njk->nk", R, G)
+    if S is None or not np.all(np.isfinite(S)):
+        return -math.inf, np.full((model.n_obs, model.n_free), np.nan)
     return ll, S
 
 
 def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its exact gradient, the column sums of the scores.
+    """Log-likelihood and its exact gradient ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ``.
 
-    The gradient is NaN-filled when the log-likelihood is -inf.
+    One contraction over rows and alternatives, without the (n, k)
+    scores.  The gradient is NaN-filled when the log-likelihood is -inf.
     """
-    ll, S = loglik_and_scores(model, theta)
-    return ll, S.sum(axis=0)
+    ll, R, G = _residuals(model, theta)
+    grad = None if R is None else np.einsum("nj,njk->k", R, G)
+    if grad is None or not np.all(np.isfinite(grad)):
+        return -math.inf, np.full(model.n_free, np.nan)
+    return ll, grad
 
 
 def null_loglik(dataset: Dataset) -> float:

@@ -8,11 +8,14 @@ dataclass or TypedDict field, resolved once per class.  A ``null`` is
 "missing" float where the hint is a bare ``float``: NaN unless its
 ``dataclasses.field(metadata=...)`` sets ``"missing"`` (``-math.inf``
 for a log-likelihood that could not be computed).  The metadata's
-``"key"`` names the JSON key when it differs from the field name.
+``"key"`` names the JSON key when it differs from the field name.  An
+absent key leaves the field's default; :func:`require` raises
+``ValueError`` naming the class and the key when the field has none.
 
 A dataclass whose JSON is not one key per field defines the hook pair
 ``to_json(self)`` (JSON-ready data, which :func:`to_json` finishes) and
-the classmethod ``from_json(cls, data)``; the codec calls those instead.
+the classmethod ``from_json(cls, data)``; the codec calls those instead,
+and the hook checks its own keys with :func:`require`.
 """
 
 import dataclasses
@@ -35,6 +38,27 @@ def _fields(cls) -> tuple[tuple[str, str, object, float], ...]:
         (f.name, f.metadata.get("key", f.name), hints[f.name], f.metadata.get("missing", math.nan))
         for f in dataclasses.fields(cls)
     )
+
+
+@functools.cache
+def _required_keys(cls) -> tuple[str, ...]:
+    """JSON keys of the fields of a dataclass or TypedDict that have no default."""
+    if not dataclasses.is_dataclass(cls):
+        return tuple(name for name in typing.get_type_hints(cls) if name in cls.__required_keys__)
+    return tuple(
+        f.metadata.get("key", f.name)
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+
+
+def require(data, owner, *keys: str) -> None:
+    """ValueError naming ``owner`` unless ``data`` is a JSON object holding every one of ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{owner} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{owner} has no '{key}'")
 
 
 def to_json(obj):
@@ -68,6 +92,7 @@ def from_json(tp, data, missing: float = math.nan):
     if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
         if hasattr(tp, "from_json"):
             return tp.from_json(data)
+        require(data, tp.__name__, *_required_keys(tp))
         return tp(**{
             name: from_json(hint, data[key], miss)
             for name, key, hint, miss in _fields(tp)
@@ -81,12 +106,11 @@ def from_json(tp, data, missing: float = math.nan):
 
 
 def load_json(path, *required: str) -> dict:
-    """The JSON object in the file ``path``; ValueError naming the file if a ``required`` key is absent."""
+    """The JSON object in the file ``path``; ValueError naming the file if it is not
+    an object or a ``required`` key is absent."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in required:
-        if key not in doc:
-            raise ValueError(f"{path} has no '{key}'")
+    require(doc, path, *required)
     return doc
 
 

@@ -325,10 +325,27 @@ def test_report_empty_runs_dir(tmp_path):
     assert "no persisted experiments" in res.stderr
 
 
-@pytest.mark.parametrize(
-    "command, key", [("metrics", "n_obs"), ("validate", "estimation"), ("report", "config")]
-)
-def test_malformed_results_fail_in_one_line(request, tmp_path, command, key):
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# (command, the malformed document made from a good one, the error it must end in)
+MALFORMED = {
+    "metrics-n_obs": ("metrics", _without("n_obs"), "{target} has no 'n_obs'"),
+    "validate-estimation": ("validate", _without("estimation"), "{target} has no 'estimation'"),
+    "report-config": ("report", _without("config"), "{target} has no 'config'"),
+    "validate-empty_estimation": (
+        "validate", lambda doc: {"n_obs": 5, "estimation": {}}, "EstimationResult has no 'parameters'"
+    ),
+    "report-empty_config": (
+        "report", lambda doc: {"config": {}, "records": []}, "ExperimentConfig has no 'id'"
+    ),
+    "metrics-bare_number": ("metrics", lambda doc: 5, "{target} is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("command, malform, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform, message):
     if command == "report":
         source = request.getfixturevalue("runs_dir") / "exp3/beta.json"
         target = tmp_path / "exp3/beta.json"
@@ -338,12 +355,11 @@ def test_malformed_results_fail_in_one_line(request, tmp_path, command, key):
         source = request.getfixturevalue("results_file")
         target = tmp_path / "best.json"
         args = (command, "--results", target, "--spec", SPEC, "--dict", DICT)
-    doc = json.loads(source.read_text(encoding="utf-8"))
-    del doc[key]
+    doc = malform(json.loads(source.read_text(encoding="utf-8")))
     target.write_text(json.dumps(doc), encoding="utf-8")
     res = invoke(*args)
     assert res.exit_code == 1
-    assert res.stderr == f"Error: ValueError: {target} has no '{key}'\n"
+    assert res.stderr == f"Error: ValueError: {message.format(target=target)}\n"
     assert "Traceback" not in res.output
 
 

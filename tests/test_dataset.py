@@ -140,6 +140,10 @@ MIXED_VIOLATIONS = [
      ds.DatasetError, "row 4: unknown choice value 'q'"),
     (["1,1,1,inf,10,2,1,30"],
      ds.DatasetError, "row 1: unknown choice value 'inf'"),
+    (["1,1,1,a,10,2,1,30", "2,1,1,b,12,3,1,x"],
+     ds.NonFiniteValue, "row 2, column 'inc': cannot parse 'x'"),
+    (["1,1,1,a,10,2,1,inf", "2,1,1,b,ten,3,1,30"],
+     ds.NonFiniteValue, "row 1, column 'inc': non-finite value 'inf'"),
 ]
 
 
@@ -210,15 +214,24 @@ def test_load_in_small_blocks_matches_whole_file(synth_data, monkeypatch):
     assert_same_data(ds.load_dataset(SYNTH_CSV, SYNTH_DICT), synth_data)
 
 
-def test_columns_hold_python_float_of_each_cell(synth_data):
-    with open(SYNTH_CSV, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    for name, values in synth_data.columns.items():
-        expected = np.array([float(r[name]) for r in rows])
-        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
-    assert synth_data.person_id == tuple(r["ID"] for r in rows)
-    chosen = [synth_data.alternatives[i] for i in synth_data.choice_idx]
-    assert chosen == [r["choice"] for r in rows]
+# Cells float() reads in its own way: padding, digit grouping, exponent case, signs.
+FLOAT_CELLS = (" 2.5 ", "1_000", "1E3", "-0", "+.5")
+
+
+def test_columns_hold_python_float_of_each_cell(synth_data, tmp_path):
+    odd = write(tmp_path, "c.csv", HEADER + "".join(
+        f"{i},1,1,a,{','.join(np.roll(FLOAT_CELLS, i)[:4])}\n" for i in range(len(FLOAT_CELLS))
+    ))
+    odd_data = ds.load_dataset(odd, write(tmp_path, "d.md", DICT_MD))
+    for data, path in ((synth_data, SYNTH_CSV), (odd_data, odd)):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for name, values in data.columns.items():
+            expected = np.array([float(r[name]) for r in rows])
+            np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+        assert data.person_id == tuple(r["ID"] for r in rows)
+        chosen = [data.alternatives[i] for i in data.choice_idx]
+        assert chosen == [r["choice"] for r in rows]
 
 
 def test_arrays_are_read_only(synth_data):

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from logitlab import dataset as ds
 from logitlab.engine import bfgs, kernel
@@ -185,6 +188,14 @@ def test_design_path_matches_dual_path(best_spec, synth_data):
             assert math.isfinite(ll)
             assert abs(ll - ll_dual) <= 1e-12 * abs(ll_dual), spec.name
             assert np.abs(grad - grad_dual).max() <= 1e-10 * np.abs(grad_dual).max(), spec.name
+            for m, g in ((model, grad), (dual, grad_dual)):
+                summed = kernel.loglik_and_scores(m, theta)[1].sum(axis=0)
+                assert np.abs(g - summed).max() <= 1e-12 * np.abs(summed).max(), spec.name
+        wild = np.full(model.n_free, 1e4)  # some chosen probability underflows
+        for m in (model, dual):
+            ll, grad = kernel.loglik_and_gradient(m, wild)
+            assert ll == -math.inf, spec.name
+            assert grad.shape == (model.n_free,) and np.all(np.isnan(grad)), spec.name
 
 
 @pytest.mark.parametrize(
@@ -226,6 +237,65 @@ def test_probability_matrix_translation_invariant():
     Q = kernel.probability_matrix(V + rng.normal(0, 5, size=(50, 1)), avail)
     np.testing.assert_allclose(P, Q, atol=1e-12)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _reference_probability_matrix(V, avail):
+    """Reference softmax: a masked copy, then the row max and row sum over axis 1."""
+    with np.errstate(all="ignore"):
+        masked = np.where(avail, V, -np.inf)
+        shift = masked.max(axis=1, keepdims=True)
+        expV = np.where(avail, np.exp(masked - shift), 0.0)
+        return expV / expV.sum(axis=1, keepdims=True)
+
+
+def _reference_loglik(V, avail, choice_idx) -> float:
+    if not np.all(np.isfinite(V[avail])):
+        return -math.inf
+    chosen = _reference_probability_matrix(V, avail)[np.arange(V.shape[0]), choice_idx]
+    if np.any(chosen <= 0.0):
+        return -math.inf
+    return float(np.log(chosen).sum())
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+RARELY = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def utility_tables(draw):
+    """(V, avail, choice_idx): J in 2..6, at least two alternatives available per row,
+    junk on unavailable cells, sometimes a non-finite available cell or a chosen
+    probability that underflows."""
+    J = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 20))
+    V = draw(hnp.arrays(np.float64, (n, J), elements=st.floats(-5.0, 5.0), fill=st.nothing()))
+    avail = draw(hnp.arrays(np.bool_, (n, J)))
+    pair = draw(hnp.arrays(np.int64, n, elements=st.integers(0, J - 1)))
+    avail[np.arange(n), pair] = avail[np.arange(n), (pair + 1) % J] = True
+    V[~avail] = draw(hnp.arrays(np.float64, int((~avail).sum()), elements=NON_FINITE))
+    drawn = draw(hnp.arrays(np.int64, n, elements=st.integers(0, J - 1), fill=st.nothing()))
+    choice_idx = np.where(avail[np.arange(n), drawn], drawn, pair)
+    i = draw(st.integers(0, n - 1))
+    if draw(RARELY):  # chosen probability exp(-1600) underflows to zero
+        choice_idx[i], V[i, pair[i]], V[i, (pair[i] + 1) % J] = pair[i], -800.0, 800.0
+    if draw(RARELY):
+        V[i, draw(st.sampled_from(np.flatnonzero(avail[i]).tolist()))] = draw(NON_FINITE)
+    return V, avail, choice_idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(utility_tables())
+def test_softmax_matches_reference_formulas(table):
+    """The single-buffer softmax gives the reference LL bit for bit (-inf in the same
+    cases) and the same probabilities, NaN rows included."""
+    V, avail, choice_idx = table
+    ll, _ = kernel._loglik_from_utilities(V, avail, choice_idx)
+    expected = _reference_loglik(V, avail, choice_idx)
+    assert ll == expected and math.copysign(1.0, ll) == math.copysign(1.0, expected)
+    np.testing.assert_allclose(
+        kernel.probability_matrix(V, avail), _reference_probability_matrix(V, avail),
+        rtol=0.0, atol=1e-15,
+    )
 
 
 def test_unavailable_probability_exactly_zero(best_model):
