@@ -171,9 +171,10 @@ def _load_results_doc(path: str, *required: str) -> tuple[dict, bfgs.EstimationR
 def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Fit statistics and value of time from a results file."""
     doc, result = _load_results_doc(results_path, "n_obs")
+    n_obs = from_json(int, doc["n_obs"], where=f"{results_path} 'n_obs'")
     spec = _read_spec(spec_path)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-    fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc["n_obs"])
+    fit = metrics_mod.information_criteria(result.loglik, result.n_free, n_obs)
     rho = metrics_mod.rho_squared(result.loglik, result.null_loglik)
     click.echo(f"LL={fit.loglik:.4f}  AIC={fit.aic:.4f}  BIC={fit.bic:.4f}  k={fit.k}  n={fit.n}")
     click.echo(f"rho-squared={rho:.4f}")

@@ -9,6 +9,15 @@ optional identifier columns.
 A :class:`Dataset` holds one entry per non-blank CSV row in each of its
 read-only column arrays, so it is immutable after load and safe to share
 across concurrent estimations.  Only this module knows the CSV layout.
+
+Two readers share one set of data rules.  numpy's C reader
+(``np.loadtxt``) takes a plain CSV in one pass: after the header, one
+with no ``"``, NUL, ASCII separator (``\\x1c``-``\\x1f``) or blank line,
+``\\n`` or ``\\r\\n`` line ends, and in every line the header's cell count
+with a number numpy parses in each attribute and covariate cell.  Every
+other file, and every file that breaks a rule, is read again from the
+start by ``csv.reader``, the reference reader, so the data loaded and
+each error message are the same whichever reader took the file.
 """
 
 from __future__ import annotations
@@ -19,13 +28,13 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 VALID_KINDS = ("attribute", "availability", "covariate", "choice", "id")
 VALID_QUANTITIES = ("time", "cost", "other")
-BLOCK_ROWS = 8192  # CSV rows held as strings at once while loading
+BLOCK_ROWS = 8192  # CSV rows csv.reader holds as strings at once
 
 
 class DatasetError(Exception):
@@ -244,41 +253,27 @@ def write_dictionary(dictionary: DataDictionary, title: str = "Data dictionary")
 def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
     """Load and validate a choice dataset.
 
+    A plain CSV (see :func:`_read_plain`) is read in one pass by numpy's C
+    reader.  Any other file, and any file that breaks a rule, is read again
+    from the start by :func:`_read_csv` with ``csv.reader``, so the data
+    and every error are the same whichever reader took the file.
+
     Raises :class:`MissingColumn`, :class:`NonFiniteValue`,
     :class:`ChoiceUnavailable`, :class:`TooFewAvailable` or another
     :class:`DatasetError` for the lowest violating data row; messages
     carry that 1-based row, blank lines counted.
     """
     csv_path = Path(csv_path)
-    dictionary_path = Path(dictionary_path)
-    dictionary = parse_dictionary(dictionary_path.read_text(encoding="utf-8"))
+    dictionary = parse_dictionary(Path(dictionary_path).read_text(encoding="utf-8"))
     if len(dictionary.alternatives) < 2:
         raise DatasetError("dictionary must declare availability for at least two alternatives")
-
-    with csv_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{csv_path}: empty CSV") from None
-        header = [h.strip() for h in raw_header]
-        if len(set(header)) != len(header):
-            raise DatasetError(f"{csv_path}: duplicate CSV header names")
-        for e in dictionary.entries:
-            if e.name not in header:
-                raise MissingColumn(f"dictionary column {e.name!r} not found in {csv_path.name}")
-        blocks = []
-        first_row = 1
-        while records := list(itertools.islice(reader, BLOCK_ROWS)):
-            blocks.append(_to_columns(records, first_row, header, dictionary))
-            first_row += len(records)
-
-    if not any(len(block[2]) for block in blocks):
-        raise DatasetError(f"{csv_path}: no data rows")
-    values, avail, choice_idx, person_id = map(np.concatenate, zip(*blocks))
+    try:
+        values, avail, choice_idx, person_id = _read_plain(csv_path, dictionary)
+    except (ValueError, DatasetError):  # UnicodeDecodeError too; csv.reader words the error
+        values, avail, choice_idx, person_id = _read_csv(csv_path, dictionary)
     return Dataset(
         alternatives=dictionary.alternatives,
-        columns=dict(zip(dictionary.variable_names, np.ascontiguousarray(values.T))),
+        columns=dict(zip(dictionary.variable_names, values)),
         avail=avail,
         choice_idx=choice_idx,
         person_id=tuple(person_id.tolist()),
@@ -287,18 +282,138 @@ def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
     )
 
 
+# values (n_vars, n), avail, choice_idx and person_id of checked rows
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _read_header(reader, csv_path: Path, dictionary: DataDictionary) -> list[str]:
+    """The next record of the csv ``reader``, stripped and checked as a header."""
+    try:
+        raw_header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{csv_path}: empty CSV") from None
+    header = [h.strip() for h in raw_header]
+    if len(set(header)) != len(header):
+        raise DatasetError(f"{csv_path}: duplicate CSV header names")
+    for e in dictionary.entries:
+        if e.name not in header:
+            raise MissingColumn(f"dictionary column {e.name!r} not found in {csv_path.name}")
+    return header
+
+
+# The quote; NUL, which csv.reader refuses before Python 3.11; and the
+# ASCII separators numpy strips from a number as whitespace and float() does not.
+_NOT_PLAIN = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _read_plain(csv_path: Path, dictionary: DataDictionary) -> Columns:
+    """Checked columns of a plain CSV, read in one pass by ``np.loadtxt``.
+
+    After its header, a plain CSV has no ``"``, NUL or ASCII separator
+    (``\\x1c``-``\\x1f``), no blank line and no line longer than csv's
+    field size limit.  numpy reads each of its lines as one row, split into
+    cells as csv.reader splits it, and refuses a ``\\r`` anywhere but at a
+    line's end, a row without the header's cell count and a number it
+    cannot parse.  It parses numbers with ``PyOS_string_to_double``, as
+    float() does, and refuses what only float() reads, such as ``1_000`` or
+    non-ASCII digits.
+
+    Raises ValueError for a file that is not plain or a row numpy refuses,
+    and :class:`DatasetError` when a rule of :func:`_checked_columns` fails.
+    """
+    with csv_path.open(newline="", encoding="utf-8") as fh:
+        header = _read_header(csv.reader(fh), csv_path, dictionary)
+        text = fh.read()
+    lines = text.removesuffix("\n").split("\n")
+    if (
+        any(c in text for c in _NOT_PLAIN) or "" in lines or "\r" in lines  # blank lines
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        raise ValueError(f"{csv_path} is not a plain CSV")
+    numeric = set(dictionary.variable_names)
+    table = np.loadtxt(
+        lines,
+        np.dtype([(f"f{j}", np.float64 if h in numeric else object) for j, h in enumerate(header)]),
+        delimiter=",", comments=None, quotechar=None, ndmin=1,
+    )
+
+    def column(name: str) -> np.ndarray:
+        return table[f"f{header.index(name)}"]
+
+    names = dictionary.variable_names
+    values = np.array([column(name) for name in names]).reshape(len(names), len(table))
+    return _checked_columns(
+        np.arange(1, len(table) + 1), lambda name: column(name).tolist(), values, dictionary
+    )
+
+
+def _read_csv(csv_path: Path, dictionary: DataDictionary) -> Columns:
+    """Checked columns of any CSV, read by ``csv.reader`` in blocks of BLOCK_ROWS rows.
+
+    This is the reference reader: it takes every file, and every error
+    message comes from it.
+    """
+    with csv_path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, csv_path, dictionary)
+        blocks = []
+        first_row = 1
+        while records := list(itertools.islice(reader, BLOCK_ROWS)):
+            blocks.append(_to_columns(records, first_row, header, dictionary))
+            first_row += len(records)
+    if not any(len(block[2]) for block in blocks):
+        raise DatasetError(f"{csv_path}: no data rows")
+    values, *rest = zip(*blocks)
+    return np.concatenate(values, axis=1), *map(np.concatenate, rest)
+
+
 def _to_columns(
     records: list[list[str]], first_row: int, header: list[str], dictionary: DataDictionary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check data rows, the first numbered ``first_row``, and convert them by column.
+) -> Columns:
+    """Checked columns of csv.reader records, the first numbered ``first_row``.
 
-    Returns (n, n_vars) values, avail, choice_idx and person_id.  Each check covers
-    whole columns; the error raised is the lowest row's first in the order below.
+    A blank record is dropped but keeps its number; a record short of cells
+    is an error, and the records after it are left unchecked.
+    """
+    row_no = np.flatnonzero([any(map(str.strip, r)) for r in records]) + first_row
+    records = [records[i] for i in (row_no - first_row).tolist()]
+    errors = []
+    short = np.fromiter(map(len, records), np.int64, len(records)) < len(header)
+    if short.any():  # rows from the short one on cannot hold a lower error
+        i = int(short.argmax())
+        row = int(row_no[i])
+        errors.append((row, DatasetError(
+            f"row {row}: {len(records[i])} cells, the header has {len(header)}"
+        )))
+        records, row_no = records[:i], row_no[:i]
+
+    def cells(name: str) -> list[str]:
+        return list(map(itemgetter(header.index(name)), records))
+
+    names = dictionary.variable_names
+    values = np.array([_float_column(cells(name)) for name in names], np.float64)
+    return _checked_columns(
+        row_no, cells, values.reshape(len(names), len(records)), dictionary, errors
+    )
+
+
+def _checked_columns(
+    row_no: np.ndarray,
+    cells: Callable[[str], list],
+    values: np.ndarray,
+    dictionary: DataDictionary,
+    errors: Iterable[tuple[int, DatasetError]] = (),
+) -> Columns:
+    """Apply every data rule to the rows numbered ``row_no``; both readers end here.
+
+    ``cells(name)`` lists a column's cells as the reader gave them, ``values``
+    the (n_vars, n) attribute and covariate numbers, NaN where a cell is not
+    one.  Returns values, avail, choice_idx and person_id.  Each check
+    covers whole columns; the error raised is the lowest row's among
+    ``errors`` (row, error) and those found here, first in the order below.
     """
     alternatives, names = dictionary.alternatives, dictionary.variable_names
-    row_no = np.flatnonzero([any(map(str.strip, r)) for r in records]) + first_row
-    records = [records[i] for i in (row_no - first_row).tolist()]  # numbered, blank lines dropped
-    errors: list[tuple[int, DatasetError]] = []  # (row, error), in check order
+    errors = list(errors)
 
     def check(bad: np.ndarray, error: Callable[[int, int, int], DatasetError]) -> None:
         """Note ``error(i, j, row)`` for the first failing row i, at its first failing column j."""
@@ -306,39 +421,34 @@ def _to_columns(
             i, j = divmod(int(bad.argmax()), bad[0].size)
             errors.append((int(row_no[i]), error(i, j, int(row_no[i]))))
 
-    def cells(name: str) -> list[str]:
-        return list(map(itemgetter(header.index(name)), records))
-
-    short = np.fromiter(map(len, records), np.int64, len(records)) < len(header)
-    check(short, lambda i, j, row: DatasetError(
-        f"row {row}: {len(records[i])} cells, the header has {len(header)}"
-    ))
-    if short.any():  # rows from the short one on cannot hold a lower error
-        records = records[: short.argmax()]
-    n = len(records)
-
     flag_names = [dictionary.availability_column(alt) for alt in alternatives]
-    flags = np.array([list(map(str.strip, cells(c))) for c in flag_names], dtype=str).T
-    avail = flags == "1"
-    check((flags != "0") & ~avail, lambda i, j, row: DatasetError(
+    flag_cells = [cells(c) for c in flag_names]
+    flags = np.column_stack([_codes(c, _flag_code) for c in flag_cells])
+    avail = flags == 1
+    check(flags < 0, lambda i, j, row: DatasetError(
         f"row {row}, column {flag_names[j]!r}: availability must be 0 or 1,"
-        f" got {records[i][header.index(flag_names[j])]!r}"
+        f" got {flag_cells[j][i]!r}"
     ))
     check(avail.sum(axis=1) < 2, lambda i, j, row: TooFewAvailable(
         f"row {row}: fewer than 2 available alternatives"
     ))
 
-    tokens, token_at = np.unique(cells(dictionary.choice_entry.name), return_inverse=True)
-    parsed = [_choice_index(token, alternatives) for token in tokens.tolist()]
-    choice_idx = np.array([p if isinstance(p, int) else -1 for p in parsed], np.int64)[token_at]
-    check(choice_idx < 0, lambda i, j, row: DatasetError(f"row {row}: {parsed[token_at[i]]}"))
-    check((choice_idx >= 0) & ~avail[np.arange(n), choice_idx], lambda i, j, row: ChoiceUnavailable(
-        f"row {row}: chosen alternative {alternatives[choice_idx[i]]!r} is not available"
-    ))
+    def choice_code(cell: str) -> int:
+        index = _choice_index(cell, alternatives)
+        return index if isinstance(index, int) else -1
 
-    values = np.array([_float_column(cells(name)) for name in names], np.float64).T
-    check(~np.isfinite(values), lambda i, j, row: _number_error(
-        records[i][header.index(names[j])], names[j], row
+    choices = cells(dictionary.choice_entry.name)
+    choice_idx = _codes(choices, choice_code)
+    check(choice_idx < 0, lambda i, j, row: DatasetError(
+        f"row {row}: {_choice_index(choices[i], alternatives)}"
+    ))
+    check((choice_idx >= 0) & ~avail[np.arange(len(row_no)), choice_idx],
+          lambda i, j, row: ChoiceUnavailable(
+              f"row {row}: chosen alternative {alternatives[choice_idx[i]]!r} is not available"
+          ))
+
+    check(~np.isfinite(values.T), lambda i, j, row: _number_error(
+        cells(names[j])[i], names[j], row
     ))
 
     if errors:  # min keeps the first of equal rows, which is the earlier check
@@ -346,6 +456,17 @@ def _to_columns(
     id_entry = dictionary.id_entry
     person_id = list(map(str.strip, cells(id_entry.name))) if id_entry else row_no.tolist()
     return values, avail, choice_idx, np.array(person_id, dtype=str)
+
+
+def _codes(cells: list[str], code: Callable[[str], int]) -> np.ndarray:
+    """``code(cell)`` of each cell, called once per distinct cell."""
+    codes = {cell: code(cell) for cell in dict.fromkeys(cells)}
+    return np.fromiter(map(codes.__getitem__, cells), np.int64, len(cells))
+
+
+def _flag_code(cell: str) -> int:
+    """1 or 0 for an availability cell that reads so, padding aside, else -1."""
+    return {"1": 1, "0": 0}.get(cell.strip(), -1)
 
 
 def _float_column(cells: list[str]) -> np.ndarray:
@@ -374,10 +495,10 @@ def _choice_index(cell: str, alternatives: tuple[str, ...]) -> int | str:
     token = cell.strip()
     if token in alternatives:
         return alternatives.index(token)
-    try:
-        code = int(float(token))
-    except (ValueError, OverflowError):
+    number = _float_or_none(token)
+    if number is None or not number.is_integer():  # NaN and infinities are not integers
         return f"unknown choice value {cell!r}"
+    code = int(number)
     if 1 <= code <= len(alternatives):
         return code - 1
     return f"choice code {code} out of range 1..{len(alternatives)}"

@@ -92,21 +92,24 @@ class EstimationResult:
         """Inverse of :meth:`to_json`: a null estimate or error is NaN, a null loglik -inf."""
         require(data, cls.__name__, "parameters", "loglik", "null_loglik", "iterations",
                 "converged", "convergence_reason", "hessian_pd")
-        params = data["parameters"]
+        params = from_json(list[dict], data["parameters"], where=f"{cls.__name__} 'parameters'")
         for p in params:
             require(p, "parameter", "name", "estimate", "std_error", "t_ratio")
 
-        def column(key: str) -> np.ndarray:
-            return np.array([p[key] for p in params], dtype=float)  # None -> NaN
+        def column(key: str) -> np.ndarray:  # None -> NaN
+            return np.array([from_json(float, p[key], where=f"parameter '{key}'") for p in params])
+
+        def value(key: str, tp, missing: float = math.nan):
+            return from_json(tp, data[key], missing, f"{cls.__name__} '{key}'")
 
         return cls(
             names=tuple(p["name"] for p in params),
             estimates=column("estimate"),
             std_errors=column("std_error"),
             t_ratios=column("t_ratio"),
-            loglik=from_json(float, data["loglik"], -math.inf),
-            null_loglik=from_json(float, data["null_loglik"], -math.inf),
-            iterations=data["iterations"],
+            loglik=value("loglik", float, -math.inf),
+            null_loglik=value("null_loglik", float, -math.inf),
+            iterations=value("iterations", int),
             converged=data["converged"],
             convergence_reason=data["convergence_reason"],
             hessian_pd=data["hessian_pd"],

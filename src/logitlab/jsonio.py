@@ -11,6 +11,10 @@ for a log-likelihood that could not be computed).  The metadata's
 ``"key"`` names the JSON key when it differs from the field name.  An
 absent key leaves the field's default; :func:`require` raises
 ``ValueError`` naming the class and the key when the field has none.
+A value whose JSON type does not fit its hint (a non-array for a list or
+tuple, a non-object for a dict or dataclass, a non-number for an int or
+float) raises ``ValueError`` naming where it sits: the class and key of
+its field, or the ``where`` a caller passes for a value outside one.
 
 A dataclass whose JSON is not one key per field defines the hook pair
 ``to_json(self)`` (JSON-ready data, which :func:`to_json` finishes) and
@@ -78,31 +82,51 @@ def to_json(obj):
     return obj
 
 
-def from_json(tp, data, missing: float = math.nan):
-    """A value of type ``tp`` from :func:`to_json`'s output; ``missing`` is a bare float's null."""
+def from_json(tp, data, missing: float = math.nan, where: str | None = None):
+    """A value of type ``tp`` from :func:`to_json`'s output; ``missing`` is a bare float's null.
+
+    ``where`` names the value in the ValueError its JSON type raises when it
+    does not fit ``tp``; a dataclass names its own fields.
+    """
     origin = typing.get_origin(tp)
     args = typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         if data is None:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return from_json(inner, data, missing)
-    if tp is float:
-        return missing if data is None else float(data)
+        return from_json(inner, data, missing, where)
+    if tp is float and data is None:
+        return missing
     if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
         if hasattr(tp, "from_json"):
             return tp.from_json(data)
+        _expect(data, dict, where or tp.__name__)
         require(data, tp.__name__, *_required_keys(tp))
         return tp(**{
-            name: from_json(hint, data[key], miss)
+            name: from_json(hint, data[key], miss, f"{tp.__name__} '{key}'")
             for name, key, hint, miss in _fields(tp)
             if key in data  # an absent key leaves the field's default
         })
+    where = where or "JSON value"
+    if tp in (int, float):
+        _expect(data, (int, float), where)
+        return float(data) if tp is float else data
     if origin in (tuple, list):
-        return origin(from_json(args[0], v) for v in data)
+        _expect(data, list, where)
+        return origin(from_json(args[0], v, where=f"an item of {where}") for v in data)
     if origin is dict:
-        return {k: from_json(args[1], v) for k, v in data.items()}
+        _expect(data, dict, where)
+        return {k: from_json(args[1], v, where=f"{where} '{k}'") for k, v in data.items()}
     return data
+
+
+_JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", (int, float): "a number"}
+
+
+def _expect(data, json_type, where: str) -> None:
+    """ValueError naming ``where`` unless ``data`` is of ``json_type`` (a bool is no number)."""
+    if not isinstance(data, json_type) or isinstance(data, bool):
+        raise ValueError(f"{where} is not {_JSON_TYPE_NAMES[json_type]}")
 
 
 def load_json(path, *required: str) -> dict:

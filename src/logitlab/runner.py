@@ -263,8 +263,8 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
                 diagnostics.extend(load_json(doc_path, "diagnostics")["diagnostics"])
                 continue
             doc = load_json(doc_path, "config", "records")
-            config = from_json(ExperimentConfig, doc["config"])
-            records.extend(from_json(list[Record], doc["records"]))
+            config = from_json(ExperimentConfig, doc["config"], where=f"{doc_path} 'config'")
+            records.extend(from_json(list[Record], doc["records"], where=f"{doc_path} 'records'"))
         if config is None:
             continue
         records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))

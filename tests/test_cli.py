@@ -341,6 +341,17 @@ MALFORMED = {
         "report", lambda doc: {"config": {}, "records": []}, "ExperimentConfig has no 'id'"
     ),
     "metrics-bare_number": ("metrics", lambda doc: 5, "{target} is not a JSON object"),
+    "validate-parameters_number": (
+        "validate",
+        lambda doc: {**doc, "estimation": {**doc["estimation"], "parameters": 5}},
+        "EstimationResult 'parameters' is not a JSON array",
+    ),
+    "metrics-n_obs_string": (
+        "metrics", lambda doc: {**doc, "n_obs": "x"}, "{target} 'n_obs' is not a number"
+    ),
+    "report-records_number": (
+        "report", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"
+    ),
 }
 
 

@@ -7,6 +7,8 @@ import importlib.util
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logitlab import dataset as ds
 
@@ -47,6 +49,17 @@ def assert_same_data(a: ds.Dataset, b: ds.Dataset) -> None:
     assert a.person_id == b.person_id
 
 
+def _refuse(*args):
+    raise ValueError("numpy's reader refuses every file")
+
+
+def load_with_csv_reader(csv_path, dictionary_path) -> ds.Dataset:
+    """``load_dataset`` as it goes for a file numpy's reader refuses: by csv.reader alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "_read_plain", _refuse)
+        return ds.load_dataset(csv_path, dictionary_path)
+
+
 def test_loads_frozen_dataset(synth_data):
     assert synth_data.n_obs == 1000
     assert synth_data.alternatives == ("car", "bus", "air", "rail")
@@ -55,9 +68,9 @@ def test_loads_frozen_dataset(synth_data):
 
 def test_choice_parsed_from_name_or_code(tmp_path):
     d = write(tmp_path, "d.md", DICT_MD)
-    csv_text = "ID,av_a,av_b,choice,time_a,cost_a,access_a,inc\n1,1,1,a,10,2,1,30\n2,1,1,2,12,3,1,31\n"
+    csv_text = HEADER + "1,1,1,a,10,2,1,30\n2,1,1,2,12,3,1,31\n3,1,1,2.0,12,3,1,31\n"
     data = ds.load_dataset(write(tmp_path, "c.csv", csv_text), d)
-    assert [data.alternatives[i] for i in data.choice_idx] == ["a", "b"]
+    assert [data.alternatives[i] for i in data.choice_idx] == ["a", "b", "b"]
 
 
 def test_rejects_unavailable_choice(tmp_path):
@@ -140,6 +153,8 @@ MIXED_VIOLATIONS = [
      ds.DatasetError, "row 4: unknown choice value 'q'"),
     (["1,1,1,inf,10,2,1,30"],
      ds.DatasetError, "row 1: unknown choice value 'inf'"),
+    (["1,1,1,a,10,2,1,30", "2,1,1,1.7,10,2,1,30"],
+     ds.DatasetError, "row 2: unknown choice value '1.7'"),
     (["1,1,1,a,10,2,1,30", "2,1,1,b,12,3,1,x"],
      ds.NonFiniteValue, "row 2, column 'inc': cannot parse 'x'"),
     (["1,1,1,a,10,2,1,inf", "2,1,1,b,ten,3,1,30"],
@@ -211,7 +226,7 @@ def test_csv_round_trip(synth_data, tmp_path):
 
 def test_load_in_small_blocks_matches_whole_file(synth_data, monkeypatch):
     monkeypatch.setattr(ds, "BLOCK_ROWS", 7)
-    assert_same_data(ds.load_dataset(SYNTH_CSV, SYNTH_DICT), synth_data)
+    assert_same_data(load_with_csv_reader(SYNTH_CSV, SYNTH_DICT), synth_data)
 
 
 # Cells float() reads in its own way: padding, digit grouping, exponent case, signs.
@@ -223,7 +238,8 @@ def test_columns_hold_python_float_of_each_cell(synth_data, tmp_path):
         f"{i},1,1,a,{','.join(np.roll(FLOAT_CELLS, i)[:4])}\n" for i in range(len(FLOAT_CELLS))
     ))
     odd_data = ds.load_dataset(odd, write(tmp_path, "d.md", DICT_MD))
-    for data, path in ((synth_data, SYNTH_CSV), (odd_data, odd)):
+    by_csv_reader = load_with_csv_reader(SYNTH_CSV, SYNTH_DICT)
+    for data, path in ((synth_data, SYNTH_CSV), (by_csv_reader, SYNTH_CSV), (odd_data, odd)):
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         for name, values in data.columns.items():
@@ -232,6 +248,138 @@ def test_columns_hold_python_float_of_each_cell(synth_data, tmp_path):
         assert data.person_id == tuple(r["ID"] for r in rows)
         chosen = [data.alternatives[i] for i in data.choice_idx]
         assert chosen == [r["choice"] for r in rows]
+
+
+# -- numpy's reader against csv.reader ---------------------------------------
+
+SYNTH_NAMES = [e.name for e in ds.parse_dictionary(SYNTH_DICT.read_text(encoding="utf-8")).entries]
+SYNTH_ALTS = ("car", "bus", "air", "rail")
+NUMBER_NAMES = SYNTH_NAMES[SYNTH_NAMES.index("choice") + 1:]
+NUMBER_CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(("1E3", "-0", "+.5", "2.5", "1e-320")),
+)
+# Padding float() strips and padding it does not: numpy strips the ASCII separators too.
+PADS = st.sampled_from(" \t\x0b\x0c\x85\xa0\u2028\u3000" "\x1c\x1f\u200b\x00")
+# Edits numpy's reader takes, then edits that leave the file to csv.reader or break a rule.
+PLAIN_EDITS = ("padded number", "crlf", "no final newline", "extra column")
+OTHER_EDITS = (
+    "quoted id", "quoted comma", "blank line", "whitespace line", "short row", "long row",
+    "1_000", "nan", "1e400", "availability 1.0", "unknown choice", "unavailable choice",
+    "fractional choice", "invalid utf-8",
+)
+
+
+@st.composite
+def synth_csv_files(draw) -> tuple[bytes, bool, bool]:
+    """A small CSV under the shipped dictionary, with a few edits.
+
+    Also whether the dictionary documents the ID column (without it, rows
+    are numbered) and whether all edits are plain.
+    """
+    names = list(SYNTH_NAMES)
+    rows, chosen = [], []
+    for i in range(draw(st.integers(1, 6))):
+        offered = draw(st.sets(st.integers(0, 3), min_size=2))
+        chosen.append(draw(st.sampled_from(sorted(offered))))
+        row = {name: draw(NUMBER_CELLS) for name in NUMBER_NAMES}
+        row.update({f"av_{alt}": str(int(j in offered)) for j, alt in enumerate(SYNTH_ALTS)})
+        row.update(ID=str(i // 2 + 1), choice=draw(st.sampled_from(
+            (SYNTH_ALTS[chosen[-1]], str(chosen[-1] + 1), f"{chosen[-1] + 1}.0")
+        )))
+        rows.append(row)
+    edits = draw(st.lists(st.sampled_from(PLAIN_EDITS + OTHER_EDITS), unique=True, max_size=3))
+    for edit in edits:
+        i = draw(st.integers(0, len(rows) - 1))
+        number = draw(st.sampled_from(NUMBER_NAMES))
+        cell_edits = {
+            "padded number": (number, draw(PADS) + rows[i][number] + draw(PADS)),
+            "quoted id": ("ID", '"7"'),
+            "quoted comma": ("ID", '"7,8"'),
+            "1_000": (number, "1_000"),
+            "nan": (number, "nan"),
+            "1e400": (number, "1e400"),
+            "availability 1.0": (f"av_{draw(st.sampled_from(SYNTH_ALTS))}", "1.0"),
+            "unknown choice": ("choice", "walk"),
+            "unavailable choice": (f"av_{SYNTH_ALTS[chosen[i]]}", "0"),
+            "fractional choice": ("choice", "1.7"),
+        }
+        if edit in cell_edits:
+            name, cell = cell_edits[edit]
+            rows[i][name] = cell
+    if "extra column" in edits:
+        names.insert(draw(st.integers(0, len(names))), "note")
+        for i, row in enumerate(rows):
+            row["note"] = f"n{i}"
+    lines = [",".join(names)] + [",".join(row[name] for name in names) for row in rows]
+    if "short row" in edits:
+        i = draw(st.integers(1, len(rows)))
+        lines[i] = lines[i].rsplit(",", draw(st.integers(1, 3)))[0]
+    if "long row" in edits:
+        lines[draw(st.integers(1, len(rows)))] += ",9"
+    whitespace_line = draw(st.sampled_from([" ", " , "]))
+    for edit, line in (("blank line", ""), ("whitespace line", whitespace_line)):
+        if edit in edits:
+            lines.insert(draw(st.integers(1, len(lines))), line)
+    end = "\r\n" if "crlf" in edits else "\n"
+    data = (end.join(lines) + ("" if "no final newline" in edits else end)).encode("utf-8")
+    if "invalid utf-8" in edits:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, draw(st.booleans()), set(edits) <= set(PLAIN_EDITS)
+
+
+def load_outcome(path, dictionary_path):
+    """The dataset, or the class and message of the error loading it raises."""
+    try:
+        return ds.load_dataset(path, dictionary_path)
+    except Exception as exc:  # the readers must agree on any error
+        return type(exc), str(exc)
+
+
+SYNTH_ROW = "1,1,1,0,1,car," + ",".join(["12"] * len(NUMBER_NAMES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=synth_csv_files())
+@example(case=(f"{','.join(SYNTH_NAMES)}\n{SYNTH_ROW}\n".encode(), True, True))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n\"7\"{SYNTH_ROW[1:]}\n".encode(), True, False))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n{SYNTH_ROW}\x1c\n".encode(), True, True))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n\n{SYNTH_ROW}\n".encode(), False, False))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n\n".encode(), True, False))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n{SYNTH_ROW}\r\r{SYNTH_ROW}\n".encode(), False, False))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n{'7' * 200_000}{SYNTH_ROW[1:]}\n".encode(), True, False))
+def test_numpy_reader_loads_as_csv_reader_does(tmp_path_factory, case):
+    data, documented_id, plain = case
+    path = tmp_path_factory.mktemp("differential") / "c.csv"
+    path.write_bytes(data)
+    dictionary = SYNTH_DICT.read_text(encoding="utf-8")
+    if not documented_id:
+        dictionary = "".join(
+            line for line in dictionary.splitlines(keepends=True) if not line.startswith("| ID |")
+        )
+    dictionary_path = write(path.parent, "d.md", dictionary)
+    plain_reads = []
+    read_plain = ds._read_plain
+
+    def spy(*args):
+        plain_reads.append(read_plain(*args))  # only a read that returns counts
+        return plain_reads[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "_read_plain", spy)
+        loaded = load_outcome(path, dictionary_path)
+        mp.setattr(ds, "_read_plain", _refuse)
+        reference = load_outcome(path, dictionary_path)
+    if not isinstance(reference, ds.Dataset):
+        assert loaded == reference
+        return
+    assert isinstance(loaded, ds.Dataset), loaded
+    assert_same_data(loaded, reference)
+    for name, values in reference.columns.items():  # bit for bit, -0.0 included
+        np.testing.assert_array_equal(loaded.columns[name].view(np.int64), values.view(np.int64))
+    assert bool(plain_reads) == plain
 
 
 def test_arrays_are_read_only(synth_data):
