@@ -276,14 +276,15 @@ def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
         columns=dict(zip(dictionary.variable_names, values)),
         avail=avail,
         choice_idx=choice_idx,
-        person_id=tuple(person_id.tolist()),
+        person_id=tuple(person_id),
         dictionary=dictionary,
         source=csv_path.name,
     )
 
 
-# values (n_vars, n), avail, choice_idx and person_id of checked rows
-Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# values (n_vars, n), avail, choice_idx and person_id of checked rows; the IDs
+# stay Python strings, since numpy's fixed-width strings drop trailing NULs
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]
 
 
 def _read_header(reader, csv_path: Path, dictionary: DataDictionary) -> list[str]:
@@ -363,8 +364,11 @@ def _read_csv(csv_path: Path, dictionary: DataDictionary) -> Columns:
             first_row += len(records)
     if not any(len(block[2]) for block in blocks):
         raise DatasetError(f"{csv_path}: no data rows")
-    values, *rest = zip(*blocks)
-    return np.concatenate(values, axis=1), *map(np.concatenate, rest)
+    values, avail, choice_idx, person_id = zip(*blocks)
+    return (
+        np.concatenate(values, axis=1), np.concatenate(avail), np.concatenate(choice_idx),
+        list(itertools.chain.from_iterable(person_id)),
+    )
 
 
 def _to_columns(
@@ -454,8 +458,8 @@ def _checked_columns(
     if errors:  # min keeps the first of equal rows, which is the earlier check
         raise min(errors, key=itemgetter(0))[1]
     id_entry = dictionary.id_entry
-    person_id = list(map(str.strip, cells(id_entry.name))) if id_entry else row_no.tolist()
-    return values, avail, choice_idx, np.array(person_id, dtype=str)
+    person_id = map(str.strip, cells(id_entry.name)) if id_entry else map(str, row_no.tolist())
+    return values, avail, choice_idx, list(person_id)
 
 
 def _codes(cells: list[str], code: Callable[[str], int]) -> np.ndarray:

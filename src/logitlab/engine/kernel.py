@@ -7,7 +7,9 @@ e.g. log of a zeroed attribute) never propagates.
 
 The log-likelihood returns ``-inf`` instead of raising when a wild
 parameter step drives utilities non-finite or the chosen probability
-underflows; the optimizer treats that as a rejected step.
+underflows; the optimizer treats that as a rejected step.  The finiteness
+test looks at the whole utility matrix first and masks out unavailable
+cells only when that fails, so the usual all-finite pass makes no copy.
 
 The value pass shifts, exponentiates and normalises one (n, J) buffer
 and reduces over the J alternatives column by column.  It gives the same
@@ -17,9 +19,20 @@ than eight alternatives, where numpy's row sum also adds left to right.
 
 The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
 ``y`` the one-hot choice, one contraction of the residuals ``Y − P``
-with ``G = ∂V/∂θ``; the gradient contracts over the rows as well.  ``G``
-is the model's cached design when binding found every utility affine in
-the parameters, and comes from a dual-number pass otherwise.
+with ``G = ∂V/∂θ``; the gradient contracts over the rows as well.  The
+residuals are formed in P's buffer, as ``-P`` plus 1 at each row's chosen
+cell.  ``G`` is the model's cached design when binding found every
+utility affine in the parameters, and comes from a dual-number pass
+otherwise.
+
+On the design path a value pass keeps its (log-likelihood, P) on the
+model (``BoundModel.kept``), so the gradient an optimizer asks for at the
+step it just accepted skips the utilities and the softmax.  The plain
+value walk is the utility source of both passes there, so the kept P has
+the bits a fresh pass would compute.  Each value pass replaces the entry,
+a -inf one is not kept, and a gradient pass pops it before writing the
+residuals into its buffer, so it serves at most one gradient.  The dual
+path computes V through duals and always makes its own pass.
 """
 
 from __future__ import annotations
@@ -81,15 +94,21 @@ def probabilities(model: BoundModel, theta, row_index: int) -> dict[str, float]:
 
 
 def log_likelihood(model: BoundModel, theta) -> float:
-    """Sum of log chosen-probabilities; -inf when evaluation breaks down."""
+    """Sum of log chosen-probabilities; -inf when evaluation breaks down.
+
+    On the design path the pass is kept for one gradient at the same θ.
+    """
     theta = _check_theta(theta)
-    V = model.utility_matrix(theta)
-    return _loglik_from_utilities(V, model.avail, model.choice_idx)[0]
+    model.kept.clear()
+    ll, P = _loglik_from_utilities(model.utility_matrix(theta), model.avail, model.choice_idx)
+    if P is not None and model.design is not None:
+        model.kept[theta.tobytes()] = ll, P
+    return ll
 
 
 def _loglik_from_utilities(V, avail, choice_idx) -> tuple[float, np.ndarray | None]:
     """(log-likelihood, probability matrix); P is None when LL is -inf."""
-    if not np.isfinite(np.where(avail, V, 0.0)).all():
+    if not np.isfinite(V).all() and not np.isfinite(np.where(avail, V, 0.0)).all():
         return -math.inf, None
     P = probability_matrix(V, avail)
     chosen = np.take_along_axis(P, choice_idx[:, None], axis=1)[:, 0]
@@ -123,18 +142,23 @@ def _residuals(model: BoundModel, theta) -> tuple[float, np.ndarray | None, np.n
 
     ``Y`` is the one-hot choice.  ``G`` is the model's cached design when
     its utilities are affine in the parameters (utilities then come from
-    the plain value walk), and a dual-number pass otherwise.
+    the plain value walk, or the value pass kept at this θ), and a
+    dual-number pass otherwise.
     """
     theta = _check_theta(theta)
-    if model.design is not None:
-        V, G = model.utility_matrix(theta), model.design
-    else:
+    if model.design is None:
         V, G = utility_jacobian(model, theta)
-    ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx)
+        ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx)
+    else:
+        G = model.design
+        ll, P = model.kept.pop(theta.tobytes(), None) or _loglik_from_utilities(
+            model.utility_matrix(theta), model.avail, model.choice_idx
+        )
     if P is None:
         return ll, None, G
-    Y = model.choice_idx[:, None] == np.arange(model.n_alts)
-    return ll, np.subtract(Y, P, out=P), G
+    np.negative(P, out=P)
+    P[np.arange(model.n_obs), model.choice_idx] += 1.0
+    return ll, P, G
 
 
 def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:

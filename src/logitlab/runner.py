@@ -260,7 +260,8 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
         config = None
         for doc_path in sorted(exp_dir.glob("*.json")):
             if doc_path.name == "manifest.json":
-                diagnostics.extend(load_json(doc_path, "diagnostics")["diagnostics"])
+                found = load_json(doc_path, "diagnostics")["diagnostics"]
+                diagnostics.extend(from_json(list[str], found, where=f"{doc_path} 'diagnostics'"))
                 continue
             doc = load_json(doc_path, "config", "records")
             config = from_json(ExperimentConfig, doc["config"], where=f"{doc_path} 'config'")

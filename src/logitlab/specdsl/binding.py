@@ -165,6 +165,8 @@ class BoundModel:
     holds one expression per alternative in the same order.  ``design``
     is ∂V/∂θ, shape (n_obs, n_alts, n_free) and zero on unavailable cells,
     when every utility is affine in the free parameters; None otherwise.
+    ``kept`` belongs to the estimation kernel: at most one value pass's
+    (log-likelihood, probabilities), keyed by ``theta.tobytes()``.
     """
 
     spec: UtilitySpec
@@ -179,6 +181,9 @@ class BoundModel:
     choice_idx: np.ndarray  # (n_obs,) int
     segments: dict[tuple, np.ndarray] = field(default_factory=dict)
     design: np.ndarray | None = None
+    kept: dict[bytes, tuple[float, np.ndarray]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def n_obs(self) -> int:

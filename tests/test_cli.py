@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -329,16 +330,17 @@ def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-# (command, the malformed document made from a good one, the error it must end in)
+# (the command, or the runs file that `report summary` reads; the malformed document
+# made from a good one; the error it must end in)
 MALFORMED = {
     "metrics-n_obs": ("metrics", _without("n_obs"), "{target} has no 'n_obs'"),
     "validate-estimation": ("validate", _without("estimation"), "{target} has no 'estimation'"),
-    "report-config": ("report", _without("config"), "{target} has no 'config'"),
+    "report-config": ("exp3/beta.json", _without("config"), "{target} has no 'config'"),
     "validate-empty_estimation": (
         "validate", lambda doc: {"n_obs": 5, "estimation": {}}, "EstimationResult has no 'parameters'"
     ),
     "report-empty_config": (
-        "report", lambda doc: {"config": {}, "records": []}, "ExperimentConfig has no 'id'"
+        "exp3/beta.json", lambda doc: {"config": {}, "records": []}, "ExperimentConfig has no 'id'"
     ),
     "metrics-bare_number": ("metrics", lambda doc: 5, "{target} is not a JSON object"),
     "validate-parameters_number": (
@@ -350,17 +352,23 @@ MALFORMED = {
         "metrics", lambda doc: {**doc, "n_obs": "x"}, "{target} 'n_obs' is not a number"
     ),
     "report-records_number": (
-        "report", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"
+        "exp3/beta.json", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"
+    ),
+    "report-diagnostics_number": (
+        "exp3/manifest.json",
+        lambda doc: {**doc, "diagnostics": 5},
+        "{target} 'diagnostics' is not a JSON array",
     ),
 }
 
 
 @pytest.mark.parametrize("command, malform, message", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform, message):
-    if command == "report":
-        source = request.getfixturevalue("runs_dir") / "exp3/beta.json"
-        target = tmp_path / "exp3/beta.json"
+    if command.startswith("exp3/"):
+        runs = request.getfixturevalue("runs_dir")
+        source, target = runs / command, tmp_path / command
         target.parent.mkdir()
+        shutil.copy(runs / "exp3/beta.json", target.parent)
         args = ("report", "summary", "--runs", tmp_path)
     else:
         source = request.getfixturevalue("results_file")

@@ -250,6 +250,21 @@ def test_columns_hold_python_float_of_each_cell(synth_data, tmp_path):
         assert chosen == [r["choice"] for r in rows]
 
 
+def test_ids_differing_in_trailing_nul_stay_apart(tmp_path, monkeypatch):
+    csv_path = write(tmp_path, "c.csv", HEADER + "7,1,1,a,1,2,3,4\n7\x00,1,1,b,1,2,3,4\n")
+    plain_reads = []
+    read_plain = ds._read_plain
+
+    def spy(*args):
+        plain_reads.append(read_plain(*args))
+        return plain_reads[-1]
+
+    monkeypatch.setattr(ds, "_read_plain", spy)
+    data = ds.load_dataset(csv_path, write(tmp_path, "d.md", DICT_MD))
+    assert not plain_reads  # a NUL leaves the file to csv.reader
+    assert data.person_id == ("7", "7\x00")
+
+
 # -- numpy's reader against csv.reader ---------------------------------------
 
 SYNTH_NAMES = [e.name for e in ds.parse_dictionary(SYNTH_DICT.read_text(encoding="utf-8")).entries]

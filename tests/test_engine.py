@@ -198,6 +198,87 @@ def test_design_path_matches_dual_path(best_spec, synth_data):
             assert grad.shape == (model.n_free,) and np.all(np.isnan(grad)), spec.name
 
 
+def _bits(ll_grad: tuple[float, np.ndarray]) -> tuple[bytes, bytes]:
+    return np.float64(ll_grad[0]).tobytes(), ll_grad[1].tobytes()
+
+
+def test_gradient_after_value_pass_reuses_it_bit_for_bit(synth_data):
+    rng = np.random.default_rng(RNG_SEED)
+    for spec in replay_specs():
+        model = binding.bind(spec, synth_data)
+        theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
+        fresh = _bits(kernel.loglik_and_gradient(binding.bind(spec, synth_data), theta))
+        kernel.log_likelihood(model, theta)
+        assert list(model.kept) == [theta.tobytes()], spec.name
+        assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh, spec.name
+        assert not model.kept, spec.name  # popped: a second pass computes its own P
+        assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh, spec.name
+        kernel.log_likelihood(model, theta)
+        reused = _bits(kernel.loglik_and_scores(model, theta))
+        assert reused == _bits(kernel.loglik_and_scores(model, theta)), spec.name
+
+
+def test_kept_value_pass_serves_only_its_own_theta_and_model(best_spec, synth_data, flipped_data):
+    model = binding.bind(best_spec, synth_data)
+    other = binding.bind(best_spec, flipped_data)
+    theta1 = model.start + 0.01
+    theta2 = model.start - 0.01
+    fresh2 = _bits(kernel.loglik_and_gradient(model, theta2))
+    other1 = _bits(kernel.loglik_and_gradient(other, theta1))
+    assert not model.kept and not other.kept  # gradient passes keep nothing
+
+    kernel.log_likelihood(model, theta1)
+    assert _bits(kernel.loglik_and_gradient(model, theta2)) == fresh2
+    assert _bits(kernel.loglik_and_gradient(other, theta1)) == other1
+    assert list(model.kept) == [theta1.tobytes()]  # neither took it
+
+    kernel.log_likelihood(model, theta2)
+    assert list(model.kept) == [theta2.tobytes()]  # one entry, the latest pass
+    wild = np.full(model.n_free, 1e4)  # some chosen probability underflows
+    assert kernel.log_likelihood(model, wild) == -math.inf
+    assert not model.kept
+    ll, grad = kernel.loglik_and_gradient(model, wild)
+    assert ll == -math.inf and np.all(np.isnan(grad))
+    assert _bits(kernel.loglik_and_gradient(model, theta2)) == fresh2
+
+    dual = dataclasses.replace(model, design=None)
+    kernel.log_likelihood(dual, theta1)
+    assert not dual.kept  # the dual path always makes its own pass
+
+
+def test_estimate_with_reuse_matches_estimate_without(best_spec, synth_data, monkeypatch):
+    def fit(spec: parser.UtilitySpec) -> tuple[bfgs.EstimationResult, int]:
+        model = binding.bind(spec, synth_data)
+        hits = []
+        gradient = bfgs.loglik_and_gradient
+
+        def spy(m, theta):
+            hits.append(np.asarray(theta, dtype=float).tobytes() in m.kept)
+            return gradient(m, theta)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(bfgs, "loglik_and_gradient", spy)
+            return bfgs.estimate(model), sum(hits)
+
+    def forgetful(model, theta):
+        ll = kernel.log_likelihood(model, theta)
+        model.kept.clear()
+        return ll
+
+    for spec in (best_spec, *replay_specs()):
+        reused, hits = fit(spec)
+        with monkeypatch.context() as mp:
+            mp.setattr(bfgs, "log_likelihood", forgetful)
+            fresh, no_hits = fit(spec)
+        assert hits == reused.iterations > 0 and no_hits == 0, spec.name
+        for field in ("estimates", "std_errors", "t_ratios", "loglik"):
+            a, b = getattr(reused, field), getattr(fresh, field)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (spec.name, field)
+        assert (reused.iterations, reused.convergence_reason, reused.hessian_pd) == (
+            fresh.iterations, fresh.convergence_reason, fresh.hessian_pd
+        ), spec.name
+
+
 @pytest.mark.parametrize(
     "text, affine",
     [
