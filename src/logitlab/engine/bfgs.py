@@ -103,16 +103,16 @@ class EstimationResult:
             return from_json(tp, data[key], missing, f"{cls.__name__} '{key}'")
 
         return cls(
-            names=tuple(p["name"] for p in params),
+            names=tuple(from_json(str, p["name"], where="parameter 'name'") for p in params),
             estimates=column("estimate"),
             std_errors=column("std_error"),
             t_ratios=column("t_ratio"),
             loglik=value("loglik", float, -math.inf),
             null_loglik=value("null_loglik", float, -math.inf),
             iterations=value("iterations", int),
-            converged=data["converged"],
-            convergence_reason=data["convergence_reason"],
-            hessian_pd=data["hessian_pd"],
+            converged=value("converged", bool),
+            convergence_reason=value("convergence_reason", str),
+            hessian_pd=value("hessian_pd", bool),
         )
 
 

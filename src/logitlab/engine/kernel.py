@@ -1,21 +1,38 @@
 """MNL choice probabilities, log-likelihood, exact gradient and scores.
 
-Utilities are evaluated for every row at once; unavailable alternatives
-are masked out before the softmax, so their probabilities are exactly
-zero and whatever the expressions produced on those rows (often NaN,
-e.g. log of a zeroed attribute) never propagates.
+Utilities are evaluated for a block of rows at once; unavailable
+alternatives are masked out before the softmax, so their probabilities
+are exactly zero and whatever the expressions produced on those rows
+(often NaN, e.g. log of a zeroed attribute) never propagates.
+
+Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  Per
+block it writes the utilities into its rows of one (n, J) buffer (and,
+on the dual path, ∂V/∂θ into its rows of one (n, J, k) buffer), tests
+them, forms the probabilities in place and writes its log chosen
+probabilities.  A pass over more than ``ROW_BLOCK`` rows runs its blocks
+on a thread pool sized to the CPUs the process may use, created on the
+first such pass; a smaller pass, or a process with one CPU, runs in the
+calling thread and never imports ``concurrent.futures``.  Every reduction
+runs once over the full arrays in the calling thread: the log-likelihood
+sum, the gradient and score contractions, and the ``-inf`` verdict (one
+failed block fails the pass).  So every result is bit-identical to a
+one-thread pass, whatever the block size and the number of threads, and
+there is no thread setting.  Each block enters its own ``np.errstate``,
+which holds only in the thread that enters it.
 
 The log-likelihood returns ``-inf`` instead of raising when a wild
 parameter step drives utilities non-finite or the chosen probability
 underflows; the optimizer treats that as a rejected step.  The finiteness
-test looks at the whole utility matrix first and masks out unavailable
-cells only when that fails, so the usual all-finite pass makes no copy.
+test looks at a block's whole utility matrix first and masks out
+unavailable cells only when that fails, so the usual all-finite pass
+makes no copy.
 
-The value pass shifts, exponentiates and normalises one (n, J) buffer
-and reduces over the J alternatives column by column.  It gives the same
-bits as the textbook masked-copy softmax with numpy's row max and row sum
-(``tests/test_engine.py`` keeps that formula as its reference) for fewer
-than eight alternatives, where numpy's row sum also adds left to right.
+The value pass shifts, exponentiates and normalises each block's
+utilities in place and reduces over the J alternatives column by column.
+It gives the same bits as the textbook masked-copy softmax with numpy's
+row max and row sum (``tests/test_engine.py`` keeps that formula as its
+reference) for fewer than eight alternatives, where numpy's row sum also
+adds left to right.
 
 The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
 ``y`` the one-hot choice, one contraction of the residuals ``Y − P``
@@ -38,12 +55,18 @@ path computes V through duals and always makes its own pass.
 from __future__ import annotations
 
 import math
+import os
+from typing import Callable
 
 import numpy as np
 
 from logitlab.dataset import Dataset
 from logitlab.engine.dual import DUAL_FUNCS, Dual
-from logitlab.specdsl.binding import BoundModel
+from logitlab.specdsl.binding import ALL_ROWS, BoundModel
+
+ROW_BLOCK = 25_000  # rows per block of a pass's per-row work
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None  # created by the first pass with more than one block
 
 
 class NonFiniteUtility(Exception):
@@ -57,7 +80,26 @@ def _check_theta(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def probability_matrix(V: np.ndarray, avail: np.ndarray) -> np.ndarray:
+def _row_blocks(n: int, work) -> list:
+    """``work(rows)`` for each block of ``ROW_BLOCK`` rows of ``n``, results in row order.
+
+    Several blocks run on a thread pool of ``WORKERS`` threads; one block,
+    or one worker, runs in the calling thread.  One block is ``ALL_ROWS``.
+    """
+    global _pool
+    if n <= ROW_BLOCK:
+        return [work(ALL_ROWS)]
+    blocks = [slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
+    if WORKERS < 2:
+        return [work(rows) for rows in blocks]
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="logitlab-rows")
+    return list(_pool.map(work, blocks))
+
+
+def probability_matrix(V: np.ndarray, avail: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax over available alternatives, exact 0 elsewhere.
 
     Utilities are shifted by the row max over available alternatives
@@ -67,6 +109,8 @@ def probability_matrix(V: np.ndarray, avail: np.ndarray) -> np.ndarray:
 
     One (n, J) buffer is shifted, exponentiated and normalised in place;
     the row max and the row sum (left to right) run column by column.
+    The probabilities go to ``out`` when given, which may be ``V``
+    itself, and to that buffer otherwise.
     """
     with np.errstate(all="ignore"):
         E = np.where(avail, V, -np.inf)
@@ -78,15 +122,17 @@ def probability_matrix(V: np.ndarray, avail: np.ndarray) -> np.ndarray:
         total = E[:, 0].copy()
         for column in E.T[1:]:
             total += column
-        E /= total[:, None]
-        return E
+        return np.divide(E, total[:, None], out=E if out is None else out)
 
 
 def probabilities(model: BoundModel, theta, row_index: int) -> dict[str, float]:
     """Choice probabilities for one row, keyed by alternative."""
     theta = _check_theta(theta)
-    V = model.utility_matrix(theta)[row_index : row_index + 1]
-    avail = model.avail[row_index : row_index + 1]
+    if not 0 <= row_index < model.n_obs:
+        raise IndexError(f"row_index {row_index} is out of range for {model.n_obs} rows")
+    rows = slice(row_index, row_index + 1)
+    V = model.utility_matrix(theta, rows)
+    avail = model.avail[rows]
     if not np.all(np.isfinite(V[avail])):
         raise NonFiniteUtility(f"non-finite utility in row {row_index}")
     P = probability_matrix(V, avail)[0]
@@ -100,41 +146,81 @@ def log_likelihood(model: BoundModel, theta) -> float:
     """
     theta = _check_theta(theta)
     model.kept.clear()
-    ll, P = _loglik_from_utilities(model.utility_matrix(theta), model.avail, model.choice_idx)
+    ll, P = _value_pass(model, theta)
     if P is not None and model.design is not None:
         model.kept[theta.tobytes()] = ll, P
     return ll
 
 
-def _loglik_from_utilities(V, avail, choice_idx) -> tuple[float, np.ndarray | None]:
-    """(log-likelihood, probability matrix); P is None when LL is -inf."""
-    if not np.isfinite(V).all() and not np.isfinite(np.where(avail, V, 0.0)).all():
+def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(log-likelihood, P) with utilities from the plain value walk, block by block."""
+    V = np.empty((model.n_obs, model.n_alts))
+    fill = lambda rows: model.utility_matrix(theta, rows, out=V[rows])
+    return _loglik_from_utilities(V, model.avail, model.choice_idx, fill)
+
+
+def _loglik_from_utilities(V, avail, choice_idx, fill=None) -> tuple[float, np.ndarray | None]:
+    """(log-likelihood, probability matrix); P is None when LL is -inf.
+
+    Each block of rows first calls ``fill(rows)``, when given, to write its
+    utilities into ``V[rows]``; then it tests them, forms its probabilities
+    in V's buffer and writes its log chosen probabilities.  The verdict and
+    the sum over all rows run in the calling thread, so the result does not
+    depend on the blocks.
+    """
+    log_chosen = np.empty(len(V))
+
+    def block(rows) -> bool:
+        if fill is not None:
+            fill(rows)
+        Vb, ab = V[rows], avail[rows]
+        if not np.isfinite(Vb).all() and not np.isfinite(np.where(ab, Vb, 0.0)).all():
+            return False
+        P = probability_matrix(Vb, ab, out=Vb)
+        chosen = np.take_along_axis(P, choice_idx[rows, None], axis=1)[:, 0]
+        if np.any(chosen <= 0.0):
+            return False
+        np.log(chosen, out=log_chosen[rows])  # chosen > 0: no floating-point warning
+        return True
+
+    if not all(_row_blocks(len(V), block)):
         return -math.inf, None
-    P = probability_matrix(V, avail)
-    chosen = np.take_along_axis(P, choice_idx[:, None], axis=1)[:, 0]
-    if np.any(chosen <= 0.0):
-        return -math.inf, None
-    return float(np.log(chosen).sum()), P
+    return float(log_chosen.sum()), V
+
+
+def _dual_rows(model: BoundModel, theta) -> tuple[np.ndarray, np.ndarray, Callable[[slice], None]]:
+    """Buffers for V (n, J) and G = ∂V/∂θ (n, J, k), and ``fill(rows)``, which
+    writes both on ``rows`` by one dual-number pass and zeroes G's unavailable cells."""
+    n, J, k = model.n_obs, model.n_alts, model.n_free
+    V = np.empty((n, J))
+    G = np.zeros((n, J, k))
+    env = model.param_env(theta, lift=lambda v, i: Dual.seed(v, i, k))
+
+    def fill(rows) -> None:
+        Vb, Gb = V[rows], G[rows]
+        m = len(Vb)
+        with np.errstate(all="ignore"):
+            for j, expr in enumerate(model.utilities):
+                res = model.utility_values(expr, env, DUAL_FUNCS, rows)
+                if isinstance(res, Dual):
+                    Vb[:, j] = np.broadcast_to(res.val, (m,))
+                    Gb[:, j, :] = np.broadcast_to(res.grad, (m, k))
+                else:
+                    Vb[:, j] = np.broadcast_to(res, (m,))
+        Gb[~model.avail[rows]] = 0.0
+
+    return V, G, fill
 
 
 def utility_jacobian(model: BoundModel, theta) -> tuple[np.ndarray, np.ndarray]:
     """Utilities (n, J) and their exact derivatives ∂V/∂θ (n, J, k).
 
-    One dual-number pass; derivatives are zeroed on unavailable cells.
+    One dual-number pass over row blocks; derivatives are zeroed on
+    unavailable cells.
     """
-    n, J, k = model.n_obs, model.n_alts, model.n_free
-    V = np.empty((n, J))
-    G = np.zeros((n, J, k))
-    env = model.param_env(theta, lift=lambda v, i: Dual.seed(v, i, k))
-    with np.errstate(all="ignore"):
-        for j, expr in enumerate(model.utilities):
-            res = model.utility_values(expr, env, DUAL_FUNCS)
-            if isinstance(res, Dual):
-                V[:, j] = np.broadcast_to(res.val, (n,))
-                G[:, j, :] = np.broadcast_to(res.grad, (n, k))
-            else:
-                V[:, j] = np.broadcast_to(res, (n,))
-    return V, np.where(model.avail[:, :, None], G, 0.0)
+    V, G, fill = _dual_rows(model, theta)
+    _row_blocks(model.n_obs, fill)
+    return V, G
 
 
 def _residuals(model: BoundModel, theta) -> tuple[float, np.ndarray | None, np.ndarray]:
@@ -147,17 +233,19 @@ def _residuals(model: BoundModel, theta) -> tuple[float, np.ndarray | None, np.n
     """
     theta = _check_theta(theta)
     if model.design is None:
-        V, G = utility_jacobian(model, theta)
-        ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx)
+        V, G, fill = _dual_rows(model, theta)
+        ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx, fill)
     else:
         G = model.design
-        ll, P = model.kept.pop(theta.tobytes(), None) or _loglik_from_utilities(
-            model.utility_matrix(theta), model.avail, model.choice_idx
-        )
+        ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
     if P is None:
         return ll, None, G
-    np.negative(P, out=P)
-    P[np.arange(model.n_obs), model.choice_idx] += 1.0
+
+    def residuals(rows) -> None:
+        R = np.negative(P[rows], out=P[rows])
+        R[np.arange(len(R)), model.choice_idx[rows]] += 1.0
+
+    _row_blocks(model.n_obs, residuals)
     return ll, P, G
 
 

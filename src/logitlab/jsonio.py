@@ -13,8 +13,9 @@ absent key leaves the field's default; :func:`require` raises
 ``ValueError`` naming the class and the key when the field has none.
 A value whose JSON type does not fit its hint (a non-array for a list or
 tuple, a non-object for a dict or dataclass, a non-number for an int or
-float) raises ``ValueError`` naming where it sits: the class and key of
-its field, or the ``where`` a caller passes for a value outside one.
+float, a non-string for a str, a non-boolean for a bool) raises
+``ValueError`` naming where it sits: the class and key of its field, or
+the ``where`` a caller passes for a value outside one.
 
 A dataclass whose JSON is not one key per field defines the hook pair
 ``to_json(self)`` (JSON-ready data, which :func:`to_json` finishes) and
@@ -111,6 +112,9 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
     if tp in (int, float):
         _expect(data, (int, float), where)
         return float(data) if tp is float else data
+    if tp in (str, bool):
+        _expect(data, tp, where)
+        return data
     if origin in (tuple, list):
         _expect(data, list, where)
         return origin(from_json(args[0], v, where=f"an item of {where}") for v in data)
@@ -120,12 +124,15 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
     return data
 
 
-_JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON array", (int, float): "a number"}
+_JSON_TYPE_NAMES = {
+    dict: "a JSON object", list: "a JSON array", (int, float): "a number", str: "a string",
+    bool: "a boolean",
+}
 
 
 def _expect(data, json_type, where: str) -> None:
     """ValueError naming ``where`` unless ``data`` is of ``json_type`` (a bool is no number)."""
-    if not isinstance(data, json_type) or isinstance(data, bool):
+    if not isinstance(data, json_type) or (isinstance(data, bool) and json_type is not bool):
         raise ValueError(f"{where} is not {_JSON_TYPE_NAMES[json_type]}")
 
 

@@ -53,6 +53,8 @@ class MissingAlternative(SpecDslError):
     """Spec and dataset disagree on the set of alternatives."""
 
 
+ALL_ROWS = slice(None)
+
 NUMPY_FUNCS = SimpleNamespace(
     log=np.log,
     exp=np.exp,
@@ -88,7 +90,10 @@ def evaluate_expr(
     if isinstance(expr, Sub):
         return ev(expr.left) - ev(expr.right)
     if isinstance(expr, Div):
-        return ev(expr.left) / ev(expr.right)
+        left, right = ev(expr.left), ev(expr.right)
+        if isinstance(left, float) and isinstance(right, float):
+            left = np.float64(left)  # a zero divisor then gives inf or NaN, as arrays do
+        return left / right
     if isinstance(expr, Neg):
         return -ev(expr.operand)
     if isinstance(expr, Call1):
@@ -208,16 +213,28 @@ class BoundModel:
             env[name] = lift(float(theta[i]), i) if lift else float(theta[i])
         return env
 
-    def utility_values(self, expr: Expr, params: Mapping[str, Any], funcs=NUMPY_FUNCS) -> Any:
-        return evaluate_expr(expr, self.columns, params, funcs, self.segments)
+    def utility_values(
+        self, expr: Expr, params: Mapping[str, Any], funcs=NUMPY_FUNCS, rows: slice = ALL_ROWS
+    ) -> Any:
+        """``expr`` on the observations in ``rows``, read through column and segment views."""
+        if rows is ALL_ROWS:
+            return evaluate_expr(expr, self.columns, params, funcs, self.segments)
+        columns = {name: column[rows] for name, column in self.columns.items()}
+        segments = {key: segs[rows] for key, segs in self.segments.items()}
+        return evaluate_expr(expr, columns, params, funcs, segments)
 
-    def utility_matrix(self, theta: np.ndarray) -> np.ndarray:
-        """(n_obs, n_alts) utilities; unavailable cells may be non-finite."""
+    def utility_matrix(
+        self, theta: np.ndarray, rows: slice = ALL_ROWS, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(rows, n_alts) utilities of the observations in ``rows``, written into ``out``
+        when given; unavailable cells may be non-finite."""
         env = self.param_env(theta)
-        out = np.empty((self.n_obs, self.n_alts))
+        n = len(range(*rows.indices(self.n_obs)))
+        if out is None:
+            out = np.empty((n, self.n_alts))
         with np.errstate(all="ignore"):
             for j, expr in enumerate(self.utilities):
-                out[:, j] = np.broadcast_to(self.utility_values(expr, env), (self.n_obs,))
+                out[:, j] = np.broadcast_to(self.utility_values(expr, env, rows=rows), (n,))
         return out
 
 

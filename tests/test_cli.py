@@ -354,6 +354,16 @@ MALFORMED = {
     "report-records_number": (
         "exp3/beta.json", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"
     ),
+    "validate-converged_string": (
+        "validate",
+        lambda doc: {**doc, "estimation": {**doc["estimation"], "converged": "false"}},
+        "EstimationResult 'converged' is not a boolean",
+    ),
+    "validate-convergence_reason_number": (
+        "validate",
+        lambda doc: {**doc, "estimation": {**doc["estimation"], "convergence_reason": 0}},
+        "EstimationResult 'convergence_reason' is not a string",
+    ),
     "report-diagnostics_number": (
         "exp3/manifest.json",
         lambda doc: {**doc, "diagnostics": 5},

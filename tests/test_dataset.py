@@ -336,7 +336,9 @@ def synth_csv_files(draw) -> tuple[bytes, bool, bool]:
     whitespace_line = draw(st.sampled_from([" ", " , "]))
     for edit, line in (("blank line", ""), ("whitespace line", whitespace_line)):
         if edit in edits:
-            lines.insert(draw(st.integers(1, len(lines))), line)
+            # an empty last line is no edit when the file has no final newline
+            last = len(lines) - (not line and "no final newline" in edits)
+            lines.insert(draw(st.integers(1, last)), line)
     end = "\r\n" if "crlf" in edits else "\n"
     data = (end.join(lines) + ("" if "no final newline" in edits else end)).encode("utf-8")
     if "invalid utf-8" in edits:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +26,7 @@ from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
 
 from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
+from test_specdsl import EXPRS
 
 RNG_SEED = 977
 
@@ -161,6 +167,38 @@ def test_gradient_handles_boxcox_shape_near_zero(grad_model):
     np.testing.assert_allclose(g0, g1, atol=1e-4)
 
 
+# -- row blocks -------------------------------------------------------------------
+
+POOL = max(2, kernel.WORKERS)  # two threads at least, so the pool also runs on one CPU
+BLOCKINGS = {
+    "default": (kernel.ROW_BLOCK, 1),
+    "default-pool": (kernel.ROW_BLOCK, POOL),
+    "blocks_of_7": (7, 1),
+    "blocks_of_7-pool": (7, POOL),
+}
+
+
+@contextlib.contextmanager
+def row_blocks(row_block: int, workers: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "ROW_BLOCK", row_block)
+        mp.setattr(kernel, "WORKERS", workers)
+        yield
+
+
+def unblocked(fn, *args):
+    """``fn(*args)`` with each pass in one block in the calling thread: the reference."""
+    with row_blocks(2**62, 1):
+        return fn(*args)
+
+
+@pytest.fixture(params=BLOCKINGS.values(), ids=BLOCKINGS)
+def blocking(request):
+    """Every kernel pass of the test runs in these (ROW_BLOCK, WORKERS)."""
+    with row_blocks(*request.param):
+        yield request.param
+
+
 # -- cached design vs the dual path ---------------------------------------------
 
 
@@ -173,16 +211,25 @@ def replay_specs() -> list[parser.UtilitySpec]:
     return specs
 
 
-def test_design_path_matches_dual_path(best_spec, synth_data):
+def test_design_path_matches_dual_path(best_spec, synth_data, blocking):
+    """Also: every pass, bind's design included, has the bits of a one-block pass."""
     specs = [best_spec, *replay_specs()]
     assert len(specs) == 14
     rng = np.random.default_rng(RNG_SEED)
     for spec in specs:
         model = binding.bind(spec, synth_data)
         assert model.design is not None, spec.name
+        assert model.design.tobytes() == unblocked(binding.bind, spec, synth_data).design.tobytes()
         dual = dataclasses.replace(model, design=None)
         for _ in range(3):
             theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
+            for m in (model, dual):
+                for fn in (kernel.loglik_and_gradient, kernel.loglik_and_scores):
+                    assert _bits(fn(m, theta)) == _bits(unblocked(fn, m, theta)), spec.name
+                ll = kernel.log_likelihood(m, theta)
+                assert np.float64(ll).tobytes() == np.float64(
+                    unblocked(kernel.log_likelihood, m, theta)
+                ).tobytes(), spec.name
             ll, grad = kernel.loglik_and_gradient(model, theta)
             ll_dual, grad_dual = kernel.loglik_and_gradient(dual, theta)
             assert math.isfinite(ll)
@@ -202,12 +249,12 @@ def _bits(ll_grad: tuple[float, np.ndarray]) -> tuple[bytes, bytes]:
     return np.float64(ll_grad[0]).tobytes(), ll_grad[1].tobytes()
 
 
-def test_gradient_after_value_pass_reuses_it_bit_for_bit(synth_data):
+def test_gradient_after_value_pass_reuses_it_bit_for_bit(synth_data, blocking):
     rng = np.random.default_rng(RNG_SEED)
     for spec in replay_specs():
         model = binding.bind(spec, synth_data)
         theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
-        fresh = _bits(kernel.loglik_and_gradient(binding.bind(spec, synth_data), theta))
+        fresh = _bits(unblocked(kernel.loglik_and_gradient, binding.bind(spec, synth_data), theta))
         kernel.log_likelihood(model, theta)
         assert list(model.kept) == [theta.tobytes()], spec.name
         assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh, spec.name
@@ -246,7 +293,8 @@ def test_kept_value_pass_serves_only_its_own_theta_and_model(best_spec, synth_da
     assert not dual.kept  # the dual path always makes its own pass
 
 
-def test_estimate_with_reuse_matches_estimate_without(best_spec, synth_data, monkeypatch):
+def test_estimate_with_reuse_matches_estimate_without(best_spec, synth_data, monkeypatch, blocking):
+    """Also: the fit with reuse in these row blocks equals the one-block fit without it."""
     def fit(spec: parser.UtilitySpec) -> tuple[bfgs.EstimationResult, int]:
         model = binding.bind(spec, synth_data)
         hits = []
@@ -269,7 +317,7 @@ def test_estimate_with_reuse_matches_estimate_without(best_spec, synth_data, mon
         reused, hits = fit(spec)
         with monkeypatch.context() as mp:
             mp.setattr(bfgs, "log_likelihood", forgetful)
-            fresh, no_hits = fit(spec)
+            fresh, no_hits = unblocked(fit, spec)
         assert hits == reused.iterations > 0 and no_hits == 0, spec.name
         for field in ("estimates", "std_errors", "t_ratios", "loglik"):
             a, b = getattr(reused, field), getattr(fresh, field)
@@ -300,6 +348,23 @@ def test_affine_predicate(text, affine):
     }
     expr = parser.parse_expression(text, free | {"b_fix"})
     assert binding.is_affine(expr, free) is affine
+
+
+def test_derivatives_are_zero_on_unavailable_cells(synth_data, blocking):
+    """time_car is 0 where car is unavailable, so ∂V/∂b_t = log(time_car) is -inf there until zeroed."""
+    spec = parser.parse_spec(
+        "spec s\nalt car bus air rail\nparam asc_bus\nparam b_t generic\n"
+        "U(car) = b_t * log(time_car)\nU(bus) = asc_bus\nU(air) = 0\nU(rail) = 0\n"
+    )
+    model = binding.bind(spec, synth_data)
+    theta = np.array([0.1, -0.2])
+    unavailable = ~model.avail
+    assert unavailable[:, 0].any() and unavailable[:, 1].any()
+    for G in (model.design, kernel.utility_jacobian(model, theta)[1]):
+        assert np.all(G[unavailable] == 0.0) and np.all(np.isfinite(G))
+    for m in (model, dataclasses.replace(model, design=None)):
+        ll, grad = kernel.loglik_and_gradient(m, theta)
+        assert math.isfinite(ll) and np.all(np.isfinite(grad))
 
 
 def test_non_affine_spec_binds_without_design(grad_model):
@@ -370,7 +435,7 @@ def test_softmax_matches_reference_formulas(table):
     """The single-buffer softmax gives the reference LL bit for bit (-inf in the same
     cases) and the same probabilities, NaN rows included."""
     V, avail, choice_idx = table
-    ll, _ = kernel._loglik_from_utilities(V, avail, choice_idx)
+    ll, _ = kernel._loglik_from_utilities(V.copy(), avail, choice_idx)  # P goes in its buffer
     expected = _reference_loglik(V, avail, choice_idx)
     assert ll == expected and math.copysign(1.0, ll) == math.copysign(1.0, expected)
     np.testing.assert_allclose(
@@ -427,12 +492,188 @@ def test_probabilities_raise_on_non_finite(synth_data):
     assert kernel.log_likelihood(model, theta) == -math.inf
 
 
+def test_quotient_of_parameters_at_zero_is_rejected_not_raised(synth_data):
+    spec = parser.parse_spec(
+        "spec s\nalt car bus air rail\nparam b_t generic\nparam b_s generic\n"
+        "U(car) = b_t / b_s * time_car\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
+    )
+    model = binding.bind(spec, synth_data)
+    assert kernel.log_likelihood(model, np.zeros(2)) == -math.inf
+    row = int(np.flatnonzero(model.avail[:, 0])[0])
+    with pytest.raises(kernel.NonFiniteUtility):
+        kernel.probabilities(model, np.zeros(2), row)
+
+
 def test_non_finite_theta_rejected(best_model):
     bad = np.full(best_model.n_free, np.nan)
     with pytest.raises(kernel.NonFiniteUtility):
         kernel.log_likelihood(best_model, bad)
     with pytest.raises(kernel.NonFiniteUtility):
         kernel.probabilities(best_model, bad, 0)
+
+
+def test_probabilities_of_one_row_match_the_full_matrix_bit_for_bit(best_model):
+    theta = best_model.start + 0.01
+    P = kernel.probability_matrix(best_model.utility_matrix(theta), best_model.avail)
+    for row in (0, 1, best_model.n_obs // 2, best_model.n_obs - 1):
+        probs = kernel.probabilities(best_model, theta, row)
+        assert list(probs) == list(best_model.alternatives)
+        assert np.array(list(probs.values())).tobytes() == P[row].tobytes(), row
+
+
+def test_probabilities_reject_a_row_outside_the_data(best_model):
+    theta = best_model.start
+    n = best_model.n_obs
+    for row in (-1, -n, n, n + 5):
+        with pytest.raises(IndexError, match=f"^row_index {row} is out of range for {n} rows$"):
+            kernel.probabilities(best_model, theta, row)
+
+
+# -- row blocks: verdicts, warnings, thread pool ---------------------------------
+
+LATE_ROW = 30  # in the fifth block of 7 rows
+
+
+@pytest.mark.parametrize("workers", [1, POOL], ids=["inline", "pool"])
+@pytest.mark.parametrize("breakdown", ["non_finite_utility", "underflow"])
+def test_breakdown_in_a_later_block_alone_gives_minus_inf(tmp_path, workers, breakdown):
+    data = binary_dataset(tmp_path, n=40)
+    x_a, choice_idx = data.columns["x_a"].copy(), data.choice_idx.copy()
+    if breakdown == "non_finite_utility":
+        x_a[LATE_ROW] = 1e308  # 10 * x_a overflows
+    else:
+        x_a[LATE_ROW], choice_idx[LATE_ROW] = 1000.0, 1  # P(b) = exp(10 * (x_b - 1000)) is 0
+    broken = dataclasses.replace(data, columns={**data.columns, "x_a": x_a}, choice_idx=choice_idx)
+    spec = parser.parse_spec(BINARY_SPEC)
+    theta = np.array([10.0])
+    with row_blocks(7, workers):
+        assert LATE_ROW // kernel.ROW_BLOCK == 4
+        intact = binding.bind(spec, data)
+        assert math.isfinite(kernel.log_likelihood(intact, theta))
+        model = binding.bind(spec, broken)
+        for m in (model, dataclasses.replace(model, design=None)):
+            assert kernel.log_likelihood(m, theta) == -math.inf
+            assert not m.kept
+            for fn in (kernel.loglik_and_gradient, kernel.loglik_and_scores):
+                ll, g = fn(m, theta)
+                assert ll == -math.inf and np.all(np.isnan(g))
+
+
+def test_row_blocks_raise_no_floating_point_warning(tmp_path):
+    """np.errstate holds only in the thread that enters it, so each block enters its own."""
+    data = binary_dataset(tmp_path, n=40)
+    affine = binding.bind(parser.parse_spec(BINARY_SPEC), data)
+    dual = binding.bind(parser.parse_spec(BINARY_SPEC.replace("b_x * x_a", "exp(b_x * x_a)")), data)
+    assert dual.design is None
+    with row_blocks(7, POOL), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, theta in ((affine, np.array([1e308])), (dual, np.array([500.0]))):
+            assert kernel.log_likelihood(model, theta) == -math.inf
+            assert kernel.loglik_and_gradient(model, theta)[0] == -math.inf
+            assert kernel.loglik_and_scores(model, theta)[0] == -math.inf
+            V, _ = kernel.utility_jacobian(model, theta)
+            assert not np.isfinite(V).all()
+
+
+def test_more_threads_than_cpus_switching_often_write_the_same_bits(best_spec, synth_data, monkeypatch):
+    """Blocks share only their output buffers; each writes its own rows, whatever the interleaving."""
+    model = binding.bind(best_spec, synth_data)
+    dual = dataclasses.replace(model, design=None)
+    theta = model.start + 0.01
+    passes = [(fn, m) for fn in (kernel.loglik_and_gradient, kernel.loglik_and_scores) for m in (model, dual)]
+    expected = [_bits(unblocked(fn, m, theta)) for fn, m in passes]
+    interval = sys.getswitchinterval()
+    monkeypatch.setattr(kernel, "_pool", None)  # a pool of the size below, shut down after
+    try:
+        sys.setswitchinterval(1e-6)
+        with row_blocks(7, 4 * POOL):
+            for _ in range(3):
+                assert [_bits(fn(m, theta)) for fn, m in passes] == expected
+    finally:
+        sys.setswitchinterval(interval)
+        if kernel._pool is not None:
+            kernel._pool.shutdown()
+
+
+def test_one_block_fit_never_imports_the_thread_pool():
+    """A pass over at most ROW_BLOCK rows runs inline, as every replayed fit does."""
+    code = (
+        "import sys\n"
+        "from logitlab import dataset, engine\n"
+        "from logitlab.specdsl import binding, parser\n"
+        f"data = dataset.load_dataset({str(SYNTH_CSV)!r}, {str(SYNTH_DICT)!r})\n"
+        f"spec = parser.parse_spec(open({str(BEST_SPEC)!r}, encoding='utf-8').read())\n"
+        "assert engine.estimate(binding.bind(spec, data)).converged\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+        )},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "False\n"
+
+
+@pytest.fixture(scope="module")
+def xyz_data(tmp_path_factory) -> ds.Dataset:
+    """40 rows of three positive columns x, y, z; alternative c is sometimes unavailable."""
+    rng = np.random.default_rng(RNG_SEED)
+    path = tmp_path_factory.mktemp("xyz")
+    rows = ["av_a,av_b,av_c,choice,x,y,z"]
+    for _ in range(40):
+        av_c = int(rng.random() < 0.7)
+        choice = "abc"[rng.integers(0, 2 + av_c)]
+        x, y, z = rng.uniform(1.0, 90.0), rng.uniform(0.1, 3.0), rng.uniform(0.5, 2.0)
+        rows.append(f"1,1,{av_c},{choice},{x:.4f},{y:.4f},{z:.4f}")
+    dict_md = "| name | kind | alternative | units | description |\n| --- | --- | --- | --- | --- |\n"
+    dict_md += "".join(f"| av_{alt} | availability | {alt} | 0/1 | {alt} |\n" for alt in "abc")
+    dict_md += "| choice | choice |  |  | chosen |\n"
+    dict_md += "".join(f"| {v} | covariate |  |  | {v} |\n" for v in "xyz")
+    (path / "d.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (path / "d.md").write_text(dict_md, encoding="utf-8")
+    return ds.load_dataset(path / "d.csv", path / "d.md")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exprs=st.lists(EXPRS, min_size=3, max_size=3),
+    theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.2, 2.0)),
+)
+def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, theta):
+    """Affine and non-affine utilities: bind's design, the value pass, the dual pass,
+    the gradient and the scores do not depend on ROW_BLOCK or on the thread pool."""
+    spec = parser.UtilitySpec(
+        name="blocks",
+        alternatives=("a", "b", "c"),
+        parameters=tuple(
+            parser.ParameterDecl(name, kind, "generic", None, 0.5)
+            for name, kind in (("b_one", "taste"), ("b_two", "taste"), ("lambda_s", "shape"))
+        ),
+        utilities=dict(zip("abc", exprs)),
+    )
+    theta = np.array(theta)
+
+    def outputs() -> list[bytes]:
+        try:
+            model = binding.bind(spec, xyz_data)
+        except binding.DomainViolation as exc:
+            return [str(exc).encode()]
+        models = [model] if model.design is None else [model, dataclasses.replace(model, design=None)]
+        out = [b"" if model.design is None else model.design.tobytes()]
+        for m in models:
+            out.append(np.float64(kernel.log_likelihood(m, theta)).tobytes())
+            out += _bits(kernel.loglik_and_gradient(m, theta))
+            out += _bits(kernel.loglik_and_scores(m, theta))
+            out += [a.tobytes() for a in kernel.utility_jacobian(m, theta)]
+        return out
+
+    expected = unblocked(outputs)
+    event(f"{len(expected)} outputs")  # 1: domain violation, 8: dual path, 15: design path too
+    for name, setting in BLOCKINGS.items():
+        with row_blocks(*setting):
+            assert outputs() == expected, name
 
 
 # -- estimator ------------------------------------------------------------------
