@@ -6,10 +6,10 @@ the DSL package with plain arrays (values); the softmax runs in one
 formula with numpy row reductions (below eight alternatives).  The
 per-observation scores are ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with ``y`` the
 one-hot choice.  The derivatives ∂V/∂θ are the design that binding
-caches when every utility is affine in the parameters, and otherwise
-come from a pass with forward-mode dual numbers.  With the design, the
-gradient at a step the line search accepted reuses the probabilities of
-that step's value pass.
+caches for each utility's affine terms, plus the derivatives of the
+other terms, from a pass with forward-mode dual numbers over only the
+parameters those terms contain.  The gradient at a step the line search
+accepted reuses the probabilities of that step's value pass.
 The optimizer is BFGS started from the BHHH inverse ``(SᵀS)⁻¹`` of the
 per-observation scores, with an Armijo backtracking line search that
 ignores changes within the log-likelihood's rounding.  Standard errors

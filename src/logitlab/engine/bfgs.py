@@ -211,8 +211,8 @@ def estimate(
         for _ in range(MAX_BACKTRACKS):
             cand = theta + alpha * d
             # Armijo test needs only the value; the gradient pass runs
-            # once after acceptance, and on the design path it reuses
-            # the probabilities this value pass keeps on the model.
+            # once after acceptance and reuses the probabilities this
+            # value pass keeps on the model.
             cand_ll = log_likelihood(model, cand)
             if math.isfinite(cand_ll) and (
                 -cand_ll <= -ll + ARMIJO_C * alpha * slope + LL_ROUNDING * abs(ll)

@@ -6,8 +6,7 @@ are exactly zero and whatever the expressions produced on those rows
 (often NaN, e.g. log of a zeroed attribute) never propagates.
 
 Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  Per
-block it writes the utilities into its rows of one (n, J) buffer (and,
-on the dual path, ∂V/∂θ into its rows of one (n, J, k) buffer), tests
+block it writes the utilities into its rows of one (n, J) buffer, tests
 them, forms the probabilities in place and writes its log chosen
 probabilities.  A pass over more than ``ROW_BLOCK`` rows runs its blocks
 on a thread pool sized to the CPUs the process may use, created on the
@@ -35,28 +34,29 @@ reference) for fewer than eight alternatives, where numpy's row sum also
 adds left to right.
 
 The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
-``y`` the one-hot choice, one contraction of the residuals ``Y − P``
-with ``G = ∂V/∂θ``; the gradient contracts over the rows as well.  The
-residuals are formed in P's buffer, as ``-P`` plus 1 at each row's chosen
-cell.  ``G`` is the model's cached design when binding found every
-utility affine in the parameters, and comes from a dual-number pass
-otherwise.
+``y`` the one-hot choice, one contraction of ``Y − P`` with
+``∂V/∂θ``; the gradient contracts over the rows as well.  ``Y − P`` is
+formed in P's buffer, as ``-P`` plus 1 at each row's chosen cell.
+Binding split each utility into its affine terms, whose derivatives it
+cached as the design, and the residual terms.  So ``Y − P`` is
+contracted with the design, and, on the residuals' own parameters, with
+the residuals' derivatives at θ from one forward-mode dual-number pass
+(:func:`jacobian`, which also built the design).  An all-affine spec has
+no residual parameters and makes no dual pass.
 
-On the design path a value pass keeps its (log-likelihood, P) on the
-model (``BoundModel.kept``), so the gradient an optimizer asks for at the
-step it just accepted skips the utilities and the softmax.  The plain
-value walk is the utility source of both passes there, so the kept P has
-the bits a fresh pass would compute.  Each value pass replaces the entry,
-a -inf one is not kept, and a gradient pass pops it before writing the
-residuals into its buffer, so it serves at most one gradient.  The dual
-path computes V through duals and always makes its own pass.
+A value pass keeps its (log-likelihood, P) on the model
+(``BoundModel.kept``), so the gradient an optimizer asks for at the step
+it just accepted skips the utilities and the softmax.  The plain value
+walk is the utility source of every pass, so the kept P has the bits a
+fresh pass would compute.  Each value pass replaces the entry, a -inf
+one is not kept, and a gradient pass pops it before writing ``Y − P``
+into its buffer, so it serves at most one gradient.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Callable
 
 import numpy as np
 
@@ -73,8 +73,12 @@ class NonFiniteUtility(Exception):
     """An expression evaluated to NaN or infinity where it matters."""
 
 
-def _check_theta(theta: np.ndarray) -> np.ndarray:
+def _check_theta(model: BoundModel, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.n_free,):
+        raise ValueError(
+            f"theta has shape {theta.shape}; the model has {model.n_free} free parameters"
+        )
     if not np.all(np.isfinite(theta)):
         raise NonFiniteUtility("parameter vector contains non-finite values")
     return theta
@@ -127,7 +131,7 @@ def probability_matrix(V: np.ndarray, avail: np.ndarray, out: np.ndarray | None 
 
 def probabilities(model: BoundModel, theta, row_index: int) -> dict[str, float]:
     """Choice probabilities for one row, keyed by alternative."""
-    theta = _check_theta(theta)
+    theta = _check_theta(model, theta)
     if not 0 <= row_index < model.n_obs:
         raise IndexError(f"row_index {row_index} is out of range for {model.n_obs} rows")
     rows = slice(row_index, row_index + 1)
@@ -142,12 +146,12 @@ def probabilities(model: BoundModel, theta, row_index: int) -> dict[str, float]:
 def log_likelihood(model: BoundModel, theta) -> float:
     """Sum of log chosen-probabilities; -inf when evaluation breaks down.
 
-    On the design path the pass is kept for one gradient at the same θ.
+    The pass is kept for one gradient at the same θ.
     """
-    theta = _check_theta(theta)
+    theta = _check_theta(model, theta)
     model.kept.clear()
     ll, P = _value_pass(model, theta)
-    if P is not None and model.design is not None:
+    if P is not None:
         model.kept[theta.tobytes()] = ll, P
     return ll
 
@@ -188,65 +192,47 @@ def _loglik_from_utilities(V, avail, choice_idx, fill=None) -> tuple[float, np.n
     return float(log_chosen.sum()), V
 
 
-def _dual_rows(model: BoundModel, theta) -> tuple[np.ndarray, np.ndarray, Callable[[slice], None]]:
-    """Buffers for V (n, J) and G = ∂V/∂θ (n, J, k), and ``fill(rows)``, which
-    writes both on ``rows`` by one dual-number pass and zeroes G's unavailable cells."""
-    n, J, k = model.n_obs, model.n_alts, model.n_free
-    V = np.empty((n, J))
-    G = np.zeros((n, J, k))
-    env = model.param_env(theta, lift=lambda v, i: Dual.seed(v, i, k))
+def jacobian(model: BoundModel, exprs, theta, names, out: np.ndarray | None = None) -> np.ndarray:
+    """∂/∂θ (n, J, len(names)) of one expression per alternative, over the free
+    parameters in ``names`` only: one dual-number pass over row blocks, zero
+    on unavailable cells, written into ``out`` (zeros) when given."""
+    k = len(names)
+    G = np.zeros((model.n_obs, model.n_alts, k)) if out is None else out
+    env = model.param_env(theta)
+    env.update((name, Dual.seed(env[name], i, k)) for i, name in enumerate(names))
 
     def fill(rows) -> None:
-        Vb, Gb = V[rows], G[rows]
-        m = len(Vb)
+        Gb = G[rows]
         with np.errstate(all="ignore"):
-            for j, expr in enumerate(model.utilities):
+            for j, expr in enumerate(exprs):
                 res = model.utility_values(expr, env, DUAL_FUNCS, rows)
                 if isinstance(res, Dual):
-                    Vb[:, j] = np.broadcast_to(res.val, (m,))
-                    Gb[:, j, :] = np.broadcast_to(res.grad, (m, k))
-                else:
-                    Vb[:, j] = np.broadcast_to(res, (m,))
+                    Gb[:, j, :] = np.broadcast_to(res.grad, (len(Gb), k))
         Gb[~model.avail[rows]] = 0.0
 
-    return V, G, fill
-
-
-def utility_jacobian(model: BoundModel, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Utilities (n, J) and their exact derivatives ∂V/∂θ (n, J, k).
-
-    One dual-number pass over row blocks; derivatives are zeroed on
-    unavailable cells.
-    """
-    V, G, fill = _dual_rows(model, theta)
     _row_blocks(model.n_obs, fill)
-    return V, G
+    return G
 
 
-def _residuals(model: BoundModel, theta) -> tuple[float, np.ndarray | None, np.ndarray]:
-    """Log-likelihood, ``Y - P`` and ``G = ∂V/∂θ``; the residuals are None when LL is -inf.
-
-    ``Y`` is the one-hot choice.  ``G`` is the model's cached design when
-    its utilities are affine in the parameters (utilities then come from
-    the plain value walk, or the value pass kept at this θ), and a
-    dual-number pass otherwise.
-    """
-    theta = _check_theta(theta)
-    if model.design is None:
-        V, G, fill = _dual_rows(model, theta)
-        ll, P = _loglik_from_utilities(V, model.avail, model.choice_idx, fill)
-    else:
-        G = model.design
-        ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
+def _score_pass(model: BoundModel, theta, subscripts: str) -> tuple[float, np.ndarray | None]:
+    """Log-likelihood and ``Y − P`` contracted by ``subscripts`` with the
+    design and, on the residuals' parameters, their Jacobian at θ; None when
+    LL is -inf.  P comes from the value pass kept at this θ or a fresh one."""
+    theta = _check_theta(model, theta)
+    ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
     if P is None:
-        return ll, None, G
+        return ll, None
 
     def residuals(rows) -> None:
         R = np.negative(P[rows], out=P[rows])
         R[np.arange(len(R)), model.choice_idx[rows]] += 1.0
 
-    _row_blocks(model.n_obs, residuals)
-    return ll, P, G
+    _row_blocks(model.n_obs, residuals)  # P's buffer now holds Y - P
+    out = np.einsum(subscripts, P, model.design)
+    if model.residual_free:
+        G = jacobian(model, model.residuals, theta, model.residual_free)
+        out[..., [model.free_names.index(name) for name in model.residual_free]] += np.einsum(subscripts, P, G)
+    return ll, out
 
 
 def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
@@ -254,8 +240,7 @@ def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
 
     The scores are NaN-filled when the log-likelihood is -inf.
     """
-    ll, R, G = _residuals(model, theta)
-    S = None if R is None else np.einsum("nj,njk->nk", R, G)
+    ll, S = _score_pass(model, theta, "nj,njk->nk")
     if S is None or not np.all(np.isfinite(S)):
         return -math.inf, np.full((model.n_obs, model.n_free), np.nan)
     return ll, S
@@ -267,8 +252,7 @@ def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
     One contraction over rows and alternatives, without the (n, k)
     scores.  The gradient is NaN-filled when the log-likelihood is -inf.
     """
-    ll, R, G = _residuals(model, theta)
-    grad = None if R is None else np.einsum("nj,njk->k", R, G)
+    ll, grad = _score_pass(model, theta, "nj,njk->k")
     if grad is None or not np.all(np.isfinite(grad)):
         return -math.inf, np.full(model.n_free, np.nan)
     return ll, grad

@@ -4,9 +4,10 @@ Binding selects the dataset's arrays for every referenced column, resolves
 the free-parameter layout (declaration order, fixed parameters dropped),
 precomputes piecewise segment lengths, and runs the static domain checks
 (log/sqrt/box-cox arguments that contain no free parameters must be in
-range on every row where the alternative is available).  When every
-utility is affine in the free parameters, ∂V/∂θ does not depend on θ, so
-binding also caches it as ``design``.
+range on every row where the alternative is available).  Each utility's
+additive terms that are affine in the free parameters have a ∂/∂θ that
+does not depend on θ, so binding caches it as ``design``; the other
+terms, the residual, are differentiated at each θ.
 
 The expression evaluator is generic over the value algebra: plain numpy
 arrays here, dual numbers in the estimation engine.  Anything passed as
@@ -15,9 +16,10 @@ arrays here, dual numbers in the estimation engine.  Anything passed as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 from types import SimpleNamespace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from logitlab.specdsl.expr import (
     param_names,
     var_names,
 )
-from logitlab.specdsl.parser import SpecDslError, UtilitySpec
+from logitlab.specdsl.parser import SpecDslError, UtilitySpec, additive_terms
 from logitlab.specdsl.serialize import serialize_expr
 
 
@@ -162,16 +164,29 @@ def is_affine(expr: Expr, free: set[str]) -> bool:
     return False
 
 
+def _affine_and_residual(expr: Expr, free: set[str]) -> tuple[Expr, Expr]:
+    """Sums of ``expr``'s additive terms that are affine in ``free`` and of the
+    others; an empty sum is ``Const(0.0)``, and an affine ``expr`` is kept whole."""
+    if is_affine(expr, free):
+        return expr, Const(0.0)
+    parts: tuple[list, list] = ([], [])
+    for sign, term in additive_terms(expr):
+        parts[not is_affine(term, free)].append(term if sign > 0 else Neg(term))
+    affine, residual = (reduce(Add, part) if part else Const(0.0) for part in parts)
+    return affine, residual
+
+
 @dataclass(frozen=True)
 class BoundModel:
     """A spec matched to a dataset, ready for likelihood evaluation.
 
     Arrays are aligned to ``alternatives`` (dataset order).  ``utilities``
-    holds one expression per alternative in the same order.  ``design``
-    is ∂V/∂θ, shape (n_obs, n_alts, n_free) and zero on unavailable cells,
-    when every utility is affine in the free parameters; None otherwise.
-    ``kept`` belongs to the estimation kernel: at most one value pass's
-    (log-likelihood, probabilities), keyed by ``theta.tobytes()``.
+    holds one expression per alternative in the same order.  ∂V/∂θ is
+    ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
+    cells), plus ∂/∂θ of ``residuals``, their other terms, which contain
+    only the free parameters in ``residual_free``.  ``kept`` belongs to
+    the estimation kernel: at most one value pass's (log-likelihood,
+    probabilities), keyed by ``theta.tobytes()``.
     """
 
     spec: UtilitySpec
@@ -184,8 +199,10 @@ class BoundModel:
     columns: dict[str, np.ndarray]
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
+    design: np.ndarray  # (n_obs, n_alts, n_free)
+    residuals: tuple[Expr, ...]
+    residual_free: tuple[str, ...]
     segments: dict[tuple, np.ndarray] = field(default_factory=dict)
-    design: np.ndarray | None = None
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -202,15 +219,10 @@ class BoundModel:
     def n_free(self) -> int:
         return len(self.free_names)
 
-    def param_env(self, theta: np.ndarray, lift: Callable[[float, int], Any] | None = None) -> dict[str, Any]:
-        """Map every parameter name to its value under ``theta``.
-
-        ``lift(value, index)`` wraps free parameters (used to seed dual
-        numbers); fixed parameters stay plain floats.
-        """
+    def param_env(self, theta: np.ndarray) -> dict[str, Any]:
+        """Map every parameter name to its value under ``theta``, as plain floats."""
         env: dict[str, Any] = dict(self.fixed)
-        for i, name in enumerate(self.free_names):
-            env[name] = lift(float(theta[i]), i) if lift else float(theta[i])
+        env.update(zip(self.free_names, map(float, theta)))
         return env
 
     def utility_values(
@@ -304,6 +316,8 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
 
     _domain_checks(spec, utilities, columns, fixed, dataset.avail, alternatives, segments)
 
+    affine, residuals = zip(*(_affine_and_residual(u, set(free_names)) for u in utilities))
+    in_residuals = set().union(*map(param_names, residuals))
     model = BoundModel(
         spec=spec,
         dataset=dataset,
@@ -315,11 +329,12 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         columns=columns,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
+        design=np.zeros((dataset.n_obs, len(alternatives), len(free_names))),
+        residuals=residuals,
+        residual_free=tuple(name for name in free_names if name in in_residuals),
         segments=segments,
     )
-    if all(is_affine(u, set(free_names)) for u in utilities):
-        from logitlab.engine.kernel import utility_jacobian  # the engine imports this module
+    from logitlab.engine.kernel import jacobian  # the engine imports this module
 
-        _, design = utility_jacobian(model, start)
-        model = replace(model, design=design)
+    jacobian(model, affine, start, free_names, out=model.design)
     return model

@@ -304,7 +304,10 @@ def synth_csv_files(draw) -> tuple[bytes, bool, bool]:
             (SYNTH_ALTS[chosen[-1]], str(chosen[-1] + 1), f"{chosen[-1] + 1}.0")
         )))
         rows.append(row)
-    edits = draw(st.lists(st.sampled_from(PLAIN_EDITS + OTHER_EDITS), unique=True, max_size=3))
+    edits = draw(st.lists(st.sampled_from(PLAIN_EDITS + OTHER_EDITS), unique=True, max_size=3).filter(
+        # a row cut short by one cell and then made long by one is a plain row again
+        lambda edits: not {"short row", "long row"} <= set(edits)
+    ))
     for edit in edits:
         i = draw(st.integers(0, len(rows) - 1))
         number = draw(st.sampled_from(NUMBER_NAMES))
