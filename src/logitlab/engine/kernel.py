@@ -192,14 +192,14 @@ def _loglik_from_utilities(V, avail, choice_idx, fill=None) -> tuple[float, np.n
     return float(log_chosen.sum()), V
 
 
-def jacobian(model: BoundModel, exprs, theta, names, out: np.ndarray | None = None) -> np.ndarray:
-    """∂/∂θ (n, J, len(names)) of one expression per alternative, over the free
-    parameters in ``names`` only: one dual-number pass over row blocks, zero
-    on unavailable cells, written into ``out`` (zeros) when given."""
-    k = len(names)
+def jacobian(model: BoundModel, exprs, theta, idx, out: np.ndarray | None = None) -> np.ndarray:
+    """∂/∂θ (n, J, len(idx)) of one expression per alternative, over the free
+    parameters at indices ``idx`` only: one dual-number pass over row blocks,
+    zero on unavailable cells, written into ``out`` (zeros) when given."""
+    k = len(idx)
     G = np.zeros((model.n_obs, model.n_alts, k)) if out is None else out
     env = model.param_env(theta)
-    env.update((name, Dual.seed(env[name], i, k)) for i, name in enumerate(names))
+    env.update((model.free_names[i], Dual.seed(float(theta[i]), col, k)) for col, i in enumerate(idx))
 
     def fill(rows) -> None:
         Gb = G[rows]
@@ -229,9 +229,9 @@ def _score_pass(model: BoundModel, theta, subscripts: str) -> tuple[float, np.nd
 
     _row_blocks(model.n_obs, residuals)  # P's buffer now holds Y - P
     out = np.einsum(subscripts, P, model.design)
-    if model.residual_free:
-        G = jacobian(model, model.residuals, theta, model.residual_free)
-        out[..., [model.free_names.index(name) for name in model.residual_free]] += np.einsum(subscripts, P, G)
+    if model.residual_idx:
+        G = jacobian(model, model.residuals, theta, model.residual_idx)
+        out[..., model.residual_idx] += np.einsum(subscripts, P, G)
     return ll, out
 
 

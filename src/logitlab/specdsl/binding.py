@@ -184,7 +184,7 @@ class BoundModel:
     holds one expression per alternative in the same order.  ∂V/∂θ is
     ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
     cells), plus ∂/∂θ of ``residuals``, their other terms, which contain
-    only the free parameters in ``residual_free``.  ``kept`` belongs to
+    only the free parameters at indices ``residual_idx``.  ``kept`` belongs to
     the estimation kernel: at most one value pass's (log-likelihood,
     probabilities), keyed by ``theta.tobytes()``.
     """
@@ -201,7 +201,7 @@ class BoundModel:
     choice_idx: np.ndarray  # (n_obs,) int
     design: np.ndarray  # (n_obs, n_alts, n_free)
     residuals: tuple[Expr, ...]
-    residual_free: tuple[str, ...]
+    residual_idx: tuple[int, ...]  # into free_names
     segments: dict[tuple, np.ndarray] = field(default_factory=dict)
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -331,10 +331,10 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         choice_idx=dataset.choice_idx,
         design=np.zeros((dataset.n_obs, len(alternatives), len(free_names))),
         residuals=residuals,
-        residual_free=tuple(name for name in free_names if name in in_residuals),
+        residual_idx=tuple(i for i, name in enumerate(free_names) if name in in_residuals),
         segments=segments,
     )
     from logitlab.engine.kernel import jacobian  # the engine imports this module
 
-    jacobian(model, affine, start, free_names, out=model.design)
+    jacobian(model, affine, start, range(len(free_names)), out=model.design)
     return model
