@@ -1,9 +1,9 @@
 """MNL likelihood evaluation and maximum-likelihood estimation.
 
-The kernel evaluates utilities through the generic expression walker in
-the DSL package with plain arrays (values); the softmax runs in one
-(n, J) buffer and gives the same log-likelihood bits as the masked-copy
-formula with numpy row reductions (below eight alternatives).  The
+The kernel evaluates the utilities that binding compiled, with plain
+floats for the parameters; the softmax runs in one (n, J) buffer and
+gives the same log-likelihood bits as the masked-copy formula with numpy
+row reductions (below eight alternatives).  The
 per-observation scores are ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with ``y`` the
 one-hot choice.  The derivatives ∂V/∂θ are the design that binding
 caches for each utility's affine terms, plus the derivatives of the
@@ -17,7 +17,7 @@ and t-ratios are classical, from a finite-difference Hessian of the
 log-likelihood at the optimum.
 """
 
-from logitlab.engine.dual import DUAL_FUNCS, Dual
+from logitlab.engine.dual import Dual
 from logitlab.engine.kernel import (
     NonFiniteUtility,
     log_likelihood,
@@ -30,7 +30,6 @@ from logitlab.engine.kernel import (
 from logitlab.engine.bfgs import EstimationResult, estimate
 
 __all__ = [
-    "DUAL_FUNCS",
     "Dual",
     "NonFiniteUtility",
     "log_likelihood",

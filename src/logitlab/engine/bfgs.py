@@ -174,8 +174,13 @@ def estimate(
     """Maximize the log-likelihood from the spec's start values.
 
     The gradient criterion scales with model size: the stop threshold is
-    ``grad_tol * max(1, |LL|/n_obs)``.
+    ``grad_tol * max(1, |LL|/n_obs)``.  Raises ValueError for a negative
+    ``max_iters`` or a ``grad_tol`` that is negative or not finite.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
+    if not (math.isfinite(grad_tol) and grad_tol >= 0.0):
+        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
     theta = np.array(model.start, dtype=float)
     k = len(theta)
     ll0 = null_loglik(model.dataset)

@@ -4,11 +4,12 @@ A Dual carries a value array and a gradient array with one trailing axis
 per free parameter; the gradient is kept broadcastable to
 ``val.shape + (k,)`` rather than materialized, so operations against
 plain data columns (constants with zero gradient) never widen it.
+A compiled expression (``specdsl.binding.compile_expr``) calls a value's
+``log``, ``exp``, ``expm1``, ``sqrt`` or ``power`` method when it has one,
+so these methods are the elementwise functions of the dual algebra.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,21 +98,3 @@ class Dual:
     def __repr__(self):
         return f"Dual(val={self.val!r}, grad={self.grad!r})"
 
-
-def _dispatch1(name):
-    np_fn = getattr(np, name)
-
-    def fn(x):
-        return getattr(x, name)() if isinstance(x, Dual) else np_fn(x)
-
-    return fn
-
-
-DUAL_FUNCS = SimpleNamespace(
-    log=_dispatch1("log"),
-    exp=_dispatch1("exp"),
-    sqrt=_dispatch1("sqrt"),
-    expm1=_dispatch1("expm1"),
-    pow=lambda x, c: x.power(c) if isinstance(x, Dual) else np.power(x, c),
-    scalar=lambda x: float(np.asarray(x.val if isinstance(x, Dual) else x).reshape(())),
-)

@@ -46,11 +46,12 @@ no residual parameters and makes no dual pass.
 
 A value pass keeps its (log-likelihood, P) on the model
 (``BoundModel.kept``), so the gradient an optimizer asks for at the step
-it just accepted skips the utilities and the softmax.  The plain value
-walk is the utility source of every pass, so the kept P has the bits a
-fresh pass would compute.  Each value pass replaces the entry, a -inf
-one is not kept, and a gradient pass pops it before writing ``Y − P``
-into its buffer, so it serves at most one gradient.
+it just accepted skips the utilities and the softmax.  Every pass forms
+the utilities with the same compiled functions on float parameters, so
+the kept P has the bits a fresh pass would compute.  Each value pass
+replaces the entry, a -inf one is not kept, and a gradient pass pops it
+before writing ``Y − P`` into its buffer, so it serves at most one
+gradient.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import os
 import numpy as np
 
 from logitlab.dataset import Dataset
-from logitlab.engine.dual import DUAL_FUNCS, Dual
+from logitlab.engine.dual import Dual
 from logitlab.specdsl.binding import ALL_ROWS, BoundModel
 
 ROW_BLOCK = 25_000  # rows per block of a pass's per-row work
@@ -157,7 +158,7 @@ def log_likelihood(model: BoundModel, theta) -> float:
 
 
 def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(log-likelihood, P) with utilities from the plain value walk, block by block."""
+    """(log-likelihood, P) from the compiled utilities, block by block."""
     V = np.empty((model.n_obs, model.n_alts))
     fill = lambda rows: model.utility_matrix(theta, rows, out=V[rows])
     return _loglik_from_utilities(V, model.avail, model.choice_idx, fill)
@@ -192,20 +193,21 @@ def _loglik_from_utilities(V, avail, choice_idx, fill=None) -> tuple[float, np.n
     return float(log_chosen.sum()), V
 
 
-def jacobian(model: BoundModel, exprs, theta, idx, out: np.ndarray | None = None) -> np.ndarray:
-    """∂/∂θ (n, J, len(idx)) of one expression per alternative, over the free
-    parameters at indices ``idx`` only: one dual-number pass over row blocks,
+def jacobian(model: BoundModel, utilities, theta, idx, out: np.ndarray | None = None) -> np.ndarray:
+    """∂/∂θ (n, J, len(idx)) of one compiled expression per alternative, over the
+    free parameters at indices ``idx`` only: one dual-number pass over row blocks,
     zero on unavailable cells, written into ``out`` (zeros) when given."""
     k = len(idx)
     G = np.zeros((model.n_obs, model.n_alts, k)) if out is None else out
-    env = model.param_env(theta)
-    env.update((model.free_names[i], Dual.seed(float(theta[i]), col, k)) for col, i in enumerate(idx))
+    args = theta.tolist()
+    for col, i in enumerate(idx):
+        args[i] = Dual.seed(args[i], col, k)
 
     def fill(rows) -> None:
         Gb = G[rows]
         with np.errstate(all="ignore"):
-            for j, expr in enumerate(exprs):
-                res = model.utility_values(expr, env, DUAL_FUNCS, rows)
+            for j, utility in enumerate(utilities):
+                res = utility(rows, args)
                 if isinstance(res, Dual):
                     Gb[:, j, :] = np.broadcast_to(res.grad, (len(Gb), k))
         Gb[~model.avail[rows]] = 0.0

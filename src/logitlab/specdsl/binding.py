@@ -1,25 +1,27 @@
 """Bind a specification to a dataset for estimation.
 
-Binding selects the dataset's arrays for every referenced column, resolves
-the free-parameter layout (declaration order, fixed parameters dropped),
-precomputes piecewise segment lengths, and runs the static domain checks
-(log/sqrt/box-cox arguments that contain no free parameters must be in
-range on every row where the alternative is available).  Each utility's
+Binding resolves the free-parameter layout (declaration order, fixed
+parameters dropped), runs the static domain checks (log/sqrt/box-cox
+arguments that contain no free parameters must be in range on every row
+where the alternative is available) and compiles each utility once into a
+function of ``(rows, theta)`` (:func:`compile_expr`).  Each utility's
 additive terms that are affine in the free parameters have a ∂/∂θ that
 does not depend on θ, so binding caches it as ``design``; the other
 terms, the residual, are differentiated at each θ.
 
-The expression evaluator is generic over the value algebra: plain numpy
-arrays here, dual numbers in the estimation engine.  Anything passed as
-``funcs`` just has to supply the elementwise functions below.
+A compiled expression reads its free parameters from ``theta``: plain
+floats on a value pass, dual numbers on a derivative pass in the
+estimation engine.  Unary functions and ``pow`` call the value's own
+method when it has one (a dual number's ``log``, ``power``, ...) and
+numpy's otherwise, so this module never imports the engine.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from types import SimpleNamespace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from logitlab.specdsl.expr import (
     Var,
     iter_nodes,
     param_names,
-    var_names,
 )
 from logitlab.specdsl.parser import SpecDslError, UtilitySpec, additive_terms
 from logitlab.specdsl.serialize import serialize_expr
@@ -57,72 +58,98 @@ class MissingAlternative(SpecDslError):
 
 ALL_ROWS = slice(None)
 
-NUMPY_FUNCS = SimpleNamespace(
-    log=np.log,
-    exp=np.exp,
-    sqrt=np.sqrt,
-    expm1=np.expm1,
-    pow=lambda x, c: np.power(x, c),
-    scalar=lambda x: float(x),
-)
+Compiled = Callable[[slice, Sequence[Any]], Any]  # (rows, theta) -> value on those rows
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def evaluate_expr(
+def _call(fn: str, x: Any, *args: Any) -> Any:
+    """``x.fn(*args)`` when ``x`` has that method (a dual number), else ``np.fn(x, *args)``."""
+    method = getattr(x, fn, None)
+    return method(*args) if method is not None else getattr(np, fn)(x, *args)
+
+
+def compile_expr(
     expr: Expr,
-    columns: Mapping[str, Any],
-    params: Mapping[str, Any],
-    funcs: SimpleNamespace = NUMPY_FUNCS,
-    segments: Mapping[tuple, Any] | None = None,
-) -> Any:
-    """Evaluate a tree over whatever algebra ``funcs`` implements.
+    columns: Mapping[str, np.ndarray],
+    free_names: Sequence[str],
+    fixed: Mapping[str, float],
+) -> Compiled:
+    """``expr`` as a function of ``(rows, theta)``: its value on the observations
+    in ``rows``, with the free parameter ``free_names[i]`` read as ``theta[i]``.
 
-    ``params`` values may be plain floats or dual numbers; columns are
-    plain arrays.  ``segments`` maps (var, knots) to precomputed segment
-    length arrays for piecewise nodes (see :func:`piecewise_segments`).
+    Every leaf is resolved here, once: a fixed parameter is folded in as its
+    value, a variable is its column and a piecewise node its segment lengths
+    (:func:`piecewise_segments`), each sliced to ``rows`` when called.
     """
-    ev = lambda e: evaluate_expr(e, columns, params, funcs, segments)
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Param):
-        return params[expr.name]
-    if isinstance(expr, Mul):
-        return ev(expr.left) * ev(expr.right)
-    if isinstance(expr, Add):
-        return ev(expr.left) + ev(expr.right)
-    if isinstance(expr, Sub):
-        return ev(expr.left) - ev(expr.right)
-    if isinstance(expr, Div):
-        left, right = ev(expr.left), ev(expr.right)
-        if isinstance(left, float) and isinstance(right, float):
-            left = np.float64(left)  # a zero divisor then gives inf or NaN, as arrays do
-        return left / right
-    if isinstance(expr, Neg):
-        return -ev(expr.operand)
-    if isinstance(expr, Call1):
-        return getattr(funcs, expr.fn)(ev(expr.arg))
-    if isinstance(expr, Pow):
-        return funcs.pow(ev(expr.base), expr.exponent)
-    if isinstance(expr, BoxCox):
-        base = ev(expr.base)
-        shape = params[expr.shape]
-        # expm1 keeps (x^s - 1)/s accurate for small s; at s = 0 exactly,
-        # fall back to the expansion log(x) + s*log(x)^2/2, which also has
-        # the right derivative in s.
-        logx = funcs.log(base)
-        if funcs.scalar(shape) == 0.0:
-            return logx + shape * (logx * logx * 0.5)
-        return funcs.expm1(shape * logx) / shape
-    if isinstance(expr, Piecewise):
-        if segments is None:
-            raise ValueError("piecewise node requires precomputed segments")
-        segs = segments[(expr.var, expr.knots)]
-        total = params[expr.params[0]] * segs[:, 0]
-        for i, pname in enumerate(expr.params[1:], start=1):
-            total = total + params[pname] * segs[:, i]
-        return total
-    if isinstance(expr, Var):
-        return columns[expr.name]
-    raise TypeError(f"not an expression node: {expr!r}")
+    index = {name: i for i, name in enumerate(free_names)}
+
+    def param(name: str) -> Compiled:
+        if name in index:
+            i = index[name]
+            return lambda rows, theta: theta[i]
+        value = fixed[name]
+        return lambda rows, theta: value
+
+    def compile_node(e: Expr) -> Compiled:
+        if isinstance(e, Const):
+            value = e.value
+            return lambda rows, theta: value
+        if isinstance(e, Param):
+            return param(e.name)
+        if isinstance(e, Var):
+            column = columns[e.name]
+            return lambda rows, theta: column[rows]
+        if isinstance(e, (Add, Sub, Mul)):
+            op, left, right = _BINARY[type(e)], compile_node(e.left), compile_node(e.right)
+            return lambda rows, theta: op(left(rows, theta), right(rows, theta))
+        if isinstance(e, Div):
+            left, right = compile_node(e.left), compile_node(e.right)
+
+            def div(rows, theta):
+                a, b = left(rows, theta), right(rows, theta)
+                if isinstance(a, float) and isinstance(b, float):
+                    a = np.float64(a)  # a zero divisor then gives inf or NaN, as arrays do
+                return a / b
+
+            return div
+        if isinstance(e, Neg):
+            operand = compile_node(e.operand)
+            return lambda rows, theta: -operand(rows, theta)
+        if isinstance(e, Call1):
+            fn, arg = e.fn, compile_node(e.arg)
+            return lambda rows, theta: _call(fn, arg(rows, theta))
+        if isinstance(e, Pow):
+            base, exponent = compile_node(e.base), e.exponent
+            return lambda rows, theta: _call("power", base(rows, theta), exponent)
+        if isinstance(e, BoxCox):
+            base, shape = compile_node(e.base), param(e.shape)
+
+            def boxcox(rows, theta):
+                logx, s = _call("log", base(rows, theta)), shape(rows, theta)
+                # expm1 keeps (x^s - 1)/s accurate for small s; at s = 0 exactly
+                # (a dual number's value), fall back to the expansion
+                # log(x) + s*log(x)^2/2, which also has the right derivative in s.
+                if float(getattr(s, "val", s)) == 0.0:
+                    return logx + s * (logx * logx * 0.5)
+                return _call("expm1", s * logx) / s
+
+            return boxcox
+        if isinstance(e, Piecewise):
+            segments = piecewise_segments(columns[e.var], e.knots)
+            slopes = [param(name) for name in e.params]
+
+            def piecewise(rows, theta):
+                segs = segments[rows]
+                total = slopes[0](rows, theta) * segs[:, 0]
+                for i, slope in enumerate(slopes[1:], start=1):
+                    total = total + slope(rows, theta) * segs[:, i]
+                return total
+
+            return piecewise
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return compile_node(expr)
 
 
 def piecewise_segments(x: np.ndarray, knots: tuple[float, ...]) -> np.ndarray:
@@ -181,28 +208,25 @@ class BoundModel:
     """A spec matched to a dataset, ready for likelihood evaluation.
 
     Arrays are aligned to ``alternatives`` (dataset order).  ``utilities``
-    holds one expression per alternative in the same order.  ∂V/∂θ is
-    ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
-    cells), plus ∂/∂θ of ``residuals``, their other terms, which contain
-    only the free parameters at indices ``residual_idx``.  ``kept`` belongs to
-    the estimation kernel: at most one value pass's (log-likelihood,
-    probabilities), keyed by ``theta.tobytes()``.
+    holds one compiled expression per alternative in the same order.  ∂V/∂θ
+    is ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
+    cells), plus ∂/∂θ of ``residuals``, their other terms, compiled, which
+    contain only the free parameters at indices ``residual_idx``.  ``kept``
+    belongs to the estimation kernel: at most one value pass's
+    (log-likelihood, probabilities), keyed by ``theta.tobytes()``.
     """
 
     spec: UtilitySpec
     dataset: Dataset
     alternatives: tuple[str, ...]
-    utilities: tuple[Expr, ...]
+    utilities: tuple[Compiled, ...]
     free_names: tuple[str, ...]
     start: np.ndarray  # aligned to free_names
-    fixed: dict[str, float]
-    columns: dict[str, np.ndarray]
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
     design: np.ndarray  # (n_obs, n_alts, n_free)
-    residuals: tuple[Expr, ...]
+    residuals: tuple[Compiled, ...]
     residual_idx: tuple[int, ...]  # into free_names
-    segments: dict[tuple, np.ndarray] = field(default_factory=dict)
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -219,38 +243,22 @@ class BoundModel:
     def n_free(self) -> int:
         return len(self.free_names)
 
-    def param_env(self, theta: np.ndarray) -> dict[str, Any]:
-        """Map every parameter name to its value under ``theta``, as plain floats."""
-        env: dict[str, Any] = dict(self.fixed)
-        env.update(zip(self.free_names, map(float, theta)))
-        return env
-
-    def utility_values(
-        self, expr: Expr, params: Mapping[str, Any], funcs=NUMPY_FUNCS, rows: slice = ALL_ROWS
-    ) -> Any:
-        """``expr`` on the observations in ``rows``, read through column and segment views."""
-        if rows is ALL_ROWS:
-            return evaluate_expr(expr, self.columns, params, funcs, self.segments)
-        columns = {name: column[rows] for name, column in self.columns.items()}
-        segments = {key: segs[rows] for key, segs in self.segments.items()}
-        return evaluate_expr(expr, columns, params, funcs, segments)
-
     def utility_matrix(
         self, theta: np.ndarray, rows: slice = ALL_ROWS, out: np.ndarray | None = None
     ) -> np.ndarray:
         """(rows, n_alts) utilities of the observations in ``rows``, written into ``out``
         when given; unavailable cells may be non-finite."""
-        env = self.param_env(theta)
+        values = [float(t) for t in theta]
         n = len(range(*rows.indices(self.n_obs)))
         if out is None:
             out = np.empty((n, self.n_alts))
         with np.errstate(all="ignore"):
-            for j, expr in enumerate(self.utilities):
-                out[:, j] = np.broadcast_to(self.utility_values(expr, env, rows=rows), (n,))
+            for j, utility in enumerate(self.utilities):
+                out[:, j] = np.broadcast_to(utility(rows, values), (n,))
         return out
 
 
-def _domain_checks(spec, utilities, columns, fixed, avail, alternatives, segments):
+def _domain_checks(utilities, columns, fixed, avail, alternatives):
     with np.errstate(all="ignore"):
         for j, alt in enumerate(alternatives):
             mask = avail[:, j]
@@ -264,8 +272,7 @@ def _domain_checks(spec, utilities, columns, fixed, avail, alternatives, segment
                 if param_names(base) - set(fixed):
                     continue  # depends on free parameters, checked at runtime
                 vals = np.broadcast_to(
-                    evaluate_expr(base, columns, fixed, NUMPY_FUNCS, segments),
-                    (avail.shape[0],),
+                    compile_expr(base, columns, (), fixed)(ALL_ROWS, ()), (avail.shape[0],)
                 )[mask]
                 bad = ~(vals > 0) if strict else ~(vals >= 0)
                 if bad.any():
@@ -295,46 +302,30 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
 
     alternatives = dataset.alternatives
     utilities = tuple(spec.utilities[alt] for alt in alternatives)
-
-    needed: set[str] = set()
-    for expr in utilities:
-        needed |= var_names(expr)
-    columns = {name: dataset.columns[name] for name in sorted(needed)}
-
-    segments: dict[tuple, np.ndarray] = {}
-    for expr in utilities:
-        for node in iter_nodes(expr):
-            if isinstance(node, Piecewise):
-                key = (node.var, node.knots)
-                if key not in segments:
-                    segments[key] = piecewise_segments(columns[node.var], node.knots)
-
     fixed = {p.name: p.fixed for p in spec.parameters if p.fixed is not None}
     free = spec.free_parameters
     free_names = tuple(p.name for p in free)
     start = np.array([p.start for p in free], dtype=float)
 
-    _domain_checks(spec, utilities, columns, fixed, dataset.avail, alternatives, segments)
+    _domain_checks(utilities, dataset.columns, fixed, dataset.avail, alternatives)
 
+    compile_all = lambda exprs: tuple(compile_expr(e, dataset.columns, free_names, fixed) for e in exprs)
     affine, residuals = zip(*(_affine_and_residual(u, set(free_names)) for u in utilities))
     in_residuals = set().union(*map(param_names, residuals))
     model = BoundModel(
         spec=spec,
         dataset=dataset,
         alternatives=alternatives,
-        utilities=utilities,
+        utilities=compile_all(utilities),
         free_names=free_names,
         start=start,
-        fixed=fixed,
-        columns=columns,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
         design=np.zeros((dataset.n_obs, len(alternatives), len(free_names))),
-        residuals=residuals,
+        residuals=compile_all(residuals),
         residual_idx=tuple(i for i, name in enumerate(free_names) if name in in_residuals),
-        segments=segments,
     )
     from logitlab.engine.kernel import jacobian  # the engine imports this module
 
-    jacobian(model, affine, start, range(len(free_names)), out=model.design)
+    jacobian(model, compile_all(affine), start, range(len(free_names)), out=model.design)
     return model

@@ -43,12 +43,6 @@ class ValidationReport:
         return self.exclusion == INCLUDED
 
 
-@dataclass(frozen=True)
-class BatchPartition:
-    included: tuple
-    excluded: tuple
-
-
 def _unidentified(spec: UtilitySpec) -> bool:
     """Whether ASCs cover every alternative and none is fixed as the reference."""
     users = spec.users
@@ -103,9 +97,3 @@ def check_model(
         notes="; ".join(notes),
     )
 
-
-def batch_filter(reports: list[tuple[UtilitySpec, ValidationReport]]) -> BatchPartition:
-    """Stable partition into included and excluded, labels preserved."""
-    included = tuple(pair for pair in reports if pair[1].included)
-    excluded = tuple(pair for pair in reports if not pair[1].included)
-    return BatchPartition(included=included, excluded=excluded)

@@ -198,6 +198,18 @@ def test_estimate_respects_max_iters():
     assert "converged=false (max_iterations)" in res.stdout
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--grad-tol", "nan", "grad_tol must be finite and non-negative, got nan"),
+    ("--grad-tol", "-1", "grad_tol must be finite and non-negative, got -1.0"),
+    ("--max-iters", "-3", "max_iters must be non-negative, got -3"),
+])
+def test_estimate_rejects_bad_stopping_values(option, value, message):
+    res = invoke("estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT, option, value)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"Error: ValueError: {message}\n"
+
+
 # -- suggest ---------------------------------------------------------------------
 
 

@@ -21,11 +21,13 @@ from hypothesis.extra import numpy as hnp
 
 from logitlab import dataset as ds
 from logitlab.engine import bfgs, kernel
-from logitlab.engine.dual import DUAL_FUNCS, Dual
+from logitlab.engine.dual import Dual
 from logitlab.jsonio import from_json
 from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
-from logitlab.specdsl.expr import BoxCox, Const, Div, Neg, Param, Piecewise, Var
+from logitlab.specdsl.expr import (
+    Add, BoxCox, Call1, Const, Div, Mul, Neg, Param, Piecewise, Pow, Sub, Var,
+)
 
 from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
 from test_specdsl import EXPRS
@@ -750,15 +752,21 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
             assert outputs() == expected, name
 
 
+def _compiled(model: binding.BoundModel, exprs) -> tuple:
+    """``exprs`` compiled against ``model``'s columns and parameter layout."""
+    fixed = {p.name: p.fixed for p in model.spec.parameters if p.fixed is not None}
+    return tuple(binding.compile_expr(e, model.dataset.columns, model.free_names, fixed) for e in exprs)
+
+
 def _term_scale(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
     """(n, J, k) sum over each utility's additive terms of |∂term/∂θ|: the size of
     the sums that the split and the all-residual reference add up in other orders."""
     scale = np.zeros_like(model.design)
     zeros = (Const(0.0),) * model.n_alts
-    for j, utility in enumerate(model.utilities):
-        for _, term in parser.additive_terms(utility):
-            exprs = zeros[:j] + (term,) + zeros[j + 1:]
-            scale += np.abs(kernel.jacobian(model, exprs, theta, range(model.n_free)))
+    for j, alt in enumerate(model.alternatives):
+        for _, term in parser.additive_terms(model.spec.utilities[alt]):
+            utilities = _compiled(model, zeros[:j] + (term,) + zeros[j + 1:])
+            scale += np.abs(kernel.jacobian(model, utilities, theta, range(model.n_free)))
     return scale
 
 
@@ -833,16 +841,89 @@ def _derivative_envelope(model: binding.BoundModel, theta: np.ndarray) -> np.nda
     """(n, J, k) each utility's _Envelope over every free parameter, zero on
     unavailable cells: the size a dual pass's ∂V/∂θ is rounded to."""
     k = model.n_free
-    env = model.param_env(theta)
-    env.update((name, _Envelope.seed(env[name], i, k)) for i, name in enumerate(model.free_names))
+    args = [_Envelope.seed(value, i, k) for i, value in enumerate(theta.tolist())]
     out = np.zeros_like(model.design)
     with np.errstate(all="ignore"):
         for j, utility in enumerate(model.utilities):
-            res = model.utility_values(utility, env, DUAL_FUNCS)
+            res = utility(binding.ALL_ROWS, args)
             if isinstance(res, Dual):
                 out[:, j] = np.broadcast_to(res.grad, (model.n_obs, k))
     out[~model.avail] = 0.0
     return out
+
+
+def _walk(expr, columns, params):
+    """The reference for compiled expressions: ``expr`` by a recursive walk of its
+    tree on every evaluation, over the arrays in ``columns``, with each parameter
+    looked up in ``params`` (floats or dual numbers)."""
+    ev = lambda e: _walk(e, columns, params)
+    call = lambda fn, x, *args: getattr(x, fn)(*args) if isinstance(x, Dual) else getattr(np, fn)(x, *args)
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Param):
+        return params[expr.name]
+    if isinstance(expr, Var):
+        return columns[expr.name]
+    if isinstance(expr, Add):
+        return ev(expr.left) + ev(expr.right)
+    if isinstance(expr, Sub):
+        return ev(expr.left) - ev(expr.right)
+    if isinstance(expr, Mul):
+        return ev(expr.left) * ev(expr.right)
+    if isinstance(expr, Div):
+        left, right = ev(expr.left), ev(expr.right)
+        if isinstance(left, float) and isinstance(right, float):
+            left = np.float64(left)
+        return left / right
+    if isinstance(expr, Neg):
+        return -ev(expr.operand)
+    if isinstance(expr, Call1):
+        return call(expr.fn, ev(expr.arg))
+    if isinstance(expr, Pow):
+        return call("power", ev(expr.base), expr.exponent)
+    if isinstance(expr, BoxCox):
+        logx, shape = call("log", ev(expr.base)), params[expr.shape]
+        if float(shape.val if isinstance(shape, Dual) else shape) == 0.0:
+            return logx + shape * (logx * logx * 0.5)
+        return call("expm1", shape * logx) / shape
+    assert isinstance(expr, Piecewise)
+    segs = binding.piecewise_segments(columns[expr.var], expr.knots)
+    total = params[expr.params[0]] * segs[:, 0]
+    for i, name in enumerate(expr.params[1:], start=1):
+        total = total + params[name] * segs[:, i]
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    expr=EXPRS,
+    theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.just(0.0) | st.floats(0.2, 2.0)),
+)
+def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, theta):
+    """On all rows and on a slice, with float, Dual and _Envelope parameters, each
+    free or b_two folded in as fixed, a compiled expression gives the walk's type
+    and bits, NaNs of either sign alike; so _Envelope keeps its own methods.  The
+    Box-Cox shape lambda_s is sometimes exactly 0, the log-limit branch."""
+    names = ("b_one", "b_two", "lambda_s")
+    columns = xyz_data.columns
+    free = binding.compile_expr(expr, columns, names, {})
+    fixed = binding.compile_expr(expr, columns, ("b_one", "lambda_s"), {"b_two": theta[1]})
+    bits = lambda v: [_nan_blind_bits(np.asarray(x, dtype=float)) for x in (
+        (v.val, v.grad) if isinstance(v, Dual) else (v,)
+    )]
+    for rows in (binding.ALL_ROWS, slice(7, 30)):
+        sliced = {name: column[rows] for name, column in columns.items()}
+        for algebra in (float, Dual.seed, _Envelope.seed):
+            args = [v if algebra is float else algebra(v, i, 3) for i, v in enumerate(theta)]
+            params = dict(zip(names, args))
+            for fn, fn_args, walk_params in (
+                (free, args, params),
+                (fixed, [args[0], args[2]], {**params, "b_two": theta[1]}),
+            ):
+                with np.errstate(all="ignore"):
+                    got, want = fn(rows, fn_args), _walk(expr, sliced, walk_params)
+                assert type(got) is type(want)
+                assert bits(got) == bits(want)
 
 
 def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: float) -> np.ndarray:

@@ -440,16 +440,22 @@ def test_piecewise_segments_sum_to_x():
 
 
 def test_evaluate_expr_matches_numpy():
-    env = {"x": np.array([1.0, 4.0])}
+    columns = {"x": np.array([1.0, 4.0])}
     tree = parse_expression("log(x) + sqrt(x) * 2 - pow(x, 2)", set())
-    got = binding.evaluate_expr(tree, env, {}, binding.NUMPY_FUNCS, {})
-    np.testing.assert_allclose(got, np.log(env["x"]) + np.sqrt(env["x"]) * 2 - env["x"] ** 2)
+    compiled = binding.compile_expr(tree, columns, (), {})
+    got = compiled(binding.ALL_ROWS, ())
+    x = columns["x"]
+    np.testing.assert_allclose(got, np.log(x) + np.sqrt(x) * 2 - x**2)
+    assert compiled(slice(1, 2), ()).tolist() == [got[1]]
 
 
 def test_boxcox_at_zero_shape_matches_log_limit():
-    env = {"x": np.array([0.5, 2.0, 7.0])}
+    columns = {"x": np.array([0.5, 2.0, 7.0])}
     tree = parse_expression("boxcox(x, lambda_s)", {"lambda_s"})
-    at_zero = binding.evaluate_expr(tree, env, {"lambda_s": 0.0}, binding.NUMPY_FUNCS, {})
-    np.testing.assert_allclose(at_zero, np.log(env["x"]))
-    tiny = binding.evaluate_expr(tree, env, {"lambda_s": 1e-9}, binding.NUMPY_FUNCS, {})
+    free = binding.compile_expr(tree, columns, ("lambda_s",), {})
+    at_zero = free(binding.ALL_ROWS, [0.0])
+    np.testing.assert_allclose(at_zero, np.log(columns["x"]))
+    fixed = binding.compile_expr(tree, columns, (), {"lambda_s": 0.0})(binding.ALL_ROWS, ())
+    assert fixed.tobytes() == at_zero.tobytes()
+    tiny = free(binding.ALL_ROWS, [1e-9])
     np.testing.assert_allclose(tiny, at_zero, atol=1e-8)

@@ -178,14 +178,3 @@ def test_violations_deduplicated_across_alternatives():
     report = validate.check_model(result_for(GOOD, est), GOOD, CORE_DICT)
     assert len(report.sign_violations) == 1
 
-
-def test_batch_filter_is_stable():
-    reports = []
-    for i, bt in enumerate([-0.01, +0.01, -0.02, +0.02]):
-        est = dict(GOOD_EST, b_time=bt)
-        reports.append((f"s{i}", validate.check_model(result_for(GOOD, est), GOOD, CORE_DICT)))
-    part = validate.batch_filter(reports)
-    assert [name for name, _ in part.included] == ["s0", "s2"]
-    assert [name for name, _ in part.excluded] == ["s1", "s3"]
-    assert all(r.included for _, r in part.included)
-    assert all(not r.included for _, r in part.excluded)
