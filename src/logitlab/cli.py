@@ -23,7 +23,7 @@ from logitlab.jsonio import dump_json, from_json, load_json, to_json
 from logitlab.llmgate import client as llm_client
 from logitlab.llmgate import extract as llm_extract
 from logitlab.llmgate.config import ProviderConfig, experiment
-from logitlab.llmgate.prompts import AttachmentTooLarge, MissingDataset, build_prompt
+from logitlab.llmgate.prompts import AttachmentTooLarge, build_prompt
 from logitlab.specdsl import analysis, binding, parser, serialize
 
 _DOMAIN_ERRORS = (
@@ -35,7 +35,6 @@ _DOMAIN_ERRORS = (
     llm_client.RateLimited,
     llm_client.FixtureMissing,
     llm_client.TransportError,
-    MissingDataset,
     AttachmentTooLarge,
     runner_mod.RunError,
     ValueError,
@@ -238,8 +237,8 @@ def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
 @click.option("--replay", "replay_dir", type=click.Path(exists=True), default=None)
 @click.option("--paper-faithful", is_flag=True, default=False,
               help="Send the verbatim template without the machine-format addendum.")
-@click.option("--data", "csv_path", type=click.Path(exists=True), default=None)
-@click.option("--dict", "dict_path", type=click.Path(exists=True), default=None)
+@click.option("--data", "csv_path", required=True, type=click.Path(exists=True))
+@click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write extracted .dcm files here.")
 @click.option("--transcripts", "transcript_dir", type=click.Path(), default=None,
               help="Persist live transcripts into this directory.")
@@ -249,19 +248,18 @@ def suggest_cmd(
     model: str,
     replay_dir: str | None,
     paper_faithful: bool,
-    csv_path: str | None,
-    dict_path: str | None,
+    csv_path: str,
+    dict_path: str,
     out_dir: str | None,
     transcript_dir: str | None,
 ) -> None:
     """Ask one model for specifications (live or replayed)."""
     config = experiment(exp_id)
-    data = ds.load_dataset(csv_path, dict_path) if csv_path and dict_path else None
+    data = ds.load_dataset(csv_path, dict_path)
     bundle = build_prompt(config, data, paper_faithful=paper_faithful)
     transcript = llm_client.complete(
         bundle,
         ProviderConfig(name=provider, model=model),
-        mode="replay" if replay_dir else "live",
         replay_dir=replay_dir,
         transcript_dir=transcript_dir,
     )
@@ -308,7 +306,6 @@ def run_cmd(
         experiment(exp_id),
         provider_list,
         data,
-        mode="replay" if replay_dir else "live",
         replay_dir=replay_dir,
         out_dir=out_dir,
         paper_faithful=paper_faithful,

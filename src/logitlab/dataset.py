@@ -154,7 +154,6 @@ class Dataset:
     choice_idx: np.ndarray
     person_id: tuple[str, ...]
     dictionary: DataDictionary
-    source: str = ""
 
     def __post_init__(self):
         for array in (self.avail, self.choice_idx, *self.columns.values()):
@@ -278,7 +277,6 @@ def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
         choice_idx=choice_idx,
         person_id=tuple(person_id),
         dictionary=dictionary,
-        source=csv_path.name,
     )
 
 

@@ -13,9 +13,10 @@ absent key leaves the field's default; :func:`require` raises
 ``ValueError`` naming the class and the key when the field has none.
 A value whose JSON type does not fit its hint (a non-array for a list or
 tuple, a non-object for a dict or dataclass, a non-number for an int or
-float, a non-string for a str, a non-boolean for a bool) raises
-``ValueError`` naming where it sits: the class and key of its field, or
-the ``where`` a caller passes for a value outside one.
+float, a number that is not a JSON integer for an int, a non-string for
+a str, a non-boolean for a bool) raises ``ValueError`` naming where it
+sits: the class and key of its field, or the ``where`` a caller passes
+for a value outside one.
 
 A dataclass whose JSON is not one key per field defines the hook pair
 ``to_json(self)`` (JSON-ready data, which :func:`to_json` finishes) and
@@ -111,7 +112,11 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
     where = where or "JSON value"
     if tp in (int, float):
         _expect(data, (int, float), where)
-        return float(data) if tp is float else data
+        if tp is float:
+            return float(data)
+        if not isinstance(data, int):
+            raise ValueError(f"{where} is not an integer")
+        return data
     if tp in (str, bool):
         _expect(data, tp, where)
         return data

@@ -1,11 +1,12 @@
-"""Chat-completions client with live and replay modes.
+"""Chat-completions client: recorded fixtures replayed, or one live call.
 
-Live mode performs exactly one completion per call (no regeneration) and
-persists the transcript before anyone parses it.  Replay mode returns
-recorded fixtures byte-identically from
-``<root>/<provider>/<model>/exp<id>.json``, which is what every test and
-deterministic run uses.  ``requests`` is imported only on the live
-path, so replay runs and the CLI start without it.
+Given a fixture directory, a completion is the recorded transcript
+returned byte-identically from ``<root>/<provider>/<model>/exp<id>.json``,
+which is what every test and deterministic run uses.  Without one, it is
+exactly one live call (no regeneration): a single user message sent with
+the fixed :data:`~logitlab.llmgate.config.SAMPLING`, its transcript
+persisted before anyone parses it.  ``requests`` is imported only on the
+live path, so replay runs and the CLI start without it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from logitlab.jsonio import dump_json, from_json, to_json
-from logitlab.llmgate.config import ProviderConfig
+from logitlab.llmgate.config import SAMPLING, ProviderConfig
 from logitlab.llmgate.prompts import PromptBundle
 
 RETRY_ATTEMPTS = 5
@@ -89,18 +90,12 @@ def _live_call(bundle: PromptBundle, provider: ProviderConfig, session) -> LLMTr
     key = os.environ.get(provider.key_env)
     if not key:
         raise AuthError(f"set {provider.key_env} for live calls to '{provider.name}'")
-    base_url = os.environ.get(provider.url_env) or provider.base_url
+    base_url = os.environ.get(provider.url_env)
     if not base_url:
-        raise TransportError(
-            f"no endpoint for '{provider.name}': set {provider.url_env} or base_url"
-        )
+        raise TransportError(f"no endpoint for '{provider.name}': set {provider.url_env}")
 
-    messages = []
-    if bundle.system_note:
-        messages.append({"role": "system", "content": bundle.system_note})
-    messages.append({"role": "user", "content": bundle.as_user_message()})
-
-    params = to_json(provider.sampling)
+    messages = [{"role": "user", "content": bundle.as_user_message()}]
+    params = dict(SAMPLING)
     body = {"model": provider.model, "messages": messages, **params}
     url = base_url.rstrip("/") + "/chat/completions"
     headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
@@ -142,22 +137,17 @@ def _live_call(bundle: PromptBundle, provider: ProviderConfig, session) -> LLMTr
 def complete(
     bundle: PromptBundle,
     provider: ProviderConfig,
-    mode: str = "replay",
     replay_dir: str | Path | None = None,
     transcript_dir: str | Path | None = None,
     session=None,
 ) -> LLMTranscript:
-    """One completion for a prompt bundle, live or replayed.
+    """One completion for a prompt bundle: replayed from ``replay_dir`` when given, else live.
 
-    Live transcripts are persisted to ``transcript_dir`` (when given)
-    before being returned; replayed ones are returned exactly as stored.
+    Replayed transcripts are returned exactly as stored; live ones are
+    persisted to ``transcript_dir`` (when given) before being returned.
     """
-    if mode == "replay":
-        if replay_dir is None:
-            raise FixtureMissing("replay mode needs a fixture directory")
+    if replay_dir is not None:
         return load_fixture(replay_dir, provider.name, provider.model, bundle.experiment_id)
-    if mode != "live":
-        raise ValueError(f"unknown mode {mode!r}")
     if session is None:
         import requests
 

@@ -58,27 +58,20 @@ def experiment(exp_id: int) -> ExperimentConfig:
 EXPERIMENTS = {i: experiment(i) for i in _PRESETS}
 
 
-@dataclass(frozen=True)
-class SamplingParams:
-    """API generation controls; defaults match the recorded completion flow."""
-
-    temperature: float = 1.2
-    top_p: float = 0.95
-    max_tokens: int = 8192
+# API generation controls of every completion, live or recorded.
+SAMPLING = {"temperature": 1.2, "top_p": 0.95, "max_tokens": 8192}
 
 
 @dataclass(frozen=True)
 class ProviderConfig:
     """One chat-completions endpoint.
 
-    Credentials come from ``<NAME>_API_KEY``; the base URL may be fixed
-    here or supplied via ``<NAME>_BASE_URL``.
+    Credentials come from ``<NAME>_API_KEY`` and the base URL from
+    ``<NAME>_BASE_URL``.
     """
 
     name: str
     model: str
-    base_url: str | None = None
-    sampling: SamplingParams = SamplingParams()
 
     @property
     def key_env(self) -> str:

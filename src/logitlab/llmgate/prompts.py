@@ -2,8 +2,8 @@
 
 Templates are stored assets and are never edited at runtime; the machine
 format addendum is appended after the template so the original text stays
-byte-identical for fidelity checks.  Limited-information bundles never
-carry raw data rows, even when a caller asks for them.
+byte-identical for fidelity checks.  Every bundle carries the data
+description; only full-information bundles carry the raw CSV.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from logitlab.llmgate.config import FULL, ExperimentConfig
 # Inlined-CSV budget for the API path, in estimated tokens (~4 chars per
 # token).  Deliberately generous; the reference dataset is ~60k tokens.
 MAX_ATTACHMENT_TOKENS = 200_000
-
-
-class MissingDataset(Exception):
-    """Full-information prompt requested without data."""
 
 
 class AttachmentTooLarge(Exception):
@@ -40,75 +36,36 @@ def template_text(name: str) -> str:
 class PromptBundle:
     experiment_id: int
     prompt_text: str
-    attachments: tuple[dict, ...]  # {kind: data_csv | data_description, content}
-    system_note: str | None = None
-    diagnostics: tuple[str, ...] = ()
+    description: str
+    csv: str | None  # None in limited-information experiments
 
     def as_user_message(self) -> str:
         """Single chat message: prompt followed by inlined attachments."""
-        parts = [self.prompt_text]
-        for att in self.attachments:
-            if att["kind"] == "data_description":
-                parts.append("## Data description\n\n" + att["content"])
-            else:
-                parts.append("## Data (CSV)\n\n```csv\n" + att["content"] + "```")
+        parts = [self.prompt_text, "## Data description\n\n" + self.description]
+        if self.csv is not None:
+            parts.append("## Data (CSV)\n\n```csv\n" + self.csv + "```")
         return "\n\n".join(parts)
 
 
-def _estimated_tokens(text: str) -> int:
-    return len(text) // 4
-
-
 def build_prompt(
-    config: ExperimentConfig,
-    dataset: Dataset | None = None,
-    description: str | None = None,
-    attach_csv: bool | None = None,
-    paper_faithful: bool = False,
-    max_attachment_tokens: int = MAX_ATTACHMENT_TOKENS,
+    config: ExperimentConfig, dataset: Dataset, paper_faithful: bool = False
 ) -> PromptBundle:
     """Compose the prompt bundle for one experiment.
 
-    The data description is derived from the dataset unless given
-    explicitly.  ``attach_csv`` defaults to the configuration's
-    information setting; asking for the CSV in a limited-information
-    experiment is refused with a diagnostic rather than honoured.
+    ``paper_faithful`` sends the verbatim template without the
+    machine-format addendum.
     """
-    full = config.information == FULL
-    if full and dataset is None:
-        raise MissingDataset(f"experiment {config.id} requires the dataset")
-    if description is None:
-        if dataset is None:
-            raise MissingDataset(
-                f"experiment {config.id} needs a dataset or an explicit description"
-            )
-        description = describe(dataset)
-
     text = template_text(f"exp{config.id}")
     if not paper_faithful:
         text = text.rstrip("\n") + "\n\n" + template_text("format_addendum")
 
-    diagnostics: list[str] = []
-    want_csv = full if attach_csv is None else attach_csv
-    if want_csv and not full:
-        diagnostics.append(
-            "csv attachment refused: limited-information experiment never sees raw data"
-        )
-        want_csv = False
-
-    attachments = [{"kind": "data_description", "content": description}]
-    if want_csv:
+    description = describe(dataset)
+    csv_text = None
+    if config.information == FULL:
         csv_text = format_csv(dataset)
-        tokens = _estimated_tokens(csv_text)
-        if tokens > max_attachment_tokens:
+        tokens = len(csv_text) // 4
+        if tokens > MAX_ATTACHMENT_TOKENS:
             raise AttachmentTooLarge(
-                f"csv attachment is ~{tokens} tokens, budget {max_attachment_tokens}"
+                f"csv attachment is ~{tokens} tokens, budget {MAX_ATTACHMENT_TOKENS}"
             )
-        attachments.append({"kind": "data_csv", "content": csv_text})
-
-    return PromptBundle(
-        experiment_id=config.id,
-        prompt_text=text,
-        attachments=tuple(attachments),
-        diagnostics=tuple(diagnostics),
-    )
+    return PromptBundle(config.id, text, description, csv_text)

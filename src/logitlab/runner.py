@@ -158,13 +158,14 @@ def run_experiment(
     config: ExperimentConfig | int,
     providers: list[ProviderConfig],
     dataset: Dataset,
-    mode: str = "replay",
     replay_dir: str | Path | None = None,
     out_dir: str | Path | None = None,
-    transcript_dir: str | Path | None = None,
     paper_faithful: bool = False,
 ) -> ExperimentResult:
     """Run one experiment over a list of providers.
+
+    Transcripts are replayed from ``replay_dir`` when it is given and
+    requested live otherwise.
 
     Raises :class:`RunError` only when no provider yields a transcript;
     per-provider and per-spec failures are reported as diagnostics.
@@ -176,14 +177,12 @@ def run_experiment(
 
     bundle = build_prompt(config, dataset, paper_faithful=paper_faithful)
     records: list[Record] = []
-    diagnostics: list[str] = list(bundle.diagnostics)
+    diagnostics: list[str] = []
     transcripts = 0
 
     for provider in providers:
         try:
-            transcript = complete(
-                bundle, provider, mode=mode, replay_dir=replay_dir, transcript_dir=transcript_dir
-            )
+            transcript = complete(bundle, provider, replay_dir=replay_dir)
         except FixtureMissing as exc:
             diagnostics.append(f"{provider.name}/{provider.model}: fixture missing ({exc})")
             continue

@@ -403,7 +403,6 @@ def test_criterion_9_scaling_covariance(best_spec, synth_data, best_result):
         columns={
             k: (v * 100.0 if k.startswith("cost_") else v) for k, v in synth_data.columns.items()
         },
-        source="scaled",
     )
     other = bfgs.estimate(binding.bind(best_spec, scaled))
     ll_gap = abs(best_result.loglik - other.loglik)

@@ -234,8 +234,8 @@ def test_suggest_full_information_needs_data():
         "suggest", "--experiment", 1, "--provider", "alpha", "--model", "alpha-large",
         "--replay", FIXTURES,
     )
-    assert res.exit_code == 1
-    assert "MissingDataset" in res.stderr
+    assert res.exit_code == 2
+    assert "Missing option '--data'" in res.stderr
 
 
 def test_suggest_live_without_key_fails_cleanly(monkeypatch):
@@ -362,6 +362,14 @@ MALFORMED = {
     ),
     "metrics-n_obs_string": (
         "metrics", lambda doc: {**doc, "n_obs": "x"}, "{target} 'n_obs' is not a number"
+    ),
+    "metrics-n_obs_fraction": (
+        "metrics", lambda doc: {**doc, "n_obs": 2.5}, "{target} 'n_obs' is not an integer"
+    ),
+    "validate-iterations_fraction": (
+        "validate",
+        lambda doc: {**doc, "estimation": {**doc["estimation"], "iterations": 2.5}},
+        "EstimationResult 'iterations' is not an integer",
     ),
     "report-records_number": (
         "exp3/beta.json", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"

@@ -1133,7 +1133,6 @@ def test_scaling_covariance(best_spec, synth_data):
             k: (v * 100.0 if k.startswith("cost_") else v)
             for k, v in synth_data.columns.items()
         },
-        source="scaled",
     )
     base = bfgs.estimate(binding.bind(best_spec, synth_data))
     other = bfgs.estimate(binding.bind(best_spec, scaled))

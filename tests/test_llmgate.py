@@ -8,7 +8,6 @@ import json
 import pytest
 import requests
 
-from logitlab.jsonio import to_json
 from logitlab.llmgate import client, config, extract, prompts
 
 from conftest import FIXTURES
@@ -45,9 +44,8 @@ def test_off_preset_combination_rejected():
         )
 
 
-def test_default_sampling_params():
-    params = to_json(config.SamplingParams())
-    assert params == {"temperature": 1.2, "top_p": 0.95, "max_tokens": 8192}
+def test_sampling_constant():
+    assert config.SAMPLING == {"temperature": 1.2, "top_p": 0.95, "max_tokens": 8192}
 
 
 # -- templates -------------------------------------------------------------------
@@ -73,9 +71,7 @@ def test_template_assets_frozen(name):
 
 def test_full_information_prompt_attaches_description_and_csv(synth_data):
     bundle = prompts.build_prompt(config.experiment(1), dataset=synth_data)
-    kinds = [a["kind"] for a in bundle.attachments]
-    assert kinds == ["data_description", "data_csv"]
-    assert bundle.diagnostics == ()
+    assert bundle.description and bundle.csv
     message = bundle.as_user_message()
     assert "## Data description" in message
     assert "## Data (CSV)" in message
@@ -98,43 +94,40 @@ def test_paper_faithful_prompt_is_byte_identical_template(synth_data):
 
 
 def test_limited_information_never_ships_csv(synth_data):
-    bundle = prompts.build_prompt(
-        config.experiment(5), dataset=synth_data, attach_csv=True
-    )
-    assert [a["kind"] for a in bundle.attachments] == ["data_description"]
-    assert any("refused" in d for d in bundle.diagnostics)
+    bundle = prompts.build_prompt(config.experiment(5), dataset=synth_data)
+    assert bundle.csv is None
+    assert bundle.description
+    assert "## Data (CSV)" not in bundle.as_user_message()
 
 
-def test_limited_information_works_from_description_alone():
-    bundle = prompts.build_prompt(
-        config.experiment(5), description="four travel modes, 1000 trips"
-    )
-    assert bundle.attachments[0]["content"] == "four travel modes, 1000 trips"
-
-
-def test_full_information_requires_dataset():
-    with pytest.raises(prompts.MissingDataset):
-        prompts.build_prompt(config.experiment(1), description="words only")
-
-
-def test_limited_information_requires_some_data_source():
-    with pytest.raises(prompts.MissingDataset):
-        prompts.build_prompt(config.experiment(5))
-
-
-def test_full_information_can_opt_out_of_csv(synth_data):
-    bundle = prompts.build_prompt(
-        config.experiment(1), dataset=synth_data, attach_csv=False
-    )
-    assert [a["kind"] for a in bundle.attachments] == ["data_description"]
-    assert bundle.diagnostics == ()
-
-
-def test_attachment_budget_enforced(synth_data):
+def test_attachment_budget_enforced(synth_data, monkeypatch):
+    monkeypatch.setattr(prompts, "MAX_ATTACHMENT_TOKENS", 10)
     with pytest.raises(prompts.AttachmentTooLarge):
-        prompts.build_prompt(
-            config.experiment(1), dataset=synth_data, max_attachment_tokens=10
-        )
+        prompts.build_prompt(config.experiment(1), dataset=synth_data)
+
+
+# The recorded fixtures hold the prompts this package sends: a change to the
+# templates, the attachments or the data formatting shows up here first.
+RECORDED = [
+    ("alpha", "alpha-large", 1),
+    ("beta", "beta-mini", 3),
+    ("delta", "delta-pro", 1),
+    ("epsilon", "epsilon-xl", 5),
+]
+
+
+@pytest.mark.parametrize("provider, model, exp_id", RECORDED, ids=[r[0] for r in RECORDED])
+def test_recorded_prompts_match_build_prompt(synth_data, provider, model, exp_id):
+    recorded = client.load_fixture(FIXTURES, provider, model, exp_id)
+    bundle = prompts.build_prompt(config.experiment(exp_id), synth_data)
+    assert recorded.messages == ({"role": "user", "content": bundle.as_user_message()},)
+    assert recorded.request_params == config.SAMPLING
+
+
+def test_golden_fixture_records_the_bare_template():
+    recorded = client.load_fixture(FIXTURES, "golden", "golden-1", 1)
+    assert recorded.messages == ({"role": "user", "content": prompts.template_text("exp1")},)
+    assert recorded.request_params == config.SAMPLING
 
 
 # -- extraction -------------------------------------------------------------------
@@ -232,20 +225,6 @@ def test_fixture_missing(tmp_path):
         client.load_fixture(tmp_path, "prov", "mod", 1)
 
 
-def test_replay_mode_requires_directory(synth_data):
-    bundle = prompts.build_prompt(config.experiment(1), dataset=synth_data)
-    provider = config.ProviderConfig(name="prov", model="mod")
-    with pytest.raises(client.FixtureMissing):
-        client.complete(bundle, provider, mode="replay", replay_dir=None)
-
-
-def test_unknown_mode_rejected(synth_data):
-    bundle = prompts.build_prompt(config.experiment(1), dataset=synth_data)
-    provider = config.ProviderConfig(name="prov", model="mod")
-    with pytest.raises(ValueError):
-        client.complete(bundle, provider, mode="stream")
-
-
 def test_recorded_fixtures_replay_byte_identically():
     first = client.load_fixture(FIXTURES, "alpha", "alpha-large", 1)
     second = client.load_fixture(FIXTURES, "alpha", "alpha-large", 1)
@@ -302,54 +281,42 @@ OK_PAYLOAD = {
 @pytest.fixture()
 def live_env(monkeypatch):
     monkeypatch.setenv("PROV_API_KEY", "secret-key")
+    monkeypatch.setenv("PROV_BASE_URL", "https://api.example/v1")
     monkeypatch.setattr(client.time, "sleep", lambda s: None)
 
 
 @pytest.fixture()
-def bundle():
-    return prompts.build_prompt(config.experiment(5), description="tiny")
+def bundle(synth_data):
+    return prompts.build_prompt(config.experiment(5), synth_data)
 
 
-PROVIDER = config.ProviderConfig(name="prov", model="mod", base_url="https://api.example/v1")
+PROVIDER = config.ProviderConfig(name="prov", model="mod")
 
 
 def test_live_requires_api_key(monkeypatch, bundle):
     monkeypatch.delenv("PROV_API_KEY", raising=False)
     with pytest.raises(client.AuthError, match="PROV_API_KEY"):
-        client.complete(bundle, PROVIDER, mode="live", session=FakeSession([]))
+        client.complete(bundle, PROVIDER, session=FakeSession([]))
 
 
-def test_live_requires_endpoint(live_env, bundle):
-    bare = config.ProviderConfig(name="prov", model="mod")
+def test_live_requires_endpoint(live_env, bundle, monkeypatch):
+    monkeypatch.delenv("PROV_BASE_URL")
     with pytest.raises(client.TransportError, match="PROV_BASE_URL"):
-        client.complete(bundle, bare, mode="live", session=FakeSession([]))
+        client.complete(bundle, PROVIDER, session=FakeSession([]))
 
 
 def test_live_call_shape_and_transcript(live_env, bundle, tmp_path):
     session = FakeSession([FakeResponse(200, OK_PAYLOAD)])
-    t = client.complete(
-        bundle, PROVIDER, mode="live", transcript_dir=tmp_path, session=session
-    )
+    t = client.complete(bundle, PROVIDER, transcript_dir=tmp_path, session=session)
     call = session.calls[0]
     assert call["url"] == "https://api.example/v1/chat/completions"
     assert call["headers"]["Authorization"] == "Bearer secret-key"
     assert call["body"]["model"] == "mod"
     assert call["body"]["temperature"] == 1.2
-    assert call["body"]["messages"][0]["role"] == "user"
+    assert call["body"]["messages"] == [{"role": "user", "content": bundle.as_user_message()}]
     assert t.response_text == "the answer"
     assert t.token_counts == {"completion_tokens": 3, "prompt_tokens": 12}
     assert len(list(tmp_path.glob("*.json"))) == 1  # persisted before return
-
-
-def test_live_system_note_prepended(live_env):
-    bundle = prompts.PromptBundle(
-        experiment_id=5, prompt_text="p", attachments=(), system_note="be terse"
-    )
-    session = FakeSession([FakeResponse(200, OK_PAYLOAD)])
-    client.complete(bundle, PROVIDER, mode="live", session=session)
-    messages = session.calls[0]["body"]["messages"]
-    assert messages[0] == {"role": "system", "content": "be terse"}
-    assert messages[1]["role"] == "user"
 
 
 def test_live_retries_on_429_then_succeeds(live_env, bundle, monkeypatch):
@@ -358,7 +325,7 @@ def test_live_retries_on_429_then_succeeds(live_env, bundle, monkeypatch):
     session = FakeSession(
         [FakeResponse(429), FakeResponse(429), FakeResponse(200, OK_PAYLOAD)]
     )
-    t = client.complete(bundle, PROVIDER, mode="live", session=session)
+    t = client.complete(bundle, PROVIDER, session=session)
     assert t.response_text == "the answer"
     assert naps == [1.0, 2.0]  # exponential backoff
 
@@ -366,29 +333,29 @@ def test_live_retries_on_429_then_succeeds(live_env, bundle, monkeypatch):
 def test_live_rate_limit_exhausted(live_env, bundle):
     session = FakeSession([FakeResponse(429)] * client.RETRY_ATTEMPTS)
     with pytest.raises(client.RateLimited):
-        client.complete(bundle, PROVIDER, mode="live", session=session)
+        client.complete(bundle, PROVIDER, session=session)
     assert len(session.calls) == client.RETRY_ATTEMPTS
 
 
 def test_live_auth_rejection(live_env, bundle):
     session = FakeSession([FakeResponse(401)])
     with pytest.raises(client.AuthError):
-        client.complete(bundle, PROVIDER, mode="live", session=session)
+        client.complete(bundle, PROVIDER, session=session)
 
 
 def test_live_server_error(live_env, bundle):
     session = FakeSession([FakeResponse(500, text="boom")])
     with pytest.raises(client.TransportError, match="500"):
-        client.complete(bundle, PROVIDER, mode="live", session=session)
+        client.complete(bundle, PROVIDER, session=session)
 
 
 def test_live_network_failure(live_env, bundle):
     session = FakeSession([requests.ConnectionError("refused")])
     with pytest.raises(client.TransportError, match="failed"):
-        client.complete(bundle, PROVIDER, mode="live", session=session)
+        client.complete(bundle, PROVIDER, session=session)
 
 
 def test_live_malformed_payload(live_env, bundle):
     session = FakeSession([FakeResponse(200, {"choices": []})])
     with pytest.raises(client.TransportError, match="malformed"):
-        client.complete(bundle, PROVIDER, mode="live", session=session)
+        client.complete(bundle, PROVIDER, session=session)

@@ -29,9 +29,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from logitlab import dataset as ds  # noqa: E402
 from logitlab import metrics  # noqa: E402
 from logitlab.engine import bfgs  # noqa: E402
-from logitlab.jsonio import to_json  # noqa: E402
 from logitlab.llmgate.client import LLMTranscript, write_fixture  # noqa: E402
-from logitlab.llmgate.config import SamplingParams, experiment  # noqa: E402
+from logitlab.llmgate.config import SAMPLING, experiment  # noqa: E402
 from logitlab.llmgate.prompts import build_prompt, template_text  # noqa: E402
 from logitlab.specdsl import binding, parser  # noqa: E402
 
@@ -89,7 +88,7 @@ def fence(tag: str, body: str) -> str:
     return f"```{tag}\n{body.rstrip()}\n```"
 
 
-def make_transcript(provider: str, model: str, exp_id: int, data: ds.Dataset | None,
+def make_transcript(provider: str, model: str, exp_id: int, data: ds.Dataset,
                     response_text: str) -> LLMTranscript:
     config = experiment(exp_id)
     bundle = build_prompt(config, data)
@@ -97,7 +96,7 @@ def make_transcript(provider: str, model: str, exp_id: int, data: ds.Dataset | N
     return LLMTranscript(
         provider=provider,
         model=model,
-        request_params=to_json(SamplingParams()),
+        request_params=dict(SAMPLING),
         messages=tuple(messages),
         response_text=response_text,
         timestamp="",
@@ -206,7 +205,7 @@ def main() -> None:
     golden = LLMTranscript(
         provider="golden",
         model="golden-1",
-        request_params=to_json(SamplingParams()),
+        request_params=dict(SAMPLING),
         messages=({"role": "user", "content": template_text("exp1")},),
         response_text=golden_response,
         timestamp="",

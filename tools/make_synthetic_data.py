@@ -144,7 +144,6 @@ def simulate(cost_sign: float, rng: np.random.Generator) -> ds.Dataset:
         choice_idx=np.array(choices),
         person_id=persons,
         dictionary=dictionary,
-        source="synthetic",
     )
 
 
