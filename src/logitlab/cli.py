@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import TypedDict
 
 import click
 
@@ -19,7 +20,7 @@ from logitlab import report as report_mod
 from logitlab import runner as runner_mod
 from logitlab import validate as validate_mod
 from logitlab.engine import bfgs, kernel
-from logitlab.jsonio import dump_json, from_json, load_json, to_json
+from logitlab.jsonio import dump_json, load_json
 from logitlab.llmgate import client as llm_client
 from logitlab.llmgate import extract as llm_extract
 from logitlab.llmgate.config import ProviderConfig, experiment
@@ -141,10 +142,9 @@ def estimate_cmd(
     click.echo(f"spec '{spec.name}': converged={str(result.converged).lower()} "
                f"({result.convergence_reason}), iterations={result.iterations}")
     click.echo(f"LL={result.loglik:.4f}  AIC={fit.aic:.4f}  BIC={fit.bic:.4f}  k={result.n_free}")
-    for i, name in enumerate(result.names):
+    for p in result.parameters:
         click.echo(
-            f"  {name:24s} {result.estimates[i]: .6f}  "
-            f"se {result.std_errors[i]: .6f}  classical t {result.t_ratios[i]: .3f}"
+            f"  {p.name:24s} {p.estimate: .6f}  se {p.std_error: .6f}  classical t {p.t_ratio: .3f}"
         )
     if out_path:
         doc = {
@@ -154,13 +154,13 @@ def estimate_cmd(
             "estimation": result,
             "fit": fit,
         }
-        Path(out_path).write_text(dump_json(to_json(doc)), encoding="utf-8")
+        Path(out_path).write_text(dump_json(doc), encoding="utf-8")
         click.echo(f"wrote {out_path}")
 
 
-def _load_results_doc(path: str, *required: str) -> tuple[dict, bfgs.EstimationResult]:
-    doc = load_json(path, "estimation", *required)
-    return doc, from_json(bfgs.EstimationResult, doc["estimation"])
+# The keys validate and metrics read from a results file that estimate --out wrote.
+ValidateInput = TypedDict("ValidateInput", {"estimation": bfgs.EstimationResult})
+MetricsInput = TypedDict("MetricsInput", {"estimation": bfgs.EstimationResult, "n_obs": int})
 
 
 @main.command("metrics")
@@ -169,8 +169,8 @@ def _load_results_doc(path: str, *required: str) -> tuple[dict, bfgs.EstimationR
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Fit statistics and value of time from a results file."""
-    doc, result = _load_results_doc(results_path, "n_obs")
-    n_obs = from_json(int, doc["n_obs"], where=f"{results_path} 'n_obs'")
+    doc = load_json(results_path, MetricsInput)
+    result, n_obs = doc["estimation"], doc["n_obs"]
     spec = _read_spec(spec_path)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
     fit = metrics_mod.information_criteria(result.loglik, result.n_free, n_obs)
@@ -193,7 +193,7 @@ def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def validate_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Apply the inclusion rules to a results file."""
-    _, result = _load_results_doc(results_path)
+    result = load_json(results_path, ValidateInput)["estimation"]
     spec = _read_spec(spec_path)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
     report = validate_mod.check_model(result, spec, dictionary)

@@ -19,7 +19,7 @@ no randomness, so repeated runs on the same inputs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from logitlab.engine.kernel import (
     loglik_and_scores,
     null_loglik,
 )
-from logitlab.jsonio import from_json, require
 from logitlab.specdsl.binding import BoundModel
 
 ARMIJO_C = 1e-4
@@ -41,79 +40,63 @@ LL_ROUNDING = 1e-15  # relative rise of -loglik the Armijo test ignores
 
 
 @dataclass(frozen=True)
+class ParameterEstimate:
+    """One free parameter's row of an :class:`EstimationResult`."""
+
+    name: str
+    estimate: float
+    std_error: float
+    t_ratio: float
+
+
+@dataclass(frozen=True)
 class EstimationResult:
     """Outcome of one maximum-likelihood run.
 
     ``converged`` requires both the gradient criterion and a negative
     definite Hessian; ``convergence_reason`` records why iteration
-    stopped, which is informative even for failed runs.  ``std_errors``
-    and ``t_ratios`` are NaN when the Hessian is singular or indefinite.
+    stopped, which is informative even for failed runs.  Standard errors
+    and t-ratios are NaN when the Hessian is singular or indefinite.
     """
 
-    names: tuple[str, ...]
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    t_ratios: np.ndarray
-    loglik: float
-    null_loglik: float
+    parameters: tuple[ParameterEstimate, ...]
+    loglik: float = field(metadata={"missing": -math.inf})
+    null_loglik: float = field(metadata={"missing": -math.inf})
     iterations: int
     converged: bool
     convergence_reason: str  # gradient_tolerance | max_iterations | line_search_failure | non_finite
     hessian_pd: bool
 
     @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(p.name for p in self.parameters)
+
+    @property
+    def estimates(self) -> np.ndarray:
+        return np.array([p.estimate for p in self.parameters])
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.array([p.std_error for p in self.parameters])
+
+    @property
+    def t_ratios(self) -> np.ndarray:
+        return np.array([p.t_ratio for p in self.parameters])
+
+    @property
     def n_free(self) -> int:
-        return len(self.names)
+        return len(self.parameters)
 
     def coefficient(self, name: str) -> float:
-        return float(self.estimates[self.names.index(name)])
+        return self.parameters[self.names.index(name)].estimate
 
     def t_ratio(self, name: str) -> float:
-        return float(self.t_ratios[self.names.index(name)])
+        return self.parameters[self.names.index(name)].t_ratio
 
-    def to_json(self) -> dict:
-        """The estimates as a ``parameters`` table, one row per free parameter."""
-        rows = zip(self.names, self.estimates, self.std_errors, self.t_ratios)
-        return {
-            "parameters": [
-                {"name": name, "estimate": est, "std_error": se, "t_ratio": t}
-                for name, est, se, t in rows
-            ],
-            "loglik": self.loglik,
-            "null_loglik": self.null_loglik,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "convergence_reason": self.convergence_reason,
-            "hessian_pd": self.hessian_pd,
-        }
 
-    @classmethod
-    def from_json(cls, data: dict) -> EstimationResult:
-        """Inverse of :meth:`to_json`: a null estimate or error is NaN, a null loglik -inf."""
-        require(data, cls.__name__, "parameters", "loglik", "null_loglik", "iterations",
-                "converged", "convergence_reason", "hessian_pd")
-        params = from_json(list[dict], data["parameters"], where=f"{cls.__name__} 'parameters'")
-        for p in params:
-            require(p, "parameter", "name", "estimate", "std_error", "t_ratio")
-
-        def column(key: str) -> np.ndarray:  # None -> NaN
-            return np.array([from_json(float, p[key], where=f"parameter '{key}'") for p in params])
-
-        def value(key: str, tp, missing: float = math.nan):
-            return from_json(tp, data[key], missing, f"{cls.__name__} '{key}'")
-
-        return cls(
-            names=tuple(from_json(str, p["name"], where="parameter 'name'") for p in params),
-            estimates=column("estimate"),
-            std_errors=column("std_error"),
-            t_ratios=column("t_ratio"),
-            loglik=value("loglik", float, -math.inf),
-            null_loglik=value("null_loglik", float, -math.inf),
-            iterations=value("iterations", int),
-            converged=value("converged", bool),
-            convergence_reason=value("convergence_reason", str),
-            hessian_pd=value("hessian_pd", bool),
-        )
+def _rows(names: tuple[str, ...], theta, se, t) -> tuple[ParameterEstimate, ...]:
+    """One row per free parameter from the estimate, standard error and t-ratio arrays."""
+    return tuple(map(ParameterEstimate, names, theta.tolist(), se.tolist(), t.tolist()))
 
 
 def _fd_hessian(model: BoundModel, theta: np.ndarray) -> np.ndarray:
@@ -190,7 +173,7 @@ def estimate(
     if not math.isfinite(ll):
         nan = np.full(k, np.nan)
         return EstimationResult(
-            model.free_names, theta, nan, nan, ll, ll0, 0, False, "non_finite", False
+            _rows(model.free_names, theta, nan, nan), ll, ll0, 0, False, "non_finite", False
         )
 
     B = _bhhh_inverse(S)  # inverse Hessian approximation of -loglik
@@ -250,10 +233,7 @@ def estimate(
     hessian_pd, se, t = _curvature(model, theta)
     converged = reason == "gradient_tolerance" and hessian_pd
     return EstimationResult(
-        names=model.free_names,
-        estimates=theta,
-        std_errors=se,
-        t_ratios=t,
+        parameters=_rows(model.free_names, theta, se, t),
         loglik=ll,
         null_loglik=ll0,
         iterations=iterations,

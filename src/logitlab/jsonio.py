@@ -1,7 +1,7 @@
 """JSON as logitlab writes it: byte-stable text, null for NaN and infinity.
 
 :func:`to_json` maps a dataclass to an object with one key per field,
-tuples, lists and arrays to lists, and a NaN or infinite float to
+tuples and lists to lists, and a NaN or infinite float to
 ``null``.  :func:`from_json` rebuilds a value from the type hints of each
 dataclass or TypedDict field, resolved once per class.  A ``null`` is
 ``None`` where the hint allows it (``X | None``) and the field's
@@ -9,19 +9,22 @@ dataclass or TypedDict field, resolved once per class.  A ``null`` is
 ``dataclasses.field(metadata=...)`` sets ``"missing"`` (``-math.inf``
 for a log-likelihood that could not be computed).  The metadata's
 ``"key"`` names the JSON key when it differs from the field name.  An
-absent key leaves the field's default; :func:`require` raises
-``ValueError`` naming the class and the key when the field has none.
+absent key leaves the field's default, and raises ``ValueError`` when
+the field has none.
 A value whose JSON type does not fit its hint (a non-array for a list or
 tuple, a non-object for a dict or dataclass, a non-number for an int or
 float, a number that is not a JSON integer for an int, a non-string for
 a str, a non-boolean for a bool) raises ``ValueError`` naming where it
 sits: the class and key of its field, or the ``where`` a caller passes
-for a value outside one.
+for a value outside one.  A dataclass names its keys by its class name;
+a TypedDict names them by the ``where`` it is given (a file, for the
+one-line TypedDict a reader passes to :func:`load_json`), and by its
+class name without one.
 
-A dataclass whose JSON is not one key per field defines the hook pair
-``to_json(self)`` (JSON-ready data, which :func:`to_json` finishes) and
-the classmethod ``from_json(cls, data)``; the codec calls those instead,
-and the hook checks its own keys with :func:`require`.
+A dataclass whose JSON is not one key per field (:class:`UtilitySpec`,
+stored as its DSL text) defines the hook pair ``to_json(self)``
+(JSON-ready data, which :func:`to_json` finishes) and the classmethod
+``from_json(cls, data)``; the codec calls those instead.
 """
 
 import dataclasses
@@ -31,40 +34,25 @@ import math
 import types
 import typing
 
-import numpy as np
-
 
 @functools.cache
-def _fields(cls) -> tuple[tuple[str, str, object, float], ...]:
-    """(name, JSON key, type hint, missing float) of each field of a dataclass or TypedDict."""
+def _fields(cls) -> tuple[tuple[str, str, object, float, bool], ...]:
+    """(name, JSON key, type hint, missing float, required) of each field of a dataclass or TypedDict."""
     hints = typing.get_type_hints(cls)
     if not dataclasses.is_dataclass(cls):
-        return tuple((name, name, hint, math.nan) for name, hint in hints.items())
+        return tuple(
+            (name, name, hint, math.nan, name in cls.__required_keys__) for name, hint in hints.items()
+        )
     return tuple(
-        (f.name, f.metadata.get("key", f.name), hints[f.name], f.metadata.get("missing", math.nan))
+        (
+            f.name,
+            f.metadata.get("key", f.name),
+            hints[f.name],
+            f.metadata.get("missing", math.nan),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+        )
         for f in dataclasses.fields(cls)
     )
-
-
-@functools.cache
-def _required_keys(cls) -> tuple[str, ...]:
-    """JSON keys of the fields of a dataclass or TypedDict that have no default."""
-    if not dataclasses.is_dataclass(cls):
-        return tuple(name for name in typing.get_type_hints(cls) if name in cls.__required_keys__)
-    return tuple(
-        f.metadata.get("key", f.name)
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    )
-
-
-def require(data, owner, *keys: str) -> None:
-    """ValueError naming ``owner`` unless ``data`` is a JSON object holding every one of ``keys``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{owner} is not a JSON object")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{owner} has no '{key}'")
 
 
 def to_json(obj):
@@ -74,11 +62,9 @@ def to_json(obj):
     if dataclasses.is_dataclass(obj):
         if hasattr(obj, "to_json"):
             return to_json(obj.to_json())
-        return {key: to_json(getattr(obj, name)) for name, key, _, _ in _fields(type(obj))}
+        return {key: to_json(getattr(obj, name)) for name, key, *_ in _fields(type(obj))}
     if isinstance(obj, dict):
         return {k: to_json(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
     return obj
@@ -88,7 +74,7 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
     """A value of type ``tp`` from :func:`to_json`'s output; ``missing`` is a bare float's null.
 
     ``where`` names the value in the ValueError its JSON type raises when it
-    does not fit ``tp``; a dataclass names its own fields.
+    does not fit ``tp``, and the keys of a TypedDict; a dataclass names its own keys.
     """
     origin = typing.get_origin(tp)
     args = typing.get_args(tp)
@@ -103,10 +89,14 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
         if hasattr(tp, "from_json"):
             return tp.from_json(data)
         _expect(data, dict, where or tp.__name__)
-        require(data, tp.__name__, *_required_keys(tp))
+        owner = where if where and typing.is_typeddict(tp) else tp.__name__
+        fields = _fields(tp)
+        for _, key, _, _, required in fields:
+            if required and key not in data:
+                raise ValueError(f"{owner} has no '{key}'")
         return tp(**{
-            name: from_json(hint, data[key], miss, f"{tp.__name__} '{key}'")
-            for name, key, hint, miss in _fields(tp)
+            name: from_json(hint, data[key], miss, f"{owner} '{key}'")
+            for name, key, hint, miss, _ in fields
             if key in data  # an absent key leaves the field's default
         })
     where = where or "JSON value"
@@ -141,15 +131,14 @@ def _expect(data, json_type, where: str) -> None:
         raise ValueError(f"{where} is not {_JSON_TYPE_NAMES[json_type]}")
 
 
-def load_json(path, *required: str) -> dict:
-    """The JSON object in the file ``path``; ValueError naming the file if it is not
-    an object or a ``required`` key is absent."""
+def load_json(path, tp):
+    """The value of type ``tp`` in the JSON file ``path``; ValueError naming the file
+    where it does not fit."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    require(doc, path, *required)
-    return doc
+        return from_json(tp, json.load(fh), where=str(path))
 
 
 def dump_json(obj) -> str:
-    """Sorted keys, two-space indent and a trailing newline, so equal documents give equal bytes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """:func:`to_json` of ``obj`` with sorted keys, two-space indent and a trailing newline,
+    so equal documents give equal bytes."""
+    return json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"

@@ -12,14 +12,13 @@ live path, so replay runs and the CLI start without it.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from logitlab.jsonio import dump_json, from_json, to_json
+from logitlab.jsonio import dump_json, load_json
 from logitlab.llmgate.config import SAMPLING, ProviderConfig
 from logitlab.llmgate.prompts import PromptBundle
 
@@ -62,19 +61,19 @@ def load_fixture(root: str | Path, provider: str, model: str, exp_id: int) -> LL
     path = fixture_path(root, provider, model, exp_id)
     if not path.is_file():
         raise FixtureMissing(str(path))
-    return from_json(LLMTranscript, json.loads(path.read_text(encoding="utf-8")))
+    return load_json(path, LLMTranscript)
 
 
 def write_fixture(transcript: LLMTranscript, root: str | Path, exp_id: int) -> Path:
     path = fixture_path(root, transcript.provider, transcript.model, exp_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(to_json(transcript)), encoding="utf-8")
+    path.write_text(dump_json(transcript), encoding="utf-8")
     return path
 
 
 def persist_transcript(transcript: LLMTranscript, directory: str | Path) -> Path:
     """Store a transcript under a content hash; same content, same file."""
-    payload = dump_json(to_json(transcript))
+    payload = dump_json(transcript)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -22,11 +22,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypedDict
 
 from logitlab.dataset import Dataset, format_csv, write_dictionary
 from logitlab.engine.bfgs import EstimationResult, estimate
-from logitlab.jsonio import dump_json, from_json, load_json, to_json
-from logitlab.llmgate.client import FixtureMissing, complete
+from logitlab.jsonio import dump_json, load_json
+from logitlab.llmgate.client import AuthError, FixtureMissing, RateLimited, TransportError, complete
 from logitlab.llmgate.config import ExperimentConfig, ProviderConfig, experiment
 from logitlab.llmgate.extract import Claim, extract_specs
 from logitlab.llmgate.prompts import build_prompt
@@ -103,6 +104,11 @@ class ExperimentResult:
     diagnostics: tuple[str, ...] = ()
 
 
+# The keys load_results reads from a provider document and from a manifest.
+ProviderFile = TypedDict("ProviderFile", {"config": ExperimentConfig, "records": list[Record]})
+ManifestFile = TypedDict("ManifestFile", {"diagnostics": list[str]})
+
+
 def natural_key(name: str) -> tuple:
     """Sort key where S10 follows S9."""
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name.lower()))
@@ -165,10 +171,12 @@ def run_experiment(
     """Run one experiment over a list of providers.
 
     Transcripts are replayed from ``replay_dir`` when it is given and
-    requested live otherwise.
+    requested live otherwise; a live one is kept under
+    ``<out_dir>/transcripts`` when ``out_dir`` is given.
 
-    Raises :class:`RunError` only when no provider yields a transcript;
-    per-provider and per-spec failures are reported as diagnostics.
+    Raises :class:`RunError`, listing each provider's failure, only when
+    no provider yields a transcript; per-provider and per-spec failures
+    are reported as diagnostics.
     """
     if isinstance(config, int):
         config = experiment(config)
@@ -176,27 +184,33 @@ def run_experiment(
         raise RunError("no providers given")
 
     bundle = build_prompt(config, dataset, paper_faithful=paper_faithful)
+    transcript_dir = None if out_dir is None else Path(out_dir) / "transcripts"
     records: list[Record] = []
     diagnostics: list[str] = []
     transcripts = 0
 
     for provider in providers:
+        label = f"{provider.name}/{provider.model}"
         try:
-            transcript = complete(bundle, provider, replay_dir=replay_dir)
+            transcript = complete(bundle, provider, replay_dir=replay_dir, transcript_dir=transcript_dir)
         except FixtureMissing as exc:
-            diagnostics.append(f"{provider.name}/{provider.model}: fixture missing ({exc})")
+            diagnostics.append(f"{label}: fixture missing ({exc})")
+            continue
+        except (AuthError, RateLimited, TransportError) as exc:
+            diagnostics.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
         transcripts += 1
 
         extraction = extract_specs(transcript)
-        diagnostics.extend(f"{provider.name}/{provider.model}: {d}" for d in extraction.diagnostics)
+        diagnostics.extend(f"{label}: {d}" for d in extraction.diagnostics)
         claims = {c.spec_name: c for c in extraction.claimed}
         for spec in extraction.specs:
             spec.metadata["experiment"] = str(config.id)
             records.append(_process_spec(spec, dataset, provider, claims))
 
     if transcripts == 0:
-        raise RunError(f"experiment {config.id}: no transcripts from any provider")
+        failures = "; ".join(diagnostics)
+        raise RunError(f"experiment {config.id}: no transcripts from any provider: {failures}")
 
     records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))
     result = ExperimentResult(config=config, records=tuple(records), diagnostics=tuple(diagnostics))
@@ -231,7 +245,7 @@ def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset)
                 d for d in result.diagnostics if d.startswith(f"{provider}/")
             ),
         }
-        payload = dump_json(to_json(doc))
+        payload = dump_json(doc)
         (exp_dir / f"{provider}.json").write_text(payload, encoding="utf-8")
         files[f"{provider}.json"] = _sha256(payload)
 
@@ -259,12 +273,11 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
         config = None
         for doc_path in sorted(exp_dir.glob("*.json")):
             if doc_path.name == "manifest.json":
-                found = load_json(doc_path, "diagnostics")["diagnostics"]
-                diagnostics.extend(from_json(list[str], found, where=f"{doc_path} 'diagnostics'"))
+                diagnostics.extend(load_json(doc_path, ManifestFile)["diagnostics"])
                 continue
-            doc = load_json(doc_path, "config", "records")
-            config = from_json(ExperimentConfig, doc["config"], where=f"{doc_path} 'config'")
-            records.extend(from_json(list[Record], doc["records"], where=f"{doc_path} 'records'"))
+            doc = load_json(doc_path, ProviderFile)
+            config = doc["config"]
+            records.extend(doc["records"])
         if config is None:
             continue
         records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))

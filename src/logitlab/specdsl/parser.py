@@ -39,8 +39,6 @@ PARAM_PREFIXES = ("asc_", "b_", "beta_", "lambda_")
 
 FUNCTIONS = ("log", "exp", "sqrt", "pow", "boxcox", "piecewise")
 
-ROLES = ("asc", "taste", "shape")
-
 
 class SpecDslError(Exception):
     """Base class for specification parsing and validation errors."""

@@ -389,6 +389,14 @@ MALFORMED = {
         lambda doc: {**doc, "diagnostics": 5},
         "{target} 'diagnostics' is not a JSON array",
     ),
+    "validate-parameter_without_std_error": (
+        "validate",
+        lambda doc: {**doc, "estimation": {**doc["estimation"], "parameters": [
+            {k: v for k, v in row.items() if k != "std_error"} for row in doc["estimation"]["parameters"]
+        ]}},
+        "ParameterEstimate has no 'std_error'",
+    ),
+    "suggest-fixture_bare_number": ("suggest", lambda doc: 5, "{target} is not a JSON object"),
 }
 
 
@@ -400,6 +408,12 @@ def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform,
         target.parent.mkdir()
         shutil.copy(runs / "exp3/beta.json", target.parent)
         args = ("report", "summary", "--runs", tmp_path)
+    elif command == "suggest":
+        source = FIXTURES / "alpha/alpha-large/exp1.json"
+        target = tmp_path / "alpha/alpha-large/exp1.json"
+        target.parent.mkdir(parents=True)
+        args = ("suggest", "--experiment", 1, "--provider", "alpha", "--model", "alpha-large",
+                "--replay", tmp_path, "--data", CSV, "--dict", DICT)
     else:
         source = request.getfixturevalue("results_file")
         target = tmp_path / "best.json"

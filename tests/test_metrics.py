@@ -10,7 +10,7 @@ import pytest
 from logitlab import metrics
 from logitlab.dataset import parse_dictionary
 from logitlab.engine import kernel
-from logitlab.engine.bfgs import EstimationResult
+from logitlab.engine.bfgs import EstimationResult, ParameterEstimate
 from logitlab.specdsl import parser
 
 from conftest import SYNTH_DICT
@@ -24,10 +24,7 @@ def fake_result(names, estimates, t=10.0):
     ts = np.full(len(names), t, dtype=float) if np.isscalar(t) else np.asarray(t)
     ses = np.abs(est) / np.where(ts != 0, ts, np.nan)
     return EstimationResult(
-        names=tuple(names),
-        estimates=est,
-        std_errors=ses,
-        t_ratios=ts,
+        parameters=tuple(map(ParameterEstimate, names, est.tolist(), ses.tolist(), ts.tolist())),
         loglik=-1000.0,
         null_loglik=-1386.0,
         iterations=10,

@@ -10,13 +10,22 @@ import numpy as np
 import pytest
 
 from logitlab import runner
-from logitlab.jsonio import from_json, to_json
-from logitlab.llmgate.client import LLMTranscript, write_fixture
+from logitlab.engine.bfgs import ParameterEstimate
+from logitlab.jsonio import from_json, load_json, to_json
+from logitlab.llmgate.client import (
+    AuthError,
+    LLMTranscript,
+    RateLimited,
+    TransportError,
+    load_fixture,
+    write_fixture,
+)
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.extract import Claim
 from logitlab.metrics import FitStats
 
 from conftest import FIXTURES
+from test_llmgate import OK_PAYLOAD, FakeResponse, FakeSession
 
 ALPHA = ProviderConfig(name="alpha", model="alpha-large")
 BETA = ProviderConfig(name="beta", model="beta-mini")
@@ -25,10 +34,7 @@ DELTA = ProviderConfig(name="delta", model="delta-pro")
 
 def est_with_ll(ll: float):
     return runner.EstimationResult(
-        names=("b",),
-        estimates=np.array([1.0]),
-        std_errors=np.array([0.1]),
-        t_ratios=np.array([10.0]),
+        parameters=(ParameterEstimate(name="b", estimate=1.0, std_error=0.1, t_ratio=10.0),),
         loglik=ll,
         null_loglik=ll - 100.0,
         iterations=5,
@@ -139,6 +145,47 @@ def test_no_transcripts_at_all_raises(synth_data):
         runner.run_experiment(1, [ghost], synth_data, replay_dir=FIXTURES)
 
 
+@pytest.mark.parametrize("error", [AuthError, RateLimited, TransportError])
+def test_live_failure_of_one_provider_is_diagnostic_not_fatal(monkeypatch, synth_data, error):
+    def complete(bundle, provider, replay_dir=None, transcript_dir=None):
+        if provider is ALPHA:
+            raise error("no answer")
+        return load_fixture(FIXTURES, provider.name, provider.model, bundle.experiment_id)
+
+    monkeypatch.setattr(runner, "complete", complete)
+    result = runner.run_experiment(1, [ALPHA, DELTA], synth_data)
+    assert [r.spec_name for r in result.records] == ["s1_time", "s2_full"]  # delta still processed
+    assert f"alpha/alpha-large: {error.__name__}: no answer" in result.diagnostics
+
+
+def test_every_provider_failing_is_named_in_run_error(monkeypatch, synth_data):
+    errors = {"alpha": AuthError("rejected credentials"), "delta": TransportError("refused")}
+
+    def complete(bundle, provider, replay_dir=None, transcript_dir=None):
+        raise errors[provider.name]
+
+    monkeypatch.setattr(runner, "complete", complete)
+    with pytest.raises(runner.RunError) as info:
+        runner.run_experiment(1, [ALPHA, DELTA], synth_data)
+    assert "alpha/alpha-large: AuthError: rejected credentials" in str(info.value)
+    assert "delta/delta-pro: TransportError: refused" in str(info.value)
+
+
+def test_live_run_keeps_its_transcript_beside_the_experiment(monkeypatch, tmp_path, synth_data):
+    import requests
+
+    text = load_fixture(FIXTURES, "beta", "beta-mini", 3).response_text
+    payload = {**OK_PAYLOAD, "choices": [{"message": {"content": text}}]}
+    monkeypatch.setattr(requests, "Session", lambda: FakeSession([FakeResponse(200, payload)]))
+    monkeypatch.setenv("BETA_API_KEY", "secret-key")
+    monkeypatch.setenv("BETA_BASE_URL", "https://api.example/v1")
+    result = runner.run_experiment(3, [BETA], synth_data, out_dir=tmp_path)
+    assert len(result.records) == 3
+    (kept,) = (tmp_path / "transcripts").iterdir()
+    assert load_json(kept, LLMTranscript).response_text == text
+    assert sorted(p.name for p in (tmp_path / "exp3").iterdir()) == ["beta.json", "manifest.json"]
+
+
 def test_no_providers_raises(synth_data):
     with pytest.raises(runner.RunError):
         runner.run_experiment(1, [], synth_data, replay_dir=FIXTURES)
@@ -217,6 +264,22 @@ def test_save_and_load_round_trip(tmp_path, synth_data):
         "delta.json",
         "manifest.json",
     ]
+    assert not (tmp_path / "transcripts").exists()  # replay keeps no transcript
+    # a fit whose start values give no likelihood: -inf loglik, NaN standard errors
+    non_finite = runner.EstimationResult(
+        parameters=(ParameterEstimate("b_cost", 0.0, math.nan, math.nan),),
+        loglik=-math.inf,
+        null_loglik=-1386.0,
+        iterations=0,
+        converged=False,
+        convergence_reason="non_finite",
+        hessian_pd=False,
+    )
+    first, *rest = results[1].records
+    results[1] = dataclasses.replace(
+        results[1], records=(dataclasses.replace(first, estimation=non_finite), *rest)
+    )
+    runner.save_result(results[1], tmp_path, synth_data)
     # beta/s2_ivt is collinear: NaN standard errors and t-ratios
     ivt = next(r for r in results[1].records if r.spec_name == "s2_ivt")
     assert np.isnan(ivt.estimation.std_errors).all()

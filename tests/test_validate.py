@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from logitlab import validate
-from logitlab.engine.bfgs import EstimationResult
+from logitlab.engine.bfgs import EstimationResult, ParameterEstimate
 from logitlab.specdsl import parser
 
 from test_metrics import CORE_DICT
@@ -17,11 +17,9 @@ def result_for(spec, estimates, t=10.0, converged=True, reason="gradient_toleran
     ts = np.asarray(
         [t[n] if isinstance(t, dict) else t for n in names], dtype=float
     )
+    ses = np.abs(est) / np.where(ts != 0, ts, np.nan)
     return EstimationResult(
-        names=names,
-        estimates=est,
-        std_errors=np.abs(est) / np.where(ts != 0, ts, np.nan),
-        t_ratios=ts,
+        parameters=tuple(map(ParameterEstimate, names, est.tolist(), ses.tolist(), ts.tolist())),
         loglik=-900.0,
         null_loglik=-1386.0,
         iterations=25,
