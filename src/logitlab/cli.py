@@ -39,6 +39,7 @@ _DOMAIN_ERRORS = (
     AttachmentTooLarge,
     runner_mod.RunError,
     ValueError,
+    OSError,
 )
 
 
@@ -126,17 +127,13 @@ def spec_check(spec_path: str, csv_path: str, dict_path: str) -> None:
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--data", "csv_path", required=True, type=click.Path(exists=True))
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
-@click.option("--max-iters", default=500, show_default=True)
-@click.option("--grad-tol", default=1e-6, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write results JSON here.")
-def estimate_cmd(
-    spec_path: str, csv_path: str, dict_path: str, max_iters: int, grad_tol: float, out_path: str | None
-) -> None:
+def estimate_cmd(spec_path: str, csv_path: str, dict_path: str, out_path: str | None) -> None:
     """Estimate one specification by maximum likelihood."""
     spec = _read_spec(spec_path)
     data = ds.load_dataset(csv_path, dict_path)
     model = binding.bind(spec, data)
-    result = bfgs.estimate(model, max_iters=max_iters, grad_tol=grad_tol)
+    result = bfgs.estimate(model)
 
     fit = metrics_mod.information_criteria(result.loglik, result.n_free, model.n_obs)
     click.echo(f"spec '{spec.name}': converged={str(result.converged).lower()} "

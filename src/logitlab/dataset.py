@@ -579,7 +579,3 @@ def describe(dataset: Dataset) -> str:
     )
     return "\n".join(lines)
 
-
-def availability_profile(dataset: Dataset) -> dict[str, int]:
-    """Count rows in which each alternative is available."""
-    return dict(zip(dataset.alternatives, dataset.avail.sum(axis=0).tolist()))

@@ -37,6 +37,8 @@ MAX_BACKTRACKS = 60
 HESSIAN_STEP = 1e-4  # relative FD step for std errors
 PD_TOL = 1e-8  # relative eigenvalue floor for "positive definite"
 LL_ROUNDING = 1e-15  # relative rise of -loglik the Armijo test ignores
+MAX_ITERS = 500
+GRAD_TOL = 1e-6  # scaled by max(1, |LL|/n_obs): see estimate
 
 
 @dataclass(frozen=True)
@@ -149,21 +151,13 @@ def _curvature(model: BoundModel, theta: np.ndarray) -> tuple[bool, np.ndarray, 
     return True, se, t
 
 
-def estimate(
-    model: BoundModel,
-    max_iters: int = 500,
-    grad_tol: float = 1e-6,
-) -> EstimationResult:
+def estimate(model: BoundModel) -> EstimationResult:
     """Maximize the log-likelihood from the spec's start values.
 
-    The gradient criterion scales with model size: the stop threshold is
-    ``grad_tol * max(1, |LL|/n_obs)``.  Raises ValueError for a negative
-    ``max_iters`` or a ``grad_tol`` that is negative or not finite.
+    The gradient criterion scales with model size: iteration stops once
+    max |gradient| is at most ``GRAD_TOL * max(1, |LL|/n_obs)``, or after
+    ``MAX_ITERS`` iterations.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
-    if not (math.isfinite(grad_tol) and grad_tol >= 0.0):
-        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
     theta = np.array(model.start, dtype=float)
     k = len(theta)
     ll0 = null_loglik(model.dataset)
@@ -179,8 +173,8 @@ def estimate(
     B = _bhhh_inverse(S)  # inverse Hessian approximation of -loglik
     reason = "max_iterations"
     iterations = 0
-    for _ in range(max_iters):
-        tol_eff = grad_tol * max(1.0, abs(ll) / max(model.n_obs, 1))
+    for _ in range(MAX_ITERS):
+        tol_eff = GRAD_TOL * max(1.0, abs(ll) / max(model.n_obs, 1))
         if k == 0 or float(np.abs(grad).max(initial=0.0)) <= tol_eff:
             reason = "gradient_tolerance"
             break

@@ -130,20 +130,6 @@ def probability_matrix(V: np.ndarray, avail: np.ndarray, out: np.ndarray | None 
         return np.divide(E, total[:, None], out=E if out is None else out)
 
 
-def probabilities(model: BoundModel, theta, row_index: int) -> dict[str, float]:
-    """Choice probabilities for one row, keyed by alternative."""
-    theta = _check_theta(model, theta)
-    if not 0 <= row_index < model.n_obs:
-        raise IndexError(f"row_index {row_index} is out of range for {model.n_obs} rows")
-    rows = slice(row_index, row_index + 1)
-    V = model.utility_matrix(theta, rows)
-    avail = model.avail[rows]
-    if not np.all(np.isfinite(V[avail])):
-        raise NonFiniteUtility(f"non-finite utility in row {row_index}")
-    P = probability_matrix(V, avail)[0]
-    return {alt: float(P[j]) for j, alt in enumerate(model.alternatives)}
-
-
 def log_likelihood(model: BoundModel, theta) -> float:
     """Sum of log chosen-probabilities; -inf when evaluation breaks down.
 

@@ -42,10 +42,6 @@ class ExperimentConfig:
                 f"not {self.information}/{self.strategy}/{self.goal}"
             )
 
-    @property
-    def estimates(self) -> bool:
-        return self.goal == SUGGEST_AND_ESTIMATE
-
 
 def experiment(exp_id: int) -> ExperimentConfig:
     """The preset configuration for one of the five experiments."""
@@ -53,9 +49,6 @@ def experiment(exp_id: int) -> ExperimentConfig:
         raise ValueError(f"unknown experiment id {exp_id}")
     info, strategy, goal = _PRESETS[exp_id]
     return ExperimentConfig(exp_id, info, strategy, goal)
-
-
-EXPERIMENTS = {i: experiment(i) for i in _PRESETS}
 
 
 # API generation controls of every completion, live or recorded.

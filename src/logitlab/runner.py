@@ -106,7 +106,7 @@ class ExperimentResult:
 
 # The keys load_results reads from a provider document and from a manifest.
 ProviderFile = TypedDict("ProviderFile", {"config": ExperimentConfig, "records": list[Record]})
-ManifestFile = TypedDict("ManifestFile", {"diagnostics": list[str]})
+ManifestFile = TypedDict("ManifestFile", {"diagnostics": list[str], "result_files": dict[str, str]})
 
 
 def natural_key(name: str) -> tuple:
@@ -262,26 +262,27 @@ def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset)
 
 
 def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
-    """Read every persisted experiment under a runs directory."""
+    """Read every persisted experiment under a runs directory: the result files its
+    manifest lists, so a provider file a later run left behind is not read."""
     out: list[ExperimentResult] = []
     root = Path(runs_dir)
     for exp_dir in sorted(root.glob("exp*")):
-        if not exp_dir.is_dir():
+        manifest_path = exp_dir / "manifest.json"
+        if not manifest_path.is_file():
             continue
+        manifest = load_json(manifest_path, ManifestFile)
         records: list[Record] = []
-        diagnostics: list[str] = []
         config = None
-        for doc_path in sorted(exp_dir.glob("*.json")):
-            if doc_path.name == "manifest.json":
-                diagnostics.extend(load_json(doc_path, ManifestFile)["diagnostics"])
-                continue
-            doc = load_json(doc_path, ProviderFile)
+        for name in sorted(manifest["result_files"]):
+            doc = load_json(exp_dir / name, ProviderFile)
             config = doc["config"]
             records.extend(doc["records"])
         if config is None:
             continue
         records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))
         out.append(
-            ExperimentResult(config=config, records=tuple(records), diagnostics=tuple(diagnostics))
+            ExperimentResult(
+                config=config, records=tuple(records), diagnostics=tuple(manifest["diagnostics"])
+            )
         )
     return out

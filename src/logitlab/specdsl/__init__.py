@@ -17,47 +17,3 @@ Identifiers starting with ``asc_``, ``b_``, ``beta_`` or ``lambda_`` are
 reserved for parameters and must be declared; anything else is a dataset
 variable resolved at bind time.
 """
-
-from logitlab.specdsl.expr import (
-    Add,
-    BoxCox,
-    Call1,
-    Const,
-    Div,
-    Expr,
-    Mul,
-    Neg,
-    Param,
-    Piecewise,
-    Pow,
-    Sub,
-    Var,
-    iter_nodes,
-    param_names,
-    var_names,
-)
-from logitlab.specdsl.parser import (
-    DslSyntaxError,
-    DuplicateParameter,
-    ParameterDecl,
-    SpecDslError,
-    SpecInvariantError,
-    UndeclaredParameter,
-    UnknownFunction,
-    UtilitySpec,
-    PARAM_PREFIXES,
-    parse_spec,
-)
-from logitlab.specdsl.serialize import serialize_spec
-from logitlab.specdsl.analysis import SpecStats, UnknownVariable, analyze_structure
-from logitlab.specdsl.binding import BoundModel, DomainViolation, MissingAlternative, bind
-
-__all__ = [
-    "Add", "BoxCox", "Call1", "Const", "Div", "Expr", "Mul", "Neg", "Param",
-    "Piecewise", "Pow", "Sub", "Var", "iter_nodes", "param_names", "var_names",
-    "DslSyntaxError", "DuplicateParameter", "ParameterDecl", "SpecDslError",
-    "SpecInvariantError", "UndeclaredParameter", "UnknownFunction", "UtilitySpec",
-    "PARAM_PREFIXES", "parse_spec", "serialize_spec",
-    "SpecStats", "UnknownVariable", "analyze_structure",
-    "BoundModel", "DomainViolation", "MissingAlternative", "bind",
-]

@@ -490,6 +490,8 @@ def parse_spec(text: str) -> UtilitySpec:
                 raise DslSyntaxError("duplicate spec line", lineno)
             if len(words) != 2:
                 raise DslSyntaxError("spec needs exactly one name", lineno)
+            if not _IDENT_RE.match(words[1]):
+                raise DslSyntaxError(f"invalid spec name {words[1]!r}", lineno)
             name = words[1]
         elif head == "alt":
             if alts:

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from logitlab.cli import main
+from logitlab.engine import bfgs
 
 from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
 
@@ -70,12 +71,23 @@ def _runs_without_records(tmp_path):
     doc = tmp_path / "exp1/alpha.json"
     doc.parent.mkdir()
     doc.write_text('{"config": {}}', encoding="utf-8")
+    (doc.parent / "manifest.json").write_text(
+        '{"diagnostics": [], "result_files": {"alpha.json": ""}}', encoding="utf-8"
+    )
     return ("report", "summary", "--runs", tmp_path), f"ValueError: {doc} has no 'records'"
 
 
-@pytest.mark.parametrize(
-    "failing_call", [_bad_csv, _unknown_variable, _missing_alternative, _runs_without_records]
-)
+def _out_under_a_missing_directory(tmp_path):
+    out = tmp_path / "missing/x.json"
+    return ("estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT, "--out", out), (
+        f"FileNotFoundError: [Errno 2] No such file or directory: '{out}'"
+    )
+
+
+@pytest.mark.parametrize("failing_call", [
+    _bad_csv, _unknown_variable, _missing_alternative, _runs_without_records,
+    _out_under_a_missing_directory,
+])
 def test_dataset_validate_failure_is_clean(tmp_path, failing_call):
     """One domain error per command group ends in one line, not a traceback."""
     args, message = failing_call(tmp_path)
@@ -190,24 +202,11 @@ def test_validate_command(results_file):
     assert "has_asc=true converged=true" in res.stdout
 
 
-def test_estimate_respects_max_iters():
-    res = invoke(
-        "estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT, "--max-iters", 1
-    )
+def test_estimate_respects_max_iters(monkeypatch):
+    monkeypatch.setattr(bfgs, "MAX_ITERS", 1)
+    res = invoke("estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT)
     assert res.exit_code == 0
     assert "converged=false (max_iterations)" in res.stdout
-
-
-@pytest.mark.parametrize("option, value, message", [
-    ("--grad-tol", "nan", "grad_tol must be finite and non-negative, got nan"),
-    ("--grad-tol", "-1", "grad_tol must be finite and non-negative, got -1.0"),
-    ("--max-iters", "-3", "max_iters must be non-negative, got -3"),
-])
-def test_estimate_rejects_bad_stopping_values(option, value, message):
-    res = invoke("estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT, option, value)
-    assert res.exit_code == 1
-    assert res.stdout == ""
-    assert res.stderr == f"Error: ValueError: {message}\n"
 
 
 # -- suggest ---------------------------------------------------------------------
@@ -227,6 +226,29 @@ def test_suggest_replay_writes_spec_files(tmp_path):
     text = (out / "s3_business.dcm").read_text(encoding="utf-8")
     assert text.startswith("spec s3_business\n")
     assert "# provider: alpha" in text  # provenance travels with the file
+
+
+def test_suggest_never_writes_outside_out(tmp_path):
+    """A spec name is an identifier, so a response naming a spec ``../../escaped``
+    loses that block and cannot make suggest write above ``--out``."""
+    fixture = tmp_path / "replay/alpha/alpha-large/exp1.json"
+    fixture.parent.mkdir(parents=True)
+    doc = json.loads((FIXTURES / "alpha/alpha-large/exp1.json").read_text(encoding="utf-8"))
+    assert "spec s1_base\n" in doc["response_text"]
+    doc["response_text"] = doc["response_text"].replace("spec s1_base\n", "spec ../../escaped\n")
+    fixture.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "trav/out/specs"
+    res = invoke(
+        "suggest", "--experiment", 1, "--provider", "alpha", "--model", "alpha-large",
+        "--replay", tmp_path / "replay", "--data", CSV, "--dict", DICT, "--out", out,
+    )
+    assert res.exit_code == 0, res.output
+    assert "diagnostic: spec block 1 rejected: " in res.stderr
+    assert "invalid spec name '../../escaped'" in res.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["s2_access.dcm", "s3_business.dcm"]
+    assert sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "trav").rglob("*.dcm")) == [
+        "trav/out/specs/s2_access.dcm", "trav/out/specs/s3_business.dcm"
+    ]
 
 
 def test_suggest_full_information_needs_data():
@@ -332,6 +354,26 @@ def test_report_export_file(runs_dir, tmp_path):
     assert len(lines) > 5
 
 
+def test_report_reads_only_the_providers_of_the_last_run(tmp_path):
+    """A rerun with fewer providers leaves the old provider file behind; its
+    manifest does not list it, so no report shows it.  A directory without a
+    manifest is not read at all."""
+    for providers in ("alpha,delta", "alpha"):
+        res = invoke(
+            "run", "--experiment", 1, "--providers", providers,
+            "--data", CSV, "--dict", DICT, "--replay", FIXTURES, "--out", tmp_path,
+        )
+        assert res.exit_code == 0, res.output
+    assert (tmp_path / "exp1/delta.json").is_file()
+    (tmp_path / "exp2").mkdir()
+    shutil.copy(tmp_path / "exp1/alpha.json", tmp_path / "exp2")
+    res = invoke("report", "summary", "--runs", tmp_path)
+    assert res.exit_code == 0, res.output
+    assert res.stdout.count("## Experiment") == 1
+    assert res.stdout.count("| alpha/alpha-large |") == 3
+    assert "delta" not in res.stdout
+
+
 def test_report_empty_runs_dir(tmp_path):
     res = invoke("report", "summary", "--runs", tmp_path)
     assert res.exit_code == 1
@@ -405,8 +447,7 @@ def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform,
     if command.startswith("exp3/"):
         runs = request.getfixturevalue("runs_dir")
         source, target = runs / command, tmp_path / command
-        target.parent.mkdir()
-        shutil.copy(runs / "exp3/beta.json", target.parent)
+        shutil.copytree(runs / "exp3", target.parent)
         args = ("report", "summary", "--runs", tmp_path)
     elif command == "suggest":
         source = FIXTURES / "alpha/alpha-large/exp1.json"

@@ -438,13 +438,3 @@ def test_describe_document(synth_data):
     for e in synth_data.dictionary.entries:
         assert f"| {e.name} |" in doc
     assert doc == ds.describe(synth_data)
-
-
-def test_availability_profile_matches_recount(synth_data):
-    profile = ds.availability_profile(synth_data)
-    counts = dict.fromkeys(synth_data.alternatives, 0)
-    with open(SYNTH_CSV, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            for alt in counts:
-                counts[alt] += int(row[f"av_{alt}"])
-    assert profile == counts

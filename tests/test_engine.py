@@ -489,11 +489,9 @@ def test_softmax_matches_reference_formulas(table):
 def test_unavailable_probability_exactly_zero(best_model):
     theta = np.zeros(best_model.n_free)
     row = int(np.flatnonzero(~best_model.avail.all(axis=1))[0])
-    probs = kernel.probabilities(best_model, theta, row)
-    for j, alt in enumerate(best_model.alternatives):
-        if not best_model.avail[row, j]:
-            assert probs[alt] == 0.0
-    assert math.isclose(sum(probs.values()), 1.0, abs_tol=1e-12)
+    probs = kernel.probability_matrix(best_model.utility_matrix(theta), best_model.avail)[row]
+    assert np.all(probs[~best_model.avail[row]] == 0.0)
+    assert math.isclose(probs.sum(), 1.0, abs_tol=1e-12)
 
 
 def test_null_loglik_equal_shares_exact(synth_data):
@@ -526,11 +524,7 @@ def test_probabilities_raise_on_non_finite(synth_data):
         "U(car) = exp(b_e * time_car)\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
     )
     model = binding.bind(spec, synth_data)
-    times = synth_data.columns["time_car"]
-    row = int(np.argmax(times * model.avail[:, 0]))
     theta = np.array([10.0])  # exp(10 * time) overflows for any trip
-    with pytest.raises(kernel.NonFiniteUtility):
-        kernel.probabilities(model, theta, row)
     assert kernel.log_likelihood(model, theta) == -math.inf
 
 
@@ -541,17 +535,12 @@ def test_quotient_of_parameters_at_zero_is_rejected_not_raised(synth_data):
     )
     model = binding.bind(spec, synth_data)
     assert kernel.log_likelihood(model, np.zeros(2)) == -math.inf
-    row = int(np.flatnonzero(model.avail[:, 0])[0])
-    with pytest.raises(kernel.NonFiniteUtility):
-        kernel.probabilities(model, np.zeros(2), row)
 
 
 def test_non_finite_theta_rejected(best_model):
     bad = np.full(best_model.n_free, np.nan)
     with pytest.raises(kernel.NonFiniteUtility):
         kernel.log_likelihood(best_model, bad)
-    with pytest.raises(kernel.NonFiniteUtility):
-        kernel.probabilities(best_model, bad, 0)
 
 
 @pytest.mark.parametrize("shape", [(10,), (3,), (7, 1), (), (0,)])
@@ -563,26 +552,7 @@ def test_theta_of_the_wrong_shape_is_rejected(best_model, shape):
     for fn in (kernel.log_likelihood, kernel.loglik_and_gradient, kernel.loglik_and_scores):
         with pytest.raises(ValueError, match=message):
             fn(best_model, theta)
-    with pytest.raises(ValueError, match=message):
-        kernel.probabilities(best_model, theta, 0)
     assert math.isfinite(kernel.log_likelihood(best_model, list(best_model.start)))
-
-
-def test_probabilities_of_one_row_match_the_full_matrix_bit_for_bit(best_model):
-    theta = best_model.start + 0.01
-    P = kernel.probability_matrix(best_model.utility_matrix(theta), best_model.avail)
-    for row in (0, 1, best_model.n_obs // 2, best_model.n_obs - 1):
-        probs = kernel.probabilities(best_model, theta, row)
-        assert list(probs) == list(best_model.alternatives)
-        assert np.array(list(probs.values())).tobytes() == P[row].tobytes(), row
-
-
-def test_probabilities_reject_a_row_outside_the_data(best_model):
-    theta = best_model.start
-    n = best_model.n_obs
-    for row in (-1, -n, n, n + 5):
-        with pytest.raises(IndexError, match=f"^row_index {row} is out of range for {n} rows$"):
-            kernel.probabilities(best_model, theta, row)
 
 
 # -- row blocks: verdicts, warnings, thread pool ---------------------------------
@@ -655,11 +625,12 @@ def test_one_block_fit_never_imports_the_thread_pool():
     """A pass over at most ROW_BLOCK rows runs inline, as every replayed fit does."""
     code = (
         "import sys\n"
-        "from logitlab import dataset, engine\n"
+        "from logitlab import dataset\n"
+        "from logitlab.engine import bfgs\n"
         "from logitlab.specdsl import binding, parser\n"
         f"data = dataset.load_dataset({str(SYNTH_CSV)!r}, {str(SYNTH_DICT)!r})\n"
         f"spec = parser.parse_spec(open({str(BEST_SPEC)!r}, encoding='utf-8').read())\n"
-        "assert engine.estimate(binding.bind(spec, data)).converged\n"
+        "assert bfgs.estimate(binding.bind(spec, data)).converged\n"
         "print('concurrent.futures' in sys.modules)\n"
     )
     out = subprocess.run(
@@ -1085,8 +1056,9 @@ def test_estimation_is_deterministic(best_model):
     assert a.iterations == b.iterations
 
 
-def test_max_iterations_reported(best_model):
-    result = bfgs.estimate(best_model, max_iters=1)
+def test_max_iterations_reported(best_model, monkeypatch):
+    monkeypatch.setattr(bfgs, "MAX_ITERS", 1)
+    result = bfgs.estimate(best_model)
     assert not result.converged
     assert result.convergence_reason == "max_iterations"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ def test_missing_and_undeclared_utilities_rejected():
         parse_spec("spec s\nalt a b\nparam b_t\nU(a) = b_t * t\n")
     with pytest.raises(DslSyntaxError, match="undeclared alternative"):
         parse_spec("spec s\nalt a\nparam b_t\nU(a) = b_t * t\nU(c) = 0\n")
+
+
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "1st", "s-1", "s.dcm"])
+def test_spec_name_must_be_an_identifier(name):
+    with pytest.raises(DslSyntaxError, match=f"^line 1: invalid spec name {re.escape(repr(name))}$"):
+        parse_spec(f"spec {name}\nalt a\nU(a) = 0\n")
+    assert parse_spec("spec _s1\nalt a\nU(a) = 0\n").name == "_s1"
 
 
 def test_duplicate_utility_rejected():

@@ -172,8 +172,8 @@ def main() -> None:
             out / "modechoice_dict.md",
         )
         shares = dict(zip(ALTS, np.bincount(reloaded.choice_idx, minlength=len(ALTS)).tolist()))
-        print(f"{label}: n={reloaded.n_obs} shares={shares} "
-              f"avail={ds.availability_profile(reloaded)}")
+        avail = dict(zip(ALTS, reloaded.avail.sum(axis=0).tolist()))
+        print(f"{label}: n={reloaded.n_obs} shares={shares} avail={avail}")
 
 
 if __name__ == "__main__":
