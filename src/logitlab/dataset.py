@@ -26,6 +26,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
@@ -146,6 +147,7 @@ class Dataset:
     ``avail`` is the (n_obs, n_alts) availability matrix and ``choice_idx``
     the chosen alternative's position.  Arrays are made read-only here;
     ``==`` is identity, so compare fields to compare contents.
+    ``csv_text`` is formed on first use and kept.
     """
 
     alternatives: tuple[str, ...]
@@ -162,6 +164,23 @@ class Dataset:
     @property
     def n_obs(self) -> int:
         return len(self.choice_idx)
+
+    @cached_property
+    def csv_text(self) -> str:
+        """The CSV text of :func:`format_csv`."""
+        d = self.dictionary
+        text = {name: _format_column(x) for name, x in self.columns.items()}
+        for j, alt in enumerate(self.alternatives):
+            text[d.availability_column(alt)] = np.where(self.avail[:, j], "1", "0").tolist()
+        text[d.choice_entry.name] = np.array(self.alternatives)[self.choice_idx].tolist()
+        if d.id_entry is not None:
+            text[d.id_entry.name] = list(self.person_id)
+        names = [e.name for e in d.entries]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(zip(*(text[name] for name in names)))
+        return out.getvalue()
 
 
 # -- dictionary markdown -------------------------------------------------
@@ -511,20 +530,10 @@ def format_csv(dataset: Dataset) -> str:
 
     Reloading the result against the same dictionary yields the same
     columns; the text is byte-identical across runs for identical input.
+    It is formed once per dataset (``Dataset.csv_text``), so a run that
+    attaches the data to its prompt and hashes it serializes it once.
     """
-    d = dataset.dictionary
-    text = {name: _format_column(x) for name, x in dataset.columns.items()}
-    for j, alt in enumerate(dataset.alternatives):
-        text[d.availability_column(alt)] = np.where(dataset.avail[:, j], "1", "0").tolist()
-    text[d.choice_entry.name] = np.array(dataset.alternatives)[dataset.choice_idx].tolist()
-    if d.id_entry is not None:
-        text[d.id_entry.name] = list(dataset.person_id)
-    names = [e.name for e in d.entries]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows(zip(*(text[name] for name in names)))
-    return out.getvalue()
+    return dataset.csv_text
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

@@ -8,16 +8,18 @@ are exactly zero and whatever the expressions produced on those rows
 Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  Per
 block it writes the utilities into its rows of one (n, J) buffer, tests
 them, forms the probabilities in place and writes its log chosen
-probabilities.  A pass over more than ``ROW_BLOCK`` rows runs its blocks
-on a thread pool sized to the CPUs the process may use, created on the
-first such pass; a smaller pass, or a process with one CPU, runs in the
-calling thread and never imports ``concurrent.futures``.  Every reduction
-runs once over the full arrays in the calling thread: the log-likelihood
-sum, the gradient and score contractions, and the ``-inf`` verdict (one
-failed block fails the pass).  So every result is bit-identical to a
-one-thread pass, whatever the block size and the number of threads, and
-there is no thread setting.  Each block enters its own ``np.errstate``,
-which holds only in the thread that enters it.
+probabilities.  A pass over more than ``ROW_BLOCK`` rows runs its blocks,
+and then its per-parameter sums, on a thread pool sized to the CPUs the
+process may use, created on the first such pass; a smaller pass, or a
+process with one CPU, runs in the calling thread and never imports
+``concurrent.futures``.  No reduction is split by the blocks: the
+log-likelihood sum and the ``-inf`` verdict (one failed block fails the
+pass) run once over the full arrays in the calling thread, and each
+parameter's gradient or score sum is one numpy call over all rows.  So
+every result is bit-identical to a one-thread pass, whatever the block
+size and the number of threads, and there is no thread setting.  Each
+block enters its own ``np.errstate``, which holds only in the thread that
+enters it.
 
 The log-likelihood returns ``-inf`` instead of raising when a wild
 parameter step drives utilities non-finite or the chosen probability
@@ -34,15 +36,18 @@ reference) for fewer than eight alternatives, where numpy's row sum also
 adds left to right.
 
 The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
-``y`` the one-hot choice, one contraction of ``Y − P`` with
-``∂V/∂θ``; the gradient contracts over the rows as well.  ``Y − P`` is
-formed in P's buffer, as ``-P`` plus 1 at each row's chosen cell.
-Binding split each utility into its affine terms, whose derivatives it
-cached as the design, and the residual terms.  So ``Y − P`` is
-contracted with the design, and, on the residuals' own parameters, with
-the residuals' derivatives at θ from one forward-mode dual-number pass
-(:func:`jacobian`, which also built the design).  An all-affine spec has
-no residual parameters and makes no dual pass.
+``y`` the one-hot choice; the gradient sums over the rows as well.
+``Y − P`` is formed in P's buffer, as ``-P`` plus 1 at each row's chosen
+cell.  ∂V/∂θ is stored parameter-first, (k, n, J), so each parameter's
+slab is a contiguous (n, J) array laid out as ``Y − P`` is, and each
+parameter's gradient or scores are one task: one ``np.einsum`` of
+``Y − P`` with that slab.  Binding split each utility into its affine
+terms, whose derivatives it cached as the design, and the residual terms.
+So the tasks take the design's slabs and, for the residuals' own
+parameters, the slabs of the residuals' derivatives at θ from one
+forward-mode dual-number pass (:func:`jacobian`, which also built the
+design), whose sums are added to the design's.  An all-affine spec has no
+residual parameters and makes no dual pass.
 
 A value pass keeps its (log-likelihood, P) on the model
 (``BoundModel.kept``), so the gradient an optimizer asks for at the step
@@ -88,20 +93,28 @@ def _check_theta(model: BoundModel, theta) -> np.ndarray:
 def _row_blocks(n: int, work) -> list:
     """``work(rows)`` for each block of ``ROW_BLOCK`` rows of ``n``, results in row order.
 
-    Several blocks run on a thread pool of ``WORKERS`` threads; one block,
-    or one worker, runs in the calling thread.  One block is ``ALL_ROWS``.
+    One block is ``ALL_ROWS``; several run as :func:`_tasks` of a pass over ``n`` rows.
     """
-    global _pool
     if n <= ROW_BLOCK:
         return [work(ALL_ROWS)]
     blocks = [slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
-    if WORKERS < 2:
-        return [work(rows) for rows in blocks]
+    return _tasks(n, work, blocks)
+
+
+def _tasks(n: int, work, items) -> list:
+    """``work(item)`` for each item, results in order, as part of a pass over ``n`` rows.
+
+    A pass over more than ``ROW_BLOCK`` rows runs them on a thread pool of
+    ``WORKERS`` threads; a smaller pass, or one worker, in the calling thread.
+    """
+    global _pool
+    if n <= ROW_BLOCK or WORKERS < 2:
+        return [work(item) for item in items]
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="logitlab-rows")
-    return list(_pool.map(work, blocks))
+    return list(_pool.map(work, items))
 
 
 def probability_matrix(V: np.ndarray, avail: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,32 +193,33 @@ def _loglik_from_utilities(V, avail, choice_idx, fill=None) -> tuple[float, np.n
 
 
 def jacobian(model: BoundModel, utilities, theta, idx, out: np.ndarray | None = None) -> np.ndarray:
-    """∂/∂θ (n, J, len(idx)) of one compiled expression per alternative, over the
+    """∂/∂θ (len(idx), n, J) of one compiled expression per alternative, over the
     free parameters at indices ``idx`` only: one dual-number pass over row blocks,
     zero on unavailable cells, written into ``out`` (zeros) when given."""
     k = len(idx)
-    G = np.zeros((model.n_obs, model.n_alts, k)) if out is None else out
+    G = np.zeros((k, model.n_obs, model.n_alts)) if out is None else out
     args = theta.tolist()
     for col, i in enumerate(idx):
         args[i] = Dual.seed(args[i], col, k)
 
     def fill(rows) -> None:
-        Gb = G[rows]
+        Gb = G[:, rows]
         with np.errstate(all="ignore"):
             for j, utility in enumerate(utilities):
                 res = utility(rows, args)
                 if isinstance(res, Dual):
-                    Gb[:, j, :] = np.broadcast_to(res.grad, (len(Gb), k))
-        Gb[~model.avail[rows]] = 0.0
+                    Gb[:, :, j] = np.broadcast_to(res.grad, (Gb.shape[1], k)).T
+        Gb[:, ~model.avail[rows]] = 0.0
 
     _row_blocks(model.n_obs, fill)
     return G
 
 
-def _score_pass(model: BoundModel, theta, subscripts: str) -> tuple[float, np.ndarray | None]:
-    """Log-likelihood and ``Y − P`` contracted by ``subscripts`` with the
-    design and, on the residuals' parameters, their Jacobian at θ; None when
-    LL is -inf.  P comes from the value pass kept at this θ or a fresh one."""
+def _score_pass(model: BoundModel, theta, per_row: bool) -> tuple[float, np.ndarray | None]:
+    """Log-likelihood and ``Y − P`` contracted with ∂V/∂θ, over the alternatives,
+    and over the rows too unless ``per_row``; None when LL is -inf.  ∂V/∂θ is
+    the design plus, on the residuals' parameters, their Jacobian at θ.
+    P comes from the value pass kept at this θ or a fresh one."""
     theta = _check_theta(model, theta)
     ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
     if P is None:
@@ -216,10 +230,16 @@ def _score_pass(model: BoundModel, theta, subscripts: str) -> tuple[float, np.nd
         R[np.arange(len(R)), model.choice_idx[rows]] += 1.0
 
     _row_blocks(model.n_obs, residuals)  # P's buffer now holds Y - P
-    out = np.einsum(subscripts, P, model.design)
+    slabs = [*model.design]
     if model.residual_idx:
-        G = jacobian(model, model.residuals, theta, model.residual_idx)
-        out[..., model.residual_idx] += np.einsum(subscripts, P, G)
+        slabs += [*jacobian(model, model.residuals, theta, model.residual_idx)]
+    subscripts = "nj,nj->n" if per_row else "nj,nj->"
+    sums = np.empty((model.n_obs, len(slabs)) if per_row else len(slabs))
+    contract = lambda q: np.einsum(subscripts, P, slabs[q], out=sums[..., q])
+    _tasks(model.n_obs, contract, range(len(slabs)))
+    out = sums[..., : model.n_free]
+    if model.residual_idx:
+        out[..., model.residual_idx] += sums[..., model.n_free :]
     return ll, out
 
 
@@ -228,7 +248,7 @@ def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
 
     The scores are NaN-filled when the log-likelihood is -inf.
     """
-    ll, S = _score_pass(model, theta, "nj,njk->nk")
+    ll, S = _score_pass(model, theta, per_row=True)
     if S is None or not np.all(np.isfinite(S)):
         return -math.inf, np.full((model.n_obs, model.n_free), np.nan)
     return ll, S
@@ -237,10 +257,10 @@ def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
 def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
     """Log-likelihood and its exact gradient ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ``.
 
-    One contraction over rows and alternatives, without the (n, k)
+    One sum over rows and alternatives per parameter, without the (n, k)
     scores.  The gradient is NaN-filled when the log-likelihood is -inf.
     """
-    ll, grad = _score_pass(model, theta, "nj,njk->k")
+    ll, grad = _score_pass(model, theta, per_row=False)
     if grad is None or not np.all(np.isfinite(grad)):
         return -math.inf, np.full(model.n_free, np.nan)
     return ll, grad

@@ -211,7 +211,9 @@ class BoundModel:
     holds one compiled expression per alternative in the same order.  ∂V/∂θ
     is ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
     cells), plus ∂/∂θ of ``residuals``, their other terms, compiled, which
-    contain only the free parameters at indices ``residual_idx``.  ``kept``
+    contain only the free parameters at indices ``residual_idx``.  The design
+    is parameter-first: ``design[q]`` is parameter q's contiguous (n_obs,
+    n_alts) slab, laid out as the probabilities are.  ``kept``
     belongs to the estimation kernel: at most one value pass's
     (log-likelihood, probabilities), keyed by ``theta.tobytes()``.
     """
@@ -224,7 +226,7 @@ class BoundModel:
     start: np.ndarray  # aligned to free_names
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
-    design: np.ndarray  # (n_obs, n_alts, n_free)
+    design: np.ndarray  # (n_free, n_obs, n_alts)
     residuals: tuple[Compiled, ...]
     residual_idx: tuple[int, ...]  # into free_names
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
@@ -321,7 +323,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         start=start,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
-        design=np.zeros((dataset.n_obs, len(alternatives), len(free_names))),
+        design=np.zeros((len(free_names), dataset.n_obs, len(alternatives))),
         residuals=compile_all(residuals),
         residual_idx=tuple(i for i, name in enumerate(free_names) if name in in_residuals),
     )

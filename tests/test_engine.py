@@ -377,7 +377,7 @@ def test_derivatives_are_zero_on_unavailable_cells(synth_data, blocking):
     unavailable = ~model.avail
     assert unavailable[:, 0].any() and unavailable[:, 1].any()
     for G in (model.design, kernel.jacobian(model, model.utilities, theta, range(model.n_free))):
-        assert np.all(G[unavailable] == 0.0) and np.all(np.isfinite(G))
+        assert np.all(G[:, unavailable] == 0.0) and np.all(np.isfinite(G))
     for m in (model, all_residual(model)):
         ll, grad = kernel.loglik_and_gradient(m, theta)
         assert math.isfinite(ll) and np.all(np.isfinite(grad))
@@ -407,10 +407,35 @@ def test_boxcox_piecewise_spec_sends_only_its_boxcox_terms_through_duals(synth_d
     model = binding.bind(parser.parse_spec(BOXCOX_PIECEWISE_SPEC), synth_data)
     assert [model.free_names[i] for i in model.residual_idx] == ["b_cost", "lambda_cost"]
     affine = [i for i in range(model.n_free) if i not in model.residual_idx]
-    assert not model.design[..., model.residual_idx].any()
+    assert not model.design[list(model.residual_idx)].any()
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.1, 0.5, model.n_free)
     full = kernel.jacobian(model, model.utilities, theta, range(model.n_free))
-    assert full[..., affine].tobytes() == model.design[..., affine].tobytes()
+    assert full[affine].tobytes() == model.design[affine].tobytes()
+
+
+ZERO_PARAMETER_SPEC = "spec none\nalt car bus air rail\nU(car) = 0\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [BEST_SPEC.read_text(encoding="utf-8"), BOXCOX_PIECEWISE_SPEC, ZERO_PARAMETER_SPEC],
+    ids=["synthetic_best", "boxcox_piecewise", "no_free_parameters"],
+)
+def test_gradient_and_scores_match_the_parameter_last_contraction(synth_data, text, blocking):
+    """One sum per parameter slab gives the gradient and the scores of the textbook
+    contraction of ``Y − P`` with an (n, J, k) ∂V/∂θ from one dual pass, to 1e-12."""
+    model = binding.bind(parser.parse_spec(text), synth_data)
+    k = model.n_free
+    theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, k)
+    P = kernel.probability_matrix(model.utility_matrix(theta), model.avail)
+    R = -P
+    R[np.arange(model.n_obs), model.choice_idx] += 1.0
+    D = np.ascontiguousarray(_derivative_envelope(model, theta, Dual).transpose(1, 2, 0))
+    ll, grad = kernel.loglik_and_gradient(model, theta)
+    _, S = kernel.loglik_and_scores(model, theta)
+    assert math.isfinite(ll) and grad.shape == (k,) and S.shape == (model.n_obs, k)
+    for got, want in ((grad, np.einsum("nj,njk->k", R, D)), (S, np.einsum("nj,njk->nk", R, D))):
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
 
 
 # -- kernel properties ---------------------------------------------------------
@@ -730,7 +755,7 @@ def _compiled(model: binding.BoundModel, exprs) -> tuple:
 
 
 def _term_scale(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
-    """(n, J, k) sum over each utility's additive terms of |∂term/∂θ|: the size of
+    """(k, n, J) sum over each utility's additive terms of |∂term/∂θ|: the size of
     the sums that the split and the all-residual reference add up in other orders."""
     scale = np.zeros_like(model.design)
     zeros = (Const(0.0),) * model.n_alts
@@ -808,18 +833,19 @@ class _Envelope(Dual):
         return _Envelope(np.power(self.val, exponent), self.grad * slope[..., None])
 
 
-def _derivative_envelope(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
-    """(n, J, k) each utility's _Envelope over every free parameter, zero on
-    unavailable cells: the size a dual pass's ∂V/∂θ is rounded to."""
+def _derivative_envelope(model: binding.BoundModel, theta: np.ndarray, algebra=_Envelope) -> np.ndarray:
+    """(k, n, J) each utility's _Envelope over every free parameter, zero on
+    unavailable cells: the size a dual pass's ∂V/∂θ is rounded to.  With
+    ``algebra=Dual``, ∂V/∂θ itself from one dual pass over every utility."""
     k = model.n_free
-    args = [_Envelope.seed(value, i, k) for i, value in enumerate(theta.tolist())]
+    args = [algebra.seed(value, i, k) for i, value in enumerate(theta.tolist())]
     out = np.zeros_like(model.design)
     with np.errstate(all="ignore"):
         for j, utility in enumerate(model.utilities):
             res = utility(binding.ALL_ROWS, args)
             if isinstance(res, Dual):
-                out[:, j] = np.broadcast_to(res.grad, (model.n_obs, k))
-    out[~model.avail] = 0.0
+                out[:, :, j] = np.broadcast_to(res.grad, (model.n_obs, k)).T
+    out[:, ~model.avail] = 0.0
     return out
 
 
@@ -945,10 +971,10 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
     P = kernel.probability_matrix(model.utility_matrix(theta), model.avail)
     Y = np.zeros_like(P)
     Y[np.arange(model.n_obs), model.choice_idx] = 1.0
-    size = np.abs(Y - P)[..., None] * _term_scale(model, theta)
-    rounding = 1e-10 * size.sum(axis=(0, 1))  # Σ (y - P) ∂V/∂θ cannot be closer than this
+    size = np.abs(Y - P) * _term_scale(model, theta)
+    rounding = 1e-10 * size.sum(axis=(1, 2))  # Σ (y - P) ∂V/∂θ cannot be closer than this
     assert np.all(np.abs(grad - grad_r) <= rounding)
-    assert np.all(np.abs(S - S_r) <= 1e-10 * size.sum(axis=1))
+    assert np.all(np.abs(S - S_r) <= 1e-10 * size.sum(axis=2).T)
 
     if P[np.arange(model.n_obs), model.choice_idx].min() < np.finfo(float).tiny:
         event("subnormal chosen probability")  # its log, and so the LL, moves in steps
@@ -964,7 +990,7 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
         )
     event(f"{settled.sum()} of {model.n_free} central differences settled")
     # each ∂V/∂θ is rounded to its envelope, which cancels to far less where b / (b x)
-    ulps = 1e-10 * (np.abs(Y - P)[..., None] * _derivative_envelope(model, theta)).sum(axis=(0, 1))
+    ulps = 1e-10 * (np.abs(Y - P) * _derivative_envelope(model, theta)).sum(axis=(1, 2))
     for g in (grad, grad_r):
         assert np.all((np.abs(g - fine) <= 1e-5 * scale + ulps)[settled])
 
@@ -1121,12 +1147,8 @@ def test_converged_estimate_has_small_gradient(best_model, best_result):
     assert float(np.abs(grad).max()) <= tol
 
 
-def test_zero_parameter_spec_estimates_vacuously(synth_data):
-    spec = parser.parse_spec(
-        "spec none\nalt car bus air rail\n"
-        "U(car) = 0\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
-    )
-    model = binding.bind(spec, synth_data)
+def test_zero_parameter_spec_estimates_vacuously(synth_data, blocking):
+    model = binding.bind(parser.parse_spec(ZERO_PARAMETER_SPEC), synth_data)
     result = bfgs.estimate(model)
     assert result.converged
     assert result.n_free == 0

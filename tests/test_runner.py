@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from logitlab import dataset as ds
 from logitlab import runner
 from logitlab.engine.bfgs import ParameterEstimate
 from logitlab.jsonio import from_json, load_json, to_json
@@ -316,6 +317,17 @@ def test_manifest_hashes_inputs_and_outputs(tmp_path, synth_data):
     assert manifest["dataset_sha256"] == runner._sha256(format_csv(synth_data))
     payload = (tmp_path / "exp1/alpha.json").read_text(encoding="utf-8")
     assert manifest["result_files"] == {"alpha.json": runner._sha256(payload)}
+
+
+def test_full_information_run_serializes_the_dataset_once(tmp_path, synth_data, monkeypatch):
+    """The prompt's CSV attachment and the manifest's dataset hash share one serialization."""
+    data = dataclasses.replace(synth_data)  # a dataset whose CSV text is not formed yet
+    formatted = []
+    format_column = ds._format_column
+    monkeypatch.setattr(ds, "_format_column", lambda x: formatted.append(x) or format_column(x))
+    runner.run_experiment(1, [ALPHA], data, replay_dir=FIXTURES, out_dir=tmp_path)
+    assert len(formatted) == len(data.columns)
+    assert ds.format_csv(data) is ds.format_csv(data)
 
 
 def test_saved_documents_have_no_timestamps(tmp_path, synth_data):
