@@ -5,14 +5,14 @@ alternatives are masked out before the softmax, so their probabilities
 are exactly zero and whatever the expressions produced on those rows
 (often NaN, e.g. log of a zeroed attribute) never propagates.
 
-Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  Per
-block it writes the utilities into its rows of one (n, J) buffer, tests
-them, forms the probabilities in place and writes its log chosen
-probabilities.  A pass over more than ``ROW_BLOCK`` rows runs its blocks,
-and then its per-parameter sums, on a thread pool sized to the CPUs the
-process may use, created on the first such pass; a smaller pass, or a
-process with one CPU, runs in the calling thread and never imports
-``concurrent.futures``.  No reduction is split by the blocks: the
+Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  The
+value pass is alternative-major: per block it writes the utilities into
+its columns of one (J, n) buffer, tests them, forms the probabilities in
+place and writes its log chosen probabilities.  A pass over more than
+``ROW_BLOCK`` rows runs its blocks, and then its per-parameter sums, on a
+thread pool sized to the CPUs the process may use, created on the first
+such pass; a smaller pass, or a process with one CPU, runs in the calling
+thread and never imports ``concurrent.futures``.  No reduction is split by the blocks: the
 log-likelihood sum and the ``-inf`` verdict (one failed block fails the
 pass) run once over the full arrays in the calling thread, and each
 parameter's gradient or score sum is one numpy call over all rows.  So
@@ -24,39 +24,47 @@ enters it.
 The log-likelihood returns ``-inf`` instead of raising when a wild
 parameter step drives utilities non-finite or the chosen probability
 underflows; the optimizer treats that as a rejected step.  The finiteness
-test looks at a block's whole utility matrix first and masks out
-unavailable cells only when that fails, so the usual all-finite pass
-makes no copy.
+test looks at a block's whole utility matrix first and, only when that
+fails, tests the available cells and puts 0.0 in the unavailable ones, so
+the usual all-finite pass makes no copy.
 
-The value pass shifts, exponentiates and normalises each block's
-utilities in place and reduces over the J alternatives column by column.
-It gives the same bits as the textbook masked-copy softmax with numpy's
-row max and row sum (``tests/test_engine.py`` keeps that formula as its
-reference) for fewer than eight alternatives, where numpy's row sum also
-adds left to right.
+The softmax (:func:`_softmax`) works on whole rows of the (J, n) layout,
+each a contiguous run of one alternative's cells: the row max over
+available cells (a utility plus the log of its 0/1 availability weight),
+the shift, the exponential, the total added left to right and the
+division.  The exponential never sees ``-inf``, for which numpy's SIMD
+``exp`` takes a slow path: it gets ``min(V − shift, 0)``, equal to
+``V − shift`` on available cells and finite on the others, and its result
+is multiplied by the weight, so unavailable cells are exactly 0.  These
+are the elementwise steps and the reduction order of the textbook
+masked-copy softmax with numpy's row max and row sum (``tests/test_engine.py``
+keeps that formula as its reference) for fewer than eight alternatives,
+where numpy's row sum also adds left to right, so the log-likelihood and
+the probabilities have its bits.  The weight, its log, each row's chosen
+cell and the one-hot ``Y`` are derived once per model (cached properties
+of ``BoundModel``).
 
 The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
 ``y`` the one-hot choice; the gradient sums over the rows as well.
-``Y − P`` is formed in P's buffer, as ``-P`` plus 1 at each row's chosen
-cell.  ∂V/∂θ is stored parameter-first, (k, n, J), so each parameter's
-slab is a contiguous (n, J) array laid out as ``Y − P`` is, and each
-parameter's gradient or scores are one task: one ``np.einsum`` of
-``Y − P`` with that slab.  Binding split each utility into its affine
+``Y − P`` is formed in an (n, J) buffer, as ``onehot − Pᵀ``.  ∂V/∂θ is
+stored parameter-first, (k, n, J), so each parameter's slab is a
+contiguous (n, J) array laid out as ``Y − P`` is, and each parameter's
+gradient or scores are one task: one ``np.einsum`` of ``Y − P`` with that
+slab.  Binding split each utility into its affine
 terms, whose derivatives it cached as the design, and the residual terms.
 So the tasks take the design's slabs and, for the residuals' own
 parameters, the slabs of the residuals' derivatives at θ from one
-forward-mode dual-number pass (:func:`jacobian`, which also built the
-design), whose sums are added to the design's.  An all-affine spec has no
-residual parameters and makes no dual pass.
+forward-mode dual-number pass (:func:`jacobian`), whose sums are added to
+the design's.  An all-affine spec has no residual parameters and makes no
+dual pass; binding builds the design without dual numbers.
 
 A value pass keeps its (log-likelihood, P) on the model
 (``BoundModel.kept``), so the gradient an optimizer asks for at the step
 it just accepted skips the utilities and the softmax.  Every pass forms
 the utilities with the same compiled functions on float parameters, so
 the kept P has the bits a fresh pass would compute.  Each value pass
-replaces the entry, a -inf one is not kept, and a gradient pass pops it
-before writing ``Y − P`` into its buffer, so it serves at most one
-gradient.
+replaces the entry, a -inf one is not kept, and a gradient pass pops it,
+so it serves at most one gradient.
 """
 
 from __future__ import annotations
@@ -117,30 +125,23 @@ def _tasks(n: int, work, items) -> list:
     return list(_pool.map(work, items))
 
 
-def probability_matrix(V: np.ndarray, avail: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax over available alternatives, exact 0 elsewhere.
-
-    Utilities are shifted by the row max over available alternatives
-    before exponentiation.  Rows with non-finite available utilities
-    come out as NaN; callers decide whether that is an error or a
-    rejected optimization step.
-
-    One (n, J) buffer is shifted, exponentiated and normalised in place;
-    the row max and the row sum (left to right) run column by column.
-    The probabilities go to ``out`` when given, which may be ``V``
-    itself, and to that buffer otherwise.
-    """
+def _softmax(V: np.ndarray, weight: np.ndarray, log_weight: np.ndarray) -> None:
+    """Choice probabilities, in place, of the finite (J, rows) utilities ``V`` over
+    the cells where ``weight`` is 1.0 (``log_weight`` 0.0), as the module docstring
+    describes; 0.0 on the other cells."""
     with np.errstate(all="ignore"):
-        E = np.where(avail, V, -np.inf)
-        shift = E[:, 0].copy()
-        for column in E.T[1:]:
-            np.maximum(shift, column, out=shift)
-        E -= shift[:, None]
-        np.exp(E, out=E)
-        total = E[:, 0].copy()
-        for column in E.T[1:]:
-            total += column
-        return np.divide(E, total[:, None], out=E if out is None else out)
+        shift = V[0] + log_weight[0]
+        masked = np.empty_like(shift)
+        for row, log_w in zip(V[1:], log_weight[1:]):
+            np.maximum(shift, np.add(row, log_w, out=masked), out=shift)
+        V -= shift
+        np.minimum(V, 0.0, out=V)
+        np.exp(V, out=V)
+        V *= weight
+        total = V[0].copy()
+        for row in V[1:]:
+            total += row
+        V /= total
 
 
 def log_likelihood(model: BoundModel, theta) -> float:
@@ -157,47 +158,44 @@ def log_likelihood(model: BoundModel, theta) -> float:
 
 
 def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(log-likelihood, P) from the compiled utilities, block by block."""
-    V = np.empty((model.n_obs, model.n_alts))
-    fill = lambda rows: model.utility_matrix(theta, rows, out=V[rows])
-    return _loglik_from_utilities(V, model.avail, model.choice_idx, fill)
+    """(log-likelihood, (J, n) probabilities); P is None when LL is -inf.
 
-
-def _loglik_from_utilities(V, avail, choice_idx, fill=None) -> tuple[float, np.ndarray | None]:
-    """(log-likelihood, probability matrix); P is None when LL is -inf.
-
-    Each block of rows first calls ``fill(rows)``, when given, to write its
-    utilities into ``V[rows]``; then it tests them, forms its probabilities
-    in V's buffer and writes its log chosen probabilities.  The verdict and
-    the sum over all rows run in the calling thread, so the result does not
-    depend on the blocks.
+    Each block of rows writes its utilities into its columns of one (J, n)
+    buffer, tests them, forms its probabilities in place and writes its log
+    chosen probabilities.  The verdict and the sum over all rows run in the
+    calling thread, so the result does not depend on the blocks.
     """
-    log_chosen = np.empty(len(V))
+    P = np.empty((model.n_alts, model.n_obs))
+    # the derived arrays are made here, in the calling thread, on the model's first pass
+    weight, log_weight, chosen = model.avail_weight, model.avail_log, model.chosen_cell
+    log_chosen = np.empty(model.n_obs)
 
     def block(rows) -> bool:
-        if fill is not None:
-            fill(rows)
-        Vb, ab = V[rows], avail[rows]
-        if not np.isfinite(Vb).all() and not np.isfinite(np.where(ab, Vb, 0.0)).all():
+        V = P[:, rows]
+        model.utility_matrix(theta, rows, out=V.T)
+        if not np.isfinite(V).all():
+            finite = np.where(model.avail[rows].T, V, 0.0)  # 0.0 stands in on unavailable cells
+            if not np.isfinite(finite).all():
+                return False
+            V[...] = finite
+        _softmax(V, weight[:, rows], log_weight[:, rows])
+        P_chosen = P.take(chosen[rows])
+        if np.any(P_chosen <= 0.0):
             return False
-        P = probability_matrix(Vb, ab, out=Vb)
-        chosen = np.take_along_axis(P, choice_idx[rows, None], axis=1)[:, 0]
-        if np.any(chosen <= 0.0):
-            return False
-        np.log(chosen, out=log_chosen[rows])  # chosen > 0: no floating-point warning
+        np.log(P_chosen, out=log_chosen[rows])  # P_chosen > 0: no floating-point warning
         return True
 
-    if not all(_row_blocks(len(V), block)):
+    if not all(_row_blocks(model.n_obs, block)):
         return -math.inf, None
-    return float(log_chosen.sum()), V
+    return float(log_chosen.sum()), P
 
 
-def jacobian(model: BoundModel, utilities, theta, idx, out: np.ndarray | None = None) -> np.ndarray:
+def jacobian(model: BoundModel, utilities, theta, idx) -> np.ndarray:
     """∂/∂θ (len(idx), n, J) of one compiled expression per alternative, over the
-    free parameters at indices ``idx`` only: one dual-number pass over row blocks,
-    zero on unavailable cells, written into ``out`` (zeros) when given."""
+    free parameters at indices ``idx`` only: one forward-mode dual-number pass over
+    row blocks, zero on unavailable cells.  The kernel runs it on the residuals."""
     k = len(idx)
-    G = np.zeros((k, model.n_obs, model.n_alts)) if out is None else out
+    G = np.zeros((k, model.n_obs, model.n_alts))
     args = theta.tolist()
     for col, i in enumerate(idx):
         args[i] = Dual.seed(args[i], col, k)
@@ -224,18 +222,14 @@ def _score_pass(model: BoundModel, theta, per_row: bool) -> tuple[float, np.ndar
     ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
     if P is None:
         return ll, None
-
-    def residuals(rows) -> None:
-        R = np.negative(P[rows], out=P[rows])
-        R[np.arange(len(R)), model.choice_idx[rows]] += 1.0
-
-    _row_blocks(model.n_obs, residuals)  # P's buffer now holds Y - P
+    R, onehot = np.empty((model.n_obs, model.n_alts)), model.onehot
+    _row_blocks(model.n_obs, lambda rows: np.subtract(onehot[rows], P[:, rows].T, out=R[rows]))
     slabs = [*model.design]
     if model.residual_idx:
         slabs += [*jacobian(model, model.residuals, theta, model.residual_idx)]
     subscripts = "nj,nj->n" if per_row else "nj,nj->"
     sums = np.empty((model.n_obs, len(slabs)) if per_row else len(slabs))
-    contract = lambda q: np.einsum(subscripts, P, slabs[q], out=sums[..., q])
+    contract = lambda q: np.einsum(subscripts, R, slabs[q], out=sums[..., q])
     _tasks(model.n_obs, contract, range(len(slabs)))
     out = sums[..., : model.n_free]
     if model.residual_idx:

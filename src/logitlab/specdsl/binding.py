@@ -7,7 +7,11 @@ where the alternative is available) and compiles each utility once into a
 function of ``(rows, theta)`` (:func:`compile_expr`).  Each utility's
 additive terms that are affine in the free parameters have a ∂/∂θ that
 does not depend on θ, so binding caches it as ``design``; the other
-terms, the residual, are differentiated at each θ.
+terms, the residual, are differentiated at each θ.  The design is filled
+without dual numbers: each affine expression's derivative is compiled into
+a function of the data and a direction (:func:`compile_derivative`), and
+its value along each parameter's unit vector is written into that
+parameter's slab.
 
 A compiled expression reads its free parameters from ``theta``: plain
 floats on a value pass, dual numbers on a derivative pass in the
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -152,6 +156,62 @@ def compile_expr(
     return compile_node(expr)
 
 
+def compile_derivative(
+    expr: Expr,
+    columns: Mapping[str, np.ndarray],
+    free_names: Sequence[str],
+    fixed: Mapping[str, float],
+) -> Compiled | None:
+    """The derivative of ``expr``, affine in the free parameters, along ``theta``, as
+    a function of ``(rows, theta)``: given the unit vector of free parameter q, it
+    is ∂expr/∂θ_q.  None when ``expr`` has no free parameter.
+
+    It repeats, on that one column, the arithmetic of a forward-mode dual-number
+    pass seeded on every free parameter: ``theta[i]`` is the seed of
+    ``free_names[i]``, and a subexpression with no free parameter is a plain value
+    with no gradient.  So the result has the bits of that pass's column on any
+    data, zero signs and NaNs included.
+    """
+    index = {name: i for i, name in enumerate(free_names)}
+    value = lambda e: compile_expr(e, columns, free_names, fixed)
+
+    def derive(e: Expr) -> Compiled | None:
+        if not param_names(e) & index.keys():
+            return None
+        if isinstance(e, Param):
+            i = index[e.name]
+            return lambda rows, theta: theta[i]
+        if isinstance(e, Neg):
+            operand = derive(e.operand)
+            return lambda rows, theta: -operand(rows, theta)
+        if isinstance(e, (Add, Sub)):
+            left, right = derive(e.left), derive(e.right)
+            if right is None:
+                return left
+            if left is None:
+                return right if isinstance(e, Add) else lambda rows, theta: -right(rows, theta)
+            op = _BINARY[type(e)]
+            return lambda rows, theta: op(left(rows, theta), right(rows, theta))
+        if isinstance(e, Mul) and not param_names(e.left) & index.keys():
+            e = Mul(e.right, e.left)  # products commute bit for bit: the gradient goes left
+        if isinstance(e, (Mul, Div)) and not param_names(e.right) & index.keys():
+            gradient, factor = derive(e.left), value(e.right)
+            op = operator.mul if isinstance(e, Mul) else np.divide  # a zero divisor gives inf or NaN
+            return lambda rows, theta: op(gradient(rows, theta), factor(rows, theta))
+        if isinstance(e, Piecewise):
+            segments = piecewise_segments(columns[e.var], e.knots)
+            slopes = [(i, slope) for i, p in enumerate(e.params) if (slope := derive(Param(p)))]
+
+            def piecewise(rows, theta):  # a fixed slope's term adds no gradient
+                segs = segments[rows]
+                return reduce(operator.add, (slope(rows, theta) * segs[:, i] for i, slope in slopes))
+
+            return piecewise
+        raise ValueError(f"not affine in the free parameters: {serialize_expr(e)}")
+
+    return derive(expr)
+
+
 def piecewise_segments(x: np.ndarray, knots: tuple[float, ...]) -> np.ndarray:
     """Per-row lengths of x's overlap with each knot segment.
 
@@ -213,9 +273,14 @@ class BoundModel:
     cells), plus ∂/∂θ of ``residuals``, their other terms, compiled, which
     contain only the free parameters at indices ``residual_idx``.  The design
     is parameter-first: ``design[q]`` is parameter q's contiguous (n_obs,
-    n_alts) slab, laid out as the probabilities are.  ``kept``
-    belongs to the estimation kernel: at most one value pass's
-    (log-likelihood, probabilities), keyed by ``theta.tobytes()``.
+    n_alts) slab, laid out as ``onehot`` and the residuals ``Y − P`` are.
+
+    The rest belongs to the estimation kernel.  ``kept`` holds at most one
+    value pass's (log-likelihood, probabilities), keyed by ``theta.tobytes()``,
+    with the probabilities alternative-major, (n_alts, n_obs).  The cached
+    properties are arrays the kernel derives from ``avail`` and ``choice_idx``
+    on the model's first pass: the availability weights, their logs and the
+    chosen cells in that layout, and the one-hot ``Y`` in the design's.
     """
 
     spec: UtilitySpec
@@ -244,6 +309,30 @@ class BoundModel:
     @property
     def n_free(self) -> int:
         return len(self.free_names)
+
+    @cached_property
+    def avail_weight(self) -> np.ndarray:
+        """(n_alts, n_obs): 1.0 on available cells, 0.0 elsewhere."""
+        return np.ascontiguousarray(self.avail.T, dtype=float)
+
+    @cached_property
+    def avail_log(self) -> np.ndarray:
+        """(n_alts, n_obs) log of ``avail_weight``: 0.0 on available cells, -inf elsewhere."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.avail_weight)
+
+    @cached_property
+    def chosen_cell(self) -> np.ndarray:
+        """(n_obs,) flat index of each observation's chosen cell in an (n_alts, n_obs) array."""
+        return self.choice_idx.astype(np.intp) * self.n_obs + np.arange(self.n_obs)
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        """(n_obs, n_alts) ``Y``: 1.0 on the chosen cell and -0.0 elsewhere, so that
+        ``onehot − P`` there is ``-P``, the sign of a zero included."""
+        Y = np.full((self.n_obs, self.n_alts), -0.0)
+        Y[np.arange(self.n_obs), self.choice_idx] = 1.0
+        return Y
 
     def utility_matrix(
         self, theta: np.ndarray, rows: slice = ALL_ROWS, out: np.ndarray | None = None
@@ -314,7 +403,16 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     compile_all = lambda exprs: tuple(compile_expr(e, dataset.columns, free_names, fixed) for e in exprs)
     affine, residuals = zip(*(_affine_and_residual(u, set(free_names)) for u in utilities))
     in_residuals = set().union(*map(param_names, residuals))
-    model = BoundModel(
+    design = np.zeros((len(free_names), dataset.n_obs, len(alternatives)))
+    units = np.eye(len(free_names)).tolist()
+    with np.errstate(all="ignore"):
+        for j, expr in enumerate(affine):
+            derivative = compile_derivative(expr, dataset.columns, free_names, fixed)
+            if derivative is not None:
+                for q, unit in enumerate(units):
+                    design[q, :, j] = derivative(ALL_ROWS, unit)
+    design[:, ~dataset.avail] = 0.0
+    return BoundModel(
         spec=spec,
         dataset=dataset,
         alternatives=alternatives,
@@ -323,11 +421,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         start=start,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
-        design=np.zeros((len(free_names), dataset.n_obs, len(alternatives))),
+        design=design,
         residuals=compile_all(residuals),
         residual_idx=tuple(i for i, name in enumerate(free_names) if name in in_residuals),
     )
-    from logitlab.engine.kernel import jacobian  # the engine imports this module
-
-    jacobian(model, compile_all(affine), start, range(len(free_names)), out=model.design)
-    return model

@@ -35,7 +35,7 @@ from conftest import (
     SYNTH_DICT,
     needs_apollo,
 )
-from test_engine import BINARY_SPEC, GRAD_SPEC, binary_dataset, full_availability_clone
+from test_engine import BINARY_SPEC, GRAD_SPEC, binary_dataset, full_availability_clone, probabilities
 from test_runner import est_with_ll
 
 
@@ -124,9 +124,7 @@ def test_criterion_3_optimizer_correctness(tmp_path, synth_data):
     )
     asc_model = binding.bind(asc_spec, clone)
     asc_result = bfgs.estimate(asc_model)
-    P = kernel.probability_matrix(
-        asc_model.utility_matrix(asc_result.estimates), asc_model.avail
-    )
+    P = probabilities(asc_model, asc_result.estimates)
     share_err = float(
         np.abs(
             P.mean(axis=0)

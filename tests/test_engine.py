@@ -196,6 +196,24 @@ def unblocked(fn, *args):
         return fn(*args)
 
 
+def probabilities(model: binding.BoundModel, theta) -> np.ndarray:
+    """(n, J) choice probabilities at θ: the (J, n) ones the value pass keeps."""
+    assert math.isfinite(kernel.log_likelihood(model, theta))
+    ((_, P),) = model.kept.values()
+    return P.T
+
+
+def table_model(V: np.ndarray, avail: np.ndarray, choice_idx: np.ndarray) -> binding.BoundModel:
+    """A model with no free parameters whose utilities are the columns of ``V``."""
+    n, J = V.shape
+    return binding.BoundModel(
+        spec=None, dataset=None, alternatives=tuple(f"alt{j}" for j in range(J)),
+        utilities=tuple((lambda rows, theta, v=V[:, j]: v[rows]) for j in range(J)),
+        free_names=(), start=np.empty(0), avail=avail, choice_idx=choice_idx,
+        design=np.empty((0, n, J)), residuals=(), residual_idx=(),
+    )
+
+
 @pytest.fixture(params=BLOCKINGS.values(), ids=BLOCKINGS)
 def blocking(request):
     """Every kernel pass of the test runs in these (ROW_BLOCK, WORKERS)."""
@@ -413,6 +431,74 @@ def test_boxcox_piecewise_spec_sends_only_its_boxcox_terms_through_duals(synth_d
     assert full[affine].tobytes() == model.design[affine].tobytes()
 
 
+def dual_design(model: binding.BoundModel) -> np.ndarray:
+    """The reference for bind's design: one dual-number pass over every free
+    parameter of each utility's affine terms."""
+    free = set(model.free_names)
+    affine = [binding._affine_and_residual(model.spec.utilities[alt], free)[0] for alt in model.alternatives]
+    return kernel.jacobian(model, _compiled(model, affine), model.start, range(model.n_free))
+
+
+def test_fixture_designs_have_the_bits_of_a_dual_pass(synth_data):
+    specs = [*replay_specs(), parser.parse_spec(BOXCOX_PIECEWISE_SPEC)]
+    assert len(specs) == 14
+    for spec in specs:
+        model = binding.bind(spec, synth_data)
+        assert model.design.tobytes() == dual_design(model).tobytes(), spec.name
+
+
+HAND_UTILITIES = {
+    "sub": [
+        Sub(Param("b_one"), Mul(Param("b_two"), Var("x"))),
+        Sub(Mul(Var("y"), Param("b_two")), Param("b_one")),
+        Sub(Const(1.5), Mul(Param("b_one"), Sub(Var("y"), Const(1.0)))),
+    ],
+    "neg": [
+        Neg(Mul(Param("b_one"), Var("y"))),  # -0.0 in the columns of b_two and lambda_s
+        Mul(Neg(Param("b_two")), Sub(Var("z"), Const(1.0))),
+        Add(Neg(Param("b_one")), Param("b_two")),
+    ],
+    "div_by_column": [
+        Div(Mul(Param("b_one"), Var("x")), Var("z")),
+        Div(Param("b_two"), Sub(Var("y"), Var("z"))),
+        Add(Param("b_one"), Div(Const(2.0), Var("x"))),
+    ],
+    "repeated_slope": [
+        Piecewise("x", (30.0, 60.0), ("b_one", "b_two", "b_one")),
+        Add(Param("b_two"), Piecewise("y", (1.0,), ("b_one", "b_one"))),
+        Var("z"),
+    ],
+    "one_parameter_in_two_terms": [
+        Add(Mul(Param("b_one"), Var("x")), Mul(Param("b_one"), Var("y"))),
+        Sub(Add(Param("b_two"), Mul(Var("z"), Param("b_one"))), Mul(Param("b_two"), Var("x"))),
+        Const(0.0),
+    ],
+    "divide_by_zero": [
+        Div(Param("b_one"), Const(0.0)),  # the dual pass gives numpy's inf; Python floats would raise
+        Add(Param("b_two"), Div(Mul(Param("b_one"), Const(0.0)), Const(0.0))),
+        Var("x"),
+    ],
+}
+
+
+@pytest.mark.parametrize("exprs", HAND_UTILITIES.values(), ids=HAND_UTILITIES)
+def test_hand_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
+    model = binding.bind(random_spec(exprs), xyz_data)
+    assert model.residual_idx == ()
+    assert model.design.tobytes() == dual_design(model).tobytes()
+
+
+def test_binding_and_estimating_make_no_dual_number(best_spec, synth_data, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a Dual was constructed")
+
+    monkeypatch.setattr(Dual, "__init__", refuse)
+    model = binding.bind(best_spec, synth_data)
+    assert bfgs.estimate(model).converged
+    with pytest.raises(AssertionError, match="a Dual was constructed"):
+        Dual.seed(0.0, 0, 1)
+
+
 ZERO_PARAMETER_SPEC = "spec none\nalt car bus air rail\nU(car) = 0\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
 
 
@@ -427,7 +513,7 @@ def test_gradient_and_scores_match_the_parameter_last_contraction(synth_data, te
     model = binding.bind(parser.parse_spec(text), synth_data)
     k = model.n_free
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, k)
-    P = kernel.probability_matrix(model.utility_matrix(theta), model.avail)
+    P = probabilities(model, theta)
     R = -P
     R[np.arange(model.n_obs), model.choice_idx] += 1.0
     D = np.ascontiguousarray(_derivative_envelope(model, theta, Dual).transpose(1, 2, 0))
@@ -446,8 +532,9 @@ def test_probability_matrix_translation_invariant():
     V = rng.normal(0, 2, size=(50, 4))
     avail = rng.random((50, 4)) < 0.8
     avail[:, 0] = True
-    P = kernel.probability_matrix(V, avail)
-    Q = kernel.probability_matrix(V + rng.normal(0, 5, size=(50, 1)), avail)
+    choice_idx = np.zeros(50, dtype=int)
+    P = probabilities(table_model(V, avail, choice_idx), ())
+    Q = probabilities(table_model(V + rng.normal(0, 5, size=(50, 1)), avail, choice_idx), ())
     np.testing.assert_allclose(P, Q, atol=1e-12)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
@@ -496,25 +583,56 @@ def utility_tables(draw):
     return V, avail, choice_idx
 
 
+def _assert_reference_softmax(V, avail, choice_idx) -> None:
+    """The value pass over the table gives the reference LL bit for bit, -inf in the
+    same cases, and otherwise keeps the reference probabilities bit for bit."""
+    model = table_model(V, avail, choice_idx)
+    ll = kernel.log_likelihood(model, ())
+    expected = _reference_loglik(V, avail, choice_idx)
+    assert np.float64(ll).tobytes() == np.float64(expected).tobytes()
+    if math.isfinite(ll):
+        ((_, P),) = model.kept.values()
+        assert P.T.tobytes() == _reference_probability_matrix(V, avail).tobytes()
+    else:
+        assert not model.kept
+
+
 @settings(max_examples=300, deadline=None)
 @given(utility_tables())
 def test_softmax_matches_reference_formulas(table):
-    """The single-buffer softmax gives the reference LL bit for bit (-inf in the same
-    cases) and the same probabilities, NaN rows included."""
-    V, avail, choice_idx = table
-    ll, _ = kernel._loglik_from_utilities(V.copy(), avail, choice_idx)  # P goes in its buffer
-    expected = _reference_loglik(V, avail, choice_idx)
-    assert ll == expected and math.copysign(1.0, ll) == math.copysign(1.0, expected)
-    np.testing.assert_allclose(
-        kernel.probability_matrix(V, avail), _reference_probability_matrix(V, avail),
-        rtol=0.0, atol=1e-15,
-    )
+    """The alternative-major softmax gives the reference LL and P bit for bit in any
+    row blocks, with the same -inf verdict."""
+    for setting in BLOCKINGS.values():
+        with row_blocks(*setting):
+            _assert_reference_softmax(*table)
+
+
+UNAVAILABLE_FILLERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e308": 1e308, "-1e308": -1e308}
+
+
+@pytest.mark.parametrize("filler", UNAVAILABLE_FILLERS.values(), ids=UNAVAILABLE_FILLERS)
+def test_unavailable_cells_get_probability_exactly_zero(filler, blocking):
+    """Whatever the utilities hold on unavailable cells, P is exactly 0 there.  A finite
+    ±1e308 there, against ∓1e308 on every available cell of half the rows, makes
+    V − shift overflow to ±inf on those cells."""
+    rng = np.random.default_rng(RNG_SEED)
+    n, J = 40, 4
+    avail = rng.random((n, J)) < 0.6
+    avail[np.arange(n), rng.integers(0, J, n)] = True
+    choice_idx = np.array([rng.choice(np.flatnonzero(row)) for row in avail])
+    V = rng.normal(0.0, 2.0, (n, J))
+    if math.isfinite(filler):
+        V[: n // 2][avail[: n // 2]] = -filler
+    V[~avail] = filler
+    assert (~avail).sum(axis=0).all()  # every alternative is unavailable somewhere
+    _assert_reference_softmax(V, avail, choice_idx)
+    assert np.all(probabilities(table_model(V, avail, choice_idx), ())[~avail] == 0.0)
 
 
 def test_unavailable_probability_exactly_zero(best_model):
     theta = np.zeros(best_model.n_free)
     row = int(np.flatnonzero(~best_model.avail.all(axis=1))[0])
-    probs = kernel.probability_matrix(best_model.utility_matrix(theta), best_model.avail)[row]
+    probs = probabilities(best_model, theta)[row]
     assert np.all(probs[~best_model.avail[row]] == 0.0)
     assert math.isclose(probs.sum(), 1.0, abs_tol=1e-12)
 
@@ -748,6 +866,18 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
             assert outputs() == expected, name
 
 
+@settings(max_examples=150, deadline=None)
+@given(exprs=RANDOM_UTILITIES)
+def test_random_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
+    """NaNs of either sign alike, as numpy's loops may give either."""
+    try:
+        model = binding.bind(random_spec(exprs), xyz_data)
+    except binding.DomainViolation:
+        event("domain violation")
+        return
+    assert _nan_blind_bits(model.design) == _nan_blind_bits(dual_design(model))
+
+
 def _compiled(model: binding.BoundModel, exprs) -> tuple:
     """``exprs`` compiled against ``model``'s columns and parameter layout."""
     fixed = {p.name: p.fixed for p in model.spec.parameters if p.fixed is not None}
@@ -968,7 +1098,7 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
     assert ll_g == ll
     event(f"{len(model.residual_idx)} residual parameters")
 
-    P = kernel.probability_matrix(model.utility_matrix(theta), model.avail)
+    P = probabilities(model, theta)
     Y = np.zeros_like(P)
     Y[np.arange(model.n_obs), model.choice_idx] = 1.0
     size = np.abs(Y - P) * _term_scale(model, theta)
@@ -1065,9 +1195,7 @@ def test_asc_only_model_reproduces_sample_shares(synth_data):
     model = binding.bind(spec, clone)
     result = bfgs.estimate(model)
     assert result.converged
-    P = kernel.probability_matrix(
-        model.utility_matrix(result.estimates), model.avail
-    )
+    P = probabilities(model, result.estimates)
     fitted = P.mean(axis=0)
     counts = np.bincount(model.choice_idx, minlength=4) / model.n_obs
     np.testing.assert_allclose(fitted, counts, atol=1e-8)
