@@ -51,12 +51,12 @@ stored parameter-first, (k, n, J), so each parameter's slab is a
 contiguous (n, J) array laid out as ``Y − P`` is, and each parameter's
 gradient or scores are one task: one ``np.einsum`` of ``Y − P`` with that
 slab.  Binding split each utility into its affine
-terms, whose derivatives it cached as the design, and the residual terms.
-So the tasks take the design's slabs and, for the residuals' own
-parameters, the slabs of the residuals' derivatives at θ from one
-forward-mode dual-number pass (:func:`jacobian`), whose sums are added to
-the design's.  An all-affine spec has no residual parameters and makes no
-dual pass; binding builds the design without dual numbers.
+terms, whose derivatives it cached as the design, and the residual terms,
+whose derivatives it compiled.  So the tasks take the design's slabs and,
+for the residuals' own parameters, the slabs of the residuals' derivatives
+at θ along each such parameter's unit vector (:func:`jacobian`), whose sums
+are added to the design's.  An all-affine spec has no residual parameters
+and evaluates no derivative at θ.
 
 A value pass keeps its (log-likelihood, P) on the model
 (``BoundModel.kept``), so the gradient an optimizer asks for at the step
@@ -75,7 +75,6 @@ import os
 import numpy as np
 
 from logitlab.dataset import Dataset
-from logitlab.engine.dual import Dual
 from logitlab.specdsl.binding import ALL_ROWS, BoundModel
 
 ROW_BLOCK = 25_000  # rows per block of a pass's per-row work
@@ -190,23 +189,22 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
     return float(log_chosen.sum()), P
 
 
-def jacobian(model: BoundModel, utilities, theta, idx) -> np.ndarray:
-    """∂/∂θ (len(idx), n, J) of one compiled expression per alternative, over the
-    free parameters at indices ``idx`` only: one forward-mode dual-number pass over
-    row blocks, zero on unavailable cells.  The kernel runs it on the residuals."""
-    k = len(idx)
-    G = np.zeros((k, model.n_obs, model.n_alts))
-    args = theta.tolist()
-    for col, i in enumerate(idx):
-        args[i] = Dual.seed(args[i], col, k)
+def jacobian(model: BoundModel, derivatives, theta, idx) -> np.ndarray:
+    """(len(idx), n, J) ∂/∂θ at θ of one expression per alternative, over the free
+    parameters at indices ``idx`` only: each compiled derivative
+    (``binding.compile_derivative``) along those parameters' unit vectors, all in
+    one call per row block, zero on unavailable cells.  The kernel runs it on the
+    residuals."""
+    G = np.zeros((len(idx), model.n_obs, model.n_alts))
+    values = theta.tolist()
+    seeds = np.eye(model.n_free)[:, list(idx), None]  # seeds[i]: (len(idx), 1), parameter i's seeds
 
     def fill(rows) -> None:
         Gb = G[:, rows]
         with np.errstate(all="ignore"):
-            for j, utility in enumerate(utilities):
-                res = utility(rows, args)
-                if isinstance(res, Dual):
-                    Gb[:, :, j] = np.broadcast_to(res.grad, (Gb.shape[1], k)).T
+            for j, derivative in enumerate(derivatives):
+                if derivative is not None:
+                    Gb[:, :, j] = derivative(rows, values, seeds)
         Gb[:, ~model.avail[rows]] = 0.0
 
     _row_blocks(model.n_obs, fill)

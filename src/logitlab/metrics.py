@@ -73,7 +73,7 @@ def rho_squared(loglik: float, null_loglik: float) -> float:
 
 
 def _factorize(term: Expr) -> list[Expr] | None:
-    """Flatten a product chain; None when division is non-constant."""
+    """Flatten a product chain; None when a divisor is not a non-zero constant."""
     if isinstance(term, Mul):
         left = _factorize(term.left)
         right = _factorize(term.right)
@@ -82,7 +82,7 @@ def _factorize(term: Expr) -> list[Expr] | None:
         return left + right
     if isinstance(term, Div):
         num = _factorize(term.left)
-        if num is None or not isinstance(term.right, Const):
+        if num is None or not isinstance(term.right, Const) or term.right.value == 0.0:
             return None
         return num + [Const(1.0 / term.right.value)]
     return [term]

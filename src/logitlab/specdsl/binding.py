@@ -7,17 +7,14 @@ where the alternative is available) and compiles each utility once into a
 function of ``(rows, theta)`` (:func:`compile_expr`).  Each utility's
 additive terms that are affine in the free parameters have a ∂/∂θ that
 does not depend on θ, so binding caches it as ``design``; the other
-terms, the residual, are differentiated at each θ.  The design is filled
-without dual numbers: each affine expression's derivative is compiled into
-a function of the data and a direction (:func:`compile_derivative`), and
-its value along each parameter's unit vector is written into that
-parameter's slab.
+terms, the residual, are differentiated at each θ.  One compiler,
+:func:`compile_derivative`, differentiates both into functions of the
+data, θ and a direction.  Binding writes each affine derivative along
+each parameter's unit vector into that parameter's slab of the design,
+and keeps the residuals' derivatives for the estimation kernel.
 
-A compiled expression reads its free parameters from ``theta``: plain
-floats on a value pass, dual numbers on a derivative pass in the
-estimation engine.  Unary functions and ``pow`` call the value's own
-method when it has one (a dual number's ``log``, ``power``, ...) and
-numpy's otherwise, so this module never imports the engine.
+Compiled expressions and derivatives call numpy on plain floats and
+arrays, so this module never imports the engine.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ import numpy as np
 from logitlab.dataset import Dataset
 from logitlab.specdsl.analysis import check_variables
 from logitlab.specdsl.expr import (
+    BINARY_NODES,
     Add,
     BoxCox,
     Call1,
@@ -62,15 +60,27 @@ class MissingAlternative(SpecDslError):
 
 ALL_ROWS = slice(None)
 
-Compiled = Callable[[slice, Sequence[Any]], Any]  # (rows, theta) -> value on those rows
+Compiled = Callable[[slice, Sequence[float]], Any]  # (rows, theta) -> value on those rows
+# (rows, theta, direction) -> derivative along direction at theta on those rows; see compile_derivative
+Derivative = Callable[[slice, Sequence[float], Sequence[Any]], Any]
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: np.divide}
+
+# The chain rule's factor for each unary function: (du, u) -> d f(u).
+_CHAIN = {
+    "log": lambda du, u: np.divide(du, u),
+    "exp": lambda du, u: du * np.exp(u),
+    "expm1": lambda du, u: du * np.exp(u),
+    "sqrt": lambda du, u: np.divide(du, 2.0 * np.sqrt(u)),
+}
 
 
-def _call(fn: str, x: Any, *args: Any) -> Any:
-    """``x.fn(*args)`` when ``x`` has that method (a dual number), else ``np.fn(x, *args)``."""
-    method = getattr(x, fn, None)
-    return method(*args) if method is not None else getattr(np, fn)(x, *args)
+def _boxcox_forms(e: BoxCox) -> tuple[Expr, Expr]:
+    """``e`` at shape 0 and elsewhere, as trees: ``log x + s·(log x·log x·0.5)``,
+    whose derivative in s is right at 0, and ``expm1(s·log x)/s``, which keeps
+    (x^s - 1)/s accurate for small s."""
+    logx, s = Call1("log", e.base), Param(e.shape)
+    return Add(logx, Mul(s, Mul(Mul(logx, logx), Const(0.5)))), Div(Call1("expm1", Mul(s, logx)), s)
 
 
 def compile_expr(
@@ -84,7 +94,8 @@ def compile_expr(
 
     Every leaf is resolved here, once: a fixed parameter is folded in as its
     value, a variable is its column and a piecewise node its segment lengths
-    (:func:`piecewise_segments`), each sliced to ``rows`` when called.
+    (:func:`piecewise_segments`), each sliced to ``rows`` when called.  A
+    box-cox node takes one of :func:`_boxcox_forms` by its shape's value.
     """
     index = {name: i for i, name in enumerate(free_names)}
 
@@ -104,41 +115,22 @@ def compile_expr(
         if isinstance(e, Var):
             column = columns[e.name]
             return lambda rows, theta: column[rows]
-        if isinstance(e, (Add, Sub, Mul)):
+        if isinstance(e, BINARY_NODES):  # np.divide: a zero divisor gives inf or NaN
             op, left, right = _BINARY[type(e)], compile_node(e.left), compile_node(e.right)
             return lambda rows, theta: op(left(rows, theta), right(rows, theta))
-        if isinstance(e, Div):
-            left, right = compile_node(e.left), compile_node(e.right)
-
-            def div(rows, theta):
-                a, b = left(rows, theta), right(rows, theta)
-                if isinstance(a, float) and isinstance(b, float):
-                    a = np.float64(a)  # a zero divisor then gives inf or NaN, as arrays do
-                return a / b
-
-            return div
         if isinstance(e, Neg):
             operand = compile_node(e.operand)
             return lambda rows, theta: -operand(rows, theta)
         if isinstance(e, Call1):
-            fn, arg = e.fn, compile_node(e.arg)
-            return lambda rows, theta: _call(fn, arg(rows, theta))
+            fn, arg = getattr(np, e.fn), compile_node(e.arg)
+            return lambda rows, theta: fn(arg(rows, theta))
         if isinstance(e, Pow):
             base, exponent = compile_node(e.base), e.exponent
-            return lambda rows, theta: _call("power", base(rows, theta), exponent)
+            return lambda rows, theta: np.power(base(rows, theta), exponent)
         if isinstance(e, BoxCox):
-            base, shape = compile_node(e.base), param(e.shape)
-
-            def boxcox(rows, theta):
-                logx, s = _call("log", base(rows, theta)), shape(rows, theta)
-                # expm1 keeps (x^s - 1)/s accurate for small s; at s = 0 exactly
-                # (a dual number's value), fall back to the expansion
-                # log(x) + s*log(x)^2/2, which also has the right derivative in s.
-                if float(getattr(s, "val", s)) == 0.0:
-                    return logx + s * (logx * logx * 0.5)
-                return _call("expm1", s * logx) / s
-
-            return boxcox
+            shape = param(e.shape)
+            at_zero, elsewhere = map(compile_node, _boxcox_forms(e))
+            return lambda rows, theta: (at_zero if shape(rows, theta) == 0.0 else elsewhere)(rows, theta)
         if isinstance(e, Piecewise):
             segments = piecewise_segments(columns[e.var], e.knots)
             slopes = [param(name) for name in e.params]
@@ -161,53 +153,87 @@ def compile_derivative(
     columns: Mapping[str, np.ndarray],
     free_names: Sequence[str],
     fixed: Mapping[str, float],
-) -> Compiled | None:
-    """The derivative of ``expr``, affine in the free parameters, along ``theta``, as
-    a function of ``(rows, theta)``: given the unit vector of free parameter q, it
-    is ∂expr/∂θ_q.  None when ``expr`` has no free parameter.
+) -> Derivative | None:
+    """The derivative of ``expr`` along ``direction`` at ``theta``, as a function of
+    ``(rows, theta, direction)``: given the unit vector of free parameter q, it is
+    ∂expr/∂θ_q on the observations in ``rows``.  None when ``expr`` has no free
+    parameter.
 
-    It repeats, on that one column, the arithmetic of a forward-mode dual-number
-    pass seeded on every free parameter: ``theta[i]`` is the seed of
-    ``free_names[i]``, and a subexpression with no free parameter is a plain value
-    with no gradient.  So the result has the bits of that pass's column on any
-    data, zero signs and NaNs included.
+    Each rule repeats, on that one column, the arithmetic of a forward-mode
+    dual-number pass seeded on every free parameter: ``direction[i]`` is the seed
+    of ``free_names[i]``, a subexpression with no free parameter is a plain value
+    with no gradient, and the values the rules need are those of
+    :func:`compile_expr`.  So the result has the bits of that pass's column on
+    any data, zero signs and NaNs included.  A seed may also be a (k, 1) array,
+    one seed per direction: the rules broadcast it against the data, and the
+    result's row q is the derivative along direction q.
     """
     index = {name: i for i, name in enumerate(free_names)}
     value = lambda e: compile_expr(e, columns, free_names, fixed)
 
-    def derive(e: Expr) -> Compiled | None:
+    def derive(e: Expr) -> Derivative | None:
         if not param_names(e) & index.keys():
             return None
         if isinstance(e, Param):
             i = index[e.name]
-            return lambda rows, theta: theta[i]
+            return lambda rows, theta, d: d[i]
         if isinstance(e, Neg):
             operand = derive(e.operand)
-            return lambda rows, theta: -operand(rows, theta)
+            return lambda rows, theta, d: -operand(rows, theta, d)
         if isinstance(e, (Add, Sub)):
             left, right = derive(e.left), derive(e.right)
             if right is None:
                 return left
             if left is None:
-                return right if isinstance(e, Add) else lambda rows, theta: -right(rows, theta)
+                return right if isinstance(e, Add) else lambda rows, theta, d: -right(rows, theta, d)
             op = _BINARY[type(e)]
-            return lambda rows, theta: op(left(rows, theta), right(rows, theta))
+            return lambda rows, theta, d: op(left(rows, theta, d), right(rows, theta, d))
         if isinstance(e, Mul) and not param_names(e.left) & index.keys():
             e = Mul(e.right, e.left)  # products commute bit for bit: the gradient goes left
-        if isinstance(e, (Mul, Div)) and not param_names(e.right) & index.keys():
-            gradient, factor = derive(e.left), value(e.right)
-            op = operator.mul if isinstance(e, Mul) else np.divide  # a zero divisor gives inf or NaN
-            return lambda rows, theta: op(gradient(rows, theta), factor(rows, theta))
+        if isinstance(e, (Mul, Div)):
+            du, dv, v = derive(e.left), derive(e.right), value(e.right)
+            if dv is None:  # u'·v, u'/v
+                op = _BINARY[type(e)]
+                return lambda rows, theta, d: op(du(rows, theta, d), v(rows, theta))
+            u = value(e.left)
+            if isinstance(e, Mul):  # u'·v + v'·u
+                return lambda rows, theta, d: (
+                    du(rows, theta, d) * v(rows, theta) + dv(rows, theta, d) * u(rows, theta)
+                )
+
+            def quotient(rows, theta, d):  # q = u/v: (u' - v'·q)/v, or -v'·(q/v) when u is plain
+                denominator = v(rows, theta)
+                q = np.divide(u(rows, theta), denominator)
+                if du is None:
+                    return -dv(rows, theta, d) * np.divide(q, denominator)
+                return np.divide(du(rows, theta, d) - dv(rows, theta, d) * q, denominator)
+
+            return quotient
+        if isinstance(e, (Call1, Pow)):
+            inner = e.arg if isinstance(e, Call1) else e.base
+            du, u = derive(inner), value(inner)
+            if isinstance(e, Call1):
+                chain = _CHAIN[e.fn]
+            else:
+                exponent = e.exponent
+                chain = lambda du, u: du * (exponent * np.power(u, exponent - 1.0))
+            return lambda rows, theta, d: chain(du(rows, theta, d), u(rows, theta))
+        if isinstance(e, BoxCox):
+            shape = value(Param(e.shape))
+            at_zero, elsewhere = map(derive, _boxcox_forms(e))
+            return lambda rows, theta, d: (
+                (at_zero if shape(rows, theta) == 0.0 else elsewhere)(rows, theta, d)
+            )
         if isinstance(e, Piecewise):
             segments = piecewise_segments(columns[e.var], e.knots)
             slopes = [(i, slope) for i, p in enumerate(e.params) if (slope := derive(Param(p)))]
 
-            def piecewise(rows, theta):  # a fixed slope's term adds no gradient
+            def piecewise(rows, theta, d):  # a fixed slope's term adds no gradient
                 segs = segments[rows]
-                return reduce(operator.add, (slope(rows, theta) * segs[:, i] for i, slope in slopes))
+                return reduce(operator.add, (slope(rows, theta, d) * segs[:, i] for i, slope in slopes))
 
             return piecewise
-        raise ValueError(f"not affine in the free parameters: {serialize_expr(e)}")
+        raise TypeError(f"not an expression node: {e!r}")
 
     return derive(expr)
 
@@ -270,10 +296,12 @@ class BoundModel:
     Arrays are aligned to ``alternatives`` (dataset order).  ``utilities``
     holds one compiled expression per alternative in the same order.  ∂V/∂θ
     is ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
-    cells), plus ∂/∂θ of ``residuals``, their other terms, compiled, which
-    contain only the free parameters at indices ``residual_idx``.  The design
-    is parameter-first: ``design[q]`` is parameter q's contiguous (n_obs,
-    n_alts) slab, laid out as ``onehot`` and the residuals ``Y − P`` are.
+    cells), plus ∂/∂θ of their other terms: ``residuals`` holds those terms'
+    compiled derivatives (:func:`compile_derivative`), one per alternative and
+    None where they have no free parameter, which involve only the free
+    parameters at indices ``residual_idx``.  The design is parameter-first:
+    ``design[q]`` is parameter q's contiguous (n_obs, n_alts) slab, laid out
+    as ``onehot`` and ``Y − P`` are.
 
     The rest belongs to the estimation kernel.  ``kept`` holds at most one
     value pass's (log-likelihood, probabilities), keyed by ``theta.tobytes()``,
@@ -292,7 +320,7 @@ class BoundModel:
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
     design: np.ndarray  # (n_free, n_obs, n_alts)
-    residuals: tuple[Compiled, ...]
+    residuals: tuple[Derivative | None, ...]
     residual_idx: tuple[int, ...]  # into free_names
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -400,28 +428,27 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
 
     _domain_checks(utilities, dataset.columns, fixed, dataset.avail, alternatives)
 
-    compile_all = lambda exprs: tuple(compile_expr(e, dataset.columns, free_names, fixed) for e in exprs)
     affine, residuals = zip(*(_affine_and_residual(u, set(free_names)) for u in utilities))
+    derive_all = lambda exprs: tuple(compile_derivative(e, dataset.columns, free_names, fixed) for e in exprs)
     in_residuals = set().union(*map(param_names, residuals))
     design = np.zeros((len(free_names), dataset.n_obs, len(alternatives)))
     units = np.eye(len(free_names)).tolist()
     with np.errstate(all="ignore"):
-        for j, expr in enumerate(affine):
-            derivative = compile_derivative(expr, dataset.columns, free_names, fixed)
+        for j, derivative in enumerate(derive_all(affine)):
             if derivative is not None:
                 for q, unit in enumerate(units):
-                    design[q, :, j] = derivative(ALL_ROWS, unit)
+                    design[q, :, j] = derivative(ALL_ROWS, start, unit)
     design[:, ~dataset.avail] = 0.0
     return BoundModel(
         spec=spec,
         dataset=dataset,
         alternatives=alternatives,
-        utilities=compile_all(utilities),
+        utilities=tuple(compile_expr(u, dataset.columns, free_names, fixed) for u in utilities),
         free_names=free_names,
         start=start,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
         design=design,
-        residuals=compile_all(residuals),
+        residuals=derive_all(residuals),
         residual_idx=tuple(i for i, name in enumerate(free_names) if name in in_residuals),
     )

@@ -13,6 +13,7 @@ of surfacing as an unknown column at bind time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -165,6 +166,14 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 NUMBER_RE = re.compile(rf"[+-]?{_NUMBER}$")
 
 
+def _finite(text: str, line: int, col: int | None = None) -> float:
+    """The number ``text`` spells; a literal too large for a float is an error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise DslSyntaxError(f"number out of range: {text}", line, col)
+    return value
+
+
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
@@ -247,7 +256,7 @@ class _ExprParser:
     def _atom(self) -> Expr:
         kind, text, col = self._next()
         if kind == "num":
-            return Const(float(text))
+            return Const(_finite(text, self.line, col))
         if kind == "op" and text == "(":
             inner = self._additive()
             self._expect_op(")")
@@ -303,7 +312,7 @@ class _ExprParser:
         kind, text, col = self._next()
         if kind != "num":
             raise DslSyntaxError(f"{what} must be a number", self.line, col)
-        return sign * float(text)
+        return sign * _finite(text, self.line, col)
 
     def _piecewise(self, col: int) -> Expr:
         kind, text, vcol = self._next()
@@ -422,9 +431,9 @@ def _parse_param_line(words: list[str], line: int, alts: tuple[str, ...]):
                 if not NUMBER_RE.match(value):
                     raise DslSyntaxError(f"'{word}' needs a number, got {value!r}", line)
                 if word == "fixed":
-                    fixed = float(value)
+                    fixed = _finite(value, line)
                 else:
-                    start = float(value)
+                    start = _finite(value, line)
             i += 2
         else:
             raise DslSyntaxError(f"unexpected '{word}' in param declaration", line)

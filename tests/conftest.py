@@ -18,6 +18,7 @@ SYNTH_CSV = DATA / "synthetic/modechoice.csv"
 SYNTH_FLIPPED_CSV = DATA / "synthetic/modechoice_flipped.csv"
 SYNTH_DICT = DATA / "synthetic/modechoice_dict.md"
 BEST_SPEC = DATA / "specs/synthetic_best.dcm"
+BOXCOX_SPEC = DATA / "specs/boxcox_piecewise.dcm"  # a non-affine spec: Box-Cox and piecewise terms
 
 APOLLO_CSV = DATA / "apollo/modechoice.csv"
 APOLLO_DICT = DATA / "apollo/modechoice_dict.md"

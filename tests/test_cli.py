@@ -202,6 +202,23 @@ def test_validate_command(results_file):
     assert "has_asc=true converged=true" in res.stdout
 
 
+def test_validate_and_metrics_take_a_division_by_a_literal_zero(tmp_path):
+    """Before: the main-effect scan divided 1 by the divisor, and both commands
+    ended in a ZeroDivisionError traceback."""
+    spec = tmp_path / "zero.dcm"
+    text = BEST_SPEC.read_text(encoding="utf-8").replace("b_time * time_car +", "b_time * time_car / 0 +")
+    spec.write_text(text, encoding="utf-8")
+    out = tmp_path / "zero.json"
+    res = invoke("estimate", "--spec", spec, "--data", CSV, "--dict", DICT, "--out", out)
+    assert res.exit_code == 0 and "converged=false (non_finite)" in res.stdout
+    res = invoke("validate", "--results", out, "--spec", spec, "--dict", DICT)
+    assert res.exit_code == 0
+    assert "exclusion: excluded_nonconvergence" in res.stdout
+    res = invoke("metrics", "--results", out, "--spec", spec, "--dict", DICT)
+    assert res.exit_code == 0
+    assert "value of time: n/a" in res.stdout  # the fit stopped at b_cost = 0
+
+
 def test_estimate_respects_max_iters(monkeypatch):
     monkeypatch.setattr(bfgs, "MAX_ITERS", 1)
     res = invoke("estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT)

@@ -1,10 +1,11 @@
-"""Dual-number gradients, the MNL kernel and the BFGS estimator."""
+"""Compiled derivatives, the MNL kernel and the BFGS estimator."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from hypothesis.extra import numpy as hnp
 
 from logitlab import dataset as ds
 from logitlab.engine import bfgs, kernel
-from logitlab.engine.dual import Dual
 from logitlab.jsonio import from_json
 from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
@@ -29,7 +29,8 @@ from logitlab.specdsl.expr import (
     Add, BoxCox, Call1, Const, Div, Mul, Neg, Param, Piecewise, Pow, Sub, Var,
 )
 
-from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
+from conftest import BEST_SPEC, BOXCOX_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
+from dual import Dual, Envelope, walk
 from test_specdsl import EXPRS
 
 RNG_SEED = 977
@@ -71,7 +72,7 @@ def full_availability_clone(data: ds.Dataset) -> ds.Dataset:
     return dataclasses.replace(data, avail=np.ones_like(data.avail))
 
 
-# -- dual numbers -------------------------------------------------------------
+# -- dual numbers, the test-side reference for compiled derivatives -------------
 
 
 def test_dual_arithmetic_chain_rule():
@@ -224,11 +225,66 @@ def blocking(request):
 # -- the split derivatives vs one dual pass over everything -----------------------
 
 
+def fixed_values(model: binding.BoundModel) -> dict[str, float]:
+    return {p.name: p.fixed for p in model.spec.parameters if p.fixed is not None}
+
+
+def utility_exprs(model: binding.BoundModel) -> list:
+    return [model.spec.utilities[alt] for alt in model.alternatives]
+
+
+def derivatives(model: binding.BoundModel, exprs) -> tuple:
+    """``exprs`` differentiated by ``compile_derivative`` against ``model``'s columns and
+    parameter layout."""
+    return tuple(
+        binding.compile_derivative(e, model.dataset.columns, model.free_names, fixed_values(model))
+        for e in exprs
+    )
+
+
+def walked_gradient(model: binding.BoundModel, expr, rows, theta, algebra=Dual) -> np.ndarray:
+    """(rows, k) ∂expr/∂θ at θ on ``rows`` from a tree walk with every free parameter a
+    seeded ``algebra`` number: one dual-number pass."""
+    k = model.n_free
+    columns = {name: column[rows] for name, column in model.dataset.columns.items()}
+    seeds = {name: algebra.seed(v, i, k) for i, (name, v) in enumerate(zip(model.free_names, theta))}
+    with np.errstate(all="ignore"):
+        res = walk(expr, columns, {**fixed_values(model), **seeds})
+    n = len(range(*rows.indices(model.n_obs)))
+    return np.broadcast_to(res.grad if isinstance(res, Dual) else 0.0, (n, k))
+
+
+def walk_jacobian(model: binding.BoundModel, exprs, theta, algebra=Dual) -> np.ndarray:
+    """(k, n, J) ∂/∂θ of one expression per alternative from one dual-number pass over
+    every free parameter, zero on unavailable cells: the reference for compiled
+    derivatives.  With ``algebra=Envelope``, the size each is rounded to."""
+    theta = np.asarray(theta, dtype=float).tolist()
+    G = np.stack([walked_gradient(model, e, binding.ALL_ROWS, theta, algebra).T for e in exprs], axis=-1)
+    G[:, ~model.avail] = 0.0
+    return G
+
+
+class WalkedDerivative:
+    """A compiled derivative's stand-in for ``kernel.jacobian``, ``(rows, theta, seeds)
+    -> ∂expr`` along the unit vectors stacked in ``seeds``, from a dual-number pass
+    over every free parameter, made once per row block and θ."""
+
+    def __init__(self, model: binding.BoundModel, expr):
+        self.model, self.expr, self.gradients = model, expr, {}
+
+    def __call__(self, rows, theta, seeds):
+        key = rows.start, rows.stop, tuple(theta)
+        if key not in self.gradients:
+            self.gradients[key] = walked_gradient(self.model, self.expr, rows, theta)
+        return self.gradients[key][:, seeds[:, :, 0].argmax(axis=0)].T
+
+
 def all_residual(model: binding.BoundModel) -> binding.BoundModel:
     """``model`` with a zero design and every utility a residual over every free
-    parameter: ∂V/∂θ comes from the dual pass alone, the reference for the split."""
+    parameter, differentiated by a dual pass: the reference for the split."""
     return dataclasses.replace(
-        model, design=np.zeros_like(model.design), residuals=model.utilities,
+        model, design=np.zeros_like(model.design),
+        residuals=tuple(WalkedDerivative(model, e) for e in utility_exprs(model)),
         residual_idx=tuple(range(model.n_free)),
     )
 
@@ -394,49 +450,40 @@ def test_derivatives_are_zero_on_unavailable_cells(synth_data, blocking):
     theta = np.array([0.1, -0.2])
     unavailable = ~model.avail
     assert unavailable[:, 0].any() and unavailable[:, 1].any()
-    for G in (model.design, kernel.jacobian(model, model.utilities, theta, range(model.n_free))):
+    full = kernel.jacobian(model, derivatives(model, utility_exprs(model)), theta, range(model.n_free))
+    for G in (model.design, full):
         assert np.all(G[:, unavailable] == 0.0) and np.all(np.isfinite(G))
     for m in (model, all_residual(model)):
         ll, grad = kernel.loglik_and_gradient(m, theta)
         assert math.isfinite(ll) and np.all(np.isfinite(grad))
 
 
-BOXCOX_PIECEWISE_SPEC = """spec boxcox_piecewise
-alt car bus air rail
-param asc_bus
-param asc_air
-param asc_rail
-param b_time generic
-param b_cost generic
-param lambda_cost
-param b_inc_1
-param b_inc_2
-U(car) = b_time * time_car + b_cost * boxcox(cost_car, lambda_cost)
-U(bus) = asc_bus + b_time * time_bus + b_cost * boxcox(cost_bus, lambda_cost) \\
-         + piecewise(income, 40, b_inc_1, b_inc_2)
-U(air) = asc_air + b_time * time_air + b_cost * boxcox(cost_air, lambda_cost)
-U(rail) = asc_rail + b_time * time_rail + b_cost * boxcox(cost_rail, lambda_cost)
-"""
+BOXCOX_PIECEWISE_SPEC = BOXCOX_SPEC.read_text(encoding="utf-8")
 
 
-def test_boxcox_piecewise_spec_sends_only_its_boxcox_terms_through_duals(synth_data):
+def test_boxcox_piecewise_spec_sends_only_its_boxcox_terms_to_the_residuals(synth_data):
     """The ASCs, time and piecewise income terms are affine, so only b_cost and
-    lambda_cost are differentiated by duals; the design holds the other columns."""
+    lambda_cost are differentiated at each θ; the design holds the other columns."""
     model = binding.bind(parser.parse_spec(BOXCOX_PIECEWISE_SPEC), synth_data)
     assert [model.free_names[i] for i in model.residual_idx] == ["b_cost", "lambda_cost"]
     affine = [i for i in range(model.n_free) if i not in model.residual_idx]
     assert not model.design[list(model.residual_idx)].any()
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.1, 0.5, model.n_free)
-    full = kernel.jacobian(model, model.utilities, theta, range(model.n_free))
+    full = kernel.jacobian(model, derivatives(model, utility_exprs(model)), theta, range(model.n_free))
     assert full[affine].tobytes() == model.design[affine].tobytes()
+
+
+def split(model: binding.BoundModel) -> tuple[list, list]:
+    """Each utility's affine terms and its other terms, as bind splits them."""
+    free = set(model.free_names)
+    parts = [binding._affine_and_residual(u, free) for u in utility_exprs(model)]
+    return [affine for affine, _ in parts], [residual for _, residual in parts]
 
 
 def dual_design(model: binding.BoundModel) -> np.ndarray:
     """The reference for bind's design: one dual-number pass over every free
     parameter of each utility's affine terms."""
-    free = set(model.free_names)
-    affine = [binding._affine_and_residual(model.spec.utilities[alt], free)[0] for alt in model.alternatives]
-    return kernel.jacobian(model, _compiled(model, affine), model.start, range(model.n_free))
+    return walk_jacobian(model, split(model)[0], model.start)
 
 
 def test_fixture_designs_have_the_bits_of_a_dual_pass(synth_data):
@@ -445,6 +492,21 @@ def test_fixture_designs_have_the_bits_of_a_dual_pass(synth_data):
     for spec in specs:
         model = binding.bind(spec, synth_data)
         assert model.design.tobytes() == dual_design(model).tobytes(), spec.name
+
+
+def test_fixture_jacobians_have_the_bits_of_a_dual_pass(synth_data, blocking):
+    """The residuals' Jacobian, and that of whole utilities, at θ off the start."""
+    specs = [*replay_specs(), parser.parse_spec(BOXCOX_PIECEWISE_SPEC)]
+    assert len(specs) == 14
+    rng = np.random.default_rng(RNG_SEED)
+    for spec in specs:
+        model = binding.bind(spec, synth_data)
+        theta = model.start + rng.uniform(0.01, 0.05, model.n_free)
+        residual, exprs = list(model.residual_idx), utility_exprs(model)
+        got = kernel.jacobian(model, model.residuals, theta, residual)
+        assert got.tobytes() == walk_jacobian(model, split(model)[1], theta)[residual].tobytes(), spec.name
+        got = kernel.jacobian(model, derivatives(model, exprs), theta, range(model.n_free))
+        assert got.tobytes() == walk_jacobian(model, exprs, theta).tobytes(), spec.name
 
 
 HAND_UTILITIES = {
@@ -489,14 +551,17 @@ def test_hand_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
 
 
 def test_binding_and_estimating_make_no_dual_number(best_spec, synth_data, monkeypatch):
+    """Affine and non-affine specs alike; the package has no dual-number module."""
     def refuse(self, *args):
         raise AssertionError("a Dual was constructed")
 
     monkeypatch.setattr(Dual, "__init__", refuse)
-    model = binding.bind(best_spec, synth_data)
-    assert bfgs.estimate(model).converged
+    for spec in (best_spec, parser.parse_spec(BOXCOX_PIECEWISE_SPEC)):
+        model = binding.bind(spec, synth_data)
+        assert bfgs.estimate(model).converged, spec.name
     with pytest.raises(AssertionError, match="a Dual was constructed"):
         Dual.seed(0.0, 0, 1)
+    assert importlib.util.find_spec("logitlab.engine.dual") is None
 
 
 ZERO_PARAMETER_SPEC = "spec none\nalt car bus air rail\nU(car) = 0\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
@@ -516,7 +581,7 @@ def test_gradient_and_scores_match_the_parameter_last_contraction(synth_data, te
     P = probabilities(model, theta)
     R = -P
     R[np.arange(model.n_obs), model.choice_idx] += 1.0
-    D = np.ascontiguousarray(_derivative_envelope(model, theta, Dual).transpose(1, 2, 0))
+    D = np.ascontiguousarray(walk_jacobian(model, utility_exprs(model), theta).transpose(1, 2, 0))
     ll, grad = kernel.loglik_and_gradient(model, theta)
     _, S = kernel.loglik_and_scores(model, theta)
     assert math.isfinite(ll) and grad.shape == (k,) and S.shape == (model.n_obs, k)
@@ -732,16 +797,16 @@ def test_row_blocks_raise_no_floating_point_warning(tmp_path):
     """np.errstate holds only in the thread that enters it, so each block enters its own."""
     data = binary_dataset(tmp_path, n=40)
     affine = binding.bind(parser.parse_spec(BINARY_SPEC), data)
-    dual = binding.bind(parser.parse_spec(BINARY_SPEC.replace("b_x * x_a", "exp(b_x * x_a)")), data)
-    assert dual.residual_idx == (0,)
+    nonaffine = binding.bind(parser.parse_spec(BINARY_SPEC.replace("b_x * x_a", "exp(b_x * x_a)")), data)
+    assert nonaffine.residual_idx == (0,)
     with row_blocks(7, POOL), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for model, theta in ((affine, np.array([1e308])), (dual, np.array([500.0]))):
+        for model, theta in ((affine, np.array([1e308])), (nonaffine, np.array([500.0]))):
             assert kernel.log_likelihood(model, theta) == -math.inf
             assert kernel.loglik_and_gradient(model, theta)[0] == -math.inf
             assert kernel.loglik_and_scores(model, theta)[0] == -math.inf
-        G = kernel.jacobian(dual, dual.utilities, np.array([500.0]), (0,))
-        assert not np.isfinite(G).all()  # exp(500 x_a) overflows inside the dual pass
+        G = kernel.jacobian(nonaffine, nonaffine.residuals, np.array([500.0]), (0,))
+        assert not np.isfinite(G).all()  # exp(500 x_a) overflows inside the derivative
 
 
 def test_more_threads_than_cpus_switching_often_write_the_same_bits(best_spec, synth_data, monkeypatch):
@@ -839,9 +904,11 @@ def _nan_blind_bits(a: np.ndarray) -> bytes:
     theta=(1.0, 0.0, 1.0),
 )
 def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, theta):
-    """Affine and non-affine utilities: bind's design, the dual passes, the value pass,
-    the gradient and the scores do not depend on ROW_BLOCK or on the thread pool.
-    The design and the raw Jacobians compare with their NaNs of either sign alike."""
+    """Affine and non-affine utilities: bind's design, the Jacobians of the whole
+    utilities and of the residuals, the value pass, the gradient and the scores, with
+    the split and with a dual pass over everything, do not depend on ROW_BLOCK or on
+    the thread pool.  The design and the raw Jacobians compare with their NaNs of
+    either sign alike."""
     spec = random_spec(exprs)
     theta = np.array(theta)
 
@@ -851,7 +918,8 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
         except binding.DomainViolation as exc:
             return [str(exc).encode()]
         out = [_nan_blind_bits(model.design)]
-        for exprs, idx in ((model.utilities, range(model.n_free)), (model.residuals, model.residual_idx)):
+        whole = derivatives(model, utility_exprs(model))
+        for exprs, idx in ((whole, range(model.n_free)), (model.residuals, model.residual_idx)):
             out.append(_nan_blind_bits(kernel.jacobian(model, exprs, theta, idx)))
         for m in (model, all_residual(model)):
             out.append(np.float64(kernel.log_likelihood(m, theta)).tobytes())
@@ -878,179 +946,76 @@ def test_random_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
     assert _nan_blind_bits(model.design) == _nan_blind_bits(dual_design(model))
 
 
-def _compiled(model: binding.BoundModel, exprs) -> tuple:
-    """``exprs`` compiled against ``model``'s columns and parameter layout."""
-    fixed = {p.name: p.fixed for p in model.spec.parameters if p.fixed is not None}
-    return tuple(binding.compile_expr(e, model.dataset.columns, model.free_names, fixed) for e in exprs)
-
-
 def _term_scale(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
     """(k, n, J) sum over each utility's additive terms of |∂term/∂θ|: the size of
     the sums that the split and the all-residual reference add up in other orders."""
     scale = np.zeros_like(model.design)
     zeros = (Const(0.0),) * model.n_alts
-    for j, alt in enumerate(model.alternatives):
-        for _, term in parser.additive_terms(model.spec.utilities[alt]):
-            utilities = _compiled(model, zeros[:j] + (term,) + zeros[j + 1:])
-            scale += np.abs(kernel.jacobian(model, utilities, theta, range(model.n_free)))
+    for j, utility in enumerate(utility_exprs(model)):
+        for _, term in parser.additive_terms(utility):
+            scale += np.abs(walk_jacobian(model, zeros[:j] + (term,) + zeros[j + 1:], theta))
     return scale
 
 
-class _Envelope(Dual):
-    """A dual number whose gradient is the sum of the magnitudes of the products
-    that a Dual adds up for its gradient, carried through each operation.  A
-    derivative's rounding error is a few ulps of this size, not of its own: in
-    b / (b * x) the quotient rule takes 1/(b x) - (1/x) x/(b x), and the ulp of
-    either product survives where they cancel."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return _Envelope(self.val + other.val, self.grad + other.grad)
-        return _Envelope(self.val + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return _Envelope(self.val - other.val, self.grad + other.grad)
-        return _Envelope(self.val - other, self.grad)
-
-    def __rsub__(self, other):
-        return _Envelope(other - self.val, self.grad)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            grad = self.grad * np.abs(other.val)[..., None] + other.grad * np.abs(self.val)[..., None]
-            return _Envelope(self.val * other.val, grad)
-        other = np.asarray(other, dtype=float)
-        return _Envelope(self.val * other, self.grad * np.abs(other)[..., None])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            val = self.val / other.val
-            grad = (self.grad + other.grad * np.abs(val)[..., None]) / np.abs(other.val)[..., None]
-            return _Envelope(val, grad)
-        other = np.asarray(other, dtype=float)
-        return _Envelope(self.val / other, self.grad / np.abs(other)[..., None])
-
-    def __rtruediv__(self, other):
-        val = np.asarray(other, dtype=float) / self.val
-        return _Envelope(val, self.grad * np.abs(val / self.val)[..., None])
-
-    def __neg__(self):
-        return _Envelope(-self.val, self.grad)
-
-    def log(self):
-        return _Envelope(np.log(self.val), self.grad / np.abs(self.val)[..., None])
-
-    def exp(self):
-        e = np.exp(self.val)
-        return _Envelope(e, self.grad * e[..., None])
-
-    def expm1(self):
-        return _Envelope(np.expm1(self.val), self.grad * np.exp(self.val)[..., None])
-
-    def sqrt(self):
-        s = np.sqrt(self.val)
-        return _Envelope(s, self.grad / (2.0 * s)[..., None])
-
-    def power(self, exponent: float):
-        slope = np.abs(exponent * np.power(self.val, exponent - 1.0))
-        return _Envelope(np.power(self.val, exponent), self.grad * slope[..., None])
+def _derivative_envelope(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
+    """(k, n, J) each utility's Envelope over every free parameter, zero on
+    unavailable cells: the size a dual pass's ∂V/∂θ is rounded to."""
+    return walk_jacobian(model, utility_exprs(model), theta, Envelope)
 
 
-def _derivative_envelope(model: binding.BoundModel, theta: np.ndarray, algebra=_Envelope) -> np.ndarray:
-    """(k, n, J) each utility's _Envelope over every free parameter, zero on
-    unavailable cells: the size a dual pass's ∂V/∂θ is rounded to.  With
-    ``algebra=Dual``, ∂V/∂θ itself from one dual pass over every utility."""
-    k = model.n_free
-    args = [algebra.seed(value, i, k) for i, value in enumerate(theta.tolist())]
-    out = np.zeros_like(model.design)
-    with np.errstate(all="ignore"):
-        for j, utility in enumerate(model.utilities):
-            res = utility(binding.ALL_ROWS, args)
-            if isinstance(res, Dual):
-                out[:, :, j] = np.broadcast_to(res.grad, (model.n_obs, k)).T
-    out[:, ~model.avail] = 0.0
-    return out
+B1, B2, X, Y, Z = Param("b_one"), Param("b_two"), Var("x"), Var("y"), Var("z")
 
 
-def _walk(expr, columns, params):
-    """The reference for compiled expressions: ``expr`` by a recursive walk of its
-    tree on every evaluation, over the arrays in ``columns``, with each parameter
-    looked up in ``params`` (floats or dual numbers)."""
-    ev = lambda e: _walk(e, columns, params)
-    call = lambda fn, x, *args: getattr(x, fn)(*args) if isinstance(x, Dual) else getattr(np, fn)(x, *args)
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Param):
-        return params[expr.name]
-    if isinstance(expr, Var):
-        return columns[expr.name]
-    if isinstance(expr, Add):
-        return ev(expr.left) + ev(expr.right)
-    if isinstance(expr, Sub):
-        return ev(expr.left) - ev(expr.right)
-    if isinstance(expr, Mul):
-        return ev(expr.left) * ev(expr.right)
-    if isinstance(expr, Div):
-        left, right = ev(expr.left), ev(expr.right)
-        if isinstance(left, float) and isinstance(right, float):
-            left = np.float64(left)
-        return left / right
-    if isinstance(expr, Neg):
-        return -ev(expr.operand)
-    if isinstance(expr, Call1):
-        return call(expr.fn, ev(expr.arg))
-    if isinstance(expr, Pow):
-        return call("power", ev(expr.base), expr.exponent)
-    if isinstance(expr, BoxCox):
-        logx, shape = call("log", ev(expr.base)), params[expr.shape]
-        if float(shape.val if isinstance(shape, Dual) else shape) == 0.0:
-            return logx + shape * (logx * logx * 0.5)
-        return call("expm1", shape * logx) / shape
-    assert isinstance(expr, Piecewise)
-    segs = binding.piecewise_segments(columns[expr.var], expr.knots)
-    total = params[expr.params[0]] * segs[:, 0]
-    for i, name in enumerate(expr.params[1:], start=1):
-        total = total + params[name] * segs[:, i]
-    return total
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
     expr=EXPRS,
     theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.just(0.0) | st.floats(0.2, 2.0)),
 )
+# each derivative rule at least once, on finite values
+@example(expr=Div(Const(2.0), Add(B1, X)), theta=(0.5, -0.3, 1.0))
+@example(expr=Div(B1, Mul(B2, Y)), theta=(0.5, -0.3, 1.0))
+@example(expr=Mul(B1, Call1("log", Mul(B2, X))), theta=(0.5, 0.3, 1.0))
+@example(expr=Add(Call1("exp", Mul(B1, Y)), Call1("sqrt", Add(B2, Z))), theta=(0.5, 0.3, 1.0))
+@example(expr=Add(Pow(Add(B1, X), -1.0), Pow(Add(B2, Z), 0.5)), theta=(0.5, 0.3, 1.0))
+@example(expr=BoxCox(Mul(B1, X), "lambda_s"), theta=(0.5, 0.3, 0.0))
+@example(expr=BoxCox(Mul(B1, X), "lambda_s"), theta=(0.5, 0.3, 0.7))
 def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, theta):
-    """On all rows and on a slice, with float, Dual and _Envelope parameters, each
-    free or b_two folded in as fixed, a compiled expression gives the walk's type
-    and bits, NaNs of either sign alike; so _Envelope keeps its own methods.  The
-    Box-Cox shape lambda_s is sometimes exactly 0, the log-limit branch."""
-    names = ("b_one", "b_two", "lambda_s")
+    """On all rows and on a slice, with each parameter free or b_two folded in as
+    fixed, a compiled expression gives the walk's type and bits on floats, and its
+    compiled derivative along each free parameter's unit vector, one at a time and
+    all at once, gives the bits of that parameter's column of the walk on dual
+    numbers seeded on every free parameter, NaNs of either sign alike.  The Box-Cox
+    shape lambda_s is sometimes exactly 0, the log-limit branch."""
     columns = xyz_data.columns
-    free = binding.compile_expr(expr, columns, names, {})
-    fixed = binding.compile_expr(expr, columns, ("b_one", "lambda_s"), {"b_two": theta[1]})
-    bits = lambda v: [_nan_blind_bits(np.asarray(x, dtype=float)) for x in (
-        (v.val, v.grad) if isinstance(v, Dual) else (v,)
-    )]
     for rows in (binding.ALL_ROWS, slice(7, 30)):
         sliced = {name: column[rows] for name, column in columns.items()}
-        for algebra in (float, Dual.seed, _Envelope.seed):
-            args = [v if algebra is float else algebra(v, i, 3) for i, v in enumerate(theta)]
-            params = dict(zip(names, args))
-            for fn, fn_args, walk_params in (
-                (free, args, params),
-                (fixed, [args[0], args[2]], {**params, "b_two": theta[1]}),
-            ):
-                with np.errstate(all="ignore"):
-                    got, want = fn(rows, fn_args), _walk(expr, sliced, walk_params)
-                assert type(got) is type(want)
-                assert bits(got) == bits(want)
+        for free_names, fixed in (
+            (("b_one", "b_two", "lambda_s"), {}), (("b_one", "lambda_s"), {"b_two": theta[1]})
+        ):
+            values = [v for name, v in zip(("b_one", "b_two", "lambda_s"), theta) if name not in fixed]
+            params = {**dict(zip(free_names, values)), **fixed}
+            with np.errstate(all="ignore"):
+                got = binding.compile_expr(expr, columns, free_names, fixed)(rows, values)
+                want = walk(expr, sliced, params)
+            assert type(got) is type(want)
+            assert _nan_blind_bits(np.asarray(got)) == _nan_blind_bits(np.asarray(want))
+
+            k = len(free_names)
+            seeds = {name: Dual.seed(v, i, k) for i, (name, v) in enumerate(zip(free_names, values))}
+            derivative = binding.compile_derivative(expr, columns, free_names, fixed)
+            with np.errstate(all="ignore"):
+                dual = walk(expr, sliced, {**params, **seeds})
+                assert (derivative is None) == (not isinstance(dual, Dual))
+                if derivative is None:
+                    continue
+                grad = np.broadcast_to(dual.grad, dual.val.shape + (k,))
+                for q, unit in enumerate(np.eye(k).tolist()):
+                    got = np.broadcast_to(derivative(rows, values, unit), dual.val.shape)
+                    assert _nan_blind_bits(got) == _nan_blind_bits(grad[..., q]), free_names[q]
+                stacked = derivative(rows, values, np.eye(k)[:, :, None])  # every direction at once
+                n = len(sliced["x"])
+                got, want = np.broadcast_to(stacked, (k, n)), np.broadcast_to(dual.grad, (n, k)).T
+                assert _nan_blind_bits(got) == _nan_blind_bits(want)
 
 
 def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: float) -> np.ndarray:

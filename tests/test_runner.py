@@ -192,19 +192,18 @@ def test_no_providers_raises(synth_data):
         runner.run_experiment(1, [], synth_data, replay_dir=FIXTURES)
 
 
-def test_per_spec_failures_stay_isolated(tmp_path, synth_data):
-    """One bad spec in a transcript never takes down its neighbours."""
-    text = (
-        "```dcm-spec\n"
-        "spec good\nalt car bus air rail\nparam asc_bus\nparam b_time generic\n"
-        "U(car) = b_time * time_car\nU(bus) = asc_bus + b_time * time_bus\n"
-        "U(air) = b_time * time_air\nU(rail) = b_time * time_rail\n"
-        "```\n"
-        "```dcm-spec\n"
-        "spec unbindable\nalt car bus air rail\nparam b_x generic\n"
-        "U(car) = b_x * no_such_column\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
-        "```\n"
-    )
+GOOD_BLOCK = (
+    "```dcm-spec\n"
+    "spec good\nalt car bus air rail\nparam asc_bus\nparam b_time generic\n"
+    "U(car) = b_time * time_car\nU(bus) = asc_bus + b_time * time_bus\n"
+    "U(air) = b_time * time_air\nU(rail) = b_time * time_rail\n"
+    "```\n"
+)
+
+
+def replay_text(tmp_path, dataset, text: str) -> runner.ExperimentResult:
+    """Experiment 3 over one provider whose replayed answer is ``text``, saved under
+    ``tmp_path / "runs"``."""
     transcript = LLMTranscript(
         provider="prov",
         model="mod",
@@ -214,10 +213,22 @@ def test_per_spec_failures_stay_isolated(tmp_path, synth_data):
         timestamp="",
         token_counts={},
     )
-    write_fixture(transcript, tmp_path, exp_id=3)
-    result = runner.run_experiment(
-        3, [ProviderConfig(name="prov", model="mod")], synth_data, replay_dir=tmp_path
+    write_fixture(transcript, tmp_path / "fixtures", exp_id=3)
+    return runner.run_experiment(
+        3, [ProviderConfig(name="prov", model="mod")], dataset,
+        replay_dir=tmp_path / "fixtures", out_dir=tmp_path / "runs",
     )
+
+
+def test_per_spec_failures_stay_isolated(tmp_path, synth_data):
+    """One bad spec in a transcript never takes down its neighbours."""
+    text = GOOD_BLOCK + (
+        "```dcm-spec\n"
+        "spec unbindable\nalt car bus air rail\nparam b_x generic\n"
+        "U(car) = b_x * no_such_column\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
+        "```\n"
+    )
+    result = replay_text(tmp_path, synth_data, text)
     by_name = {r.spec_name: r for r in result.records}
     assert by_name["good"].estimation is not None
     # time-only spec: no cost side, so the ratio is reported missing
@@ -226,6 +237,27 @@ def test_per_spec_failures_stay_isolated(tmp_path, synth_data):
     bad = by_name["unbindable"]
     assert bad.estimation is None and bad.fit is None and bad.validation is None
     assert any("no_such_column" in d for d in bad.diagnostics)
+
+
+def test_literal_too_large_for_a_float_is_an_extraction_diagnostic(tmp_path, synth_data):
+    """Before: 1e999 parsed to inf, and saving the run ended in an OverflowError."""
+    huge = GOOD_BLOCK.replace("spec good", "spec huge").replace("b_time * time_car", "b_time * 1e999")
+    text = GOOD_BLOCK + huge
+    result = replay_text(tmp_path, synth_data, text)
+    assert [r.spec_name for r in result.records] == ["good"]
+    assert "prov/mod: spec block 2 rejected: line 5, col 10: number out of range: 1e999" in result.diagnostics
+    (saved,) = runner.load_results(tmp_path / "runs")
+    assert saved.diagnostics == result.diagnostics
+
+
+def test_division_by_a_literal_zero_keeps_the_validation(tmp_path, synth_data):
+    """Before: the main-effect scan divided 1 by the divisor, and the record lost
+    its validation to a ZeroDivisionError."""
+    text = GOOD_BLOCK.replace("b_time * time_car", "b_time * time_car / 0")
+    (record,) = replay_text(tmp_path, synth_data, text).records
+    assert record.estimation.convergence_reason == "non_finite"
+    assert record.validation.exclusion == "excluded_nonconvergence"
+    assert not any("ZeroDivisionError" in d for d in record.diagnostics)
 
 
 # -- persistence ------------------------------------------------------------------

@@ -141,6 +141,27 @@ def test_boxcox_shape_must_be_declared_parameter():
     assert e.shape == "lambda_t"
 
 
+@pytest.mark.parametrize(
+    "declaration, utility",
+    [
+        ("param b_t generic", "b_t * t * 1e999"),
+        ("param b_t generic", "b_t * t - 2e308"),
+        ("param b_t generic", "b_t * pow(t, -1e999)"),
+        ("param b_t generic\nparam b_u generic", "piecewise(t, 1e999, b_t, b_u)"),
+        ("param b_t fixed 1e999", "b_t * t"),
+        ("param b_t start -1e400", "b_t * t"),
+    ],
+    ids=["literal", "subtracted_literal", "pow_exponent", "piecewise_knot", "fixed", "start"],
+)
+def test_numbers_too_large_for_a_float_are_syntax_errors(declaration, utility):
+    """Before: 1e999 parsed to inf, which a results file cannot hold."""
+    text = f"spec s\nalt a b\n{declaration}\nU(a) = {utility}\nU(b) = 0\n"
+    message = "^line [345](, col [0-9]+)?: number out of range: -?[0-9]+e[0-9]+$"
+    with pytest.raises(DslSyntaxError, match=message):
+        parse_spec(text)
+    assert parse_spec(text.replace("e999", "e99").replace("e400", "e40").replace("2e308", "2e307"))
+
+
 def test_pow_takes_numeric_exponent():
     e = parse_expression("pow(x, 2)", set())
     assert isinstance(e, Pow)
