@@ -1,10 +1,14 @@
-"""Maximum-likelihood estimation via BFGS with backtracking.
+"""Maximum-likelihood estimation by Newton steps with backtracking.
 
-The inverse-Hessian approximation starts from the BHHH estimate
-``(SᵀS)⁻¹``, built from the per-observation scores ``S`` at the start
-values (Berndt, Hall, Hall and Hausman 1974), so the first steps are
-scaled to the data; when ``SᵀS`` is near singular (collinear parameters)
-it starts from the identity.  The Armijo test accepts a rise of -loglik
+Each step solves ``I d = g`` for the gradient ``g`` and the MNL
+information matrix ``I`` at the current parameters
+(:func:`~logitlab.engine.kernel.loglik_gradient_and_information`).  For
+utilities linear in the parameters ``I`` is minus the exact Hessian of the
+log-likelihood, which is globally concave, so the steps are Newton's;
+otherwise ``I`` is the expected information and the steps are Fisher
+scoring.  The minimum-norm least-squares solve gives a step where ``I`` is
+singular: collinear parameters, or a Box-Cox shape whose utility terms
+vanish at the start values.  The Armijo test accepts a rise of -loglik
 within its rounding (``LL_ROUNDING`` relative), so steps near the optimum
 whose gain is below the log-likelihood's precision still move the
 gradient towards the stopping test instead of backtracking to a no-op.
@@ -26,7 +30,7 @@ import numpy as np
 from logitlab.engine.kernel import (
     log_likelihood,
     loglik_and_gradient,
-    loglik_and_scores,
+    loglik_gradient_and_information,
     null_loglik,
 )
 from logitlab.specdsl.binding import BoundModel
@@ -122,14 +126,6 @@ def _positive_definite(M: np.ndarray) -> bool:
     return bool(eigs[0] > PD_TOL * max(eigs[-1], 1.0))
 
 
-def _bhhh_inverse(S: np.ndarray) -> np.ndarray:
-    """``(SᵀS)⁻¹`` from (n, k) scores, or the identity when SᵀS is not PD."""
-    info = S.T @ S
-    if S.shape[1] == 0 or not _positive_definite(info):
-        return np.eye(S.shape[1])
-    return np.linalg.inv(info)
-
-
 def _curvature(model: BoundModel, theta: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     """(hessian_pd, std_errors, t_ratios) at a candidate optimum."""
     k = len(theta)
@@ -161,8 +157,7 @@ def estimate(model: BoundModel) -> EstimationResult:
     theta = np.array(model.start, dtype=float)
     k = len(theta)
     ll0 = null_loglik(model.dataset)
-    ll, S = loglik_and_scores(model, theta)
-    grad = S.sum(axis=0)
+    ll, grad, info = loglik_gradient_and_information(model, theta)
 
     if not math.isfinite(ll):
         nan = np.full(k, np.nan)
@@ -170,7 +165,6 @@ def estimate(model: BoundModel) -> EstimationResult:
             _rows(model.free_names, theta, nan, nan), ll, ll0, 0, False, "non_finite", False
         )
 
-    B = _bhhh_inverse(S)  # inverse Hessian approximation of -loglik
     reason = "max_iterations"
     iterations = 0
     for _ in range(MAX_ITERS):
@@ -179,20 +173,15 @@ def estimate(model: BoundModel) -> EstimationResult:
             reason = "gradient_tolerance"
             break
 
-        gf = -grad
-        d = -B @ gf
-        slope = float(gf @ d)
-        if slope >= 0.0:  # stale curvature, restart from steepest ascent
-            B = np.eye(k)
-            d = -gf
-            slope = float(gf @ d)
+        d = np.linalg.lstsq(info, grad, rcond=None)[0]
+        slope = -float(grad @ d)  # of -loglik along d
 
         alpha = 1.0
         new_ll = -math.inf
         new_theta = theta
         for _ in range(MAX_BACKTRACKS):
             cand = theta + alpha * d
-            # Armijo test needs only the value; the gradient pass runs
+            # Armijo test needs only the value; the information pass runs
             # once after acceptance and reuses the probabilities this
             # value pass keeps on the model.
             cand_ll = log_likelihood(model, cand)
@@ -207,21 +196,12 @@ def estimate(model: BoundModel) -> EstimationResult:
             reason = "line_search_failure"
             break
 
-        _, new_grad = loglik_and_gradient(model, new_theta)
+        _, new_grad, new_info = loglik_gradient_and_information(model, new_theta)
         if not np.all(np.isfinite(new_grad)):
             reason = "non_finite"
             break
 
-        s = new_theta - theta
-        y = -(new_grad - grad)  # gradient change of -loglik
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            rho = 1.0 / sy
-            I = np.eye(k)
-            V = I - rho * np.outer(s, y)
-            B = V @ B @ V.T + rho * np.outer(s, s)
-
-        theta, ll, grad = new_theta, new_ll, new_grad
+        theta, ll, grad, info = new_theta, new_ll, new_grad, new_info
         iterations += 1
 
     hessian_pd, se, t = _curvature(model, theta)

@@ -1,4 +1,4 @@
-"""MNL choice probabilities, log-likelihood, exact gradient and scores.
+"""MNL choice probabilities, log-likelihood, exact gradient and information matrix.
 
 Utilities are evaluated for a block of rows at once; unavailable
 alternatives are masked out before the softmax, so their probabilities
@@ -9,13 +9,14 @@ Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  The
 value pass is alternative-major: per block it writes the utilities into
 its columns of one (J, n) buffer, tests them, forms the probabilities in
 place and writes its log chosen probabilities.  A pass over more than
-``ROW_BLOCK`` rows runs its blocks, and then its per-parameter sums, on a
+``ROW_BLOCK`` rows runs its blocks, and then its sums, on a
 thread pool sized to the CPUs the process may use, created on the first
 such pass; a smaller pass, or a process with one CPU, runs in the calling
 thread and never imports ``concurrent.futures``.  No reduction is split by the blocks: the
 log-likelihood sum and the ``-inf`` verdict (one failed block fails the
 pass) run once over the full arrays in the calling thread, and each
-parameter's gradient or score sum is one numpy call over all rows.  So
+parameter's gradient sum, and each row of the information matrix, is one
+numpy call over all rows.  So
 every result is bit-identical to a one-thread pass, whatever the block
 size and the number of threads, and there is no thread setting.  Each
 block enters its own ``np.errstate``, which holds only in the thread that
@@ -44,13 +45,12 @@ the probabilities have its bits.  The weight, its log, each row's chosen
 cell and the one-hot ``Y`` are derived once per model (cached properties
 of ``BoundModel``).
 
-The scores are the textbook MNL score ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
-``y`` the one-hot choice; the gradient sums over the rows as well.
-``Y − P`` is formed in an (n, J) buffer, as ``onehot − Pᵀ``.  ∂V/∂θ is
-stored parameter-first, (k, n, J), so each parameter's slab is a
-contiguous (n, J) array laid out as ``Y − P`` is, and each parameter's
-gradient or scores are one task: one ``np.einsum`` of ``Y − P`` with that
-slab.  Binding split each utility into its affine
+The gradient is the textbook MNL score ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
+``y`` the one-hot choice.  ``Y − P`` is formed in an (n, J) buffer, as
+``onehot − Pᵀ``.  ∂V/∂θ is stored parameter-first, (k, n, J), so each
+parameter's slab is a contiguous (n, J) array laid out as ``Y − P`` is,
+and each parameter's gradient is one task: one ``np.einsum`` of ``Y − P``
+with that slab.  Binding split each utility into its affine
 terms, whose derivatives it cached as the design, and the residual terms,
 whose derivatives it compiled.  So the tasks take the design's slabs and,
 for the residuals' own parameters, the slabs of the residuals' derivatives
@@ -58,13 +58,22 @@ at θ along each such parameter's unit vector (:func:`jacobian`), whose sums
 are added to the design's.  An all-affine spec has no residual parameters
 and evaluates no derivative at θ.
 
+The information matrix ``Σₙ Σⱼ Pₙⱼ (Gₙⱼ − Ḡₙ)(Gₙⱼ − Ḡₙ)ᵀ``, with G = ∂V/∂θ
+and ``Ḡₙ = Σⱼ Pₙⱼ Gₙⱼ``, is minus the Hessian of the log-likelihood when
+the utilities are linear in θ, and the expected information otherwise
+(Train, *Discrete Choice Methods with Simulation*, ch. 8).  Its pass
+(:func:`loglik_gradient_and_information`) is the gradient pass plus one
+(k, J, n) array, laid out as P is: one task per parameter fills its slab
+with G and subtracts Ḡ, and one task per row of the upper triangle sums
+the products of P, that row's centred slab and each later one.
+
 A value pass keeps its (log-likelihood, P) on the model
-(``BoundModel.kept``), so the gradient an optimizer asks for at the step
-it just accepted skips the utilities and the softmax.  Every pass forms
-the utilities with the same compiled functions on float parameters, so
-the kept P has the bits a fresh pass would compute.  Each value pass
-replaces the entry, a -inf one is not kept, and a gradient pass pops it,
-so it serves at most one gradient.
+(``BoundModel.kept``), so the gradient and information an optimizer asks
+for at the step it just accepted skip the utilities and the softmax.
+Every pass forms the utilities with the same compiled functions on float
+parameters, so the kept P has the bits a fresh pass would compute.  Each
+value pass replaces the entry, a -inf one is not kept, and a gradient or
+information pass pops it, so it serves at most one of them.
 """
 
 from __future__ import annotations
@@ -211,51 +220,81 @@ def jacobian(model: BoundModel, derivatives, theta, idx) -> np.ndarray:
     return G
 
 
-def _score_pass(model: BoundModel, theta, per_row: bool) -> tuple[float, np.ndarray | None]:
-    """Log-likelihood and ``Y − P`` contracted with ∂V/∂θ, over the alternatives,
-    and over the rows too unless ``per_row``; None when LL is -inf.  ∂V/∂θ is
-    the design plus, on the residuals' parameters, their Jacobian at θ.
-    P comes from the value pass kept at this θ or a fresh one."""
+def _score_pass(
+    model: BoundModel, theta, information: bool
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Log-likelihood, ``Y − P`` contracted with ∂V/∂θ over rows and alternatives
+    and, if ``information``, the information matrix (else None); None when LL is
+    -inf.  ∂V/∂θ is the design plus, on the residuals' parameters, their
+    Jacobian at θ.  P comes from the value pass kept at this θ or a fresh one."""
     theta = _check_theta(model, theta)
     ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
     if P is None:
-        return ll, None
+        return ll, None, None
     R, onehot = np.empty((model.n_obs, model.n_alts)), model.onehot
     _row_blocks(model.n_obs, lambda rows: np.subtract(onehot[rows], P[:, rows].T, out=R[rows]))
     slabs = [*model.design]
     if model.residual_idx:
         slabs += [*jacobian(model, model.residuals, theta, model.residual_idx)]
-    subscripts = "nj,nj->n" if per_row else "nj,nj->"
-    sums = np.empty((model.n_obs, len(slabs)) if per_row else len(slabs))
-    contract = lambda q: np.einsum(subscripts, R, slabs[q], out=sums[..., q])
+    sums = np.empty(len(slabs))
+    contract = lambda q: np.einsum("nj,nj->", R, slabs[q], out=sums[..., q])
     _tasks(model.n_obs, contract, range(len(slabs)))
-    out = sums[..., : model.n_free]
+    grad = sums[: model.n_free]
     if model.residual_idx:
-        out[..., model.residual_idx] += sums[..., model.n_free :]
-    return ll, out
+        grad[..., model.residual_idx] += sums[model.n_free :]
+    return ll, grad, _information(model, P, slabs) if information else None
 
 
-def loglik_and_scores(model: BoundModel, theta) -> tuple[float, np.ndarray]:
-    """Log-likelihood and the (n, k) per-observation scores ``Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ``.
+def _information(model: BoundModel, P: np.ndarray, slabs: list) -> np.ndarray:
+    """The information matrix from the (J, n) probabilities and the gradient's
+    ``slabs``, as the module docstring describes; each row of the upper
+    triangle is one call, mirrored below the diagonal."""
+    k = model.n_free
+    C = np.empty((k, model.n_alts, model.n_obs))
+    residual_slab = dict(zip(model.residual_idx, range(k, len(slabs))))
+    info = np.empty((k, k))
 
-    The scores are NaN-filled when the log-likelihood is -inf.
-    """
-    ll, S = _score_pass(model, theta, per_row=True)
-    if S is None or not np.all(np.isfinite(S)):
-        return -math.inf, np.full((model.n_obs, model.n_free), np.nan)
-    return ll, S
+    def centre(q: int) -> None:
+        np.copyto(C[q], slabs[q].T)
+        with np.errstate(all="ignore"):  # a non-finite slab fails the pass, not a warning
+            if q in residual_slab:
+                C[q] += slabs[residual_slab[q]].T
+            C[q] -= np.einsum("jn,jn->n", P, C[q])
+
+    def row(q: int) -> None:
+        np.einsum("jn,jn,ljn->l", P, C[q], C[q:], out=info[q, q:])
+        info[q:, q] = info[q, q:]
+
+    _tasks(model.n_obs, centre, range(k))
+    _tasks(model.n_obs, row, range(k))
+    return info
 
 
 def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
     """Log-likelihood and its exact gradient ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ``.
 
-    One sum over rows and alternatives per parameter, without the (n, k)
-    scores.  The gradient is NaN-filled when the log-likelihood is -inf.
+    The gradient is NaN-filled when the log-likelihood is -inf.
     """
-    ll, grad = _score_pass(model, theta, per_row=False)
+    ll, grad, _ = _score_pass(model, theta, information=False)
     if grad is None or not np.all(np.isfinite(grad)):
         return -math.inf, np.full(model.n_free, np.nan)
     return ll, grad
+
+
+def loglik_gradient_and_information(
+    model: BoundModel, theta
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, its exact gradient and the (k, k) MNL information matrix
+    ``Σₙ Σⱼ Pₙⱼ (∂Vₙⱼ/∂θ − Σᵢ Pₙᵢ ∂Vₙᵢ/∂θ)(…)ᵀ``, minus the Hessian of the
+    log-likelihood when the utilities are linear in θ.
+
+    Gradient and matrix are NaN-filled when the log-likelihood is -inf.
+    """
+    ll, grad, info = _score_pass(model, theta, information=True)
+    if grad is None or not (np.all(np.isfinite(grad)) and np.all(np.isfinite(info))):
+        k = model.n_free
+        return -math.inf, np.full(k, np.nan), np.full((k, k), np.nan)
+    return ll, grad, info
 
 
 def null_loglik(dataset: Dataset) -> float:

@@ -7,6 +7,7 @@ a garbled LLM answer is a data point, not a crash.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ def _parse_claims(body: str, diagnostics: list[str]) -> list[Claim]:
             diagnostics.append(f"claims line {lineno} not parseable: {raw.strip()!r}")
             continue
         values = [float(x) for x in numbers[:3]]
+        if not all(map(math.isfinite, values)):  # 1e999: inf, which the run would save as null
+            diagnostics.append(f"claims line {lineno}: number out of range")
+            continue
         claims.append(
             Claim(
                 spec_name=names[0],

@@ -1,4 +1,4 @@
-"""Compiled derivatives, the MNL kernel and the BFGS estimator."""
+"""Compiled derivatives, the MNL kernel and the Newton estimator."""
 
 from __future__ import annotations
 
@@ -311,7 +311,7 @@ def test_design_path_matches_dual_path(best_spec, synth_data, blocking):
         for _ in range(3):
             theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
             for m in (model, dual):
-                for fn in (kernel.loglik_and_gradient, kernel.loglik_and_scores):
+                for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
                     assert _bits(fn(m, theta)) == _bits(unblocked(fn, m, theta)), spec.name
                 ll = kernel.log_likelihood(m, theta)
                 assert np.float64(ll).tobytes() == np.float64(
@@ -322,18 +322,24 @@ def test_design_path_matches_dual_path(best_spec, synth_data, blocking):
             assert math.isfinite(ll)
             assert abs(ll - ll_dual) <= 1e-12 * abs(ll_dual), spec.name
             assert np.abs(grad - grad_dual).max() <= 1e-10 * np.abs(grad_dual).max(), spec.name
-            for m, g in ((model, grad), (dual, grad_dual)):
-                summed = kernel.loglik_and_scores(m, theta)[1].sum(axis=0)
-                assert np.abs(g - summed).max() <= 1e-12 * np.abs(summed).max(), spec.name
+            (_, grad_i, info), (_, grad_dual_i, info_dual) = (
+                kernel.loglik_gradient_and_information(m, theta) for m in (model, dual)
+            )
+            assert _bits((grad_i, grad_dual_i)) == _bits((grad, grad_dual)), spec.name
+            assert np.abs(info - info_dual).max() <= 1e-12 * np.abs(info_dual).max(), spec.name
         wild = np.full(model.n_free, 1e4)  # some chosen probability underflows
         for m in (model, dual):
             ll, grad = kernel.loglik_and_gradient(m, wild)
             assert ll == -math.inf, spec.name
             assert grad.shape == (model.n_free,) and np.all(np.isnan(grad)), spec.name
+            ll, grad, info = kernel.loglik_gradient_and_information(m, wild)
+            assert ll == -math.inf and np.all(np.isnan(grad)), spec.name
+            assert info.shape == (model.n_free,) * 2 and np.all(np.isnan(info)), spec.name
 
 
-def _bits(ll_grad: tuple[float, np.ndarray]) -> tuple[bytes, bytes]:
-    return np.float64(ll_grad[0]).tobytes(), ll_grad[1].tobytes()
+def _bits(outputs: tuple) -> tuple[bytes, ...]:
+    """The bytes of each of a pass's outputs: log-likelihood, gradient and so on."""
+    return tuple(np.asarray(x, dtype=np.float64).tobytes() for x in outputs)
 
 
 def test_gradient_after_value_pass_reuses_it_bit_for_bit(synth_data, blocking):
@@ -348,8 +354,9 @@ def test_gradient_after_value_pass_reuses_it_bit_for_bit(synth_data, blocking):
         assert not model.kept, spec.name  # popped: a second pass computes its own P
         assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh, spec.name
         kernel.log_likelihood(model, theta)
-        reused = _bits(kernel.loglik_and_scores(model, theta))
-        assert reused == _bits(kernel.loglik_and_scores(model, theta)), spec.name
+        reused = _bits(kernel.loglik_gradient_and_information(model, theta))
+        assert not model.kept, spec.name
+        assert reused == _bits(kernel.loglik_gradient_and_information(model, theta)), spec.name
 
 
 def test_kept_value_pass_serves_only_its_own_theta_and_model(best_spec, synth_data, flipped_data):
@@ -388,14 +395,14 @@ def test_estimate_with_reuse_matches_estimate_without(best_spec, synth_data, mon
     def fit(spec: parser.UtilitySpec) -> tuple[bfgs.EstimationResult, int]:
         model = binding.bind(spec, synth_data)
         hits = []
-        gradient = bfgs.loglik_and_gradient
+        information = bfgs.loglik_gradient_and_information
 
         def spy(m, theta):
             hits.append(np.asarray(theta, dtype=float).tobytes() in m.kept)
-            return gradient(m, theta)
+            return information(m, theta)
 
         with monkeypatch.context() as mp:
-            mp.setattr(bfgs, "loglik_and_gradient", spy)
+            mp.setattr(bfgs, "loglik_gradient_and_information", spy)
             return bfgs.estimate(model), sum(hits)
 
     def forgetful(model, theta):
@@ -572,9 +579,11 @@ ZERO_PARAMETER_SPEC = "spec none\nalt car bus air rail\nU(car) = 0\nU(bus) = 0\n
     [BEST_SPEC.read_text(encoding="utf-8"), BOXCOX_PIECEWISE_SPEC, ZERO_PARAMETER_SPEC],
     ids=["synthetic_best", "boxcox_piecewise", "no_free_parameters"],
 )
-def test_gradient_and_scores_match_the_parameter_last_contraction(synth_data, text, blocking):
-    """One sum per parameter slab gives the gradient and the scores of the textbook
-    contraction of ``Y − P`` with an (n, J, k) ∂V/∂θ from one dual pass, to 1e-12."""
+def test_gradient_and_information_match_the_parameter_last_contraction(synth_data, text, blocking):
+    """One sum per parameter slab gives the gradient, and the P-weighted products
+    of the centred slabs give the information matrix, of the textbook contractions
+    with an (n, J, k) ∂V/∂θ from one dual pass, to 1e-12, with the bits of a
+    one-block pass."""
     model = binding.bind(parser.parse_spec(text), synth_data)
     k = model.n_free
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, k)
@@ -582,11 +591,39 @@ def test_gradient_and_scores_match_the_parameter_last_contraction(synth_data, te
     R = -P
     R[np.arange(model.n_obs), model.choice_idx] += 1.0
     D = np.ascontiguousarray(walk_jacobian(model, utility_exprs(model), theta).transpose(1, 2, 0))
+    C = D - np.einsum("nj,njk->nk", P, D)[:, None, :]
     ll, grad = kernel.loglik_and_gradient(model, theta)
-    _, S = kernel.loglik_and_scores(model, theta)
-    assert math.isfinite(ll) and grad.shape == (k,) and S.shape == (model.n_obs, k)
-    for got, want in ((grad, np.einsum("nj,njk->k", R, D)), (S, np.einsum("nj,njk->nk", R, D))):
+    passes = (ll_i, grad_i, info) = kernel.loglik_gradient_and_information(model, theta)
+    assert _bits(passes) == _bits(unblocked(kernel.loglik_gradient_and_information, model, theta))
+    assert _bits((ll_i, grad_i)) == _bits((ll, grad))
+    assert math.isfinite(ll) and grad.shape == (k,) and info.shape == (k, k)
+    assert np.array_equal(info, info.T)
+    for got, want in ((grad, np.einsum("nj,njk->k", R, D)), (info, np.einsum("nj,njk,njl->kl", P, C, C))):
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+def test_information_of_an_affine_spec_is_minus_the_hessian(best_model):
+    """Central differences of the exact gradient, at a point off the optimum."""
+    theta = best_model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, best_model.n_free)
+    _, _, info = kernel.loglik_gradient_and_information(best_model, theta)
+    H = np.empty_like(info)
+    for i, h in enumerate(1e-5 * np.maximum(1.0, np.abs(theta))):
+        step = np.zeros_like(theta)
+        step[i] = h
+        up, down = (kernel.loglik_and_gradient(best_model, theta + s)[1] for s in (step, -step))
+        H[:, i] = (up - down) / (2.0 * h)
+    np.testing.assert_allclose(info, -H, rtol=0.0, atol=1e-6 * np.abs(info).max())
+
+
+def test_binary_information_is_the_logit_weighted_sum_of_squares(tmp_path):
+    """For U=b*x with two alternatives the information is sum dx^2 p (1-p)."""
+    data = binary_dataset(tmp_path)
+    model = binding.bind(parser.parse_spec(BINARY_SPEC), data)
+    dx = data.columns["x_a"] - data.columns["x_b"]
+    for b in (-0.7, 0.0, 0.4):
+        _, _, info = kernel.loglik_gradient_and_information(model, np.array([b]))
+        p = 1.0 / (1.0 + np.exp(-b * dx))
+        np.testing.assert_allclose(info, [[float((dx**2 * p * (1 - p)).sum())]], rtol=1e-12)
 
 
 # -- kernel properties ---------------------------------------------------------
@@ -757,7 +794,7 @@ def test_theta_of_the_wrong_shape_is_rejected(best_model, shape):
     assert best_model.n_free == 7
     theta = np.zeros(shape)
     message = f"^theta has shape {re.escape(str(shape))}; the model has 7 free parameters$"
-    for fn in (kernel.log_likelihood, kernel.loglik_and_gradient, kernel.loglik_and_scores):
+    for fn in (kernel.log_likelihood, kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
         with pytest.raises(ValueError, match=message):
             fn(best_model, theta)
     assert math.isfinite(kernel.log_likelihood(best_model, list(best_model.start)))
@@ -788,9 +825,9 @@ def test_breakdown_in_a_later_block_alone_gives_minus_inf(tmp_path, workers, bre
         for m in (model, all_residual(model)):
             assert kernel.log_likelihood(m, theta) == -math.inf
             assert not m.kept
-            for fn in (kernel.loglik_and_gradient, kernel.loglik_and_scores):
-                ll, g = fn(m, theta)
-                assert ll == -math.inf and np.all(np.isnan(g))
+            for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
+                ll, *outputs = fn(m, theta)
+                assert ll == -math.inf and all(np.all(np.isnan(x)) for x in outputs)
 
 
 def test_row_blocks_raise_no_floating_point_warning(tmp_path):
@@ -799,12 +836,16 @@ def test_row_blocks_raise_no_floating_point_warning(tmp_path):
     affine = binding.bind(parser.parse_spec(BINARY_SPEC), data)
     nonaffine = binding.bind(parser.parse_spec(BINARY_SPEC.replace("b_x * x_a", "exp(b_x * x_a)")), data)
     assert nonaffine.residual_idx == (0,)
+    steep = binding.bind(parser.parse_spec(BINARY_SPEC.replace("b_x * x_a", "log(b_x * x_a)")), data)
     with row_blocks(7, POOL), warnings.catch_warnings():
         warnings.simplefilter("error")
         for model, theta in ((affine, np.array([1e308])), (nonaffine, np.array([500.0]))):
             assert kernel.log_likelihood(model, theta) == -math.inf
             assert kernel.loglik_and_gradient(model, theta)[0] == -math.inf
-            assert kernel.loglik_and_scores(model, theta)[0] == -math.inf
+            assert kernel.loglik_gradient_and_information(model, theta)[0] == -math.inf
+        tiny = np.array([1e-310])  # log(b_x * x_a) is finite, its derivative 1 / b_x is not
+        assert math.isfinite(kernel.log_likelihood(steep, tiny))
+        assert kernel.loglik_gradient_and_information(steep, tiny)[0] == -math.inf
         G = kernel.jacobian(nonaffine, nonaffine.residuals, np.array([500.0]), (0,))
         assert not np.isfinite(G).all()  # exp(500 x_a) overflows inside the derivative
 
@@ -814,7 +855,11 @@ def test_more_threads_than_cpus_switching_often_write_the_same_bits(best_spec, s
     model = binding.bind(best_spec, synth_data)
     dual = all_residual(model)
     theta = model.start + 0.01
-    passes = [(fn, m) for fn in (kernel.loglik_and_gradient, kernel.loglik_and_scores) for m in (model, dual)]
+    passes = [
+        (fn, m)
+        for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information)
+        for m in (model, dual)
+    ]
     expected = [_bits(unblocked(fn, m, theta)) for fn, m in passes]
     interval = sys.getswitchinterval()
     monkeypatch.setattr(kernel, "_pool", None)  # a pool of the size below, shut down after
@@ -905,7 +950,7 @@ def _nan_blind_bits(a: np.ndarray) -> bytes:
 )
 def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, theta):
     """Affine and non-affine utilities: bind's design, the Jacobians of the whole
-    utilities and of the residuals, the value pass, the gradient and the scores, with
+    utilities and of the residuals, the value pass, the gradient and the information, with
     the split and with a dual pass over everything, do not depend on ROW_BLOCK or on
     the thread pool.  The design and the raw Jacobians compare with their NaNs of
     either sign alike."""
@@ -924,11 +969,11 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
         for m in (model, all_residual(model)):
             out.append(np.float64(kernel.log_likelihood(m, theta)).tobytes())
             out += _bits(kernel.loglik_and_gradient(m, theta))
-            out += _bits(kernel.loglik_and_scores(m, theta))
+            out += _bits(kernel.loglik_gradient_and_information(m, theta))
         return out
 
     expected = unblocked(outputs)
-    event(f"{len(expected)} outputs")  # 1: domain violation, 13 otherwise
+    event(f"{len(expected)} outputs")  # 1: domain violation, 15 otherwise
     for name, setting in BLOCKINGS.items():
         with row_blocks(*setting):
             assert outputs() == expected, name
@@ -1042,7 +1087,7 @@ def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: f
 )
 def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, theta):
     """Random affine and non-affine utilities: the design plus the residuals' dual pass
-    gives the LL bits, and the gradient and scores to rounding, of one dual pass over
+    gives the LL bits, and the gradient and information to rounding, of one dual pass over
     every utility and parameter; where central differences settle, both match them."""
     try:
         model = binding.bind(random_spec(exprs), xyz_data)
@@ -1054,11 +1099,12 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
     ll = kernel.log_likelihood(model, theta)
     assert np.float64(ll).tobytes() == np.float64(kernel.log_likelihood(reference, theta)).tobytes()
     (ll_g, grad), (ll_rg, grad_r) = (kernel.loglik_and_gradient(m, theta) for m in (model, reference))
-    (ll_s, S), (ll_rs, S_r) = (kernel.loglik_and_scores(m, theta) for m in (model, reference))
-    assert ll_g == ll_rg and ll_s == ll_rs
+    passes = [kernel.loglik_gradient_and_information(m, theta) for m in (model, reference)]
+    assert ll_g == ll_rg
     if ll_g == -math.inf:
         event("no gradient")
-        assert np.isnan(grad).all() and np.isnan(grad_r).all() and np.isnan(S_r).all()
+        assert np.isnan(grad).all() and np.isnan(grad_r).all()
+        assert all(ll_i == -math.inf and np.isnan(info).all() for ll_i, _, info in passes)
         return
     assert ll_g == ll
     event(f"{len(model.residual_idx)} residual parameters")
@@ -1066,10 +1112,21 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
     P = probabilities(model, theta)
     Y = np.zeros_like(P)
     Y[np.arange(model.n_obs), model.choice_idx] = 1.0
-    size = np.abs(Y - P) * _term_scale(model, theta)
+    scale = _term_scale(model, theta)
+    size = np.abs(Y - P) * scale
     rounding = 1e-10 * size.sum(axis=(1, 2))  # Σ (y - P) ∂V/∂θ cannot be closer than this
     assert np.all(np.abs(grad - grad_r) <= rounding)
-    assert np.all(np.abs(S - S_r) <= 1e-10 * size.sum(axis=2).T)
+    # each centred ∂V/∂θ is at most its terms' scale plus their P-weighted mean
+    spread = scale + np.einsum("nj,knj->kn", P, scale)[:, :, None]
+    with np.errstate(all="ignore"):
+        envelope = np.einsum("nj,knj,lnj->kl", P, spread, spread)
+    (ll_i, grad_i, info), (ll_ri, grad_ri, info_r) = passes
+    if -math.inf in (ll_i, ll_ri):
+        event("information overflows")
+        assert not np.isfinite(envelope).all()
+    else:
+        assert _bits((ll_i, grad_i, ll_ri, grad_ri)) == _bits((ll_g, grad, ll_rg, grad_r))
+        assert np.all(np.abs(info - info_r) <= 1e-10 * envelope)
 
     if P[np.arange(model.n_obs), model.choice_idx].min() < np.finfo(float).tiny:
         event("subnormal chosen probability")  # its log, and so the LL, moves in steps
@@ -1193,17 +1250,17 @@ def test_collinear_model_flagged_not_pd(synth_data):
         "U(rail) = asc_rail + b_time * time_rail + b_ivt * time_rail\n"
     )
     model = binding.bind(spec, synth_data)
-    _, scores = kernel.loglik_and_scores(model, model.start)
-    assert np.array_equal(bfgs._bhhh_inverse(scores), np.eye(model.n_free))
+    _, _, info = kernel.loglik_gradient_and_information(model, model.start)
+    assert np.linalg.matrix_rank(info) < model.n_free
     result = bfgs.estimate(model)
     assert not result.hessian_pd
     assert not result.converged
 
 
 def test_line_search_does_not_stall_below_loglik_rounding(tmp_path, monkeypatch):
-    """From an identity start with a plain Armijo test, BFGS on this dataset
-    reaches steps whose gain is below the LL's rounding, rejects them and
-    runs to max_iterations."""
+    """On this dataset a quasi-Newton fit from an identity start with a plain
+    Armijo test reached steps whose gain is below the LL's rounding, rejected
+    them and ran to max_iterations; the fit must reach the gradient tolerance."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import gen
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from logitlab import dataset as ds
-from logitlab import runner
+from logitlab import report, runner
 from logitlab.engine.bfgs import ParameterEstimate
 from logitlab.jsonio import from_json, load_json, to_json
 from logitlab.llmgate.client import (
@@ -248,6 +248,24 @@ def test_literal_too_large_for_a_float_is_an_extraction_diagnostic(tmp_path, syn
     assert "prov/mod: spec block 2 rejected: line 5, col 10: number out of range: 1e999" in result.diagnostics
     (saved,) = runner.load_results(tmp_path / "runs")
     assert saved.diagnostics == result.diagnostics
+
+
+def test_out_of_range_claim_is_a_diagnostic_and_reloads_as_run(tmp_path, synth_data):
+    """Before: the claim became loglik=-inf, aic=inf, which the run saved as null and
+    load_results read back as loglik=nan, aic=None."""
+    text = GOOD_BLOCK + "```dcm-claims\ngood, -1e999, 1e999\n```\n"
+    result = replay_text(tmp_path, synth_data, text)
+    (record,) = result.records
+    assert record.estimation.converged
+    assert record.claimed is None and record.reproduction is None
+    assert "prov/mod: claims line 1: number out of range" in result.diagnostics
+    (saved,) = runner.load_results(tmp_path / "runs")
+    assert_same(saved, result, "exp3")
+    assert report.summary_table(saved) == report.summary_table(result)
+    assert report.best_of([saved]) == report.best_of([result])
+    assert report.profile_table(report.llm_profile([saved])) == report.profile_table(
+        report.llm_profile([result])
+    )
 
 
 def test_division_by_a_literal_zero_keeps_the_validation(tmp_path, synth_data):
