@@ -5,9 +5,9 @@ alternatives are masked out before the softmax, so their probabilities
 are exactly zero and whatever the expressions produced on those rows
 (often NaN, e.g. log of a zeroed attribute) never propagates.
 
-Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  The
-value pass is alternative-major: per block it writes the utilities into
-its columns of one (J, n) buffer, tests them, forms the probabilities in
+Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  Per
+block, the value pass writes the utilities into its columns of one (J, n)
+buffer, tests them, forms the probabilities in
 place and writes its log chosen probabilities.  A pass over more than
 ``ROW_BLOCK`` rows runs its blocks, and then its sums, on a
 thread pool sized to the CPUs the process may use, created on the first
@@ -29,8 +29,10 @@ test looks at a block's whole utility matrix first and, only when that
 fails, tests the available cells and puts 0.0 in the unavailable ones, so
 the usual all-finite pass makes no copy.
 
-The softmax (:func:`_softmax`) works on whole rows of the (J, n) layout,
-each a contiguous run of one alternative's cells: the row max over
+Every per-cell array of a pass is alternative-major, (…, J, n), one
+alternative's cells per contiguous row: the utilities, P, the availability
+weights and, parameter by parameter, ∂V/∂θ.  The softmax
+(:func:`_softmax`) works on whole rows: the row max over
 available cells (a utility plus the log of its 0/1 availability weight),
 the shift, the exponential, the total added left to right and the
 division.  The exponential never sees ``-inf``, for which numpy's SIMD
@@ -41,31 +43,31 @@ are the elementwise steps and the reduction order of the textbook
 masked-copy softmax with numpy's row max and row sum (``tests/test_engine.py``
 keeps that formula as its reference) for fewer than eight alternatives,
 where numpy's row sum also adds left to right, so the log-likelihood and
-the probabilities have its bits.  The weight, its log, each row's chosen
-cell and the one-hot ``Y`` are derived once per model (cached properties
-of ``BoundModel``).
+the probabilities have its bits.  The weight, its log and each row's
+chosen cell are derived once per model (cached properties of
+``BoundModel``).
 
 The gradient is the textbook MNL score ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
-``y`` the one-hot choice.  ``Y − P`` is formed in an (n, J) buffer, as
-``onehot − Pᵀ``.  ∂V/∂θ is stored parameter-first, (k, n, J), so each
-parameter's slab is a contiguous (n, J) array laid out as ``Y − P`` is,
-and each parameter's gradient is one task: one ``np.einsum`` of ``Y − P``
-with that slab.  Binding split each utility into its affine
-terms, whose derivatives it cached as the design, and the residual terms,
-whose derivatives it compiled.  So the tasks take the design's slabs and,
-for the residuals' own parameters, the slabs of the residuals' derivatives
-at θ along each such parameter's unit vector (:func:`jacobian`), whose sums
-are added to the design's.  An all-affine spec has no residual parameters
-and evaluates no derivative at θ.
+``y`` the one-hot choice.  ``Y − P`` is ``−P`` with 1.0 added on each row's
+chosen cell, which has the bits of ``Y − P`` because ``1.0 + (−p)`` is
+``1.0 − p`` exactly.  Binding split each utility into its affine terms,
+whose derivatives it cached as the (k, J, n) design, and the residual
+terms, whose derivatives it compiled.  A pass builds ∂V/∂θ at θ once, as a
+list of one (J, n) slab per parameter: the design's slab or, for each of
+the residuals' own parameters, the residuals' derivative along its unit
+vector (:func:`jacobian`) with the design's slab added, in place.  Each
+parameter's gradient is one task: one ``np.einsum`` of ``Y − P`` with its
+slab.  An all-affine spec has no residual parameters and evaluates no
+derivative at θ.
 
 The information matrix ``Σₙ Σⱼ Pₙⱼ (Gₙⱼ − Ḡₙ)(Gₙⱼ − Ḡₙ)ᵀ``, with G = ∂V/∂θ
 and ``Ḡₙ = Σⱼ Pₙⱼ Gₙⱼ``, is minus the Hessian of the log-likelihood when
 the utilities are linear in θ, and the expected information otherwise
 (Train, *Discrete Choice Methods with Simulation*, ch. 8).  Its pass
 (:func:`loglik_gradient_and_information`) is the gradient pass plus one
-(k, J, n) array, laid out as P is: one task per parameter fills its slab
-with G and subtracts Ḡ, and one task per row of the upper triangle sums
-the products of P, that row's centred slab and each later one.
+(k, J, n) array of centred slabs: one task per parameter subtracts Ḡ from
+the gradient's slab, and one task per row of the upper triangle sums the
+products of P, that row's centred slab and each later one.
 
 A value pass keeps its (log-likelihood, P) on the model
 (``BoundModel.kept``), so the gradient and information an optimizer asks
@@ -180,7 +182,7 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
 
     def block(rows) -> bool:
         V = P[:, rows]
-        model.utility_matrix(theta, rows, out=V.T)
+        model.utility_matrix(theta, rows, out=V)
         if not np.isfinite(V).all():
             finite = np.where(model.avail[rows].T, V, 0.0)  # 0.0 stands in on unavailable cells
             if not np.isfinite(finite).all():
@@ -199,22 +201,22 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
 
 
 def jacobian(model: BoundModel, derivatives, theta, idx) -> np.ndarray:
-    """(len(idx), n, J) ∂/∂θ at θ of one expression per alternative, over the free
-    parameters at indices ``idx`` only: each compiled derivative
-    (``binding.compile_derivative``) along those parameters' unit vectors, all in
-    one call per row block, zero on unavailable cells.  The kernel runs it on the
-    residuals."""
-    G = np.zeros((len(idx), model.n_obs, model.n_alts))
+    """(len(idx), J, n) ∂/∂θ at θ of one expression per alternative, over the free
+    parameters at indices ``idx`` only, laid out as the design: each compiled
+    derivative (``binding.compile_derivative``) along those parameters' unit
+    vectors, all in one call per row block, zero on unavailable cells.  The kernel
+    runs it on the residuals."""
+    G = np.zeros((len(idx), model.n_alts, model.n_obs))
     values = theta.tolist()
     seeds = np.eye(model.n_free)[:, list(idx), None]  # seeds[i]: (len(idx), 1), parameter i's seeds
 
     def fill(rows) -> None:
-        Gb = G[:, rows]
+        Gb = G[:, :, rows]
         with np.errstate(all="ignore"):
             for j, derivative in enumerate(derivatives):
                 if derivative is not None:
-                    Gb[:, :, j] = derivative(rows, values, seeds)
-        Gb[:, ~model.avail[rows]] = 0.0
+                    Gb[:, j] = derivative(rows, values, seeds)
+        Gb[:, ~model.avail[rows].T] = 0.0
 
     _row_blocks(model.n_obs, fill)
     return G
@@ -223,7 +225,7 @@ def jacobian(model: BoundModel, derivatives, theta, idx) -> np.ndarray:
 def _score_pass(
     model: BoundModel, theta, information: bool
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Log-likelihood, ``Y − P`` contracted with ∂V/∂θ over rows and alternatives
+    """Log-likelihood, ``Y − P`` contracted with ∂V/∂θ over alternatives and rows
     and, if ``information``, the information matrix (else None); None when LL is
     -inf.  ∂V/∂θ is the design plus, on the residuals' parameters, their
     Jacobian at θ.  P comes from the value pass kept at this θ or a fresh one."""
@@ -231,35 +233,30 @@ def _score_pass(
     ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
     if P is None:
         return ll, None, None
-    R, onehot = np.empty((model.n_obs, model.n_alts)), model.onehot
-    _row_blocks(model.n_obs, lambda rows: np.subtract(onehot[rows], P[:, rows].T, out=R[rows]))
-    slabs = [*model.design]
+    R = np.negative(P)  # Y − P: 1.0 + (−P) is 1.0 − P on the chosen cells
+    R.ravel()[model.chosen_cell] += 1.0
+    G = [*model.design]
     if model.residual_idx:
-        slabs += [*jacobian(model, model.residuals, theta, model.residual_idx)]
-    sums = np.empty(len(slabs))
-    contract = lambda q: np.einsum("nj,nj->", R, slabs[q], out=sums[..., q])
-    _tasks(model.n_obs, contract, range(len(slabs)))
-    grad = sums[: model.n_free]
-    if model.residual_idx:
-        grad[..., model.residual_idx] += sums[model.n_free :]
-    return ll, grad, _information(model, P, slabs) if information else None
+        residuals = jacobian(model, model.residuals, theta, model.residual_idx)
+        with np.errstate(all="ignore"):  # a non-finite slab fails the pass, not a warning
+            for q, slab in zip(model.residual_idx, residuals):
+                G[q] = np.add(slab, model.design[q], out=slab)
+    grad = np.empty(model.n_free)
+    _tasks(model.n_obs, lambda q: np.einsum("jn,jn->", R, G[q], out=grad[..., q]), range(model.n_free))
+    return ll, grad, _information(model, P, G) if information else None
 
 
-def _information(model: BoundModel, P: np.ndarray, slabs: list) -> np.ndarray:
+def _information(model: BoundModel, P: np.ndarray, G: list) -> np.ndarray:
     """The information matrix from the (J, n) probabilities and the gradient's
-    ``slabs``, as the module docstring describes; each row of the upper
-    triangle is one call, mirrored below the diagonal."""
+    (J, n) slabs ``G`` of ∂V/∂θ, as the module docstring describes; each row of
+    the upper triangle is one call, mirrored below the diagonal."""
     k = model.n_free
     C = np.empty((k, model.n_alts, model.n_obs))
-    residual_slab = dict(zip(model.residual_idx, range(k, len(slabs))))
     info = np.empty((k, k))
 
     def centre(q: int) -> None:
-        np.copyto(C[q], slabs[q].T)
         with np.errstate(all="ignore"):  # a non-finite slab fails the pass, not a warning
-            if q in residual_slab:
-                C[q] += slabs[residual_slab[q]].T
-            C[q] -= np.einsum("jn,jn->n", P, C[q])
+            np.subtract(G[q], np.einsum("jn,jn->n", P, G[q]), out=C[q])
 
     def row(q: int) -> None:
         np.einsum("jn,jn,ljn->l", P, C[q], C[q:], out=info[q, q:])

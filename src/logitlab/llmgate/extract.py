@@ -1,8 +1,8 @@
 """Pull machine-readable specifications and claims out of transcripts.
 
-Extraction is a total function: malformed blocks, duplicate names and
-orphaned claims all land in ``diagnostics`` instead of raising, because
-a garbled LLM answer is a data point, not a crash.
+Extraction is a total function: malformed blocks, duplicate names,
+duplicate and orphaned claims all land in ``diagnostics`` instead of
+raising, because a garbled LLM answer is a data point, not a crash.
 """
 
 from __future__ import annotations
@@ -90,13 +90,17 @@ def extract_specs(transcript: LLMTranscript) -> SpecExtraction:
         diagnostics.append("no machine-readable specification found")
 
     names = {s.name for s in specs}
-    kept: list[Claim] = []
+    kept: dict[str, Claim] = {}
     for claim in claims:
-        if claim.spec_name in names:
-            kept.append(claim)
-        else:
+        if claim.spec_name not in names:
             diagnostics.append(
                 f"orphaned claim for '{claim.spec_name}': no matching spec block, cannot verify"
             )
+        elif claim.spec_name in kept:
+            diagnostics.append(f"duplicate claim for '{claim.spec_name}'; later line ignored")
+        else:
+            kept[claim.spec_name] = claim
 
-    return SpecExtraction(specs=tuple(specs), claimed=tuple(kept), diagnostics=tuple(diagnostics))
+    return SpecExtraction(
+        specs=tuple(specs), claimed=tuple(kept.values()), diagnostics=tuple(diagnostics)
+    )

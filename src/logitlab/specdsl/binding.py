@@ -299,16 +299,16 @@ class BoundModel:
     cells), plus ∂/∂θ of their other terms: ``residuals`` holds those terms'
     compiled derivatives (:func:`compile_derivative`), one per alternative and
     None where they have no free parameter, which involve only the free
-    parameters at indices ``residual_idx``.  The design is parameter-first:
-    ``design[q]`` is parameter q's contiguous (n_obs, n_alts) slab, laid out
-    as ``onehot`` and ``Y − P`` are.
+    parameters at indices ``residual_idx``.  The design is parameter-first
+    and then alternative-major: ``design[q]`` is parameter q's contiguous
+    (n_alts, n_obs) slab, laid out as the kernel's probabilities are.
 
     The rest belongs to the estimation kernel.  ``kept`` holds at most one
     value pass's (log-likelihood, probabilities), keyed by ``theta.tobytes()``,
-    with the probabilities alternative-major, (n_alts, n_obs).  The cached
-    properties are arrays the kernel derives from ``avail`` and ``choice_idx``
-    on the model's first pass: the availability weights, their logs and the
-    chosen cells in that layout, and the one-hot ``Y`` in the design's.
+    with the probabilities (n_alts, n_obs).  The cached properties are arrays
+    the kernel derives from ``avail`` and ``choice_idx`` on the model's first
+    pass, in the same layout: the availability weights, their logs and the
+    chosen cells.
     """
 
     spec: UtilitySpec
@@ -319,7 +319,7 @@ class BoundModel:
     start: np.ndarray  # aligned to free_names
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
-    design: np.ndarray  # (n_free, n_obs, n_alts)
+    design: np.ndarray  # (n_free, n_alts, n_obs)
     residuals: tuple[Derivative | None, ...]
     residual_idx: tuple[int, ...]  # into free_names
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
@@ -354,26 +354,18 @@ class BoundModel:
         """(n_obs,) flat index of each observation's chosen cell in an (n_alts, n_obs) array."""
         return self.choice_idx.astype(np.intp) * self.n_obs + np.arange(self.n_obs)
 
-    @cached_property
-    def onehot(self) -> np.ndarray:
-        """(n_obs, n_alts) ``Y``: 1.0 on the chosen cell and -0.0 elsewhere, so that
-        ``onehot − P`` there is ``-P``, the sign of a zero included."""
-        Y = np.full((self.n_obs, self.n_alts), -0.0)
-        Y[np.arange(self.n_obs), self.choice_idx] = 1.0
-        return Y
-
     def utility_matrix(
         self, theta: np.ndarray, rows: slice = ALL_ROWS, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """(rows, n_alts) utilities of the observations in ``rows``, written into ``out``
-        when given; unavailable cells may be non-finite."""
+        """(n_alts, rows) utilities of the observations in ``rows``, one alternative
+        per contiguous row, written into ``out`` when given; unavailable cells may be
+        non-finite."""
         values = [float(t) for t in theta]
-        n = len(range(*rows.indices(self.n_obs)))
         if out is None:
-            out = np.empty((n, self.n_alts))
+            out = np.empty((self.n_alts, len(range(*rows.indices(self.n_obs)))))
         with np.errstate(all="ignore"):
             for j, utility in enumerate(self.utilities):
-                out[:, j] = np.broadcast_to(utility(rows, values), (n,))
+                out[j] = utility(rows, values)
         return out
 
 
@@ -431,14 +423,14 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     affine, residuals = zip(*(_affine_and_residual(u, set(free_names)) for u in utilities))
     derive_all = lambda exprs: tuple(compile_derivative(e, dataset.columns, free_names, fixed) for e in exprs)
     in_residuals = set().union(*map(param_names, residuals))
-    design = np.zeros((len(free_names), dataset.n_obs, len(alternatives)))
+    design = np.zeros((len(free_names), len(alternatives), dataset.n_obs))
     units = np.eye(len(free_names)).tolist()
     with np.errstate(all="ignore"):
         for j, derivative in enumerate(derive_all(affine)):
             if derivative is not None:
                 for q, unit in enumerate(units):
-                    design[q, :, j] = derivative(ALL_ROWS, start, unit)
-    design[:, ~dataset.avail] = 0.0
+                    design[q, j] = derivative(ALL_ROWS, start, unit)
+    design[:, ~dataset.avail.T] = 0.0
     return BoundModel(
         spec=spec,
         dataset=dataset,

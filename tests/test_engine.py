@@ -211,7 +211,7 @@ def table_model(V: np.ndarray, avail: np.ndarray, choice_idx: np.ndarray) -> bin
         spec=None, dataset=None, alternatives=tuple(f"alt{j}" for j in range(J)),
         utilities=tuple((lambda rows, theta, v=V[:, j]: v[rows]) for j in range(J)),
         free_names=(), start=np.empty(0), avail=avail, choice_idx=choice_idx,
-        design=np.empty((0, n, J)), residuals=(), residual_idx=(),
+        design=np.empty((0, J, n)), residuals=(), residual_idx=(),
     )
 
 
@@ -255,12 +255,12 @@ def walked_gradient(model: binding.BoundModel, expr, rows, theta, algebra=Dual) 
 
 
 def walk_jacobian(model: binding.BoundModel, exprs, theta, algebra=Dual) -> np.ndarray:
-    """(k, n, J) ∂/∂θ of one expression per alternative from one dual-number pass over
+    """(k, J, n) ∂/∂θ of one expression per alternative from one dual-number pass over
     every free parameter, zero on unavailable cells: the reference for compiled
     derivatives.  With ``algebra=Envelope``, the size each is rounded to."""
     theta = np.asarray(theta, dtype=float).tolist()
-    G = np.stack([walked_gradient(model, e, binding.ALL_ROWS, theta, algebra).T for e in exprs], axis=-1)
-    G[:, ~model.avail] = 0.0
+    G = np.stack([walked_gradient(model, e, binding.ALL_ROWS, theta, algebra).T for e in exprs], axis=1)
+    G[:, ~model.avail.T] = 0.0
     return G
 
 
@@ -455,8 +455,8 @@ def test_derivatives_are_zero_on_unavailable_cells(synth_data, blocking):
     )
     model = binding.bind(spec, synth_data)
     theta = np.array([0.1, -0.2])
-    unavailable = ~model.avail
-    assert unavailable[:, 0].any() and unavailable[:, 1].any()
+    unavailable = ~model.avail.T
+    assert unavailable[0].any() and unavailable[1].any()
     full = kernel.jacobian(model, derivatives(model, utility_exprs(model)), theta, range(model.n_free))
     for G in (model.design, full):
         assert np.all(G[:, unavailable] == 0.0) and np.all(np.isfinite(G))
@@ -590,7 +590,7 @@ def test_gradient_and_information_match_the_parameter_last_contraction(synth_dat
     P = probabilities(model, theta)
     R = -P
     R[np.arange(model.n_obs), model.choice_idx] += 1.0
-    D = np.ascontiguousarray(walk_jacobian(model, utility_exprs(model), theta).transpose(1, 2, 0))
+    D = np.ascontiguousarray(walk_jacobian(model, utility_exprs(model), theta).transpose(2, 1, 0))
     C = D - np.einsum("nj,njk->nk", P, D)[:, None, :]
     ll, grad = kernel.loglik_and_gradient(model, theta)
     passes = (ll_i, grad_i, info) = kernel.loglik_gradient_and_information(model, theta)
@@ -600,6 +600,32 @@ def test_gradient_and_information_match_the_parameter_last_contraction(synth_dat
     assert np.array_equal(info, info.T)
     for got, want in ((grad, np.einsum("nj,njk->k", R, D)), (info, np.einsum("nj,njk,njl->kl", P, C, C))):
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+@pytest.mark.parametrize(
+    "text", [BEST_SPEC.read_text(encoding="utf-8"), BOXCOX_PIECEWISE_SPEC],
+    ids=["synthetic_best", "boxcox_piecewise"],
+)
+def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
+    """The design, the Jacobian and the kept P are contiguous (…, J, n) arrays, and
+    each parameter's gradient has the bits of one sum of ``Y − P`` with that
+    parameter's slab of the design plus the walked residual Jacobian."""
+    model = binding.bind(parser.parse_spec(text), synth_data)
+    k, J, n = model.n_free, model.n_alts, model.n_obs
+    theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, k)
+    residual = list(model.residual_idx)
+    jac = kernel.jacobian(model, model.residuals, theta, residual)
+    for a, shape in ((model.design, (k, J, n)), (jac, (len(residual), J, n))):
+        assert a.shape == shape and a.flags.c_contiguous
+    kernel.log_likelihood(model, theta)
+    ((_, P),) = model.kept.values()
+    assert P.shape == (J, n) and P.flags.c_contiguous
+    Y = np.full((J, n), -0.0)  # Y − P is −P off the chosen cells, the sign of a zero included
+    Y[model.choice_idx, np.arange(n)] = 1.0
+    G = model.design.copy()
+    G[residual] += walk_jacobian(model, split(model)[1], theta)[residual]
+    _, grad = kernel.loglik_and_gradient(model, theta)
+    assert _bits((grad,)) == _bits(([np.einsum("jn,jn->", Y - P, G[q]) for q in range(k)],))
 
 
 def test_information_of_an_affine_spec_is_minus_the_hessian(best_model):
@@ -992,7 +1018,7 @@ def test_random_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
 
 
 def _term_scale(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
-    """(k, n, J) sum over each utility's additive terms of |∂term/∂θ|: the size of
+    """(k, J, n) sum over each utility's additive terms of |∂term/∂θ|: the size of
     the sums that the split and the all-residual reference add up in other orders."""
     scale = np.zeros_like(model.design)
     zeros = (Const(0.0),) * model.n_alts
@@ -1003,7 +1029,7 @@ def _term_scale(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
 
 
 def _derivative_envelope(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
-    """(k, n, J) each utility's Envelope over every free parameter, zero on
+    """(k, J, n) each utility's Envelope over every free parameter, zero on
     unavailable cells: the size a dual pass's ∂V/∂θ is rounded to."""
     return walk_jacobian(model, utility_exprs(model), theta, Envelope)
 
@@ -1109,17 +1135,18 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
     assert ll_g == ll
     event(f"{len(model.residual_idx)} residual parameters")
 
-    P = probabilities(model, theta)
+    P = probabilities(model, theta).T  # (J, n), as the design
+    chosen = model.choice_idx, np.arange(model.n_obs)
     Y = np.zeros_like(P)
-    Y[np.arange(model.n_obs), model.choice_idx] = 1.0
+    Y[chosen] = 1.0
     scale = _term_scale(model, theta)
     size = np.abs(Y - P) * scale
     rounding = 1e-10 * size.sum(axis=(1, 2))  # Σ (y - P) ∂V/∂θ cannot be closer than this
     assert np.all(np.abs(grad - grad_r) <= rounding)
     # each centred ∂V/∂θ is at most its terms' scale plus their P-weighted mean
-    spread = scale + np.einsum("nj,knj->kn", P, scale)[:, :, None]
+    spread = scale + np.einsum("jn,kjn->kn", P, scale)[:, None, :]
     with np.errstate(all="ignore"):
-        envelope = np.einsum("nj,knj,lnj->kl", P, spread, spread)
+        envelope = np.einsum("jn,kjn,ljn->kl", P, spread, spread)
     (ll_i, grad_i, info), (ll_ri, grad_ri, info_r) = passes
     if -math.inf in (ll_i, ll_ri):
         event("information overflows")
@@ -1128,7 +1155,7 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
         assert _bits((ll_i, grad_i, ll_ri, grad_ri)) == _bits((ll_g, grad, ll_rg, grad_r))
         assert np.all(np.abs(info - info_r) <= 1e-10 * envelope)
 
-    if P[np.arange(model.n_obs), model.choice_idx].min() < np.finfo(float).tiny:
+    if P[chosen].min() < np.finfo(float).tiny:
         event("subnormal chosen probability")  # its log, and so the LL, moves in steps
         return
     with np.errstate(all="ignore"):  # a step out of the domain gives -inf - -inf: not settled
@@ -1158,9 +1185,9 @@ def test_subnormal_chosen_probability_keeps_the_loglik_precise(xyz_data):
         random_spec([Var("y"), Param("b_one"), Neg(BoxCox(Const(38.5), "lambda_s"))]), xyz_data
     )
     theta = np.array([0.0, 0.0, 2.0])
-    V = np.where(model.avail, model.utility_matrix(theta), -np.inf)
-    top = V.max(axis=1)
-    log_p = V[np.arange(model.n_obs), model.choice_idx] - top - np.log(np.exp(V - top[:, None]).sum(axis=1))
+    V = np.where(model.avail.T, model.utility_matrix(theta), -np.inf)
+    top = V.max(axis=0)
+    log_p = V[model.choice_idx, np.arange(model.n_obs)] - top - np.log(np.exp(V - top).sum(axis=0))
     assert kernel.log_likelihood(model, theta) == pytest.approx(log_p.sum(), rel=1e-12)
     _, grad = kernel.loglik_and_gradient(model, theta)
     back, ahead = _one_sided_differences(model, theta, 1e-5)

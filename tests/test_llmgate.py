@@ -195,6 +195,13 @@ def test_duplicate_spec_names_keep_first():
     assert any("duplicate spec name" in d for d in got.diagnostics)
 
 
+def test_duplicate_claims_keep_first():
+    text = SPEC_BLOCK + "\n```dcm-claims\nm1, -100.0\nm1, -900.0\n```\n"
+    got = extract.extract_specs(transcript_with(text))
+    assert got.claimed == (extract.Claim("m1", -100.0, None, None),)
+    assert got.diagnostics == ("duplicate claim for 'm1'; later line ignored",)
+
+
 def test_malformed_spec_block_reported():
     text = "```dcm-spec\nspec broken\nalt car bus\nU(car) = b_missing * time_car\n```"
     got = extract.extract_specs(transcript_with(text))

@@ -448,7 +448,7 @@ def test_bind_ignores_zeros_on_unavailable_rows(synth_data):
     )
     model = binding.bind(spec, synth_data)
     V = model.utility_matrix(np.zeros(1))
-    assert math.isfinite(V[model.avail[:, 0], 0].sum())
+    assert math.isfinite(V[0, model.avail[:, 0]].sum())
 
 
 def test_bind_allows_transform_of_positive_covariate(synth_data):
