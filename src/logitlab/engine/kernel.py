@@ -50,15 +50,14 @@ chosen cell are derived once per model (cached properties of
 The gradient is the textbook MNL score ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
 ``y`` the one-hot choice.  ``Y − P`` is ``−P`` with 1.0 added on each row's
 chosen cell, which has the bits of ``Y − P`` because ``1.0 + (−p)`` is
-``1.0 − p`` exactly.  Binding split each utility into its affine terms,
-whose derivatives it cached as the (k, J, n) design, and the residual
-terms, whose derivatives it compiled.  A pass builds ∂V/∂θ at θ once, as a
-list of one (J, n) slab per parameter: the design's slab or, for each of
-the residuals' own parameters, the residuals' derivative along its unit
-vector (:func:`jacobian`) with the design's slab added, in place.  Each
-parameter's gradient is one task: one ``np.einsum`` of ``Y − P`` with its
-slab.  An all-affine spec has no residual parameters and evaluates no
-derivative at θ.
+``1.0 − p`` exactly.  A pass builds ∂V/∂θ at θ once, as a list of one
+(J, n) slab per parameter.  Along a parameter that only the utilities'
+affine terms read, the slab is binding's cached design.  Along the others,
+``residual_idx``, it is the compiled utilities' derivative along that
+parameter's unit vector (:func:`jacobian`), which each utility gives from
+one forward-mode pass over its tree.  Each parameter's gradient is one
+task: one ``np.einsum`` of ``Y − P`` with its slab.  An all-affine spec
+has no residual parameters and evaluates no derivative at θ.
 
 The information matrix ``Σₙ Σⱼ Pₙⱼ (Gₙⱼ − Ḡₙ)(Gₙⱼ − Ḡₙ)ᵀ``, with G = ∂V/∂θ
 and ``Ḡₙ = Σⱼ Pₙⱼ Gₙⱼ``, is minus the Hessian of the log-likelihood when
@@ -200,12 +199,11 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
     return float(log_chosen.sum()), P
 
 
-def jacobian(model: BoundModel, derivatives, theta, idx) -> np.ndarray:
-    """(len(idx), J, n) ∂/∂θ at θ of one expression per alternative, over the free
-    parameters at indices ``idx`` only, laid out as the design: each compiled
-    derivative (``binding.compile_derivative``) along those parameters' unit
-    vectors, all in one call per row block, zero on unavailable cells.  The kernel
-    runs it on the residuals."""
+def jacobian(model: BoundModel, theta, idx) -> np.ndarray:
+    """(len(idx), J, n) ∂V/∂θ at θ over the free parameters at indices ``idx``
+    only, laid out as the design: each compiled utility's derivative along those
+    parameters' unit vectors, all in one call per row block, zero on unavailable
+    cells.  The kernel runs it on ``residual_idx``."""
     G = np.zeros((len(idx), model.n_alts, model.n_obs))
     values = theta.tolist()
     seeds = np.eye(model.n_free)[:, list(idx), None]  # seeds[i]: (len(idx), 1), parameter i's seeds
@@ -213,9 +211,10 @@ def jacobian(model: BoundModel, derivatives, theta, idx) -> np.ndarray:
     def fill(rows) -> None:
         Gb = G[:, :, rows]
         with np.errstate(all="ignore"):
-            for j, derivative in enumerate(derivatives):
+            for j, utility in enumerate(model.utilities):
+                _, derivative = utility(rows, values, seeds)
                 if derivative is not None:
-                    Gb[:, j] = derivative(rows, values, seeds)
+                    Gb[:, j] = derivative
         Gb[:, ~model.avail[rows].T] = 0.0
 
     _row_blocks(model.n_obs, fill)
@@ -227,7 +226,7 @@ def _score_pass(
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Log-likelihood, ``Y − P`` contracted with ∂V/∂θ over alternatives and rows
     and, if ``information``, the information matrix (else None); None when LL is
-    -inf.  ∂V/∂θ is the design plus, on the residuals' parameters, their
+    -inf.  ∂V/∂θ is the design and, along ``residual_idx``, the utilities'
     Jacobian at θ.  P comes from the value pass kept at this θ or a fresh one."""
     theta = _check_theta(model, theta)
     ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
@@ -237,10 +236,8 @@ def _score_pass(
     R.ravel()[model.chosen_cell] += 1.0
     G = [*model.design]
     if model.residual_idx:
-        residuals = jacobian(model, model.residuals, theta, model.residual_idx)
-        with np.errstate(all="ignore"):  # a non-finite slab fails the pass, not a warning
-            for q, slab in zip(model.residual_idx, residuals):
-                G[q] = np.add(slab, model.design[q], out=slab)
+        for q, slab in zip(model.residual_idx, jacobian(model, theta, model.residual_idx)):
+            G[q] = slab
     grad = np.empty(model.n_free)
     _tasks(model.n_obs, lambda q: np.einsum("jn,jn->", R, G[q], out=grad[..., q]), range(model.n_free))
     return ll, grad, _information(model, P, G) if information else None

@@ -3,18 +3,19 @@
 Binding resolves the free-parameter layout (declaration order, fixed
 parameters dropped), runs the static domain checks (log/sqrt/box-cox
 arguments that contain no free parameters must be in range on every row
-where the alternative is available) and compiles each utility once into a
-function of ``(rows, theta)`` (:func:`compile_expr`).  Each utility's
-additive terms that are affine in the free parameters have a ∂/∂θ that
-does not depend on θ, so binding caches it as ``design``; the other
-terms, the residual, are differentiated at each θ.  One compiler,
-:func:`compile_derivative`, differentiates both into functions of the
-data, θ and a direction.  Binding writes each affine derivative along
-each parameter's unit vector into that parameter's slab of the design,
-and keeps the residuals' derivatives for the estimation kernel.
+where the alternative is available) and compiles each utility once, by
+one forward-mode compiler (:func:`compile_expr`), into a function of
+``(rows, theta, d)`` that gives its value and its derivative along the
+direction ``d``.  The value pass asks for the value alone.  Along a free
+parameter that only the utilities' affine additive terms read, ∂V/∂θ does
+not depend on θ, so binding caches it as ``design``: it compiles each
+utility's affine terms and writes their derivative along each such
+parameter's unit vector, with no θ, into that parameter's slab.  Along the
+parameters that the other terms read (``residual_idx``), the estimation
+kernel differentiates the whole compiled utilities at each θ.
 
-Compiled expressions and derivatives call numpy on plain floats and
-arrays, so this module never imports the engine.
+Compiled expressions call numpy on plain floats and arrays, so this module
+never imports the engine.
 """
 
 from __future__ import annotations
@@ -59,28 +60,67 @@ class MissingAlternative(SpecDslError):
 
 
 ALL_ROWS = slice(None)
+# Rows per call of bind's design fill: each rule holds its operands while it makes
+# its result, and blocks of this size keep those temporaries in cache.
+DESIGN_BLOCK = 25_000
 
-Compiled = Callable[[slice, Sequence[float]], Any]  # (rows, theta) -> value on those rows
-# (rows, theta, direction) -> derivative along direction at theta on those rows; see compile_derivative
-Derivative = Callable[[slice, Sequence[float], Sequence[Any]], Any]
+# (rows, theta, d) -> (value, derivative along d) on those rows; see compile_expr
+Compiled = Callable[[slice, Sequence[float] | None, Sequence[Any] | None], tuple[Any, Any]]
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: np.divide}
 
-# The chain rule's factor for each unary function: (du, u) -> d f(u).
-_CHAIN = {
-    "log": lambda du, u: np.divide(du, u),
-    "exp": lambda du, u: du * np.exp(u),
-    "expm1": lambda du, u: du * np.exp(u),
-    "sqrt": lambda du, u: np.divide(du, 2.0 * np.sqrt(u)),
+def _binary_rule(op, derivative):
+    """The rule of a binary node: its operands' values u, v and derivatives du, dv
+    (None where the operand reads no free parameter) -> its value w = op(u, v) and
+    ``derivative(u, du, v, dv, w)``; either is None where it cannot be had."""
+
+    def rule(u, du, v, dv):
+        w = None if u is None or v is None else op(u, v)
+        return w, None if du is None and dv is None else derivative(u, du, v, dv, w)
+
+    return rule
+
+
+_BINARY_RULES = {
+    Add: _binary_rule(
+        operator.add, lambda u, du, v, dv, w: du if dv is None else dv if du is None else du + dv
+    ),
+    Sub: _binary_rule(
+        operator.sub, lambda u, du, v, dv, w: du if dv is None else -dv if du is None else du - dv
+    ),
+    Mul: _binary_rule(
+        operator.mul,
+        lambda u, du, v, dv, w: du * v if dv is None else dv * u if du is None else du * v + dv * u,
+    ),
+    Div: _binary_rule(  # np.divide: a zero divisor gives inf or NaN
+        np.divide,
+        lambda u, du, v, dv, w: (
+            np.divide(du, v) if dv is None
+            else -dv * np.divide(w, v) if du is None
+            else np.divide(du - dv * w, v)
+        ),
+    ),
+}
+_add, _mul, _div = (_BINARY_RULES[kind] for kind in (Add, Mul, Div))
+
+
+# Each function's rule: (u, du) -> its value and its derivative, du None where u
+# reads no free parameter.
+_CALL_RULES = {
+    "log": lambda u, du: (np.log(u), None if du is None else np.divide(du, u)),
+    "exp": lambda u, du: (w := np.exp(u), None if du is None else du * w),
+    "expm1": lambda u, du: (np.expm1(u), None if du is None else du * np.exp(u)),
+    "sqrt": lambda u, du: (w := np.sqrt(u), None if du is None else np.divide(du, 2.0 * w)),
 }
 
 
-def _boxcox_forms(e: BoxCox) -> tuple[Expr, Expr]:
-    """``e`` at shape 0 and elsewhere, as trees: ``log x + s·(log x·log x·0.5)``,
-    whose derivative in s is right at 0, and ``expm1(s·log x)/s``, which keeps
-    (x^s - 1)/s accurate for small s."""
-    logx, s = Call1("log", e.base), Param(e.shape)
-    return Add(logx, Mul(s, Mul(Mul(logx, logx), Const(0.5)))), Div(Call1("expm1", Mul(s, logx)), s)
+def _boxcox(logx, dlogx, s, ds):
+    """Box-Cox from log x and the shape s, each with its derivative:
+    ``log x + s·(log x·log x·0.5)`` at s = 0, whose derivative in s is right
+    there, and elsewhere ``expm1(s·log x)/s``, which keeps (x^s - 1)/s accurate
+    for small s."""
+    if s == 0.0:
+        return _add(logx, dlogx, *_mul(s, ds, *_mul(*_mul(logx, dlogx, logx, dlogx), 0.5, None)))
+    return _div(*_CALL_RULES["expm1"](*_mul(s, ds, logx, dlogx)), s, ds)
 
 
 def compile_expr(
@@ -89,153 +129,91 @@ def compile_expr(
     free_names: Sequence[str],
     fixed: Mapping[str, float],
 ) -> Compiled:
-    """``expr`` as a function of ``(rows, theta)``: its value on the observations
-    in ``rows``, with the free parameter ``free_names[i]`` read as ``theta[i]``.
+    """``expr`` as one forward-mode pass: a function of ``(rows, theta, d)`` that
+    gives its value on the observations in ``rows`` and its derivative along the
+    direction ``d``, reading free parameter ``free_names[i]`` as ``theta[i]`` with
+    seed ``d[i]``.  Along free parameter q's unit vector the derivative is
+    ∂expr/∂θ_q.  A seed may also be a (k, 1) array, one seed per direction; the
+    derivative's row q is then the one along direction q.
+
+    The derivative is None when ``d`` is None or ``expr`` reads no free parameter.
+    ``theta`` may be None for an expression affine in the free parameters, whose
+    derivative rules read only values that involve none (bind's design); then
+    the value is None where ``expr`` reads a free parameter.
 
     Every leaf is resolved here, once: a fixed parameter is folded in as its
     value, a variable is its column and a piecewise node its segment lengths
-    (:func:`piecewise_segments`), each sliced to ``rows`` when called.  A
-    box-cox node takes one of :func:`_boxcox_forms` by its shape's value.
+    (:func:`piecewise_segments`), each sliced to ``rows`` when called.  A box-cox
+    node takes one of the forms of :func:`_boxcox` by its shape's value.
+
+    Each node computes its value and its derivative once per call (an
+    exponential's derivative reuses its value, a square root's its root and a
+    quotient's its quotient), with the arithmetic of a dual-number pass seeded on
+    every free parameter.  So the value has the bits of a tree walk on floats and
+    the derivative those of that pass's column, zero signs and NaNs included.
     """
     index = {name: i for i, name in enumerate(free_names)}
 
     def param(name: str) -> Compiled:
         if name in index:
             i = index[name]
-            return lambda rows, theta: theta[i]
+            return lambda rows, theta, d: (None if theta is None else theta[i], None if d is None else d[i])
         value = fixed[name]
-        return lambda rows, theta: value
+        return lambda rows, theta, d: (value, None)
 
     def compile_node(e: Expr) -> Compiled:
         if isinstance(e, Const):
             value = e.value
-            return lambda rows, theta: value
+            return lambda rows, theta, d: (value, None)
         if isinstance(e, Param):
             return param(e.name)
         if isinstance(e, Var):
             column = columns[e.name]
-            return lambda rows, theta: column[rows]
-        if isinstance(e, BINARY_NODES):  # np.divide: a zero divisor gives inf or NaN
-            op, left, right = _BINARY[type(e)], compile_node(e.left), compile_node(e.right)
-            return lambda rows, theta: op(left(rows, theta), right(rows, theta))
+            return lambda rows, theta, d: (column[rows], None)
+        if isinstance(e, BINARY_NODES):
+            rule, left, right = _BINARY_RULES[type(e)], compile_node(e.left), compile_node(e.right)
+            return lambda rows, theta, d: rule(*left(rows, theta, d), *right(rows, theta, d))
         if isinstance(e, Neg):
             operand = compile_node(e.operand)
-            return lambda rows, theta: -operand(rows, theta)
+
+            def neg(rows, theta, d):
+                u, du = operand(rows, theta, d)
+                return None if u is None else -u, None if du is None else -du
+
+            return neg
         if isinstance(e, Call1):
-            fn, arg = getattr(np, e.fn), compile_node(e.arg)
-            return lambda rows, theta: fn(arg(rows, theta))
+            rule, arg = _CALL_RULES[e.fn], compile_node(e.arg)
+            return lambda rows, theta, d: rule(*arg(rows, theta, d))
         if isinstance(e, Pow):
             base, exponent = compile_node(e.base), e.exponent
-            return lambda rows, theta: np.power(base(rows, theta), exponent)
+
+            def power(rows, theta, d):
+                u, du = base(rows, theta, d)
+                w = np.power(u, exponent)
+                return w, None if du is None else du * (exponent * np.power(u, exponent - 1.0))
+
+            return power
         if isinstance(e, BoxCox):
-            shape = param(e.shape)
-            at_zero, elsewhere = map(compile_node, _boxcox_forms(e))
-            return lambda rows, theta: (at_zero if shape(rows, theta) == 0.0 else elsewhere)(rows, theta)
+            base, shape = compile_node(e.base), param(e.shape)
+            log = _CALL_RULES["log"]
+            return lambda rows, theta, d: _boxcox(*log(*base(rows, theta, d)), *shape(rows, theta, d))
         if isinstance(e, Piecewise):
             segments = piecewise_segments(columns[e.var], e.knots)
             slopes = [param(name) for name in e.params]
+            seeded = [(s, index[name]) for s, name in enumerate(e.params) if name in index]
 
-            def piecewise(rows, theta):
+            def piecewise(rows, theta, d):  # a fixed slope's term adds no derivative
                 segs = segments[rows]
-                total = slopes[0](rows, theta) * segs[:, 0]
-                for i, slope in enumerate(slopes[1:], start=1):
-                    total = total + slope(rows, theta) * segs[:, i]
-                return total
+                total = lambda pairs: reduce(operator.add, (x * segs[:, s] for s, x in pairs))
+                value = None if theta is None and seeded else total(
+                    (s, slope(rows, theta, None)[0]) for s, slope in enumerate(slopes)
+                )
+                return value, None if d is None or not seeded else total((s, d[i]) for s, i in seeded)
 
             return piecewise
         raise TypeError(f"not an expression node: {e!r}")
 
     return compile_node(expr)
-
-
-def compile_derivative(
-    expr: Expr,
-    columns: Mapping[str, np.ndarray],
-    free_names: Sequence[str],
-    fixed: Mapping[str, float],
-) -> Derivative | None:
-    """The derivative of ``expr`` along ``direction`` at ``theta``, as a function of
-    ``(rows, theta, direction)``: given the unit vector of free parameter q, it is
-    ∂expr/∂θ_q on the observations in ``rows``.  None when ``expr`` has no free
-    parameter.
-
-    Each rule repeats, on that one column, the arithmetic of a forward-mode
-    dual-number pass seeded on every free parameter: ``direction[i]`` is the seed
-    of ``free_names[i]``, a subexpression with no free parameter is a plain value
-    with no gradient, and the values the rules need are those of
-    :func:`compile_expr`.  So the result has the bits of that pass's column on
-    any data, zero signs and NaNs included.  A seed may also be a (k, 1) array,
-    one seed per direction: the rules broadcast it against the data, and the
-    result's row q is the derivative along direction q.
-    """
-    index = {name: i for i, name in enumerate(free_names)}
-    value = lambda e: compile_expr(e, columns, free_names, fixed)
-
-    def derive(e: Expr) -> Derivative | None:
-        if not param_names(e) & index.keys():
-            return None
-        if isinstance(e, Param):
-            i = index[e.name]
-            return lambda rows, theta, d: d[i]
-        if isinstance(e, Neg):
-            operand = derive(e.operand)
-            return lambda rows, theta, d: -operand(rows, theta, d)
-        if isinstance(e, (Add, Sub)):
-            left, right = derive(e.left), derive(e.right)
-            if right is None:
-                return left
-            if left is None:
-                return right if isinstance(e, Add) else lambda rows, theta, d: -right(rows, theta, d)
-            op = _BINARY[type(e)]
-            return lambda rows, theta, d: op(left(rows, theta, d), right(rows, theta, d))
-        if isinstance(e, Mul) and not param_names(e.left) & index.keys():
-            e = Mul(e.right, e.left)  # products commute bit for bit: the gradient goes left
-        if isinstance(e, (Mul, Div)):
-            du, dv, v = derive(e.left), derive(e.right), value(e.right)
-            if dv is None:  # u'·v, u'/v
-                op = _BINARY[type(e)]
-                return lambda rows, theta, d: op(du(rows, theta, d), v(rows, theta))
-            u = value(e.left)
-            if isinstance(e, Mul):  # u'·v + v'·u
-                return lambda rows, theta, d: (
-                    du(rows, theta, d) * v(rows, theta) + dv(rows, theta, d) * u(rows, theta)
-                )
-
-            def quotient(rows, theta, d):  # q = u/v: (u' - v'·q)/v, or -v'·(q/v) when u is plain
-                denominator = v(rows, theta)
-                q = np.divide(u(rows, theta), denominator)
-                if du is None:
-                    return -dv(rows, theta, d) * np.divide(q, denominator)
-                return np.divide(du(rows, theta, d) - dv(rows, theta, d) * q, denominator)
-
-            return quotient
-        if isinstance(e, (Call1, Pow)):
-            inner = e.arg if isinstance(e, Call1) else e.base
-            du, u = derive(inner), value(inner)
-            if isinstance(e, Call1):
-                chain = _CHAIN[e.fn]
-            else:
-                exponent = e.exponent
-                chain = lambda du, u: du * (exponent * np.power(u, exponent - 1.0))
-            return lambda rows, theta, d: chain(du(rows, theta, d), u(rows, theta))
-        if isinstance(e, BoxCox):
-            shape = value(Param(e.shape))
-            at_zero, elsewhere = map(derive, _boxcox_forms(e))
-            return lambda rows, theta, d: (
-                (at_zero if shape(rows, theta) == 0.0 else elsewhere)(rows, theta, d)
-            )
-        if isinstance(e, Piecewise):
-            segments = piecewise_segments(columns[e.var], e.knots)
-            slopes = [(i, slope) for i, p in enumerate(e.params) if (slope := derive(Param(p)))]
-
-            def piecewise(rows, theta, d):  # a fixed slope's term adds no gradient
-                segs = segments[rows]
-                return reduce(operator.add, (slope(rows, theta, d) * segs[:, i] for i, slope in slopes))
-
-            return piecewise
-        raise TypeError(f"not an expression node: {e!r}")
-
-    return derive(expr)
 
 
 def piecewise_segments(x: np.ndarray, knots: tuple[float, ...]) -> np.ndarray:
@@ -277,16 +255,19 @@ def is_affine(expr: Expr, free: set[str]) -> bool:
     return False
 
 
-def _affine_and_residual(expr: Expr, free: set[str]) -> tuple[Expr, Expr]:
-    """Sums of ``expr``'s additive terms that are affine in ``free`` and of the
-    others; an empty sum is ``Const(0.0)``, and an affine ``expr`` is kept whole."""
+def _affine_part(expr: Expr, free: set[str]) -> tuple[Expr, set[str]]:
+    """The sum of ``expr``'s additive terms that are affine in ``free``, and the
+    parameters in ``free`` that its other terms read; an empty sum is
+    ``Const(0.0)``, and an affine ``expr`` is kept whole."""
     if is_affine(expr, free):
-        return expr, Const(0.0)
-    parts: tuple[list, list] = ([], [])
+        return expr, set()
+    affine, residual = [], set()
     for sign, term in additive_terms(expr):
-        parts[not is_affine(term, free)].append(term if sign > 0 else Neg(term))
-    affine, residual = (reduce(Add, part) if part else Const(0.0) for part in parts)
-    return affine, residual
+        if is_affine(term, free):
+            affine.append(term if sign > 0 else Neg(term))
+        else:
+            residual |= param_names(term) & free
+    return reduce(Add, affine) if affine else Const(0.0), residual
 
 
 @dataclass(frozen=True)
@@ -294,14 +275,16 @@ class BoundModel:
     """A spec matched to a dataset, ready for likelihood evaluation.
 
     Arrays are aligned to ``alternatives`` (dataset order).  ``utilities``
-    holds one compiled expression per alternative in the same order.  ∂V/∂θ
-    is ``design``, ∂/∂θ of the utilities' affine terms (zero on unavailable
-    cells), plus ∂/∂θ of their other terms: ``residuals`` holds those terms'
-    compiled derivatives (:func:`compile_derivative`), one per alternative and
-    None where they have no free parameter, which involve only the free
-    parameters at indices ``residual_idx``.  The design is parameter-first
-    and then alternative-major: ``design[q]`` is parameter q's contiguous
-    (n_alts, n_obs) slab, laid out as the kernel's probabilities are.
+    holds one compiled expression per alternative in the same order
+    (:func:`compile_expr`), which gives its value and its derivative along a
+    direction.  ``residual_idx`` indexes the free parameters that some
+    utility's non-affine terms read; ∂V/∂θ along those is the utilities'
+    derivative at each θ.  Along every other free parameter it does not depend
+    on θ and is ``design``: the derivative of the utilities' affine terms, zero
+    on unavailable cells.  The design's slabs along ``residual_idx`` are zero.
+    The design is parameter-first and then alternative-major: ``design[q]`` is
+    parameter q's contiguous (n_alts, n_obs) slab, laid out as the kernel's
+    probabilities are.
 
     The rest belongs to the estimation kernel.  ``kept`` holds at most one
     value pass's (log-likelihood, probabilities), keyed by ``theta.tobytes()``,
@@ -320,7 +303,6 @@ class BoundModel:
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
     design: np.ndarray  # (n_free, n_alts, n_obs)
-    residuals: tuple[Derivative | None, ...]
     residual_idx: tuple[int, ...]  # into free_names
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -365,7 +347,7 @@ class BoundModel:
             out = np.empty((self.n_alts, len(range(*rows.indices(self.n_obs)))))
         with np.errstate(all="ignore"):
             for j, utility in enumerate(self.utilities):
-                out[j] = utility(rows, values)
+                out[j] = utility(rows, values, None)[0]
         return out
 
 
@@ -383,7 +365,7 @@ def _domain_checks(utilities, columns, fixed, avail, alternatives):
                 if param_names(base) - set(fixed):
                     continue  # depends on free parameters, checked at runtime
                 vals = np.broadcast_to(
-                    compile_expr(base, columns, (), fixed)(ALL_ROWS, ()), (avail.shape[0],)
+                    compile_expr(base, columns, (), fixed)(ALL_ROWS, None, None)[0], (avail.shape[0],)
                 )[mask]
                 bad = ~(vals > 0) if strict else ~(vals >= 0)
                 if bad.any():
@@ -420,27 +402,29 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
 
     _domain_checks(utilities, dataset.columns, fixed, dataset.avail, alternatives)
 
-    affine, residuals = zip(*(_affine_and_residual(u, set(free_names)) for u in utilities))
-    derive_all = lambda exprs: tuple(compile_derivative(e, dataset.columns, free_names, fixed) for e in exprs)
-    in_residuals = set().union(*map(param_names, residuals))
+    compile_on_data = lambda expr: compile_expr(expr, dataset.columns, free_names, fixed)
+    affine, residual = zip(*(_affine_part(u, set(free_names)) for u in utilities))
+    residual_idx = tuple(i for i, name in enumerate(free_names) if name in set().union(*residual))
     design = np.zeros((len(free_names), len(alternatives), dataset.n_obs))
-    units = np.eye(len(free_names)).tolist()
+    units = [(q, unit) for q, unit in enumerate(np.eye(len(free_names)).tolist()) if q not in residual_idx]
+    blocks = [slice(first, first + DESIGN_BLOCK) for first in range(0, dataset.n_obs, DESIGN_BLOCK)]
     with np.errstate(all="ignore"):
-        for j, derivative in enumerate(derive_all(affine)):
-            if derivative is not None:
-                for q, unit in enumerate(units):
-                    design[q, j] = derivative(ALL_ROWS, start, unit)
+        for j, terms in enumerate(affine):
+            if param_names(terms) & set(free_names):
+                derivative = compile_on_data(terms)
+                for q, unit in units:
+                    for rows in blocks:
+                        design[q, j, rows] = derivative(rows, None, unit)[1]
     design[:, ~dataset.avail.T] = 0.0
     return BoundModel(
         spec=spec,
         dataset=dataset,
         alternatives=alternatives,
-        utilities=tuple(compile_expr(u, dataset.columns, free_names, fixed) for u in utilities),
+        utilities=tuple(map(compile_on_data, utilities)),
         free_names=free_names,
         start=start,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
         design=design,
-        residuals=derive_all(residuals),
-        residual_idx=tuple(i for i, name in enumerate(free_names) if name in in_residuals),
+        residual_idx=residual_idx,
     )

@@ -106,18 +106,33 @@ Expr = Union[Const, Var, Param, Add, Sub, Mul, Div, Neg, Call1, Pow, BoxCox, Pie
 BINARY_NODES = (Add, Sub, Mul, Div)
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The subexpressions directly under ``expr``, left to right; none for a leaf."""
+    if isinstance(expr, BINARY_NODES):
+        return expr.left, expr.right
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    if isinstance(expr, Call1):
+        return (expr.arg,)
+    if isinstance(expr, (Pow, BoxCox)):
+        return (expr.base,)
+    return ()
+
+
 def iter_nodes(expr: Expr) -> Iterator[Expr]:
     """Yield every node of the tree, preorder."""
     yield expr
-    if isinstance(expr, BINARY_NODES):
-        yield from iter_nodes(expr.left)
-        yield from iter_nodes(expr.right)
-    elif isinstance(expr, Neg):
-        yield from iter_nodes(expr.operand)
-    elif isinstance(expr, Call1):
-        yield from iter_nodes(expr.arg)
-    elif isinstance(expr, (Pow, BoxCox)):
-        yield from iter_nodes(expr.base)
+    for child in children(expr):
+        yield from iter_nodes(child)
+
+
+def depth(expr: Expr) -> int:
+    """The number of nodes on the longest path down from ``expr``, counted level by
+    level without recursion, so a tree of any depth can be measured."""
+    level, nodes = 0, [expr]
+    while nodes:
+        level, nodes = level + 1, [child for node in nodes for child in children(node)]
+    return level
 
 
 def param_names(expr: Expr) -> set[str]:

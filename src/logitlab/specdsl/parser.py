@@ -9,6 +9,10 @@ Parameters must be declared before use; identifiers with the reserved
 prefixes in :data:`PARAM_PREFIXES` are never treated as dataset
 variables, so a misspelled or undeclared coefficient fails here instead
 of surfacing as an unknown column at bind time.
+
+An expression nests at most :data:`MAX_DEPTH` levels, counted as the parser
+descends and as the depth of the tree it builds (a long sum is a deep tree),
+so no recursive walk over a parsed tree reaches Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from logitlab.specdsl.expr import (
     Pow,
     Sub,
     Var,
+    depth,
     iter_nodes,
     param_names,
 )
@@ -39,6 +44,9 @@ from logitlab.specdsl.expr import (
 PARAM_PREFIXES = ("asc_", "b_", "beta_", "lambda_")
 
 FUNCTIONS = ("log", "exp", "sqrt", "pow", "boxcox", "piecewise")
+
+MAX_DEPTH = 100  # the shipped and recorded specs nest at most 6 levels
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 class SpecDslError(Exception):
@@ -194,6 +202,7 @@ class _ExprParser:
         self.pos = 0
         self.declared = declared
         self.line = line
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -216,11 +225,22 @@ class _ExprParser:
         tok = self._peek()
         return tok is not None and tok[0] == "op" and tok[1] in ops
 
+    def _nested(self, parse) -> Expr:
+        """``parse()`` one level deeper, refused beyond ``MAX_DEPTH`` levels."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise DslSyntaxError(_TOO_DEEP, self.line)
+        expr = parse()
+        self.depth -= 1
+        return expr
+
     def parse(self) -> Expr:
-        expr = self._additive()
+        expr = self._nested(self._additive)
         tok = self._peek()
         if tok is not None:
             raise DslSyntaxError(f"unexpected {tok[1]!r}", self.line, tok[2])
+        if depth(expr) > MAX_DEPTH:
+            raise DslSyntaxError(_TOO_DEEP, self.line)
         return expr
 
     def _additive(self) -> Expr:
@@ -240,25 +260,24 @@ class _ExprParser:
         return expr
 
     def _unary(self) -> Expr:
-        if self._at_op("-"):
-            self._next()
-            operand = self._unary()
-            # -2.5 is a negative literal, not a negation node, so that
-            # serialized constants survive a round trip unchanged.
-            if isinstance(operand, Const):
-                return Const(-operand.value)
-            return Neg(operand)
-        if self._at_op("+"):
-            self._next()
-            return self._unary()
-        return self._atom()
+        if not self._at_op("-", "+"):
+            return self._atom()
+        sign = self._next()[1]
+        operand = self._nested(self._unary)
+        if sign == "+":
+            return operand
+        # -2.5 is a negative literal, not a negation node, so that
+        # serialized constants survive a round trip unchanged.
+        if isinstance(operand, Const):
+            return Const(-operand.value)
+        return Neg(operand)
 
     def _atom(self) -> Expr:
         kind, text, col = self._next()
         if kind == "num":
             return Const(_finite(text, self.line, col))
         if kind == "op" and text == "(":
-            inner = self._additive()
+            inner = self._nested(self._additive)
             self._expect_op(")")
             return inner
         if kind == "name":
@@ -286,23 +305,21 @@ class _ExprParser:
         if fn not in FUNCTIONS:
             raise UnknownFunction(f"unknown function '{fn}'", self.line, col)
         self._expect_op("(")
-        if fn in ("log", "exp", "sqrt"):
-            arg = self._additive()
-            self._expect_op(")")
-            return Call1(fn, arg)
+        if fn == "piecewise":
+            return self._piecewise(col)
+        arg = self._nested(self._additive)
         if fn == "pow":
-            base = self._additive()
             self._expect_op(",")
             exponent = self._number("pow exponent")
             self._expect_op(")")
-            return Pow(base, exponent)
+            return Pow(arg, exponent)
         if fn == "boxcox":
-            base = self._additive()
             self._expect_op(",")
             shape = self._param_name("box-cox shape")
             self._expect_op(")")
-            return BoxCox(base, shape)
-        return self._piecewise(col)
+            return BoxCox(arg, shape)
+        self._expect_op(")")
+        return Call1(fn, arg)
 
     def _number(self, what: str) -> float:
         sign = 1.0

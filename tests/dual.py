@@ -1,5 +1,5 @@
 """Forward-mode dual numbers and a tree walk over them: the test-side reference
-for the derivatives that ``binding.compile_derivative`` compiles.
+for the values and derivatives that ``binding.compile_expr`` compiles.
 
 A Dual carries a value array and a gradient array with one trailing axis
 per seeded parameter; the gradient is kept broadcastable to

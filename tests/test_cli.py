@@ -127,6 +127,19 @@ def test_spec_check_rejects_malformed(tmp_path):
     assert "Traceback" not in res.output
 
 
+def test_spec_check_rejects_too_deep_expression(tmp_path):
+    deep = tmp_path / "deep.dcm"
+    deep.write_text(
+        "spec deep\nalt car bus air rail\nparam b_t generic\n"
+        f"U(car) = {' + '.join(['b_t * time_car'] * 1000)}\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n",
+        encoding="utf-8",
+    )
+    res = invoke("spec", "check", deep, "--data", CSV, "--dict", DICT)
+    assert res.exit_code == 1
+    assert res.stderr == "Error: DslSyntaxError: line 4: expression nests deeper than 100 levels\n"
+    assert "Traceback" not in res.output
+
+
 # -- estimate / metrics / validate ----------------------------------------------
 
 

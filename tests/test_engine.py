@@ -185,8 +185,10 @@ BLOCKINGS = {
 
 @contextlib.contextmanager
 def row_blocks(row_block: int, workers: int):
+    """Kernel passes, and bind's design fill, in blocks of ``row_block`` rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "ROW_BLOCK", row_block)
+        mp.setattr(binding, "DESIGN_BLOCK", row_block)
         mp.setattr(kernel, "WORKERS", workers)
         yield
 
@@ -209,9 +211,9 @@ def table_model(V: np.ndarray, avail: np.ndarray, choice_idx: np.ndarray) -> bin
     n, J = V.shape
     return binding.BoundModel(
         spec=None, dataset=None, alternatives=tuple(f"alt{j}" for j in range(J)),
-        utilities=tuple((lambda rows, theta, v=V[:, j]: v[rows]) for j in range(J)),
+        utilities=tuple((lambda rows, theta, d, v=V[:, j]: (v[rows], None)) for j in range(J)),
         free_names=(), start=np.empty(0), avail=avail, choice_idx=choice_idx,
-        design=np.empty((0, J, n)), residuals=(), residual_idx=(),
+        design=np.empty((0, J, n)), residual_idx=(),
     )
 
 
@@ -231,15 +233,6 @@ def fixed_values(model: binding.BoundModel) -> dict[str, float]:
 
 def utility_exprs(model: binding.BoundModel) -> list:
     return [model.spec.utilities[alt] for alt in model.alternatives]
-
-
-def derivatives(model: binding.BoundModel, exprs) -> tuple:
-    """``exprs`` differentiated by ``compile_derivative`` against ``model``'s columns and
-    parameter layout."""
-    return tuple(
-        binding.compile_derivative(e, model.dataset.columns, model.free_names, fixed_values(model))
-        for e in exprs
-    )
 
 
 def walked_gradient(model: binding.BoundModel, expr, rows, theta, algebra=Dual) -> np.ndarray:
@@ -264,27 +257,30 @@ def walk_jacobian(model: binding.BoundModel, exprs, theta, algebra=Dual) -> np.n
     return G
 
 
-class WalkedDerivative:
-    """A compiled derivative's stand-in for ``kernel.jacobian``, ``(rows, theta, seeds)
-    -> ∂expr`` along the unit vectors stacked in ``seeds``, from a dual-number pass
-    over every free parameter, made once per row block and θ."""
+class WalkedUtility:
+    """A compiled utility's stand-in, ``(rows, theta, seeds) -> (value, ∂expr)``: the
+    compiled value and, along the unit vectors stacked in ``seeds``, the derivative
+    from a dual-number pass over every free parameter, made once per row block and θ."""
 
-    def __init__(self, model: binding.BoundModel, expr):
-        self.model, self.expr, self.gradients = model, expr, {}
+    def __init__(self, model: binding.BoundModel, utility, expr):
+        self.model, self.utility, self.expr, self.gradients = model, utility, expr, {}
 
     def __call__(self, rows, theta, seeds):
+        value, _ = self.utility(rows, theta, None)
+        if seeds is None:
+            return value, None
         key = rows.start, rows.stop, tuple(theta)
         if key not in self.gradients:
             self.gradients[key] = walked_gradient(self.model, self.expr, rows, theta)
-        return self.gradients[key][:, seeds[:, :, 0].argmax(axis=0)].T
+        return value, self.gradients[key][:, seeds[:, :, 0].argmax(axis=0)].T
 
 
 def all_residual(model: binding.BoundModel) -> binding.BoundModel:
-    """``model`` with a zero design and every utility a residual over every free
-    parameter, differentiated by a dual pass: the reference for the split."""
+    """``model`` with a zero design and every free parameter a residual one, each
+    utility differentiated by a dual pass: the reference for the design."""
     return dataclasses.replace(
         model, design=np.zeros_like(model.design),
-        residuals=tuple(WalkedDerivative(model, e) for e in utility_exprs(model)),
+        utilities=tuple(WalkedUtility(model, *pair) for pair in zip(model.utilities, utility_exprs(model))),
         residual_idx=tuple(range(model.n_free)),
     )
 
@@ -382,7 +378,7 @@ def test_kept_value_pass_serves_only_its_own_theta_and_model(best_spec, synth_da
     assert ll == -math.inf and np.all(np.isnan(grad))
     assert _bits(kernel.loglik_and_gradient(model, theta2)) == fresh2
 
-    dual = all_residual(model)  # a spec with residuals keeps its value pass too
+    dual = all_residual(model)  # a model with residual parameters keeps its value pass too
     fresh1 = _bits(kernel.loglik_and_gradient(dual, theta1))
     kernel.log_likelihood(dual, theta1)
     assert list(dual.kept) == [theta1.tobytes()]
@@ -457,7 +453,7 @@ def test_derivatives_are_zero_on_unavailable_cells(synth_data, blocking):
     theta = np.array([0.1, -0.2])
     unavailable = ~model.avail.T
     assert unavailable[0].any() and unavailable[1].any()
-    full = kernel.jacobian(model, derivatives(model, utility_exprs(model)), theta, range(model.n_free))
+    full = kernel.jacobian(model, theta, range(model.n_free))
     for G in (model.design, full):
         assert np.all(G[:, unavailable] == 0.0) and np.all(np.isfinite(G))
     for m in (model, all_residual(model)):
@@ -469,28 +465,30 @@ BOXCOX_PIECEWISE_SPEC = BOXCOX_SPEC.read_text(encoding="utf-8")
 
 
 def test_boxcox_piecewise_spec_sends_only_its_boxcox_terms_to_the_residuals(synth_data):
-    """The ASCs, time and piecewise income terms are affine, so only b_cost and
-    lambda_cost are differentiated at each θ; the design holds the other columns."""
+    """The ASCs, time and piecewise income terms are affine, so only along b_cost and
+    lambda_cost are the utilities differentiated at each θ; the design holds the other
+    columns."""
     model = binding.bind(parser.parse_spec(BOXCOX_PIECEWISE_SPEC), synth_data)
     assert [model.free_names[i] for i in model.residual_idx] == ["b_cost", "lambda_cost"]
     affine = [i for i in range(model.n_free) if i not in model.residual_idx]
     assert not model.design[list(model.residual_idx)].any()
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.1, 0.5, model.n_free)
-    full = kernel.jacobian(model, derivatives(model, utility_exprs(model)), theta, range(model.n_free))
+    full = kernel.jacobian(model, theta, range(model.n_free))
     assert full[affine].tobytes() == model.design[affine].tobytes()
 
 
-def split(model: binding.BoundModel) -> tuple[list, list]:
-    """Each utility's affine terms and its other terms, as bind splits them."""
+def affine_terms(model: binding.BoundModel) -> list:
+    """Each utility's affine terms, as bind splits them off."""
     free = set(model.free_names)
-    parts = [binding._affine_and_residual(u, free) for u in utility_exprs(model)]
-    return [affine for affine, _ in parts], [residual for _, residual in parts]
+    return [binding._affine_part(u, free)[0] for u in utility_exprs(model)]
 
 
 def dual_design(model: binding.BoundModel) -> np.ndarray:
     """The reference for bind's design: one dual-number pass over every free
-    parameter of each utility's affine terms."""
-    return walk_jacobian(model, split(model)[0], model.start)
+    parameter of each utility's affine terms, zero along ``residual_idx``."""
+    G = walk_jacobian(model, affine_terms(model), model.start)
+    G[list(model.residual_idx)] = 0.0
+    return G
 
 
 def test_fixture_designs_have_the_bits_of_a_dual_pass(synth_data):
@@ -502,18 +500,91 @@ def test_fixture_designs_have_the_bits_of_a_dual_pass(synth_data):
 
 
 def test_fixture_jacobians_have_the_bits_of_a_dual_pass(synth_data, blocking):
-    """The residuals' Jacobian, and that of whole utilities, at θ off the start."""
+    """The utilities' Jacobian along ``residual_idx``, and along every parameter, at θ
+    off the start."""
     specs = [*replay_specs(), parser.parse_spec(BOXCOX_PIECEWISE_SPEC)]
     assert len(specs) == 14
     rng = np.random.default_rng(RNG_SEED)
     for spec in specs:
         model = binding.bind(spec, synth_data)
         theta = model.start + rng.uniform(0.01, 0.05, model.n_free)
-        residual, exprs = list(model.residual_idx), utility_exprs(model)
-        got = kernel.jacobian(model, model.residuals, theta, residual)
-        assert got.tobytes() == walk_jacobian(model, split(model)[1], theta)[residual].tobytes(), spec.name
-        got = kernel.jacobian(model, derivatives(model, exprs), theta, range(model.n_free))
-        assert got.tobytes() == walk_jacobian(model, exprs, theta).tobytes(), spec.name
+        residual, walked = list(model.residual_idx), walk_jacobian(model, utility_exprs(model), theta)
+        got = kernel.jacobian(model, theta, residual)
+        assert got.tobytes() == walked[residual].tobytes(), spec.name
+        got = kernel.jacobian(model, theta, range(model.n_free))
+        assert got.tobytes() == walked.tobytes(), spec.name
+
+
+def test_one_jacobian_evaluates_each_function_once_per_node(synth_data, monkeypatch):
+    """Each Box-Cox term's log, expm1 and the exp of its derivative run once per
+    kernel.jacobian of boxcox_piecewise, as in one dual pass: a rule reuses its
+    operands' values.  The counters are in place before bind compiles anything."""
+    calls = {}
+
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return count
+
+    for name in ("log", "expm1", "exp"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    model = binding.bind(parser.parse_spec(BOXCOX_PIECEWISE_SPEC), synth_data)
+    theta = model.start + 0.1
+    calls.clear()
+    kernel.jacobian(model, theta, model.residual_idx)
+    assert calls == {"log": 4, "expm1": 4, "exp": 4}
+
+
+NESTED_BOXCOX = (
+    "spec nested\nalt car bus air rail\nparam b_time generic\nparam lambda_c{}\n"
+    f"U(car) = b_time * {'boxcox(' * 30}(time_car + 100){', lambda_c)' * 30}\n"
+    "U(bus) = b_time * time_bus\nU(air) = 0\nU(rail) = 0\n"
+)
+
+
+def test_nested_boxcox_evaluates_each_base_once(synth_data):
+    """Each Box-Cox form reads log x once per call.  Compiled as trees with log x at
+    each use, 6 nested nodes took 6 s to bind, and 30 at shape 0 would take 3^30 logs.
+    The Jacobian has the bits of a dual pass off shape 0 and at it, NaNs of either
+    sign alike; with a fixed shape of 0 the domain check fails at once."""
+    model = binding.bind(parser.parse_spec(NESTED_BOXCOX.format("")), synth_data)
+    for theta in (model.start + 0.01, np.array([0.01, 0.0])):
+        got = kernel.jacobian(model, theta, range(model.n_free))
+        assert np.isfinite(got).all() == (theta[1] != 0.0)
+        assert _nan_blind_bits(got) == _nan_blind_bits(walk_jacobian(model, utility_exprs(model), theta))
+    with pytest.raises(binding.DomainViolation):
+        binding.bind(parser.parse_spec(NESTED_BOXCOX.format(" fixed 0")), synth_data)
+
+
+SHARED_SPEC = """spec shared
+alt car bus air rail
+param asc_bus
+param b_time generic
+param b_cost generic
+param lambda_c
+U(car) = b_cost * cost_car + b_time * time_car
+U(bus) = asc_bus + b_cost * boxcox(cost_bus, lambda_c) + b_time * time_bus
+U(air) = b_time * time_air - b_cost * cost_air / 100 + b_cost * boxcox(cost_air, lambda_c)
+U(rail) = b_time * time_rail
+"""
+
+
+def test_parameter_in_affine_and_non_affine_terms_is_differentiated_whole(synth_data, blocking):
+    """b_cost multiplies cost in car's and air's affine terms and a Box-Cox term in bus
+    and air: its design slab stays zero, and its slab of ∂V/∂θ, the gradient and the
+    information are those of the walked utilities."""
+    model = binding.bind(parser.parse_spec(SHARED_SPEC), synth_data)
+    residual = list(model.residual_idx)
+    assert [model.free_names[i] for i in residual] == ["b_cost", "lambda_c"]
+    assert not model.design[residual].any()
+    assert model.design[model.free_names.index("b_time")].any()
+    theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, model.n_free)
+    walked = walk_jacobian(model, utility_exprs(model), theta)
+    assert kernel.jacobian(model, theta, residual).tobytes() == walked[residual].tobytes()
+    for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
+        assert _bits(fn(model, theta)) == _bits(fn(all_residual(model), theta)), fn.__name__
 
 
 HAND_UTILITIES = {
@@ -609,12 +680,12 @@ def test_gradient_and_information_match_the_parameter_last_contraction(synth_dat
 def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
     """The design, the Jacobian and the kept P are contiguous (…, J, n) arrays, and
     each parameter's gradient has the bits of one sum of ``Y − P`` with that
-    parameter's slab of the design plus the walked residual Jacobian."""
+    parameter's slab of the design or, along ``residual_idx``, of the walked Jacobian."""
     model = binding.bind(parser.parse_spec(text), synth_data)
     k, J, n = model.n_free, model.n_alts, model.n_obs
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, k)
     residual = list(model.residual_idx)
-    jac = kernel.jacobian(model, model.residuals, theta, residual)
+    jac = kernel.jacobian(model, theta, residual)
     for a, shape in ((model.design, (k, J, n)), (jac, (len(residual), J, n))):
         assert a.shape == shape and a.flags.c_contiguous
     kernel.log_likelihood(model, theta)
@@ -623,7 +694,7 @@ def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
     Y = np.full((J, n), -0.0)  # Y − P is −P off the chosen cells, the sign of a zero included
     Y[model.choice_idx, np.arange(n)] = 1.0
     G = model.design.copy()
-    G[residual] += walk_jacobian(model, split(model)[1], theta)[residual]
+    G[residual] = walk_jacobian(model, utility_exprs(model), theta)[residual]
     _, grad = kernel.loglik_and_gradient(model, theta)
     assert _bits((grad,)) == _bits(([np.einsum("jn,jn->", Y - P, G[q]) for q in range(k)],))
 
@@ -872,7 +943,7 @@ def test_row_blocks_raise_no_floating_point_warning(tmp_path):
         tiny = np.array([1e-310])  # log(b_x * x_a) is finite, its derivative 1 / b_x is not
         assert math.isfinite(kernel.log_likelihood(steep, tiny))
         assert kernel.loglik_gradient_and_information(steep, tiny)[0] == -math.inf
-        G = kernel.jacobian(nonaffine, nonaffine.residuals, np.array([500.0]), (0,))
+        G = kernel.jacobian(nonaffine, np.array([500.0]), (0,))
         assert not np.isfinite(G).all()  # exp(500 x_a) overflows inside the derivative
 
 
@@ -975,10 +1046,10 @@ def _nan_blind_bits(a: np.ndarray) -> bytes:
     theta=(1.0, 0.0, 1.0),
 )
 def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, theta):
-    """Affine and non-affine utilities: bind's design, the Jacobians of the whole
-    utilities and of the residuals, the value pass, the gradient and the information, with
-    the split and with a dual pass over everything, do not depend on ROW_BLOCK or on
-    the thread pool.  The design and the raw Jacobians compare with their NaNs of
+    """Affine and non-affine utilities: bind's design, the utilities' Jacobians along
+    every parameter and along ``residual_idx``, the value pass, the gradient and the
+    information, with the design and with a dual pass over everything, do not depend on
+    ROW_BLOCK or on the thread pool.  The design and the raw Jacobians compare with their NaNs of
     either sign alike."""
     spec = random_spec(exprs)
     theta = np.array(theta)
@@ -989,9 +1060,8 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
         except binding.DomainViolation as exc:
             return [str(exc).encode()]
         out = [_nan_blind_bits(model.design)]
-        whole = derivatives(model, utility_exprs(model))
-        for exprs, idx in ((whole, range(model.n_free)), (model.residuals, model.residual_idx)):
-            out.append(_nan_blind_bits(kernel.jacobian(model, exprs, theta, idx)))
+        for idx in (range(model.n_free), model.residual_idx):
+            out.append(_nan_blind_bits(kernel.jacobian(model, theta, idx)))
         for m in (model, all_residual(model)):
             out.append(np.float64(kernel.log_likelihood(m, theta)).tobytes())
             out += _bits(kernel.loglik_and_gradient(m, theta))
@@ -1052,11 +1122,13 @@ B1, B2, X, Y, Z = Param("b_one"), Param("b_two"), Var("x"), Var("y"), Var("z")
 @example(expr=BoxCox(Mul(B1, X), "lambda_s"), theta=(0.5, 0.3, 0.7))
 def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, theta):
     """On all rows and on a slice, with each parameter free or b_two folded in as
-    fixed, a compiled expression gives the walk's type and bits on floats, and its
-    compiled derivative along each free parameter's unit vector, one at a time and
-    all at once, gives the bits of that parameter's column of the walk on dual
-    numbers seeded on every free parameter, NaNs of either sign alike.  The Box-Cox
-    shape lambda_s is sometimes exactly 0, the log-limit branch."""
+    fixed, one call of a compiled expression gives the walk's type and bits on
+    floats and, along each free parameter's unit vector, one at a time and all at
+    once, the bits of that parameter's column of the walk on dual numbers seeded on
+    every free parameter, NaNs of either sign alike; with no direction, no
+    derivative.  An affine expression gives the same derivative with no θ, and no
+    value where it reads a free parameter.  The Box-Cox shape lambda_s is sometimes
+    exactly 0, the log-limit branch."""
     columns = xyz_data.columns
     for rows in (binding.ALL_ROWS, slice(7, 30)):
         sliced = {name: column[rows] for name, column in columns.items()}
@@ -1065,25 +1137,37 @@ def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, thet
         ):
             values = [v for name, v in zip(("b_one", "b_two", "lambda_s"), theta) if name not in fixed]
             params = {**dict(zip(free_names, values)), **fixed}
+            compiled = binding.compile_expr(expr, columns, free_names, fixed)
             with np.errstate(all="ignore"):
-                got = binding.compile_expr(expr, columns, free_names, fixed)(rows, values)
+                value, none = compiled(rows, values, None)
                 want = walk(expr, sliced, params)
-            assert type(got) is type(want)
-            assert _nan_blind_bits(np.asarray(got)) == _nan_blind_bits(np.asarray(want))
+            assert none is None
+            assert type(value) is type(want)
+            value_bits = _nan_blind_bits(np.asarray(value))
+            assert value_bits == _nan_blind_bits(np.asarray(want))
 
             k = len(free_names)
             seeds = {name: Dual.seed(v, i, k) for i, (name, v) in enumerate(zip(free_names, values))}
-            derivative = binding.compile_derivative(expr, columns, free_names, fixed)
+            affine = binding.is_affine(expr, set(free_names))
             with np.errstate(all="ignore"):
                 dual = walk(expr, sliced, {**params, **seeds})
-                assert (derivative is None) == (not isinstance(dual, Dual))
-                if derivative is None:
-                    continue
-                grad = np.broadcast_to(dual.grad, dual.val.shape + (k,))
+                reads_free = isinstance(dual, Dual)
                 for q, unit in enumerate(np.eye(k).tolist()):
-                    got = np.broadcast_to(derivative(rows, values, unit), dual.val.shape)
-                    assert _nan_blind_bits(got) == _nan_blind_bits(grad[..., q]), free_names[q]
-                stacked = derivative(rows, values, np.eye(k)[:, :, None])  # every direction at once
+                    for at in (values, None) if affine else (values,):
+                        got, derivative = compiled(rows, at, unit)
+                        if at is None and reads_free:
+                            assert got is None
+                        else:
+                            assert _nan_blind_bits(np.asarray(got)) == value_bits
+                        if not reads_free:
+                            assert derivative is None
+                            continue
+                        got = np.broadcast_to(derivative, dual.val.shape)
+                        want = np.broadcast_to(dual.grad, dual.val.shape + (k,))[..., q]
+                        assert _nan_blind_bits(got) == _nan_blind_bits(want), free_names[q]
+                if not reads_free:
+                    continue
+                _, stacked = compiled(rows, values, np.eye(k)[:, :, None])  # every direction at once
                 n = len(sliced["x"])
                 got, want = np.broadcast_to(stacked, (k, n)), np.broadcast_to(dual.grad, (n, k)).T
                 assert _nan_blind_bits(got) == _nan_blind_bits(want)
@@ -1112,8 +1196,8 @@ def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: f
     theta=(4.8096683747476666e-234, 0.0, 1.0),
 )
 def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, theta):
-    """Random affine and non-affine utilities: the design plus the residuals' dual pass
-    gives the LL bits, and the gradient and information to rounding, of one dual pass over
+    """Random affine and non-affine utilities: the design and the utilities' Jacobian
+    along ``residual_idx`` give the LL bits, and the gradient and information to rounding, of one dual pass over
     every utility and parameter; where central differences settle, both match them."""
     try:
         model = binding.bind(random_spec(exprs), xyz_data)

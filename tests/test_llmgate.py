@@ -11,6 +11,7 @@ import requests
 from logitlab.llmgate import client, config, extract, prompts
 
 from conftest import FIXTURES
+from test_specdsl import DEEP_SHAPES, nested
 
 # -- experiment presets ---------------------------------------------------------
 
@@ -173,6 +174,15 @@ def test_extracts_spec_and_matching_claims():
     assert got.specs[0].metadata["model"] == "mod"
     assert got.claimed == (extract.Claim("m1", -950.1, 1904.2, 1914.0),)
     assert got.diagnostics == ()
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_too_deep_expression_is_a_diagnostic(shape):
+    """Before: RecursionError out of extract_specs, ending run and suggest."""
+    deep = SPEC_BLOCK.replace("b_time * time_car", nested(shape, 1000).replace("b_x", "b_time"))
+    got = extract.extract_specs(transcript_with(deep + "\n" + SPEC_BLOCK.replace("m1", "m2")))
+    assert [s.name for s in got.specs] == ["m2"]
+    assert got.diagnostics == ("spec block 1 rejected: line 5: expression nests deeper than 100 levels",)
 
 
 def test_claim_with_loglik_only():

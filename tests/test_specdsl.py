@@ -162,6 +162,32 @@ def test_numbers_too_large_for_a_float_are_syntax_errors(declaration, utility):
     assert parse_spec(text.replace("e999", "e99").replace("e400", "e40").replace("2e308", "2e307"))
 
 
+def nested(shape: str, levels: int) -> str:
+    """An expression of ``b_x`` and ``x`` that nests ``levels`` levels deep, in one of
+    the shapes a degenerate LLM response can take."""
+    inner = levels - 1
+    return {
+        "sum": " + ".join(["b_x"] * levels),
+        "parentheses": "(" * inner + "b_x" + ")" * inner,
+        "minus_signs": "-" * inner + "b_x",
+        "logs": "log(" * inner + "x" + ")" * inner,
+    }[shape]
+
+
+DEEP_SHAPES = ("sum", "parentheses", "minus_signs", "logs")
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_expression_nesting_is_limited(shape):
+    """Before: about 250 parentheses, 200 nested calls or a 1000-term sum raised
+    RecursionError, which no caller catches."""
+    assert parse_expression(nested(shape, parser.MAX_DEPTH), {"b_x"})
+    message = f"^line 3: expression nests deeper than {parser.MAX_DEPTH} levels$"
+    for levels in (parser.MAX_DEPTH + 1, 1000):
+        with pytest.raises(DslSyntaxError, match=message):
+            parse_expression(nested(shape, levels), {"b_x"}, line=3)
+
+
 def test_pow_takes_numeric_exponent():
     e = parse_expression("pow(x, 2)", set())
     assert isinstance(e, Pow)
@@ -472,19 +498,20 @@ def test_evaluate_expr_matches_numpy():
     columns = {"x": np.array([1.0, 4.0])}
     tree = parse_expression("log(x) + sqrt(x) * 2 - pow(x, 2)", set())
     compiled = binding.compile_expr(tree, columns, (), {})
-    got = compiled(binding.ALL_ROWS, ())
+    got, derivative = compiled(binding.ALL_ROWS, None, None)
     x = columns["x"]
     np.testing.assert_allclose(got, np.log(x) + np.sqrt(x) * 2 - x**2)
-    assert compiled(slice(1, 2), ()).tolist() == [got[1]]
+    assert derivative is None
+    assert compiled(slice(1, 2), None, None)[0].tolist() == [got[1]]
 
 
 def test_boxcox_at_zero_shape_matches_log_limit():
     columns = {"x": np.array([0.5, 2.0, 7.0])}
     tree = parse_expression("boxcox(x, lambda_s)", {"lambda_s"})
     free = binding.compile_expr(tree, columns, ("lambda_s",), {})
-    at_zero = free(binding.ALL_ROWS, [0.0])
+    at_zero, _ = free(binding.ALL_ROWS, [0.0], None)
     np.testing.assert_allclose(at_zero, np.log(columns["x"]))
-    fixed = binding.compile_expr(tree, columns, (), {"lambda_s": 0.0})(binding.ALL_ROWS, ())
+    fixed = binding.compile_expr(tree, columns, (), {"lambda_s": 0.0})(binding.ALL_ROWS, None, None)[0]
     assert fixed.tobytes() == at_zero.tobytes()
-    tiny = free(binding.ALL_ROWS, [1e-9])
+    tiny, _ = free(binding.ALL_ROWS, [1e-9], None)
     np.testing.assert_allclose(tiny, at_zero, atol=1e-8)
