@@ -5,11 +5,12 @@ alternatives are masked out before the softmax, so their probabilities
 are exactly zero and whatever the expressions produced on those rows
 (often NaN, e.g. log of a zeroed attribute) never propagates.
 
-Each pass splits the rows into fixed blocks of ``ROW_BLOCK`` rows.  Per
+Each pass splits the rows into the fixed blocks of ``binding.row_blocks``,
+``binding.ROW_BLOCK`` rows each, the blocks bind fills its design in.  Per
 block, the value pass writes the utilities into its columns of one (J, n)
 buffer, tests them, forms the probabilities in
 place and writes its log chosen probabilities.  A pass over more than
-``ROW_BLOCK`` rows runs its blocks, and then its sums, on a
+one block runs its blocks, and then its sums, on a
 thread pool sized to the CPUs the process may use, created on the first
 such pass; a smaller pass, or a process with one CPU, runs in the calling
 thread and never imports ``concurrent.futures``.  No reduction is split by the blocks: the
@@ -44,8 +45,7 @@ masked-copy softmax with numpy's row max and row sum (``tests/test_engine.py``
 keeps that formula as its reference) for fewer than eight alternatives,
 where numpy's row sum also adds left to right, so the log-likelihood and
 the probabilities have its bits.  The weight, its log and each row's
-chosen cell are derived once per model (cached properties of
-``BoundModel``).
+chosen cell are made once per model, when ``BoundModel`` is constructed.
 
 The gradient is the textbook MNL score ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` with
 ``y`` the one-hot choice.  ``Y − P`` is ``−P`` with 1.0 added on each row's
@@ -85,9 +85,9 @@ import os
 import numpy as np
 
 from logitlab.dataset import Dataset
-from logitlab.specdsl.binding import ALL_ROWS, BoundModel
+from logitlab.specdsl import binding
+from logitlab.specdsl.binding import BoundModel, row_blocks
 
-ROW_BLOCK = 25_000  # rows per block of a pass's per-row work
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = None  # created by the first pass with more than one block
 
@@ -107,25 +107,14 @@ def _check_theta(model: BoundModel, theta) -> np.ndarray:
     return theta
 
 
-def _row_blocks(n: int, work) -> list:
-    """``work(rows)`` for each block of ``ROW_BLOCK`` rows of ``n``, results in row order.
-
-    One block is ``ALL_ROWS``; several run as :func:`_tasks` of a pass over ``n`` rows.
-    """
-    if n <= ROW_BLOCK:
-        return [work(ALL_ROWS)]
-    blocks = [slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
-    return _tasks(n, work, blocks)
-
-
 def _tasks(n: int, work, items) -> list:
     """``work(item)`` for each item, results in order, as part of a pass over ``n`` rows.
 
-    A pass over more than ``ROW_BLOCK`` rows runs them on a thread pool of
-    ``WORKERS`` threads; a smaller pass, or one worker, in the calling thread.
+    A pass over more than ``binding.ROW_BLOCK`` rows runs them on a thread pool
+    of ``WORKERS`` threads; a smaller pass, or one worker, in the calling thread.
     """
     global _pool
-    if n <= ROW_BLOCK or WORKERS < 2:
+    if n <= binding.ROW_BLOCK or WORKERS < 2:
         return [work(item) for item in items]
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -175,7 +164,6 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
     calling thread, so the result does not depend on the blocks.
     """
     P = np.empty((model.n_alts, model.n_obs))
-    # the derived arrays are made here, in the calling thread, on the model's first pass
     weight, log_weight, chosen = model.avail_weight, model.avail_log, model.chosen_cell
     log_chosen = np.empty(model.n_obs)
 
@@ -194,7 +182,7 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
         np.log(P_chosen, out=log_chosen[rows])  # P_chosen > 0: no floating-point warning
         return True
 
-    if not all(_row_blocks(model.n_obs, block)):
+    if not all(_tasks(model.n_obs, block, row_blocks(model.n_obs))):
         return -math.inf, None
     return float(log_chosen.sum()), P
 
@@ -217,7 +205,7 @@ def jacobian(model: BoundModel, theta, idx) -> np.ndarray:
                     Gb[:, j] = derivative
         Gb[:, ~model.avail[rows].T] = 0.0
 
-    _row_blocks(model.n_obs, fill)
+    _tasks(model.n_obs, fill, row_blocks(model.n_obs))
     return G
 
 

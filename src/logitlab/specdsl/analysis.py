@@ -16,16 +16,13 @@ from dataclasses import dataclass
 
 from logitlab.dataset import DataDictionary
 from logitlab.specdsl.expr import (
-    Add,
     BoxCox,
     Call1,
-    Div,
     Expr,
     Mul,
-    Neg,
     Piecewise,
     Pow,
-    Sub,
+    children,
     iter_nodes,
     param_names,
     var_names,
@@ -86,22 +83,14 @@ def _interaction_keys(
     """Collect attribute-by-covariate products.
 
     Only the topmost multiplication of a product chain forms a key, so
-    ``b * time * female`` is one interaction, not two.
+    ``b * time * female`` is one interaction, not two: the descent passes
+    "inside a product" only to the children of a ``*``.
     """
-    if isinstance(expr, Mul):
-        if not in_product and _mixes_kinds(expr, kind_of):
-            out.add(_interaction_key(expr, kind_of, quantity_of))
-        _interaction_keys(expr.left, kind_of, quantity_of, out, True)
-        _interaction_keys(expr.right, kind_of, quantity_of, out, True)
-    elif isinstance(expr, (Add, Sub, Div)):
-        _interaction_keys(expr.left, kind_of, quantity_of, out, False)
-        _interaction_keys(expr.right, kind_of, quantity_of, out, False)
-    elif isinstance(expr, Neg):
-        _interaction_keys(expr.operand, kind_of, quantity_of, out, False)
-    elif isinstance(expr, Call1):
-        _interaction_keys(expr.arg, kind_of, quantity_of, out, False)
-    elif isinstance(expr, (Pow, BoxCox)):
-        _interaction_keys(expr.base, kind_of, quantity_of, out, False)
+    product = isinstance(expr, Mul)
+    if product and not in_product and _mixes_kinds(expr, kind_of):
+        out.add(_interaction_key(expr, kind_of, quantity_of))
+    for child in children(expr):
+        _interaction_keys(child, kind_of, quantity_of, out, product)
 
 
 def analyze_structure(spec: UtilitySpec, dictionary: DataDictionary) -> SpecStats:

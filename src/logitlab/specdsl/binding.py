@@ -14,6 +14,9 @@ parameter's unit vector, with no θ, into that parameter's slab.  Along the
 parameters that the other terms read (``residual_idx``), the estimation
 kernel differentiates the whole compiled utilities at each θ.
 
+The design fill and every kernel pass run over the same row blocks,
+:func:`row_blocks` of ``ROW_BLOCK`` rows each.
+
 Compiled expressions call numpy on plain floats and arrays, so this module
 never imports the engine.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +47,7 @@ from logitlab.specdsl.expr import (
     Pow,
     Sub,
     Var,
+    children,
     iter_nodes,
     param_names,
 )
@@ -60,18 +64,28 @@ class MissingAlternative(SpecDslError):
 
 
 ALL_ROWS = slice(None)
-# Rows per call of bind's design fill: each rule holds its operands while it makes
-# its result, and blocks of this size keep those temporaries in cache.
-DESIGN_BLOCK = 25_000
+ROW_BLOCK = 25_000  # rows per block of bind's design fill and of each kernel pass
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The blocks of ``ROW_BLOCK`` rows that cover ``n`` rows, in row order;
+    ``[ALL_ROWS]`` when one block holds them all.  Each rule holds its operands
+    while it makes its result, and blocks of this size keep those temporaries in
+    cache."""
+    if n <= ROW_BLOCK:
+        return [ALL_ROWS]
+    return [slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)]
+
 
 # (rows, theta, d) -> (value, derivative along d) on those rows; see compile_expr
 Compiled = Callable[[slice, Sequence[float] | None, Sequence[Any] | None], tuple[Any, Any]]
 
 
 def _binary_rule(op, derivative):
-    """The rule of a binary node: its operands' values u, v and derivatives du, dv
-    (None where the operand reads no free parameter) -> its value w = op(u, v) and
-    ``derivative(u, du, v, dv, w)``; either is None where it cannot be had."""
+    """The rule of a two-operand node: its operands' values u, v and derivatives
+    du, dv (None where the operand reads no free parameter) -> its value
+    w = op(u, v) and ``derivative(u, du, v, dv, w)``; either is None where it
+    cannot be had."""
 
     def rule(u, du, v, dv):
         w = None if u is None or v is None else op(u, v)
@@ -103,14 +117,28 @@ _BINARY_RULES = {
 _add, _mul, _div = (_BINARY_RULES[kind] for kind in (Add, Mul, Div))
 
 
-# Each function's rule: (u, du) -> its value and its derivative, du None where u
-# reads no free parameter.
+# Each one-operand rule: (u, du) -> its value and its derivative, du None where u
+# reads no free parameter; _power(p) is the rule of the power with exponent p.
 _CALL_RULES = {
     "log": lambda u, du: (np.log(u), None if du is None else np.divide(du, u)),
     "exp": lambda u, du: (w := np.exp(u), None if du is None else du * w),
     "expm1": lambda u, du: (np.expm1(u), None if du is None else du * np.exp(u)),
     "sqrt": lambda u, du: (w := np.sqrt(u), None if du is None else np.divide(du, 2.0 * w)),
 }
+_neg = lambda u, du: (None if u is None else -u, None if du is None else -du)
+_power = lambda p: lambda u, du: (
+    np.power(u, p), None if du is None else du * (p * np.power(u, p - 1.0))
+)
+
+
+def _combine(rule, left: Compiled, right: Compiled) -> Compiled:
+    """The compiled two-operand node ``rule`` over its compiled operands."""
+    return lambda rows, theta, d: rule(*left(rows, theta, d), *right(rows, theta, d))
+
+
+def _column(values: np.ndarray) -> Compiled:
+    """The leaf of a fixed column: its values on ``rows``, no derivative."""
+    return lambda rows, theta, d: (values[rows], None)
 
 
 def _boxcox(logx, dlogx, s, ds):
@@ -141,10 +169,15 @@ def compile_expr(
     derivative rules read only values that involve none (bind's design); then
     the value is None where ``expr`` reads a free parameter.
 
-    Every leaf is resolved here, once: a fixed parameter is folded in as its
-    value, a variable is its column and a piecewise node its segment lengths
-    (:func:`piecewise_segments`), each sliced to ``rows`` when called.  A box-cox
-    node takes one of the forms of :func:`_boxcox` by its shape's value.
+    Every node compiles as a leaf, a one-operand rule or a two-operand rule.  A
+    leaf is resolved here, once: a constant, a free parameter, a fixed parameter
+    folded in as its value, or a column sliced to ``rows`` when called (a
+    variable, or one segment of a piecewise node).  ``-``, ``pow`` and the calls
+    are one-operand rules; ``+``, ``-``, ``*`` and ``/`` are two-operand rules.  A
+    piecewise node is the sum of products ``Σ b_s × segment_s`` over its slopes
+    and its segment lengths (:func:`piecewise_segments`), built from those
+    rules.  A box-cox node takes one of the forms of :func:`_boxcox` by its
+    shape's value.
 
     Each node computes its value and its derivative once per call (an
     exponential's derivative reuses its value, a square root's its root and a
@@ -168,49 +201,23 @@ def compile_expr(
         if isinstance(e, Param):
             return param(e.name)
         if isinstance(e, Var):
-            column = columns[e.name]
-            return lambda rows, theta, d: (column[rows], None)
+            return _column(columns[e.name])
         if isinstance(e, BINARY_NODES):
-            rule, left, right = _BINARY_RULES[type(e)], compile_node(e.left), compile_node(e.right)
-            return lambda rows, theta, d: rule(*left(rows, theta, d), *right(rows, theta, d))
-        if isinstance(e, Neg):
-            operand = compile_node(e.operand)
-
-            def neg(rows, theta, d):
-                u, du = operand(rows, theta, d)
-                return None if u is None else -u, None if du is None else -du
-
-            return neg
-        if isinstance(e, Call1):
-            rule, arg = _CALL_RULES[e.fn], compile_node(e.arg)
-            return lambda rows, theta, d: rule(*arg(rows, theta, d))
-        if isinstance(e, Pow):
-            base, exponent = compile_node(e.base), e.exponent
-
-            def power(rows, theta, d):
-                u, du = base(rows, theta, d)
-                w = np.power(u, exponent)
-                return w, None if du is None else du * (exponent * np.power(u, exponent - 1.0))
-
-            return power
+            return _combine(_BINARY_RULES[type(e)], *map(compile_node, children(e)))
+        if isinstance(e, (Neg, Call1, Pow)):
+            (operand,) = map(compile_node, children(e))
+            rule = (
+                _CALL_RULES[e.fn] if isinstance(e, Call1) else _neg if isinstance(e, Neg) else _power(e.exponent)
+            )
+            return lambda rows, theta, d: rule(*operand(rows, theta, d))
         if isinstance(e, BoxCox):
             base, shape = compile_node(e.base), param(e.shape)
             log = _CALL_RULES["log"]
             return lambda rows, theta, d: _boxcox(*log(*base(rows, theta, d)), *shape(rows, theta, d))
         if isinstance(e, Piecewise):
-            segments = piecewise_segments(columns[e.var], e.knots)
-            slopes = [param(name) for name in e.params]
-            seeded = [(s, index[name]) for s, name in enumerate(e.params) if name in index]
-
-            def piecewise(rows, theta, d):  # a fixed slope's term adds no derivative
-                segs = segments[rows]
-                total = lambda pairs: reduce(operator.add, (x * segs[:, s] for s, x in pairs))
-                value = None if theta is None and seeded else total(
-                    (s, slope(rows, theta, None)[0]) for s, slope in enumerate(slopes)
-                )
-                return value, None if d is None or not seeded else total((s, d[i]) for s, i in seeded)
-
-            return piecewise
+            segments = piecewise_segments(columns[e.var], e.knots).T.copy()
+            terms = [_combine(_mul, param(name), _column(s)) for name, s in zip(e.params, segments)]
+            return reduce(lambda total, term: _combine(_add, total, term), terms)
         raise TypeError(f"not an expression node: {e!r}")
 
     return compile_node(expr)
@@ -288,10 +295,9 @@ class BoundModel:
 
     The rest belongs to the estimation kernel.  ``kept`` holds at most one
     value pass's (log-likelihood, probabilities), keyed by ``theta.tobytes()``,
-    with the probabilities (n_alts, n_obs).  The cached properties are arrays
-    the kernel derives from ``avail`` and ``choice_idx`` on the model's first
-    pass, in the same layout: the availability weights, their logs and the
-    chosen cells.
+    with the probabilities (n_alts, n_obs).  ``avail_weight``, ``avail_log``
+    and ``chosen_cell`` are made from ``avail`` and ``choice_idx`` when the model
+    is constructed, in the same layout.
     """
 
     spec: UtilitySpec
@@ -307,6 +313,20 @@ class BoundModel:
     kept: dict[bytes, tuple[float, np.ndarray]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # (n_alts, n_obs): 1.0 on available cells, 0.0 elsewhere
+    avail_weight: np.ndarray = field(init=False, compare=False, repr=False)
+    # (n_alts, n_obs) log of avail_weight: 0.0 on available cells, -inf elsewhere
+    avail_log: np.ndarray = field(init=False, compare=False, repr=False)
+    # (n_obs,) flat index of each observation's chosen cell in an (n_alts, n_obs) array
+    chosen_cell: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        weight = np.ascontiguousarray(self.avail.T, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_weight = np.log(weight)
+        chosen = self.choice_idx.astype(np.intp) * self.n_obs + np.arange(self.n_obs)
+        for name, value in (("avail_weight", weight), ("avail_log", log_weight), ("chosen_cell", chosen)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_obs(self) -> int:
@@ -319,22 +339,6 @@ class BoundModel:
     @property
     def n_free(self) -> int:
         return len(self.free_names)
-
-    @cached_property
-    def avail_weight(self) -> np.ndarray:
-        """(n_alts, n_obs): 1.0 on available cells, 0.0 elsewhere."""
-        return np.ascontiguousarray(self.avail.T, dtype=float)
-
-    @cached_property
-    def avail_log(self) -> np.ndarray:
-        """(n_alts, n_obs) log of ``avail_weight``: 0.0 on available cells, -inf elsewhere."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.avail_weight)
-
-    @cached_property
-    def chosen_cell(self) -> np.ndarray:
-        """(n_obs,) flat index of each observation's chosen cell in an (n_alts, n_obs) array."""
-        return self.choice_idx.astype(np.intp) * self.n_obs + np.arange(self.n_obs)
 
     def utility_matrix(
         self, theta: np.ndarray, rows: slice = ALL_ROWS, out: np.ndarray | None = None
@@ -407,13 +411,12 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     residual_idx = tuple(i for i, name in enumerate(free_names) if name in set().union(*residual))
     design = np.zeros((len(free_names), len(alternatives), dataset.n_obs))
     units = [(q, unit) for q, unit in enumerate(np.eye(len(free_names)).tolist()) if q not in residual_idx]
-    blocks = [slice(first, first + DESIGN_BLOCK) for first in range(0, dataset.n_obs, DESIGN_BLOCK)]
     with np.errstate(all="ignore"):
         for j, terms in enumerate(affine):
             if param_names(terms) & set(free_names):
                 derivative = compile_on_data(terms)
                 for q, unit in units:
-                    for rows in blocks:
+                    for rows in row_blocks(dataset.n_obs):
                         design[q, j, rows] = derivative(rows, None, unit)[1]
     design[:, ~dataset.avail.T] = 0.0
     return BoundModel(

@@ -176,8 +176,8 @@ def test_gradient_handles_boxcox_shape_near_zero(grad_model):
 
 POOL = max(2, kernel.WORKERS)  # two threads at least, so the pool also runs on one CPU
 BLOCKINGS = {
-    "default": (kernel.ROW_BLOCK, 1),
-    "default-pool": (kernel.ROW_BLOCK, POOL),
+    "default": (binding.ROW_BLOCK, 1),
+    "default-pool": (binding.ROW_BLOCK, POOL),
     "blocks_of_7": (7, 1),
     "blocks_of_7-pool": (7, POOL),
 }
@@ -187,8 +187,7 @@ BLOCKINGS = {
 def row_blocks(row_block: int, workers: int):
     """Kernel passes, and bind's design fill, in blocks of ``row_block`` rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "ROW_BLOCK", row_block)
-        mp.setattr(binding, "DESIGN_BLOCK", row_block)
+        mp.setattr(binding, "ROW_BLOCK", row_block)
         mp.setattr(kernel, "WORKERS", workers)
         yield
 
@@ -915,7 +914,7 @@ def test_breakdown_in_a_later_block_alone_gives_minus_inf(tmp_path, workers, bre
     spec = parser.parse_spec(BINARY_SPEC)
     theta = np.array([10.0])
     with row_blocks(7, workers):
-        assert LATE_ROW // kernel.ROW_BLOCK == 4
+        assert LATE_ROW // binding.ROW_BLOCK == 4
         intact = binding.bind(spec, data)
         assert math.isfinite(kernel.log_likelihood(intact, theta))
         model = binding.bind(spec, broken)
@@ -1120,6 +1119,16 @@ B1, B2, X, Y, Z = Param("b_one"), Param("b_two"), Var("x"), Var("y"), Var("z")
 @example(expr=Add(Pow(Add(B1, X), -1.0), Pow(Add(B2, Z), 0.5)), theta=(0.5, 0.3, 1.0))
 @example(expr=BoxCox(Mul(B1, X), "lambda_s"), theta=(0.5, 0.3, 0.0))
 @example(expr=BoxCox(Mul(B1, X), "lambda_s"), theta=(0.5, 0.3, 0.7))
+# with b_two fixed: a fixed piecewise slope among free ones, all slopes fixed, and a
+# fixed parameter under a product and a negation, also inside a non-affine node
+@example(expr=Piecewise("x", (30.0, 60.0), ("b_one", "b_two", "b_one")), theta=(0.4, -1.7, 0.7))
+@example(expr=Piecewise("x", (30.0, 60.0), ("b_two", "b_one", "b_two")), theta=(0.4, -1.7, 0.7))
+@example(expr=Piecewise("x", (45.0,), ("b_two", "b_two")), theta=(0.4, -1.7, 0.7))
+@example(expr=Add(Neg(Mul(B2, Mul(B1, X))), Mul(Y, Neg(B2))), theta=(0.4, -1.7, 0.7))
+@example(
+    expr=Mul(Neg(B2), Call1("exp", Mul(B1, Piecewise("x", (30.0,), ("b_two", "b_one"))))),
+    theta=(0.04, -1.7, 0.7),
+)
 def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, theta):
     """On all rows and on a slice, with each parameter free or b_two folded in as
     fixed, one call of a compiled expression gives the walk's type and bits on
@@ -1127,8 +1136,8 @@ def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, thet
     once, the bits of that parameter's column of the walk on dual numbers seeded on
     every free parameter, NaNs of either sign alike; with no direction, no
     derivative.  An affine expression gives the same derivative with no θ, and no
-    value where it reads a free parameter.  The Box-Cox shape lambda_s is sometimes
-    exactly 0, the log-limit branch."""
+    value where it reads a free parameter, and so do all directions at once.  The
+    Box-Cox shape lambda_s is sometimes exactly 0, the log-limit branch."""
     columns = xyz_data.columns
     for rows in (binding.ALL_ROWS, slice(7, 30)):
         sliced = {name: column[rows] for name, column in columns.items()}
@@ -1167,10 +1176,11 @@ def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, thet
                         assert _nan_blind_bits(got) == _nan_blind_bits(want), free_names[q]
                 if not reads_free:
                     continue
-                _, stacked = compiled(rows, values, np.eye(k)[:, :, None])  # every direction at once
-                n = len(sliced["x"])
-                got, want = np.broadcast_to(stacked, (k, n)), np.broadcast_to(dual.grad, (n, k)).T
-                assert _nan_blind_bits(got) == _nan_blind_bits(want)
+                for at in (values, None) if affine else (values,):  # every direction at once
+                    _, stacked = compiled(rows, at, np.eye(k)[:, :, None])
+                    n = len(sliced["x"])
+                    got, want = np.broadcast_to(stacked, (k, n)), np.broadcast_to(dual.grad, (n, k)).T
+                    assert _nan_blind_bits(got) == _nan_blind_bits(want)
 
 
 def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: float) -> np.ndarray:
@@ -1276,6 +1286,25 @@ def test_subnormal_chosen_probability_keeps_the_loglik_precise(xyz_data):
     _, grad = kernel.loglik_and_gradient(model, theta)
     back, ahead = _one_sided_differences(model, theta, 1e-5)
     np.testing.assert_allclose((back + ahead) / 2, grad, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the LL takes the log of the normalised chosen probability, which underflows to 0"
+)
+def test_start_value_with_underflowing_chosen_probabilities_has_a_finite_loglik(synth_data):
+    """At b_time = -2, 37 of synthetic_best's 1000 chosen probabilities underflow to 0
+    (log p down to -1072), so the fit stops at iteration 0 with LL -inf; log-sum-exp
+    over the available utilities gives -210656.8159."""
+    from scipy.special import logsumexp
+
+    text = BEST_SPEC.read_text(encoding="utf-8").replace(
+        "param b_time generic\n", "param b_time generic start -2\n"
+    )
+    model = binding.bind(parser.parse_spec(text), synth_data)
+    V = np.where(model.avail.T, model.utility_matrix(model.start), -np.inf)
+    want = (V[model.choice_idx, np.arange(model.n_obs)] - logsumexp(V, axis=0)).sum()
+    assert want == pytest.approx(-210656.8159, abs=1e-4)
+    assert kernel.log_likelihood(model, model.start) == pytest.approx(want, rel=1e-9)
 
 
 # -- estimator ------------------------------------------------------------------
