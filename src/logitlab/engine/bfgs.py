@@ -12,6 +12,8 @@ vanish at the start values.  The Armijo test accepts a rise of -loglik
 within its rounding (``LL_ROUNDING`` relative), so steps near the optimum
 whose gain is below the log-likelihood's precision still move the
 gradient towards the stopping test instead of backtracking to a no-op.
+The Armijo test needs only a value pass; the accepted trial's pass goes on
+to the information pass, which reuses its probabilities.
 
 Standard errors and t-ratios are classical: from the inverse of a
 finite-difference Hessian at the optimum.
@@ -157,7 +159,7 @@ def estimate(model: BoundModel) -> EstimationResult:
     theta = np.array(model.start, dtype=float)
     k = len(theta)
     ll0 = null_loglik(model.dataset)
-    ll, grad, info = loglik_gradient_and_information(model, theta)
+    ll, grad, info = loglik_gradient_and_information(model, log_likelihood(model, theta))
 
     if not math.isfinite(ll):
         nan = np.full(k, np.nan)
@@ -177,31 +179,23 @@ def estimate(model: BoundModel) -> EstimationResult:
         slope = -float(grad @ d)  # of -loglik along d
 
         alpha = 1.0
-        new_ll = -math.inf
-        new_theta = theta
         for _ in range(MAX_BACKTRACKS):
-            cand = theta + alpha * d
-            # Armijo test needs only the value; the information pass runs
-            # once after acceptance and reuses the probabilities this
-            # value pass keeps on the model.
-            cand_ll = log_likelihood(model, cand)
-            if math.isfinite(cand_ll) and (
-                -cand_ll <= -ll + ARMIJO_C * alpha * slope + LL_ROUNDING * abs(ll)
+            trial = log_likelihood(model, theta + alpha * d)
+            if math.isfinite(trial.loglik) and (
+                -trial.loglik <= -ll + ARMIJO_C * alpha * slope + LL_ROUNDING * abs(ll)
             ):
-                new_ll = cand_ll
-                new_theta = cand
                 break
             alpha *= SHRINK
         else:
             reason = "line_search_failure"
             break
 
-        _, new_grad, new_info = loglik_gradient_and_information(model, new_theta)
-        if not np.all(np.isfinite(new_grad)):
+        new_ll, new_grad, new_info = loglik_gradient_and_information(model, trial)
+        if not math.isfinite(new_ll):
             reason = "non_finite"
             break
 
-        theta, ll, grad, info = new_theta, new_ll, new_grad, new_info
+        theta, ll, grad, info = trial.theta, new_ll, new_grad, new_info
         iterations += 1
 
     hessian_pd, se, t = _curvature(model, theta)

@@ -24,11 +24,10 @@ block enters its own ``np.errstate``, which holds only in the thread that
 enters it.
 
 The log-likelihood returns ``-inf`` instead of raising when a wild
-parameter step drives utilities non-finite or the chosen probability
-underflows; the optimizer treats that as a rejected step.  The finiteness
-test looks at a block's whole utility matrix first and, only when that
-fails, tests the available cells and puts 0.0 in the unavailable ones, so
-the usual all-finite pass makes no copy.
+parameter step drives utilities non-finite; the optimizer treats that as a
+rejected step.  The finiteness test looks at a block's whole utility matrix
+first and, only when that fails, tests the available cells and puts 0.0 in
+the unavailable ones, so the usual all-finite pass makes no copy.
 
 Every per-cell array of a pass is alternative-major, (…, J, n), one
 alternative's cells per contiguous row: the utilities, P, the availability
@@ -39,7 +38,10 @@ the shift, the exponential, the total added left to right and the
 division.  The exponential never sees ``-inf``, for which numpy's SIMD
 ``exp`` takes a slow path: it gets ``min(V − shift, 0)``, equal to
 ``V − shift`` on available cells and finite on the others, and its result
-is multiplied by the weight, so unavailable cells are exactly 0.  These
+is multiplied by the weight, so unavailable cells are exactly 0.  Each
+row's log chosen probability is its shifted chosen utility minus the log of
+the total, so a chosen probability that underflows still adds its exact log
+to the log-likelihood.  These
 are the elementwise steps and the reduction order of the textbook
 masked-copy softmax with numpy's row max and row sum (``tests/test_engine.py``
 keeps that formula as its reference) for fewer than eight alternatives,
@@ -68,19 +70,19 @@ the utilities are linear in θ, and the expected information otherwise
 the gradient's slab, and one task per row of the upper triangle sums the
 products of P, that row's centred slab and each later one.
 
-A value pass keeps its (log-likelihood, P) on the model
-(``BoundModel.kept``), so the gradient and information an optimizer asks
-for at the step it just accepted skip the utilities and the softmax.
-Every pass forms the utilities with the same compiled functions on float
-parameters, so the kept P has the bits a fresh pass would compute.  Each
-value pass replaces the entry, a -inf one is not kept, and a gradient or
-information pass pops it, so it serves at most one of them.
+A value pass (:func:`log_likelihood`) returns a :class:`ValuePass`: θ, the
+log-likelihood and P.  The optimizer hands the pass of the step it accepts
+to the information pass, which skips the utilities and the softmax; no pass
+writes to the model.  Every pass forms the utilities with the same compiled
+functions on float parameters, so a handed-on P has the bits a fresh pass
+would compute.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,10 +125,13 @@ def _tasks(n: int, work, items) -> list:
     return list(_pool.map(work, items))
 
 
-def _softmax(V: np.ndarray, weight: np.ndarray, log_weight: np.ndarray) -> None:
+def _softmax(
+    V: np.ndarray, weight: np.ndarray, log_weight: np.ndarray, choice: np.ndarray
+) -> np.ndarray:
     """Choice probabilities, in place, of the finite (J, rows) utilities ``V`` over
     the cells where ``weight`` is 1.0 (``log_weight`` 0.0), as the module docstring
-    describes; 0.0 on the other cells."""
+    describes; 0.0 on the other cells.  Returns each row's log probability of its
+    ``choice``."""
     with np.errstate(all="ignore"):
         shift = V[0] + log_weight[0]
         masked = np.empty_like(shift)
@@ -134,37 +139,37 @@ def _softmax(V: np.ndarray, weight: np.ndarray, log_weight: np.ndarray) -> None:
             np.maximum(shift, np.add(row, log_w, out=masked), out=shift)
         V -= shift
         np.minimum(V, 0.0, out=V)
+        shifted = V[choice, np.arange(len(choice))]
         np.exp(V, out=V)
         V *= weight
         total = V[0].copy()
         for row in V[1:]:
             total += row
         V /= total
+        return shifted - np.log(total)
 
 
-def log_likelihood(model: BoundModel, theta) -> float:
-    """Sum of log chosen-probabilities; -inf when evaluation breaks down.
+class ValuePass(NamedTuple):
+    """One value pass at ``theta``: its log-likelihood and the (J, n) probabilities,
+    None when the log-likelihood is -inf."""
 
-    The pass is kept for one gradient at the same θ.
-    """
-    theta = _check_theta(model, theta)
-    model.kept.clear()
-    ll, P = _value_pass(model, theta)
-    if P is not None:
-        model.kept[theta.tobytes()] = ll, P
-    return ll
+    theta: np.ndarray
+    loglik: float
+    P: np.ndarray | None
 
 
-def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(log-likelihood, (J, n) probabilities); P is None when LL is -inf.
+def log_likelihood(model: BoundModel, theta) -> ValuePass:
+    """Sum of log chosen-probabilities, -inf when evaluation breaks down, and the
+    probabilities it was formed from.
 
     Each block of rows writes its utilities into its columns of one (J, n)
     buffer, tests them, forms its probabilities in place and writes its log
     chosen probabilities.  The verdict and the sum over all rows run in the
     calling thread, so the result does not depend on the blocks.
     """
+    theta = _check_theta(model, theta)
     P = np.empty((model.n_alts, model.n_obs))
-    weight, log_weight, chosen = model.avail_weight, model.avail_log, model.chosen_cell
+    weight, log_weight, choice = model.avail_weight, model.avail_log, model.choice_idx
     log_chosen = np.empty(model.n_obs)
 
     def block(rows) -> bool:
@@ -175,16 +180,13 @@ def _value_pass(model: BoundModel, theta: np.ndarray) -> tuple[float, np.ndarray
             if not np.isfinite(finite).all():
                 return False
             V[...] = finite
-        _softmax(V, weight[:, rows], log_weight[:, rows])
-        P_chosen = P.take(chosen[rows])
-        if np.any(P_chosen <= 0.0):
-            return False
-        np.log(P_chosen, out=log_chosen[rows])  # P_chosen > 0: no floating-point warning
+        log_chosen[rows] = _softmax(V, weight[:, rows], log_weight[:, rows], choice[rows])
         return True
 
     if not all(_tasks(model.n_obs, block, row_blocks(model.n_obs))):
-        return -math.inf, None
-    return float(log_chosen.sum()), P
+        return ValuePass(theta, -math.inf, None)
+    ll = float(log_chosen.sum())  # -inf where V − shift or the sum overflows
+    return ValuePass(theta, ll, P if ll > -math.inf else None)
 
 
 def jacobian(model: BoundModel, theta, idx) -> np.ndarray:
@@ -209,26 +211,28 @@ def jacobian(model: BoundModel, theta, idx) -> np.ndarray:
     return G
 
 
-def _score_pass(
-    model: BoundModel, theta, information: bool
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Log-likelihood, ``Y − P`` contracted with ∂V/∂θ over alternatives and rows
-    and, if ``information``, the information matrix (else None); None when LL is
-    -inf.  ∂V/∂θ is the design and, along ``residual_idx``, the utilities'
-    Jacobian at θ.  P comes from the value pass kept at this θ or a fresh one."""
-    theta = _check_theta(model, theta)
-    ll, P = model.kept.pop(theta.tobytes(), None) or _value_pass(model, theta)
-    if P is None:
-        return ll, None, None
-    R = np.negative(P)  # Y − P: 1.0 + (−P) is 1.0 − P on the chosen cells
+def _score_pass(model: BoundModel, value: ValuePass, information: bool) -> tuple:
+    """(log-likelihood, ``Y − P`` contracted with ∂V/∂θ over alternatives and rows)
+    and, if ``information``, the information matrix, from a value pass.  ∂V/∂θ is
+    the design and, along ``residual_idx``, the utilities' Jacobian at the pass's θ.
+    LL -inf, with NaN gradient and matrix, when the value pass failed or a result is
+    not finite."""
+    k = model.n_free
+    failed = (-math.inf, np.full(k, np.nan), np.full((k, k), np.nan))[: 2 + information]
+    if value.P is None:
+        return failed
+    R = np.negative(value.P)  # Y − P: 1.0 + (−P) is 1.0 − P on the chosen cells
     R.ravel()[model.chosen_cell] += 1.0
     G = [*model.design]
     if model.residual_idx:
-        for q, slab in zip(model.residual_idx, jacobian(model, theta, model.residual_idx)):
+        for q, slab in zip(model.residual_idx, jacobian(model, value.theta, model.residual_idx)):
             G[q] = slab
-    grad = np.empty(model.n_free)
-    _tasks(model.n_obs, lambda q: np.einsum("jn,jn->", R, G[q], out=grad[..., q]), range(model.n_free))
-    return ll, grad, _information(model, P, G) if information else None
+    grad = np.empty(k)
+    _tasks(model.n_obs, lambda q: np.einsum("jn,jn->", R, G[q], out=grad[..., q]), range(k))
+    outputs = (grad, _information(model, value.P, G)) if information else (grad,)
+    if not all(np.isfinite(x).all() for x in outputs):
+        return failed
+    return (value.loglik, *outputs)
 
 
 def _information(model: BoundModel, P: np.ndarray, G: list) -> np.ndarray:
@@ -253,30 +257,24 @@ def _information(model: BoundModel, P: np.ndarray, G: list) -> np.ndarray:
 
 
 def loglik_and_gradient(model: BoundModel, theta) -> tuple[float, np.ndarray]:
-    """Log-likelihood and its exact gradient ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ``.
+    """Log-likelihood and its exact gradient ``Σₙ Σⱼ (yₙⱼ − Pₙⱼ) ∂Vₙⱼ/∂θ`` at θ.
 
     The gradient is NaN-filled when the log-likelihood is -inf.
     """
-    ll, grad, _ = _score_pass(model, theta, information=False)
-    if grad is None or not np.all(np.isfinite(grad)):
-        return -math.inf, np.full(model.n_free, np.nan)
-    return ll, grad
+    return _score_pass(model, log_likelihood(model, theta), information=False)
 
 
 def loglik_gradient_and_information(
-    model: BoundModel, theta
+    model: BoundModel, value: ValuePass
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, its exact gradient and the (k, k) MNL information matrix
-    ``Σₙ Σⱼ Pₙⱼ (∂Vₙⱼ/∂θ − Σᵢ Pₙᵢ ∂Vₙᵢ/∂θ)(…)ᵀ``, minus the Hessian of the
-    log-likelihood when the utilities are linear in θ.
+    ``Σₙ Σⱼ Pₙⱼ (∂Vₙⱼ/∂θ − Σᵢ Pₙᵢ ∂Vₙᵢ/∂θ)(…)ᵀ`` at the θ of a value pass, from
+    its probabilities; minus the Hessian of the log-likelihood when the utilities
+    are linear in θ.
 
     Gradient and matrix are NaN-filled when the log-likelihood is -inf.
     """
-    ll, grad, info = _score_pass(model, theta, information=True)
-    if grad is None or not (np.all(np.isfinite(grad)) and np.all(np.isfinite(info))):
-        k = model.n_free
-        return -math.inf, np.full(k, np.nan), np.full((k, k), np.nan)
-    return ll, grad, info
+    return _score_pass(model, value, information=True)
 
 
 def null_loglik(dataset: Dataset) -> float:

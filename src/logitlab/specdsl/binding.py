@@ -293,11 +293,9 @@ class BoundModel:
     parameter q's contiguous (n_alts, n_obs) slab, laid out as the kernel's
     probabilities are.
 
-    The rest belongs to the estimation kernel.  ``kept`` holds at most one
-    value pass's (log-likelihood, probabilities), keyed by ``theta.tobytes()``,
-    with the probabilities (n_alts, n_obs).  ``avail_weight``, ``avail_log``
+    The rest belongs to the estimation kernel: ``avail_weight``, ``avail_log``
     and ``chosen_cell`` are made from ``avail`` and ``choice_idx`` when the model
-    is constructed, in the same layout.
+    is constructed, in the same layout.  No pass writes to the model.
     """
 
     spec: UtilitySpec
@@ -310,9 +308,6 @@ class BoundModel:
     choice_idx: np.ndarray  # (n_obs,) int
     design: np.ndarray  # (n_free, n_alts, n_obs)
     residual_idx: tuple[int, ...]  # into free_names
-    kept: dict[bytes, tuple[float, np.ndarray]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
     # (n_alts, n_obs): 1.0 on available cells, 0.0 elsewhere
     avail_weight: np.ndarray = field(init=False, compare=False, repr=False)
     # (n_alts, n_obs) log of avail_weight: 0.0 on available cells, -inf elsewhere

@@ -106,9 +106,9 @@ def test_criterion_3_optimizer_correctness(tmp_path, synth_data):
     lo, hi = -5.0, 5.0
     c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     while hi - lo > 1e-12:
-        if kernel.log_likelihood(model, np.array([c])) > kernel.log_likelihood(
+        if kernel.log_likelihood(model, np.array([c])).loglik > kernel.log_likelihood(
             model, np.array([d])
-        ):
+        ).loglik:
             hi, d = d, c
             c = hi - invphi * (hi - lo)
         else:
@@ -160,7 +160,7 @@ def test_criterion_4_gradient_suite(synth_data):
             up[i] += h
             dn[i] -= h
             fd[i] = (
-                kernel.log_likelihood(model, up) - kernel.log_likelihood(model, dn)
+                kernel.log_likelihood(model, up).loglik - kernel.log_likelihood(model, dn).loglik
             ) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
         worst = max(worst, float(rel.max()))

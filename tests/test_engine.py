@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -152,8 +153,8 @@ def test_gradient_matches_central_differences_at_20_points(grad_model):
             up[i] += h
             dn[i] -= h
             fd[i] = (
-                kernel.log_likelihood(grad_model, up)
-                - kernel.log_likelihood(grad_model, dn)
+                kernel.log_likelihood(grad_model, up).loglik
+                - kernel.log_likelihood(grad_model, dn).loglik
             ) / (2 * h)
         # relative to the FD value, guarded for genuinely tiny entries
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1.0)
@@ -199,10 +200,15 @@ def unblocked(fn, *args):
 
 
 def probabilities(model: binding.BoundModel, theta) -> np.ndarray:
-    """(n, J) choice probabilities at θ: the (J, n) ones the value pass keeps."""
-    assert math.isfinite(kernel.log_likelihood(model, theta))
-    ((_, P),) = model.kept.values()
-    return P.T
+    """(n, J) choice probabilities at θ: the (J, n) ones the value pass returns."""
+    value = kernel.log_likelihood(model, theta)
+    assert math.isfinite(value.loglik)
+    return value.P.T
+
+
+def information(model: binding.BoundModel, theta) -> tuple:
+    """The information pass at θ, handed a fresh value pass."""
+    return kernel.loglik_gradient_and_information(model, kernel.log_likelihood(model, theta))
 
 
 def table_model(V: np.ndarray, avail: np.ndarray, choice_idx: np.ndarray) -> binding.BoundModel:
@@ -284,6 +290,16 @@ def all_residual(model: binding.BoundModel) -> binding.BoundModel:
     )
 
 
+def log_sum_exp_loglik(model: binding.BoundModel, theta) -> float:
+    """Σₙ (chosen utility − log Σ over the available alternatives of exp(utility)),
+    each row shifted by its largest available utility: the reference LL, whose
+    terms stay finite where a chosen probability underflows."""
+    V = np.where(model.avail.T, model.utility_matrix(np.asarray(theta, dtype=float)), -np.inf)
+    top = V.max(axis=0)
+    log_p = V[model.choice_idx, np.arange(model.n_obs)] - top - np.log(np.exp(V - top).sum(axis=0))
+    return float(log_p.sum())
+
+
 def replay_specs() -> list[parser.UtilitySpec]:
     """Every spec the recorded fixtures propose."""
     specs = []
@@ -306,30 +322,31 @@ def test_design_path_matches_dual_path(best_spec, synth_data, blocking):
         for _ in range(3):
             theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
             for m in (model, dual):
-                for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
+                for fn in (kernel.loglik_and_gradient, information):
                     assert _bits(fn(m, theta)) == _bits(unblocked(fn, m, theta)), spec.name
-                ll = kernel.log_likelihood(m, theta)
+                ll = kernel.log_likelihood(m, theta).loglik
                 assert np.float64(ll).tobytes() == np.float64(
-                    unblocked(kernel.log_likelihood, m, theta)
+                    unblocked(kernel.log_likelihood, m, theta).loglik
                 ).tobytes(), spec.name
             ll, grad = kernel.loglik_and_gradient(model, theta)
             ll_dual, grad_dual = kernel.loglik_and_gradient(dual, theta)
             assert math.isfinite(ll)
             assert abs(ll - ll_dual) <= 1e-12 * abs(ll_dual), spec.name
             assert np.abs(grad - grad_dual).max() <= 1e-10 * np.abs(grad_dual).max(), spec.name
-            (_, grad_i, info), (_, grad_dual_i, info_dual) = (
-                kernel.loglik_gradient_and_information(m, theta) for m in (model, dual)
-            )
+            (_, grad_i, info), (_, grad_dual_i, info_dual) = (information(m, theta) for m in (model, dual))
             assert _bits((grad_i, grad_dual_i)) == _bits((grad, grad_dual)), spec.name
             assert np.abs(info - info_dual).max() <= 1e-12 * np.abs(info_dual).max(), spec.name
-        wild = np.full(model.n_free, 1e4)  # some chosen probability underflows
-        for m in (model, dual):
-            ll, grad = kernel.loglik_and_gradient(m, wild)
-            assert ll == -math.inf, spec.name
-            assert grad.shape == (model.n_free,) and np.all(np.isnan(grad)), spec.name
-            ll, grad, info = kernel.loglik_gradient_and_information(m, wild)
-            assert ll == -math.inf and np.all(np.isnan(grad)), spec.name
-            assert info.shape == (model.n_free,) * 2 and np.all(np.isnan(info)), spec.name
+        wild = np.full(model.n_free, 1e4)  # some chosen probability underflows; its log does not
+        want = log_sum_exp_loglik(model, wild)
+        passes = [kernel.loglik_and_gradient(m, wild) for m in (model, dual)]
+        (ll, grad), (ll_dual, grad_dual) = passes
+        assert ll == pytest.approx(want, rel=1e-12) and ll == ll_dual, spec.name
+        assert np.abs(grad - grad_dual).max() <= 1e-10 * np.abs(grad_dual).max(), spec.name
+        for m, (ll, grad) in zip((model, dual), passes):
+            assert grad.shape == (model.n_free,) and np.all(np.isfinite(grad)), spec.name
+            ll_i, grad_i, info = information(m, wild)
+            assert _bits((ll_i, grad_i)) == _bits((ll, grad)), spec.name
+            assert info.shape == (model.n_free,) * 2 and np.all(np.isfinite(info)), spec.name
 
 
 def _bits(outputs: tuple) -> tuple[bytes, ...]:
@@ -338,85 +355,79 @@ def _bits(outputs: tuple) -> tuple[bytes, ...]:
 
 
 def test_gradient_after_value_pass_reuses_it_bit_for_bit(synth_data, blocking):
+    """The information pass handed a value pass gives the bits of a fresh one-block
+    pass, as often as it is handed the same pass, and so does the gradient pass; with
+    residual parameters too."""
     rng = np.random.default_rng(RNG_SEED)
-    for spec in replay_specs():
+    for spec in (*replay_specs(), parser.parse_spec(BOXCOX_PIECEWISE_SPEC)):
         model = binding.bind(spec, synth_data)
         theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
-        fresh = _bits(unblocked(kernel.loglik_and_gradient, binding.bind(spec, synth_data), theta))
-        kernel.log_likelihood(model, theta)
-        assert list(model.kept) == [theta.tobytes()], spec.name
-        assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh, spec.name
-        assert not model.kept, spec.name  # popped: a second pass computes its own P
-        assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh, spec.name
-        kernel.log_likelihood(model, theta)
-        reused = _bits(kernel.loglik_gradient_and_information(model, theta))
-        assert not model.kept, spec.name
-        assert reused == _bits(kernel.loglik_gradient_and_information(model, theta)), spec.name
-
-
-def test_kept_value_pass_serves_only_its_own_theta_and_model(best_spec, synth_data, flipped_data):
-    model = binding.bind(best_spec, synth_data)
-    other = binding.bind(best_spec, flipped_data)
-    theta1 = model.start + 0.01
-    theta2 = model.start - 0.01
-    fresh2 = _bits(kernel.loglik_and_gradient(model, theta2))
-    other1 = _bits(kernel.loglik_and_gradient(other, theta1))
-    assert not model.kept and not other.kept  # gradient passes keep nothing
-
-    kernel.log_likelihood(model, theta1)
-    assert _bits(kernel.loglik_and_gradient(model, theta2)) == fresh2
-    assert _bits(kernel.loglik_and_gradient(other, theta1)) == other1
-    assert list(model.kept) == [theta1.tobytes()]  # neither took it
-
-    kernel.log_likelihood(model, theta2)
-    assert list(model.kept) == [theta2.tobytes()]  # one entry, the latest pass
-    wild = np.full(model.n_free, 1e4)  # some chosen probability underflows
-    assert kernel.log_likelihood(model, wild) == -math.inf
-    assert not model.kept
-    ll, grad = kernel.loglik_and_gradient(model, wild)
-    assert ll == -math.inf and np.all(np.isnan(grad))
-    assert _bits(kernel.loglik_and_gradient(model, theta2)) == fresh2
-
-    dual = all_residual(model)  # a model with residual parameters keeps its value pass too
-    fresh1 = _bits(kernel.loglik_and_gradient(dual, theta1))
-    kernel.log_likelihood(dual, theta1)
-    assert list(dual.kept) == [theta1.tobytes()]
-    assert _bits(kernel.loglik_and_gradient(dual, theta1)) == fresh1
-    assert not dual.kept
+        fresh = _bits(unblocked(information, binding.bind(spec, synth_data), theta))
+        value = kernel.log_likelihood(model, theta)
+        assert value.theta.tobytes() == theta.tobytes(), spec.name
+        for _ in range(2):
+            assert _bits(kernel.loglik_gradient_and_information(model, value)) == fresh, spec.name
+        assert _bits(kernel.loglik_and_gradient(model, theta)) == fresh[:2], spec.name
 
 
 def test_estimate_with_reuse_matches_estimate_without(best_spec, synth_data, monkeypatch, blocking):
-    """Also: the fit with reuse in these row blocks equals the one-block fit without it."""
-    def fit(spec: parser.UtilitySpec) -> tuple[bfgs.EstimationResult, int]:
+    """Each information pass of a fit is handed the fit's latest value pass, and the
+    fit in these row blocks equals the one-block fit whose information passes each
+    make a fresh value pass."""
+    def fit(spec: parser.UtilitySpec, handed_on: bool) -> tuple[bfgs.EstimationResult, int]:
         model = binding.bind(spec, synth_data)
-        hits = []
-        information = bfgs.loglik_gradient_and_information
+        passes, hits = [], []
+        value_pass, information_pass = bfgs.log_likelihood, bfgs.loglik_gradient_and_information
 
-        def spy(m, theta):
-            hits.append(np.asarray(theta, dtype=float).tobytes() in m.kept)
-            return information(m, theta)
+        def recorded(m, theta):
+            passes.append(value_pass(m, theta))
+            return passes[-1]
+
+        def spy(m, value):
+            hits.append(value is passes[-1])
+            return information_pass(m, value if handed_on else kernel.log_likelihood(m, value.theta))
 
         with monkeypatch.context() as mp:
+            mp.setattr(bfgs, "log_likelihood", recorded)
             mp.setattr(bfgs, "loglik_gradient_and_information", spy)
             return bfgs.estimate(model), sum(hits)
 
-    def forgetful(model, theta):
-        ll = kernel.log_likelihood(model, theta)
-        model.kept.clear()
-        return ll
-
     for spec in (best_spec, *replay_specs()):
-        reused, hits = fit(spec)
-        with monkeypatch.context() as mp:
-            mp.setattr(bfgs, "log_likelihood", forgetful)
-            fresh, no_hits = unblocked(fit, spec)
-        assert hits == reused.iterations > 0 and no_hits == 0, spec.name
+        reused, hits = fit(spec, handed_on=True)
+        fresh, _ = unblocked(fit, spec, False)
+        assert hits == reused.iterations + 1 > 1, spec.name  # the start pass is handed on too
         for field in ("estimates", "std_errors", "t_ratios", "loglik"):
             a, b = getattr(reused, field), getattr(fresh, field)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (spec.name, field)
         assert (reused.iterations, reused.convergence_reason, reused.hessian_pd) == (
             fresh.iterations, fresh.convergence_reason, fresh.hessian_pd
         ), spec.name
+
+
+def test_two_fits_of_one_model_at_once_equal_sequential_fits(synth_data, best_spec):
+    """Passes write nothing to the model, so two threads fitting one bound model at
+    once, each pass in several row blocks on the pool, get the sequential result."""
+    for spec in (best_spec, parser.parse_spec(BOXCOX_PIECEWISE_SPEC)):
+        model = binding.bind(spec, synth_data)
+        with row_blocks(7, POOL):
+            sequential = bfgs.estimate(model)
+            results = [None, None]
+
+            def fit(i: int) -> None:
+                results[i] = bfgs.estimate(model)
+
+            threads = [threading.Thread(target=fit, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), spec.name
+        assert sequential.converged, spec.name
+        for result in results:
+            assert result is not None, spec.name  # None: the fit raised in its thread
+            for field in dataclasses.fields(result):
+                a, b = getattr(result, field.name), getattr(sequential, field.name)
+                assert repr(a) == repr(b), (spec.name, field.name)
 
 
 @pytest.mark.parametrize(
@@ -582,7 +593,7 @@ def test_parameter_in_affine_and_non_affine_terms_is_differentiated_whole(synth_
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, model.n_free)
     walked = walk_jacobian(model, utility_exprs(model), theta)
     assert kernel.jacobian(model, theta, residual).tobytes() == walked[residual].tobytes()
-    for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
+    for fn in (kernel.loglik_and_gradient, information):
         assert _bits(fn(model, theta)) == _bits(fn(all_residual(model), theta)), fn.__name__
 
 
@@ -663,8 +674,8 @@ def test_gradient_and_information_match_the_parameter_last_contraction(synth_dat
     D = np.ascontiguousarray(walk_jacobian(model, utility_exprs(model), theta).transpose(2, 1, 0))
     C = D - np.einsum("nj,njk->nk", P, D)[:, None, :]
     ll, grad = kernel.loglik_and_gradient(model, theta)
-    passes = (ll_i, grad_i, info) = kernel.loglik_gradient_and_information(model, theta)
-    assert _bits(passes) == _bits(unblocked(kernel.loglik_gradient_and_information, model, theta))
+    passes = (ll_i, grad_i, info) = information(model, theta)
+    assert _bits(passes) == _bits(unblocked(information, model, theta))
     assert _bits((ll_i, grad_i)) == _bits((ll, grad))
     assert math.isfinite(ll) and grad.shape == (k,) and info.shape == (k, k)
     assert np.array_equal(info, info.T)
@@ -677,7 +688,7 @@ def test_gradient_and_information_match_the_parameter_last_contraction(synth_dat
     ids=["synthetic_best", "boxcox_piecewise"],
 )
 def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
-    """The design, the Jacobian and the kept P are contiguous (…, J, n) arrays, and
+    """The design, the Jacobian and the value pass's P are contiguous (…, J, n) arrays, and
     each parameter's gradient has the bits of one sum of ``Y − P`` with that
     parameter's slab of the design or, along ``residual_idx``, of the walked Jacobian."""
     model = binding.bind(parser.parse_spec(text), synth_data)
@@ -687,8 +698,7 @@ def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
     jac = kernel.jacobian(model, theta, residual)
     for a, shape in ((model.design, (k, J, n)), (jac, (len(residual), J, n))):
         assert a.shape == shape and a.flags.c_contiguous
-    kernel.log_likelihood(model, theta)
-    ((_, P),) = model.kept.values()
+    P = kernel.log_likelihood(model, theta).P
     assert P.shape == (J, n) and P.flags.c_contiguous
     Y = np.full((J, n), -0.0)  # Y − P is −P off the chosen cells, the sign of a zero included
     Y[model.choice_idx, np.arange(n)] = 1.0
@@ -701,7 +711,7 @@ def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
 def test_information_of_an_affine_spec_is_minus_the_hessian(best_model):
     """Central differences of the exact gradient, at a point off the optimum."""
     theta = best_model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, best_model.n_free)
-    _, _, info = kernel.loglik_gradient_and_information(best_model, theta)
+    _, _, info = information(best_model, theta)
     H = np.empty_like(info)
     for i, h in enumerate(1e-5 * np.maximum(1.0, np.abs(theta))):
         step = np.zeros_like(theta)
@@ -717,7 +727,7 @@ def test_binary_information_is_the_logit_weighted_sum_of_squares(tmp_path):
     model = binding.bind(parser.parse_spec(BINARY_SPEC), data)
     dx = data.columns["x_a"] - data.columns["x_b"]
     for b in (-0.7, 0.0, 0.4):
-        _, _, info = kernel.loglik_gradient_and_information(model, np.array([b]))
+        _, _, info = information(model, np.array([b]))
         p = 1.0 / (1.0 + np.exp(-b * dx))
         np.testing.assert_allclose(info, [[float((dx**2 * p * (1 - p)).sum())]], rtol=1e-12)
 
@@ -747,12 +757,16 @@ def _reference_probability_matrix(V, avail):
 
 
 def _reference_loglik(V, avail, choice_idx) -> float:
+    """The reference softmax's LL in the log domain: each row's shifted chosen
+    utility minus the log of its row sum; -inf where an available utility is not
+    finite."""
     if not np.all(np.isfinite(V[avail])):
         return -math.inf
-    chosen = _reference_probability_matrix(V, avail)[np.arange(V.shape[0]), choice_idx]
-    if np.any(chosen <= 0.0):
-        return -math.inf
-    return float(np.log(chosen).sum())
+    with np.errstate(all="ignore"):
+        masked = np.where(avail, V, -np.inf)
+        shifted = masked - masked.max(axis=1, keepdims=True)
+        total = np.where(avail, np.exp(shifted), 0.0).sum(axis=1)
+        return float((shifted[np.arange(V.shape[0]), choice_idx] - np.log(total)).sum())
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -783,20 +797,21 @@ def utility_tables(draw):
 
 def _assert_reference_softmax(V, avail, choice_idx) -> None:
     """The value pass over the table gives the reference LL bit for bit, -inf in the
-    same cases, and otherwise keeps the reference probabilities bit for bit."""
-    model = table_model(V, avail, choice_idx)
-    ll = kernel.log_likelihood(model, ())
+    same cases, and otherwise the reference probabilities bit for bit."""
+    value = kernel.log_likelihood(table_model(V, avail, choice_idx), ())
     expected = _reference_loglik(V, avail, choice_idx)
-    assert np.float64(ll).tobytes() == np.float64(expected).tobytes()
-    if math.isfinite(ll):
-        ((_, P),) = model.kept.values()
-        assert P.T.tobytes() == _reference_probability_matrix(V, avail).tobytes()
+    assert np.float64(value.loglik).tobytes() == np.float64(expected).tobytes()
+    if math.isfinite(value.loglik):
+        assert value.P.T.tobytes() == _reference_probability_matrix(V, avail).tobytes()
     else:
-        assert not model.kept
+        assert value.P is None
 
 
 @settings(max_examples=300, deadline=None)
 @given(utility_tables())
+@example(  # V − shift overflows to -inf on the chosen cell of the first row
+    (np.array([[1e308, -1e308], [0.0, 1.0]]), np.ones((2, 2), dtype=bool), np.array([1, 0]))
+)
 def test_softmax_matches_reference_formulas(table):
     """The alternative-major softmax gives the reference LL and P bit for bit in any
     row blocks, with the same -inf verdict."""
@@ -850,13 +865,16 @@ def test_null_loglik_matches_recount(synth_data):
     assert abs(kernel.null_loglik(synth_data) - manual) < 1e-9
 
 
-def test_loglik_sentinel_on_underflow(best_model):
+def test_loglik_is_log_sum_exp_where_chosen_probabilities_underflow(best_model):
     theta = np.zeros(best_model.n_free)
     theta[best_model.free_names.index("b_time")] = -1e4
-    assert kernel.log_likelihood(best_model, theta) == -math.inf
+    value = kernel.log_likelihood(best_model, theta)
+    assert np.any(value.P.ravel()[best_model.chosen_cell] == 0.0)
+    assert value.loglik == pytest.approx(log_sum_exp_loglik(best_model, theta), rel=1e-12)
     ll, grad = kernel.loglik_and_gradient(best_model, theta)
-    assert ll == -math.inf
-    assert np.all(np.isnan(grad))
+    assert ll == value.loglik
+    assert np.all(np.isfinite(grad))
+    assert _bits(kernel.loglik_gradient_and_information(best_model, value)[:2]) == _bits((ll, grad))
 
 
 def test_probabilities_raise_on_non_finite(synth_data):
@@ -866,7 +884,7 @@ def test_probabilities_raise_on_non_finite(synth_data):
     )
     model = binding.bind(spec, synth_data)
     theta = np.array([10.0])  # exp(10 * time) overflows for any trip
-    assert kernel.log_likelihood(model, theta) == -math.inf
+    assert kernel.log_likelihood(model, theta).loglik == -math.inf
 
 
 def test_quotient_of_parameters_at_zero_is_rejected_not_raised(synth_data):
@@ -875,7 +893,7 @@ def test_quotient_of_parameters_at_zero_is_rejected_not_raised(synth_data):
         "U(car) = b_t / b_s * time_car\nU(bus) = 0\nU(air) = 0\nU(rail) = 0\n"
     )
     model = binding.bind(spec, synth_data)
-    assert kernel.log_likelihood(model, np.zeros(2)) == -math.inf
+    assert kernel.log_likelihood(model, np.zeros(2)).loglik == -math.inf
 
 
 def test_non_finite_theta_rejected(best_model):
@@ -890,10 +908,10 @@ def test_theta_of_the_wrong_shape_is_rejected(best_model, shape):
     assert best_model.n_free == 7
     theta = np.zeros(shape)
     message = f"^theta has shape {re.escape(str(shape))}; the model has 7 free parameters$"
-    for fn in (kernel.log_likelihood, kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
+    for fn in (kernel.log_likelihood, kernel.loglik_and_gradient, information):
         with pytest.raises(ValueError, match=message):
             fn(best_model, theta)
-    assert math.isfinite(kernel.log_likelihood(best_model, list(best_model.start)))
+    assert math.isfinite(kernel.log_likelihood(best_model, list(best_model.start)).loglik)
 
 
 # -- row blocks: verdicts, warnings, thread pool ---------------------------------
@@ -901,29 +919,53 @@ def test_theta_of_the_wrong_shape_is_rejected(best_model, shape):
 LATE_ROW = 30  # in the fifth block of 7 rows
 
 
-@pytest.mark.parametrize("workers", [1, POOL], ids=["inline", "pool"])
-@pytest.mark.parametrize("breakdown", ["non_finite_utility", "underflow"])
-def test_breakdown_in_a_later_block_alone_gives_minus_inf(tmp_path, workers, breakdown):
+def late_row_dataset(tmp_path, x_a_late: float, choice_late: int | None = None) -> ds.Dataset:
+    """``binary_dataset`` of 40 rows with x_a, and optionally the choice, changed in
+    row ``LATE_ROW`` alone."""
     data = binary_dataset(tmp_path, n=40)
     x_a, choice_idx = data.columns["x_a"].copy(), data.choice_idx.copy()
-    if breakdown == "non_finite_utility":
-        x_a[LATE_ROW] = 1e308  # 10 * x_a overflows
-    else:
-        x_a[LATE_ROW], choice_idx[LATE_ROW] = 1000.0, 1  # P(b) = exp(10 * (x_b - 1000)) is 0
-    broken = dataclasses.replace(data, columns={**data.columns, "x_a": x_a}, choice_idx=choice_idx)
+    x_a[LATE_ROW] = x_a_late
+    if choice_late is not None:
+        choice_idx[LATE_ROW] = choice_late
+    return dataclasses.replace(data, columns={**data.columns, "x_a": x_a}, choice_idx=choice_idx)
+
+
+@pytest.mark.parametrize("workers", [1, POOL], ids=["inline", "pool"])
+def test_breakdown_in_a_later_block_alone_gives_minus_inf(tmp_path, workers):
     spec = parser.parse_spec(BINARY_SPEC)
     theta = np.array([10.0])
     with row_blocks(7, workers):
         assert LATE_ROW // binding.ROW_BLOCK == 4
-        intact = binding.bind(spec, data)
-        assert math.isfinite(kernel.log_likelihood(intact, theta))
-        model = binding.bind(spec, broken)
+        intact = binding.bind(spec, binary_dataset(tmp_path, n=40))
+        assert math.isfinite(kernel.log_likelihood(intact, theta).loglik)
+        model = binding.bind(spec, late_row_dataset(tmp_path, 1e308))  # 10 * x_a overflows
         for m in (model, all_residual(model)):
-            assert kernel.log_likelihood(m, theta) == -math.inf
-            assert not m.kept
-            for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information):
+            value = kernel.log_likelihood(m, theta)
+            assert value.loglik == -math.inf and value.P is None
+            for fn in (kernel.loglik_and_gradient, information):
                 ll, *outputs = fn(m, theta)
                 assert ll == -math.inf and all(np.all(np.isnan(x)) for x in outputs)
+
+
+@pytest.mark.parametrize("workers", [1, POOL], ids=["inline", "pool"])
+def test_underflow_in_a_later_block_alone_keeps_its_log(tmp_path, workers):
+    """Row 30's chosen probability exp(10 * (x_b - 1000)) underflows to 0, but its
+    log does not: the LL is the log-sum-exp one, with the bits of a one-block pass,
+    and the gradient and the information are finite."""
+    spec = parser.parse_spec(BINARY_SPEC)
+    theta = np.array([10.0])
+    with row_blocks(7, workers):
+        assert LATE_ROW // binding.ROW_BLOCK == 4
+        model = binding.bind(spec, late_row_dataset(tmp_path, 1000.0, 1))
+        want = log_sum_exp_loglik(model, theta)
+        for m in (model, all_residual(model)):
+            value = kernel.log_likelihood(m, theta)
+            assert value.P[1, LATE_ROW] == 0.0
+            assert value.loglik == pytest.approx(want, rel=1e-12)
+            for fn in (kernel.loglik_and_gradient, information):
+                passes = fn(m, theta)
+                assert passes[0] == value.loglik and all(np.isfinite(x).all() for x in passes)
+                assert _bits(passes) == _bits(unblocked(fn, m, theta))
 
 
 def test_row_blocks_raise_no_floating_point_warning(tmp_path):
@@ -936,12 +978,12 @@ def test_row_blocks_raise_no_floating_point_warning(tmp_path):
     with row_blocks(7, POOL), warnings.catch_warnings():
         warnings.simplefilter("error")
         for model, theta in ((affine, np.array([1e308])), (nonaffine, np.array([500.0]))):
-            assert kernel.log_likelihood(model, theta) == -math.inf
+            assert kernel.log_likelihood(model, theta).loglik == -math.inf
             assert kernel.loglik_and_gradient(model, theta)[0] == -math.inf
-            assert kernel.loglik_gradient_and_information(model, theta)[0] == -math.inf
+            assert information(model, theta)[0] == -math.inf
         tiny = np.array([1e-310])  # log(b_x * x_a) is finite, its derivative 1 / b_x is not
-        assert math.isfinite(kernel.log_likelihood(steep, tiny))
-        assert kernel.loglik_gradient_and_information(steep, tiny)[0] == -math.inf
+        assert math.isfinite(kernel.log_likelihood(steep, tiny).loglik)
+        assert information(steep, tiny)[0] == -math.inf
         G = kernel.jacobian(nonaffine, np.array([500.0]), (0,))
         assert not np.isfinite(G).all()  # exp(500 x_a) overflows inside the derivative
 
@@ -953,7 +995,7 @@ def test_more_threads_than_cpus_switching_often_write_the_same_bits(best_spec, s
     theta = model.start + 0.01
     passes = [
         (fn, m)
-        for fn in (kernel.loglik_and_gradient, kernel.loglik_gradient_and_information)
+        for fn in (kernel.loglik_and_gradient, information)
         for m in (model, dual)
     ]
     expected = [_bits(unblocked(fn, m, theta)) for fn, m in passes]
@@ -1062,9 +1104,9 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
         for idx in (range(model.n_free), model.residual_idx):
             out.append(_nan_blind_bits(kernel.jacobian(model, theta, idx)))
         for m in (model, all_residual(model)):
-            out.append(np.float64(kernel.log_likelihood(m, theta)).tobytes())
+            out.append(np.float64(kernel.log_likelihood(m, theta).loglik).tobytes())
             out += _bits(kernel.loglik_and_gradient(m, theta))
-            out += _bits(kernel.loglik_gradient_and_information(m, theta))
+            out += _bits(information(m, theta))
         return out
 
     expected = unblocked(outputs)
@@ -1185,13 +1227,13 @@ def test_compiled_expressions_match_a_tree_walk_bit_for_bit(xyz_data, expr, thet
 
 def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: float) -> np.ndarray:
     """(2, k) backward and forward differences of the LL; their mean is the central one."""
-    ll = kernel.log_likelihood(model, theta)
+    ll = kernel.log_likelihood(model, theta).loglik
     out = np.empty((2, model.n_free))
     for i in range(model.n_free):
         h = np.zeros(model.n_free)
         h[i] = step * max(1.0, abs(theta[i]))
-        out[0, i] = (ll - kernel.log_likelihood(model, theta - h)) / h[i]
-        out[1, i] = (kernel.log_likelihood(model, theta + h) - ll) / h[i]
+        out[0, i] = (ll - kernel.log_likelihood(model, theta - h).loglik) / h[i]
+        out[1, i] = (kernel.log_likelihood(model, theta + h).loglik - ll) / h[i]
     return out
 
 
@@ -1205,6 +1247,10 @@ def _one_sided_differences(model: binding.BoundModel, theta: np.ndarray, step: f
     ],
     theta=(4.8096683747476666e-234, 0.0, 1.0),
 )
+@example(  # U(c) = exp(x) − 2 reaches 1e38: the LL does not move over a 1e-5 step in b_one
+    exprs=[Var("x"), Param("b_one"), BoxCox(BoxCox(Call1("exp", Var("x")), "lambda_s"), "lambda_s")],
+    theta=(0.0, 0.0, 1.0),
+)
 def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, theta):
     """Random affine and non-affine utilities: the design and the utilities' Jacobian
     along ``residual_idx`` give the LL bits, and the gradient and information to rounding, of one dual pass over
@@ -1216,10 +1262,10 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
         return
     reference = all_residual(model)
     theta = np.array(theta)
-    ll = kernel.log_likelihood(model, theta)
-    assert np.float64(ll).tobytes() == np.float64(kernel.log_likelihood(reference, theta)).tobytes()
+    ll = kernel.log_likelihood(model, theta).loglik
+    assert np.float64(ll).tobytes() == np.float64(kernel.log_likelihood(reference, theta).loglik).tobytes()
     (ll_g, grad), (ll_rg, grad_r) = (kernel.loglik_and_gradient(m, theta) for m in (model, reference))
-    passes = [kernel.loglik_gradient_and_information(m, theta) for m in (model, reference)]
+    passes = [information(m, theta) for m in (model, reference)]
     assert ll_g == ll_rg
     if ll_g == -math.inf:
         event("no gradient")
@@ -1249,17 +1295,17 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
         assert _bits((ll_i, grad_i, ll_ri, grad_ri)) == _bits((ll_g, grad, ll_rg, grad_r))
         assert np.all(np.abs(info - info_r) <= 1e-10 * envelope)
 
-    if P[chosen].min() < np.finfo(float).tiny:
-        event("subnormal chosen probability")  # its log, and so the LL, moves in steps
-        return
     with np.errstate(all="ignore"):  # a step out of the domain gives -inf - -inf: not settled
         coarse, (back, ahead) = (_one_sided_differences(model, theta, step) for step in (1e-4, 1e-5))
         fine = (back + ahead) / 2
         scale = np.maximum(np.abs(fine), 1.0)
+        # the LL's own rounding over the fine step, which a difference cannot resolve below
+        resolution = np.finfo(float).eps * abs(ll) / (1e-5 * np.maximum(1.0, np.abs(theta)))
         settled = (
             np.isfinite(coarse).all(axis=0) & np.isfinite(fine)
             & (np.abs(coarse.mean(axis=0) - fine) <= 1e-6 * scale)
             & (np.abs(ahead - back) <= 1e-3 * scale)  # no kink, as |b| = sqrt(b * b) has at 0
+            & (resolution <= 1e-6 * scale)
         )
     event(f"{settled.sum()} of {model.n_free} central differences settled")
     # each ∂V/∂θ is rounded to its envelope, which cancels to far less where b / (b x)
@@ -1268,9 +1314,6 @@ def test_split_derivatives_match_one_dual_pass_over_everything(xyz_data, exprs, 
         assert np.all((np.abs(g - fine) <= 1e-5 * scale + ulps)[settled])
 
 
-@pytest.mark.xfail(
-    strict=True, reason="the LL takes the log of a subnormal chosen probability, not log-sum-exp"
-)
 def test_subnormal_chosen_probability_keeps_the_loglik_precise(xyz_data):
     """Alternative c's utility is about 741 below the others, so where c is chosen
     its probability is subnormal; the LL must still match log-sum-exp and its
@@ -1279,22 +1322,18 @@ def test_subnormal_chosen_probability_keeps_the_loglik_precise(xyz_data):
         random_spec([Var("y"), Param("b_one"), Neg(BoxCox(Const(38.5), "lambda_s"))]), xyz_data
     )
     theta = np.array([0.0, 0.0, 2.0])
-    V = np.where(model.avail.T, model.utility_matrix(theta), -np.inf)
-    top = V.max(axis=0)
-    log_p = V[model.choice_idx, np.arange(model.n_obs)] - top - np.log(np.exp(V - top).sum(axis=0))
-    assert kernel.log_likelihood(model, theta) == pytest.approx(log_p.sum(), rel=1e-12)
+    assert kernel.log_likelihood(model, theta).loglik == pytest.approx(
+        log_sum_exp_loglik(model, theta), rel=1e-12
+    )
     _, grad = kernel.loglik_and_gradient(model, theta)
     back, ahead = _one_sided_differences(model, theta, 1e-5)
     np.testing.assert_allclose((back + ahead) / 2, grad, rtol=1e-5, atol=1e-6)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="the LL takes the log of the normalised chosen probability, which underflows to 0"
-)
 def test_start_value_with_underflowing_chosen_probabilities_has_a_finite_loglik(synth_data):
     """At b_time = -2, 37 of synthetic_best's 1000 chosen probabilities underflow to 0
-    (log p down to -1072), so the fit stops at iteration 0 with LL -inf; log-sum-exp
-    over the available utilities gives -210656.8159."""
+    (log p down to -1072); the LL is still log-sum-exp over the available utilities,
+    -210656.8159, and the fit from there reaches the optimum of the default start."""
     from scipy.special import logsumexp
 
     text = BEST_SPEC.read_text(encoding="utf-8").replace(
@@ -1304,7 +1343,10 @@ def test_start_value_with_underflowing_chosen_probabilities_has_a_finite_loglik(
     V = np.where(model.avail.T, model.utility_matrix(model.start), -np.inf)
     want = (V[model.choice_idx, np.arange(model.n_obs)] - logsumexp(V, axis=0)).sum()
     assert want == pytest.approx(-210656.8159, abs=1e-4)
-    assert kernel.log_likelihood(model, model.start) == pytest.approx(want, rel=1e-9)
+    assert kernel.log_likelihood(model, model.start).loglik == pytest.approx(want, rel=1e-9)
+    result = bfgs.estimate(model)
+    assert result.converged and result.iterations == 13
+    assert result.loglik == pytest.approx(-841.8223546137062, rel=1e-12)
 
 
 # -- estimator ------------------------------------------------------------------
@@ -1322,9 +1364,9 @@ def test_estimate_matches_golden_section(tmp_path):
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     while hi - lo > 1e-12:
-        if kernel.log_likelihood(model, np.array([c])) > kernel.log_likelihood(
+        if kernel.log_likelihood(model, np.array([c])).loglik > kernel.log_likelihood(
             model, np.array([d])
-        ):
+        ).loglik:
             hi, d = d, c
             c = hi - invphi * (hi - lo)
         else:
@@ -1390,7 +1432,7 @@ def test_collinear_model_flagged_not_pd(synth_data):
         "U(rail) = asc_rail + b_time * time_rail + b_ivt * time_rail\n"
     )
     model = binding.bind(spec, synth_data)
-    _, _, info = kernel.loglik_gradient_and_information(model, model.start)
+    _, _, info = information(model, model.start)
     assert np.linalg.matrix_rank(info) < model.n_free
     result = bfgs.estimate(model)
     assert not result.hessian_pd
