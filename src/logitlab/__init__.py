@@ -12,3 +12,8 @@ The package is organised around the lifecycle of a utility specification:
 """
 
 __version__ = "0.1.0"
+
+
+class LogitlabError(Exception):
+    """Base of every exception logitlab defines: bad input, a spec that does
+    not bind, a failed fit or provider call.  The CLI reports one in a line."""

@@ -1,8 +1,13 @@
 """Command-line entry points.
 
 Thin wrappers over the library: every command loads files, calls one
-operation and prints or writes its result.  The top-level group is the
-one error boundary: a domain error raised by any command, nested groups
+operation and prints or writes its result.  The module imports only
+click and the ``logitlab`` package; each command imports the layers it
+runs when it runs, so ``--help`` and a usage error load neither numpy
+nor any layer.  A command calls a layer through its module
+(``runner_mod.run_experiment``), the name a tracer wraps.  The top-level
+group is the one error boundary: a :class:`~logitlab.LogitlabError`,
+``ValueError`` or ``OSError`` raised by any command, nested groups
 included, surfaces as a clean one-line failure with exit code 1.
 """
 
@@ -10,37 +15,16 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import TypedDict
+from typing import TYPE_CHECKING, TypedDict
 
 import click
 
-from logitlab import dataset as ds
-from logitlab import metrics as metrics_mod
-from logitlab import report as report_mod
-from logitlab import runner as runner_mod
-from logitlab import validate as validate_mod
-from logitlab.engine import bfgs, kernel
-from logitlab.jsonio import dump_json, load_json
-from logitlab.llmgate import client as llm_client
-from logitlab.llmgate import extract as llm_extract
-from logitlab.llmgate.config import ProviderConfig, experiment
-from logitlab.llmgate.prompts import AttachmentTooLarge, build_prompt
-from logitlab.specdsl import analysis, binding, parser, serialize
+from logitlab import LogitlabError
 
-_DOMAIN_ERRORS = (
-    ds.DatasetError,
-    parser.SpecDslError,
-    kernel.NonFiniteUtility,
-    metrics_mod.MissingCoefficient,
-    llm_client.AuthError,
-    llm_client.RateLimited,
-    llm_client.FixtureMissing,
-    llm_client.TransportError,
-    AttachmentTooLarge,
-    runner_mod.RunError,
-    ValueError,
-    OSError,
-)
+if TYPE_CHECKING:
+    from logitlab.llmgate.config import ProviderConfig
+    from logitlab.runner import ExperimentResult
+    from logitlab.specdsl.parser import UtilitySpec
 
 
 class _ErrorBoundary(click.Group):
@@ -49,11 +33,13 @@ class _ErrorBoundary(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except _DOMAIN_ERRORS as exc:
+        except (LogitlabError, ValueError, OSError) as exc:
             raise click.ClickException(f"{type(exc).__name__}: {exc}")
 
 
-def _read_spec(path: str) -> parser.UtilitySpec:
+def _read_spec(path: str) -> UtilitySpec:
+    from logitlab.specdsl import parser
+
     return parser.parse_spec(Path(path).read_text(encoding="utf-8"))
 
 
@@ -75,6 +61,8 @@ def dataset_group() -> None:
 @click.argument("dict_path", type=click.Path(exists=True))
 def dataset_validate(csv_path: str, dict_path: str) -> None:
     """Check a CSV against its data dictionary."""
+    from logitlab import dataset as ds
+
     data = ds.load_dataset(csv_path, dict_path)
     click.echo(f"ok: {data.n_obs} observations, {len(data.alternatives)} alternatives")
 
@@ -85,6 +73,8 @@ def dataset_validate(csv_path: str, dict_path: str) -> None:
 @click.option("--out", type=click.Path(), default=None, help="Write markdown here instead of stdout.")
 def dataset_describe(csv_path: str, dict_path: str, out: str | None) -> None:
     """Emit the deterministic markdown description."""
+    from logitlab import dataset as ds
+
     data = ds.load_dataset(csv_path, dict_path)
     text = ds.describe(data)
     if out:
@@ -108,6 +98,9 @@ def spec_group() -> None:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def spec_check(spec_path: str, csv_path: str, dict_path: str) -> None:
     """Parse a .dcm file and bind it against a dataset."""
+    from logitlab import dataset as ds
+    from logitlab.specdsl import analysis, binding
+
     spec = _read_spec(spec_path)
     data = ds.load_dataset(csv_path, dict_path)
     stats = analysis.analyze_structure(spec, data.dictionary)
@@ -130,6 +123,12 @@ def spec_check(spec_path: str, csv_path: str, dict_path: str) -> None:
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write results JSON here.")
 def estimate_cmd(spec_path: str, csv_path: str, dict_path: str, out_path: str | None) -> None:
     """Estimate one specification by maximum likelihood."""
+    from logitlab import dataset as ds
+    from logitlab import metrics as metrics_mod
+    from logitlab.engine import bfgs
+    from logitlab.jsonio import dump_json
+    from logitlab.specdsl import binding, serialize
+
     spec = _read_spec(spec_path)
     data = ds.load_dataset(csv_path, dict_path)
     model = binding.bind(spec, data)
@@ -155,17 +154,19 @@ def estimate_cmd(spec_path: str, csv_path: str, dict_path: str, out_path: str | 
         click.echo(f"wrote {out_path}")
 
 
-# The keys validate and metrics read from a results file that estimate --out wrote.
-ValidateInput = TypedDict("ValidateInput", {"estimation": bfgs.EstimationResult})
-MetricsInput = TypedDict("MetricsInput", {"estimation": bfgs.EstimationResult, "n_obs": int})
-
-
 @main.command("metrics")
 @click.option("--results", "results_path", required=True, type=click.Path(exists=True))
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Fit statistics and value of time from a results file."""
+    from logitlab import dataset as ds
+    from logitlab import metrics as metrics_mod
+    from logitlab.engine import bfgs
+    from logitlab.jsonio import load_json
+
+    # The keys read from a results file that estimate --out wrote.
+    MetricsInput = TypedDict("MetricsInput", {"estimation": bfgs.EstimationResult, "n_obs": int})
     doc = load_json(results_path, MetricsInput)
     result, n_obs = doc["estimation"], doc["n_obs"]
     spec = _read_spec(spec_path)
@@ -190,6 +191,13 @@ def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 def validate_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
     """Apply the inclusion rules to a results file."""
+    from logitlab import dataset as ds
+    from logitlab import validate as validate_mod
+    from logitlab.engine import bfgs
+    from logitlab.jsonio import load_json
+
+    # The key read from a results file that estimate --out wrote.
+    ValidateInput = TypedDict("ValidateInput", {"estimation": bfgs.EstimationResult})
     result = load_json(results_path, ValidateInput)["estimation"]
     spec = _read_spec(spec_path)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
@@ -208,6 +216,9 @@ def validate_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
 
 
 def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
+    from logitlab.llmgate.client import FixtureMissing
+    from logitlab.llmgate.config import ProviderConfig
+
     providers: list[ProviderConfig] = []
     for item in text.split(","):
         item = item.strip()
@@ -220,7 +231,7 @@ def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
             root = Path(replay_dir) / item
             models = sorted(p.name for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
             if not models:
-                raise llm_client.FixtureMissing(f"no fixtures under {root}")
+                raise FixtureMissing(f"no fixtures under {root}")
             providers.extend(ProviderConfig(name=item, model=m) for m in models)
         else:
             raise ValueError(f"provider '{item}' needs a model (use provider:model) in live mode")
@@ -251,6 +262,13 @@ def suggest_cmd(
     transcript_dir: str | None,
 ) -> None:
     """Ask one model for specifications (live or replayed)."""
+    from logitlab import dataset as ds
+    from logitlab.llmgate import client as llm_client
+    from logitlab.llmgate import extract as llm_extract
+    from logitlab.llmgate.config import ProviderConfig, experiment
+    from logitlab.llmgate.prompts import build_prompt
+    from logitlab.specdsl import serialize
+
     config = experiment(exp_id)
     data = ds.load_dataset(csv_path, dict_path)
     bundle = build_prompt(config, data, paper_faithful=paper_faithful)
@@ -297,6 +315,10 @@ def run_cmd(
     paper_faithful: bool,
 ) -> None:
     """Run one experiment end-to-end and persist the results."""
+    from logitlab import dataset as ds
+    from logitlab import runner as runner_mod
+    from logitlab.llmgate.config import experiment
+
     provider_list = _parse_providers(providers, replay_dir)
     data = ds.load_dataset(csv_path, dict_path)
     result = runner_mod.run_experiment(
@@ -324,7 +346,9 @@ def report_group() -> None:
     """Render tables and exports from persisted runs."""
 
 
-def _load_runs(runs_dir: str) -> list[runner_mod.ExperimentResult]:
+def _load_runs(runs_dir: str) -> list[ExperimentResult]:
+    from logitlab import runner as runner_mod
+
     results = runner_mod.load_results(runs_dir)
     if not results:
         raise click.ClickException(f"no persisted experiments under {runs_dir}")
@@ -337,9 +361,14 @@ def _load_runs(runs_dir: str) -> list[runner_mod.ExperimentResult]:
               help="Limit to one experiment.")
 def report_summary(runs_dir: str, exp_id: int | None) -> None:
     """Per-experiment comparison tables."""
-    for result in _load_runs(runs_dir):
-        if exp_id is not None and result.config.id != exp_id:
-            continue
+    from logitlab import report as report_mod
+
+    results = _load_runs(runs_dir)
+    if exp_id is not None:
+        results = [r for r in results if r.config.id == exp_id]
+        if not results:
+            raise click.ClickException(f"no persisted experiment {exp_id} under {runs_dir}")
+    for result in results:
         click.echo(report_mod.summary_table(result))
 
 
@@ -348,6 +377,8 @@ def report_summary(runs_dir: str, exp_id: int | None) -> None:
 @click.option("--metric", type=click.Choice(["ll", "aic", "bic"]), default="ll", show_default=True)
 def report_best_of(runs_dir: str, metric: str) -> None:
     """Best value per model and experiment."""
+    from logitlab import report as report_mod
+
     click.echo(report_mod.best_of(_load_runs(runs_dir), metric))
 
 
@@ -355,6 +386,8 @@ def report_best_of(runs_dir: str, metric: str) -> None:
 @click.option("--runs", "runs_dir", required=True, type=click.Path(exists=True))
 def report_profile(runs_dir: str) -> None:
     """Structural profile per model."""
+    from logitlab import report as report_mod
+
     click.echo(report_mod.profile_table(report_mod.llm_profile(_load_runs(runs_dir))))
 
 
@@ -365,6 +398,8 @@ def report_profile(runs_dir: str) -> None:
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def report_export(runs_dir: str, metric: str, out_path: str | None) -> None:
     """Long-format CSV of converged specs for plotting."""
+    from logitlab import report as report_mod
+
     text = report_mod.distribution_export(_load_runs(runs_dir), metric)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")

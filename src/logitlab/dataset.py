@@ -33,12 +33,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from logitlab import LogitlabError
+
 VALID_KINDS = ("attribute", "availability", "covariate", "choice", "id")
 VALID_QUANTITIES = ("time", "cost", "other")
 BLOCK_ROWS = 8192  # CSV rows csv.reader holds as strings at once
 
 
-class DatasetError(Exception):
+class DatasetError(LogitlabError):
     """Base class for dataset loading/validation failures."""
 
 

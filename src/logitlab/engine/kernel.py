@@ -86,6 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from logitlab import LogitlabError
 from logitlab.dataset import Dataset
 from logitlab.specdsl import binding
 from logitlab.specdsl.binding import BoundModel, row_blocks
@@ -94,7 +95,7 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 _pool = None  # created by the first pass with more than one block
 
 
-class NonFiniteUtility(Exception):
+class NonFiniteUtility(LogitlabError):
     """An expression evaluated to NaN or infinity where it matters."""
 
 

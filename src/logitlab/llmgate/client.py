@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from logitlab import LogitlabError
 from logitlab.jsonio import dump_json, load_json
 from logitlab.llmgate.config import SAMPLING, ProviderConfig
 from logitlab.llmgate.prompts import PromptBundle
@@ -26,19 +27,19 @@ RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0  # seconds, doubled per attempt
 
 
-class AuthError(Exception):
+class AuthError(LogitlabError):
     pass
 
 
-class RateLimited(Exception):
+class RateLimited(LogitlabError):
     pass
 
 
-class FixtureMissing(Exception):
+class FixtureMissing(LogitlabError):
     pass
 
 
-class TransportError(Exception):
+class TransportError(LogitlabError):
     pass
 
 

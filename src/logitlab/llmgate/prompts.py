@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
+from logitlab import LogitlabError
 from logitlab.dataset import Dataset, describe, format_csv
 from logitlab.llmgate.config import FULL, ExperimentConfig
 
@@ -19,7 +20,7 @@ from logitlab.llmgate.config import FULL, ExperimentConfig
 MAX_ATTACHMENT_TOKENS = 200_000
 
 
-class AttachmentTooLarge(Exception):
+class AttachmentTooLarge(LogitlabError):
     """Inlined CSV exceeds the attachment token budget."""
 
 

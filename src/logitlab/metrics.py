@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from logitlab import LogitlabError
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
 from logitlab.specdsl.expr import Const, Div, Expr, Mul, Param, Var
@@ -21,7 +22,7 @@ from logitlab.specdsl.parser import UtilitySpec, additive_terms
 SIGNIFICANCE_T = 1.96
 
 
-class MissingCoefficient(Exception):
+class MissingCoefficient(LogitlabError):
     """No alternative carries both a time and a cost main effect."""
 
 

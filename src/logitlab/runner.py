@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypedDict
 
+from logitlab import LogitlabError
 from logitlab.dataset import Dataset, format_csv, write_dictionary
 from logitlab.engine.bfgs import EstimationResult, estimate
 from logitlab.jsonio import dump_json, load_json
@@ -45,7 +46,7 @@ REPRODUCED = "reproduced"
 NOT_REPRODUCED = "not_reproduced"
 
 
-class RunError(Exception):
+class RunError(LogitlabError):
     """No provider produced a transcript; nothing to report."""
 
 

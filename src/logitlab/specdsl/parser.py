@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from logitlab import LogitlabError
 from logitlab.specdsl.expr import (
     Add,
     BoxCox,
@@ -49,7 +50,7 @@ MAX_DEPTH = 100  # the shipped and recorded specs nest at most 6 levels
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
-class SpecDslError(Exception):
+class SpecDslError(LogitlabError):
     """Base class for specification parsing and validation errors."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):

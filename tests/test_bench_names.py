@@ -12,6 +12,7 @@ from conftest import FIXTURES, ROOT
 
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tools")]
 
+import run  # noqa: E402
 import spans  # noqa: E402
 
 
@@ -27,3 +28,16 @@ def test_loading_results_parses_specs_through_a_wrapped_name(tmp_path, synth_dat
     with spans.Tracer() as tracer:
         runner.load_results(tmp_path)
     assert spans.layer_calls(tracer)["specdsl.parse_spec"] == len(result.records)
+
+
+def test_traced_replay_session_calls_every_required_layer(tmp_path):
+    """The benchmark's session in this process: a command that bypasses a
+    wrapped name leaves its layer with no calls."""
+    workload = run.ReplayWorkload("replay_cli", 1, tmp_path)
+    with spans.Tracer() as tracer:
+        outcome = workload.in_process(tracer)
+    tally = run.Tally()
+    workload.check(outcome, tally)
+    assert (tally.correct, tally.failed) == (True, 0), tally.problems
+    calls = spans.layer_calls(tracer)
+    assert [layer for layer in run.REQUIRED_LAYERS["replay_cli"] if calls[layer] == 0] == []

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import logitlab
+from logitlab import LogitlabError
 from logitlab.cli import main
 from logitlab.engine import bfgs
 
@@ -95,6 +99,18 @@ def test_dataset_validate_failure_is_clean(tmp_path, failing_call):
     assert res.exit_code == 1
     assert res.stderr.splitlines()[0] == f"Error: {message}"
     assert "Traceback" not in res.output
+
+
+def test_every_exception_logitlab_defines_is_a_logitlab_error():
+    """The boundary catches LogitlabError, so a class outside it would end in a traceback."""
+    defined = [
+        obj
+        for info in pkgutil.walk_packages(logitlab.__path__, "logitlab.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == info.name
+    ]
+    assert {"DatasetError", "SpecDslError", "FixtureMissing", "RunError"} <= {c.__name__ for c in defined}
+    assert [c for c in defined if not issubclass(c, LogitlabError)] == []
 
 
 def test_dataset_describe_stdout_and_file(tmp_path):
@@ -359,6 +375,9 @@ def test_report_summary(runs_dir):
     res = invoke("report", "summary", "--runs", runs_dir, "--experiment", 3)
     assert "## Experiment 1" not in res.stdout
     assert "s2_ivt†" in res.stdout
+    res = invoke("report", "summary", "--runs", runs_dir, "--experiment", 2)
+    assert res.exit_code == 1
+    assert res.stderr == f"Error: no persisted experiment 2 under {runs_dir}\n"
 
 
 def test_report_best_of(runs_dir):
@@ -500,15 +519,35 @@ def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform,
 # -- start-up --------------------------------------------------------------
 
 
-def test_cli_import_leaves_requests_unloaded():
-    """Only live completions need requests; replay and reports start without it."""
+def _fresh_python(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """A new interpreter run with ``-X importtime``, and the modules it imported."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, logitlab.cli; print('requests' in sys.modules)"],
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        check=True,
         timeout=60,
-    ).stdout
-    assert out == "False\n"
+    )
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    return proc, imported
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only live completions need requests, and only a command's body imports
+    numpy or a layer: the CLI and its help start with logitlab and click."""
+    proc, _ = _fresh_python("-c", (
+        "import sys, logitlab.cli; "
+        "print(sorted(m for m in sys.modules if m in ('requests', 'numpy') or m.startswith('logitlab')))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['logitlab', 'logitlab.cli']\n"
+    for args in (("--help",), ("report", "--help")):
+        proc, imported = _fresh_python("-m", "logitlab.cli", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("Usage: ")
+        assert "click" in imported and "numpy" not in imported
+        assert {m for m in imported if m.startswith("logitlab.")} == set()
