@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, TypedDict
+from typing import TYPE_CHECKING
 
 import click
 
@@ -127,7 +127,7 @@ def estimate_cmd(spec_path: str, csv_path: str, dict_path: str, out_path: str | 
     from logitlab import metrics as metrics_mod
     from logitlab.engine import bfgs
     from logitlab.jsonio import dump_json
-    from logitlab.specdsl import binding, serialize
+    from logitlab.specdsl import binding
 
     spec = _read_spec(spec_path)
     data = ds.load_dataset(csv_path, dict_path)
@@ -145,7 +145,7 @@ def estimate_cmd(spec_path: str, csv_path: str, dict_path: str, out_path: str | 
     if out_path:
         doc = {
             "spec_name": spec.name,
-            "spec_text": serialize.serialize_spec(spec),
+            "spec_text": spec,
             "n_obs": model.n_obs,
             "estimation": result,
             "fit": fit,
@@ -156,22 +156,17 @@ def estimate_cmd(spec_path: str, csv_path: str, dict_path: str, out_path: str | 
 
 @main.command("metrics")
 @click.option("--results", "results_path", required=True, type=click.Path(exists=True))
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
-def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
-    """Fit statistics and value of time from a results file."""
+def metrics_cmd(results_path: str, dict_path: str) -> None:
+    """Fit statistics and value of time from a results file, for the spec it holds."""
     from logitlab import dataset as ds
     from logitlab import metrics as metrics_mod
-    from logitlab.engine import bfgs
     from logitlab.jsonio import load_json
 
-    # The keys read from a results file that estimate --out wrote.
-    MetricsInput = TypedDict("MetricsInput", {"estimation": bfgs.EstimationResult, "n_obs": int})
-    doc = load_json(results_path, MetricsInput)
-    result, n_obs = doc["estimation"], doc["n_obs"]
-    spec = _read_spec(spec_path)
+    doc = load_json(results_path, metrics_mod.ResultsFile)
+    result, spec = doc["estimation"], doc["spec_text"]
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-    fit = metrics_mod.information_criteria(result.loglik, result.n_free, n_obs)
+    fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc["n_obs"])
     rho = metrics_mod.rho_squared(result.loglik, result.null_loglik)
     click.echo(f"LL={fit.loglik:.4f}  AIC={fit.aic:.4f}  BIC={fit.bic:.4f}  k={fit.k}  n={fit.n}")
     click.echo(f"rho-squared={rho:.4f}")
@@ -187,21 +182,17 @@ def metrics_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
 
 @main.command("validate")
 @click.option("--results", "results_path", required=True, type=click.Path(exists=True))
-@click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
-def validate_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
-    """Apply the inclusion rules to a results file."""
+def validate_cmd(results_path: str, dict_path: str) -> None:
+    """Apply the inclusion rules to a results file, for the spec it holds."""
     from logitlab import dataset as ds
+    from logitlab import metrics as metrics_mod
     from logitlab import validate as validate_mod
-    from logitlab.engine import bfgs
     from logitlab.jsonio import load_json
 
-    # The key read from a results file that estimate --out wrote.
-    ValidateInput = TypedDict("ValidateInput", {"estimation": bfgs.EstimationResult})
-    result = load_json(results_path, ValidateInput)["estimation"]
-    spec = _read_spec(spec_path)
+    doc = load_json(results_path, metrics_mod.ResultsFile)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-    report = validate_mod.check_model(result, spec, dictionary)
+    report = validate_mod.check_model(doc["estimation"], doc["spec_text"], dictionary)
     click.echo(f"exclusion: {report.exclusion}")
     click.echo(f"has_asc={str(report.has_asc).lower()} converged={str(report.converged).lower()}")
     for v in report.sign_violations:
@@ -217,7 +208,7 @@ def validate_cmd(results_path: str, spec_path: str, dict_path: str) -> None:
 
 def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
     from logitlab.llmgate.client import FixtureMissing
-    from logitlab.llmgate.config import ProviderConfig
+    from logitlab.llmgate.config import ProviderConfig, check_provider_name
 
     providers: list[ProviderConfig] = []
     for item in text.split(","):
@@ -228,6 +219,7 @@ def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
             name, model = item.split(":", 1)
             providers.append(ProviderConfig(name=name, model=model))
         elif replay_dir:
+            check_provider_name(item)
             root = Path(replay_dir) / item
             models = sorted(p.name for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
             if not models:

@@ -21,10 +21,10 @@ a TypedDict names them by the ``where`` it is given (a file, for the
 one-line TypedDict a reader passes to :func:`load_json`), and by its
 class name without one.
 
-A dataclass whose JSON is not one key per field (:class:`UtilitySpec`,
-stored as its DSL text) defines the hook pair ``to_json(self)``
-(JSON-ready data, which :func:`to_json` finishes) and the classmethod
-``from_json(cls, data)``; the codec calls those instead.
+A dataclass stored as a string (:class:`UtilitySpec`, as its DSL text)
+defines the hook pair ``to_json(self)`` and the classmethod
+``from_json(cls, text)``; the codec calls those instead, after the
+string check that any other ``str`` gets.
 """
 
 import dataclasses
@@ -87,6 +87,7 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
         return missing
     if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
         if hasattr(tp, "from_json"):
+            _expect(data, str, where or tp.__name__)
             return tp.from_json(data)
         _expect(data, dict, where or tp.__name__)
         owner = where if where and typing.is_typeddict(tp) else tp.__name__

@@ -60,11 +60,17 @@ class ProviderConfig:
     """One chat-completions endpoint.
 
     Credentials come from ``<NAME>_API_KEY`` and the base URL from
-    ``<NAME>_BASE_URL``.
+    ``<NAME>_BASE_URL``.  Both names also name files, so the provider name is an
+    identifier and the model name a relative path of named segments (``org/model``).
     """
 
     name: str
     model: str
+
+    def __post_init__(self):
+        check_provider_name(self.name)
+        if any(part in ("", ".", "..") for part in self.model.split("/")):
+            raise ValueError(f"model name '{self.model}' is not a relative path of named segments")
 
     @property
     def key_env(self) -> str:
@@ -73,3 +79,9 @@ class ProviderConfig:
     @property
     def url_env(self) -> str:
         return f"{self.name.upper()}_BASE_URL"
+
+
+def check_provider_name(name: str) -> None:
+    """ValueError unless ``name`` is an identifier, as a file name and an environment variable."""
+    if not name.isidentifier():
+        raise ValueError(f"provider name '{name}' is not an identifier")

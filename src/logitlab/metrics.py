@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TypedDict
 
 from logitlab import LogitlabError
 from logitlab.dataset import DataDictionary
@@ -24,6 +25,12 @@ SIGNIFICANCE_T = 1.96
 
 class MissingCoefficient(LogitlabError):
     """No alternative carries both a time and a cost main effect."""
+
+
+# The keys of an estimate --out file that metrics and validate read, its spec among them.
+ResultsFile = TypedDict(
+    "ResultsFile", {"spec_text": UtilitySpec, "n_obs": int, "estimation": EstimationResult}
+)
 
 
 @dataclass(frozen=True)
@@ -141,41 +148,28 @@ def value_of_time(
     raises :class:`MissingCoefficient`.
     """
     terms = core_terms(spec, dictionary)
-    by_alt: dict[str, dict[str, float]] = {}
-    involved: dict[str, set[str]] = {}
+    by_alt: dict[str, dict[str, float]] = {}  # alternative -> quantity -> summed marginal utility
     for t in terms:
-        slot = by_alt.setdefault(t.alternative, {"time": 0.0, "cost": 0.0})
-        slot[t.quantity] += result.coefficient(t.parameter) * t.scale
-        involved.setdefault(t.alternative, set()).add(t.parameter)
-
-    per_alt: dict[str, float] = {}
-    used_params: set[str] = set()
-    for alt in spec.alternatives:
-        slot = by_alt.get(alt)
-        if not slot:
-            continue
-        has_time = any(t.alternative == alt and t.quantity == "time" for t in terms)
-        has_cost = any(t.alternative == alt and t.quantity == "cost" for t in terms)
-        if not (has_time and has_cost) or slot["cost"] == 0.0:
-            continue
-        per_alt[alt] = slot["time"] / slot["cost"]
-        used_params |= involved[alt]
-
+        slot = by_alt.setdefault(t.alternative, {})
+        slot[t.quantity] = slot.get(t.quantity, 0.0) + result.coefficient(t.parameter) * t.scale
+    per_alt = {
+        alt: slot["time"] / slot["cost"]
+        for alt, slot in by_alt.items()
+        if "time" in slot and slot.get("cost", 0.0) != 0.0
+    }
     if not per_alt:
         raise MissingCoefficient(
             "no alternative has both a time and a cost main-effect coefficient"
         )
 
-    reliable = True
-    weak: list[str] = []
-    for name in sorted(used_params):
-        t = result.t_ratio(name)
-        if not (math.isfinite(t) and abs(t) >= SIGNIFICANCE_T):
-            reliable = False
-            weak.append(name)
+    used_params = {t.parameter for t in terms if t.alternative in per_alt}
+    weak = [
+        name for name in sorted(used_params)
+        if not (math.isfinite(t_ratio := result.t_ratio(name)) and abs(t_ratio) >= SIGNIFICANCE_T)
+    ]
 
     value = sum(per_alt.values()) / len(per_alt)
     notes = f"averaged over {len(per_alt)} alternative(s); interactions excluded"
     if weak:
         notes += "; insignificant: " + ", ".join(weak)
-    return VotEstimate(value=value, per_alternative=per_alt, reliable=reliable, notes=notes)
+    return VotEstimate(value=value, per_alternative=per_alt, reliable=not weak, notes=notes)

@@ -275,6 +275,8 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
         records: list[Record] = []
         config = None
         for name in sorted(manifest["result_files"]):
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise ValueError(f"{manifest_path} 'result_files' lists '{name}', not a plain file name")
             doc = load_json(exp_dir / name, ProviderFile)
             config = doc["config"]
             records.extend(doc["records"])

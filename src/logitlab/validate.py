@@ -60,19 +60,17 @@ def check_model(
     effective sign folds in any constant factors in the term.
     """
     has_asc = spec.has_asc
-    violations: list[SignViolation] = []
-    weak: list[str] = []
-    seen_violation: set[str] = set()
-    seen_weak: set[str] = set()
-    for term in core_terms(spec, dictionary):
-        est = result.coefficient(term.parameter)
-        if est * term.scale > 0.0 and term.parameter not in seen_violation:
-            violations.append({"parameter": term.parameter, "estimate": est})
-            seen_violation.add(term.parameter)
-        t = result.t_ratio(term.parameter)
-        if math.isfinite(t) and abs(t) < SIGNIFICANCE_T and term.parameter not in seen_weak:
-            weak.append(term.parameter)
-            seen_weak.add(term.parameter)
+    terms = core_terms(spec, dictionary)
+    violations = [
+        SignViolation(parameter=name, estimate=result.coefficient(name))
+        for name in dict.fromkeys(
+            t.parameter for t in terms if result.coefficient(t.parameter) * t.scale > 0.0
+        )
+    ]
+    weak = tuple(
+        name for name in dict.fromkeys(t.parameter for t in terms)
+        if math.isfinite(t_ratio := result.t_ratio(name)) and abs(t_ratio) < SIGNIFICANCE_T
+    )
 
     if not result.converged:
         exclusion = EXCLUDED_NONCONVERGENCE
@@ -92,7 +90,7 @@ def check_model(
         has_asc=has_asc,
         converged=result.converged,
         sign_violations=tuple(violations),
-        insignificant_core=tuple(weak),
+        insignificant_core=weak,
         exclusion=exclusion,
         notes="; ".join(notes),
     )

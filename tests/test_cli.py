@@ -17,8 +17,9 @@ import logitlab
 from logitlab import LogitlabError
 from logitlab.cli import main
 from logitlab.engine import bfgs
+from logitlab.llmgate.config import ProviderConfig
 
-from conftest import BEST_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
+from conftest import BEST_SPEC, BOXCOX_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
 
 runner = CliRunner()
 
@@ -81,6 +82,15 @@ def _runs_without_records(tmp_path):
     return ("report", "summary", "--runs", tmp_path), f"ValueError: {doc} has no 'records'"
 
 
+def _manifest_entry_outside_its_directory(tmp_path):
+    (tmp_path / "exp1").mkdir()
+    manifest = tmp_path / "exp1/manifest.json"
+    manifest.write_text('{"diagnostics": [], "result_files": {"../alpha.json": ""}}', encoding="utf-8")
+    return ("report", "summary", "--runs", tmp_path), (
+        f"ValueError: {manifest} 'result_files' lists '../alpha.json', not a plain file name"
+    )
+
+
 def _out_under_a_missing_directory(tmp_path):
     out = tmp_path / "missing/x.json"
     return ("estimate", "--spec", SPEC, "--data", CSV, "--dict", DICT, "--out", out), (
@@ -90,7 +100,7 @@ def _out_under_a_missing_directory(tmp_path):
 
 @pytest.mark.parametrize("failing_call", [
     _bad_csv, _unknown_variable, _missing_alternative, _runs_without_records,
-    _out_under_a_missing_directory,
+    _manifest_entry_outside_its_directory, _out_under_a_missing_directory,
 ])
 def test_dataset_validate_failure_is_clean(tmp_path, failing_call):
     """One domain error per command group ends in one line, not a traceback."""
@@ -197,7 +207,7 @@ def test_estimate_prints_table():
 
 
 def test_metrics_command(results_file):
-    res = invoke("metrics", "--results", results_file, "--spec", SPEC, "--dict", DICT)
+    res = invoke("metrics", "--results", results_file, "--dict", DICT)
     assert res.exit_code == 0
     assert "LL=-841.8224" in res.stdout
     assert "rho-squared=0.2101" in res.stdout
@@ -219,13 +229,13 @@ def test_metrics_without_cost_side(tmp_path):
     out = tmp_path / "timeonly.json"
     res = invoke("estimate", "--spec", spec, "--data", CSV, "--dict", DICT, "--out", out)
     assert res.exit_code == 0
-    res = invoke("metrics", "--results", out, "--spec", spec, "--dict", DICT)
+    res = invoke("metrics", "--results", out, "--dict", DICT)
     assert res.exit_code == 0
     assert "value of time: n/a" in res.stdout
 
 
 def test_validate_command(results_file):
-    res = invoke("validate", "--results", results_file, "--spec", SPEC, "--dict", DICT)
+    res = invoke("validate", "--results", results_file, "--dict", DICT)
     assert res.exit_code == 0
     assert "exclusion: included" in res.stdout
     assert "has_asc=true converged=true" in res.stdout
@@ -240,12 +250,31 @@ def test_validate_and_metrics_take_a_division_by_a_literal_zero(tmp_path):
     out = tmp_path / "zero.json"
     res = invoke("estimate", "--spec", spec, "--data", CSV, "--dict", DICT, "--out", out)
     assert res.exit_code == 0 and "converged=false (non_finite)" in res.stdout
-    res = invoke("validate", "--results", out, "--spec", spec, "--dict", DICT)
+    res = invoke("validate", "--results", out, "--dict", DICT)
     assert res.exit_code == 0
     assert "exclusion: excluded_nonconvergence" in res.stdout
-    res = invoke("metrics", "--results", out, "--spec", spec, "--dict", DICT)
+    res = invoke("metrics", "--results", out, "--dict", DICT)
     assert res.exit_code == 0
     assert "value of time: n/a" in res.stdout  # the fit stopped at b_cost = 0
+
+
+def test_metrics_and_validate_judge_the_spec_they_were_estimated_from(tmp_path):
+    """Both commands read the spec from the results file.  Before, they took any
+    --spec: given synthetic_best's, a boxcox_piecewise fit printed a value of time
+    and an insignificant b_cost, though its b_cost multiplies a Box-Cox term."""
+    out = tmp_path / "boxcox.json"
+    res = invoke("estimate", "--spec", BOXCOX_SPEC, "--data", CSV, "--dict", DICT, "--out", out)
+    assert res.exit_code == 0, res.output
+    res = invoke("metrics", "--results", out, "--dict", DICT)
+    assert res.exit_code == 0, res.output
+    assert "value of time: n/a" in res.stdout
+    res = invoke("validate", "--results", out, "--dict", DICT)
+    assert res.exit_code == 0, res.output
+    assert "insignificant: b_cost" not in res.stdout
+    for command in ("metrics", "validate"):
+        res = invoke(command, "--results", out, "--spec", SPEC, "--dict", DICT)
+        assert res.exit_code == 2
+        assert "No such option '--spec'" in res.stderr
 
 
 def test_estimate_respects_max_iters(monkeypatch):
@@ -367,6 +396,39 @@ def test_run_unknown_provider_in_replay(tmp_path):
     assert "FixtureMissing" in res.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("run", "--experiment", 1, "--providers", "../fixtures/alpha:alpha-large"),
+     "provider name '../fixtures/alpha' is not an identifier"),
+    (("run", "--experiment", 1, "--providers", "../fixtures/alpha"),
+     "provider name '../fixtures/alpha' is not an identifier"),
+    (("run", "--experiment", 1, "--providers", "alpha:../alpha/alpha-large"),
+     "model name '../alpha/alpha-large' is not a relative path of named segments"),
+    (("suggest", "--experiment", 1, "--provider", "../fixtures/alpha", "--model", "alpha-large"),
+     "provider name '../fixtures/alpha' is not an identifier"),
+], ids=["run-provider", "run-bare_provider", "run-model", "suggest-provider"])
+def test_provider_and_model_names_stay_inside_out_and_replay(tmp_path, args, message):
+    """A provider name becomes ``<provider>.json`` under --out and a path under
+    --replay.  Before, ``../fixtures/alpha`` read the fixture through
+    ``fixtures/../fixtures`` and wrote ``<out>/fixtures/alpha.json``, outside ``exp1/``."""
+    (tmp_path / "fixtures").mkdir()
+    res = invoke(*args, "--data", CSV, "--dict", DICT, "--replay", FIXTURES, "--out", tmp_path)
+    assert res.exit_code == 1
+    assert res.stderr == f"Error: ValueError: {message}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["fixtures"]
+
+
+def test_every_fixture_names_a_valid_provider_and_model():
+    names = [path.parent.relative_to(FIXTURES).parts for path in FIXTURES.glob("*/**/exp*.json")]
+    assert len(names) == 5
+    for provider, *model in names:
+        ProviderConfig(name=provider, model="/".join(model))
+    for name, model in (("alpha", ""), ("alpha", "/m"), ("alpha", "org//m"), ("alpha", "org/./m"),
+                        ("al-pha", "m"), ("", "m")):
+        with pytest.raises(ValueError):
+            ProviderConfig(name=name, model=model)
+    assert ProviderConfig(name="alpha", model="org/m.v2").model == "org/m.v2"
+
+
 def test_report_summary(runs_dir):
     res = invoke("report", "summary", "--runs", runs_dir)
     assert res.exit_code == 0
@@ -440,7 +502,7 @@ MALFORMED = {
     "validate-estimation": ("validate", _without("estimation"), "{target} has no 'estimation'"),
     "report-config": ("exp3/beta.json", _without("config"), "{target} has no 'config'"),
     "validate-empty_estimation": (
-        "validate", lambda doc: {"n_obs": 5, "estimation": {}}, "EstimationResult has no 'parameters'"
+        "validate", lambda doc: {**doc, "estimation": {}}, "EstimationResult has no 'parameters'"
     ),
     "report-empty_config": (
         "exp3/beta.json", lambda doc: {"config": {}, "records": []}, "ExperimentConfig has no 'id'"
@@ -487,6 +549,14 @@ MALFORMED = {
         ]}},
         "ParameterEstimate has no 'std_error'",
     ),
+    "metrics-spec_text_number": (
+        "metrics", lambda doc: {**doc, "spec_text": 5}, "{target} 'spec_text' is not a string"
+    ),
+    "report-spec_text_number": (
+        "exp3/beta.json",
+        lambda doc: {**doc, "records": [{**doc["records"][0], "spec_text": 5}, *doc["records"][1:]]},
+        "Record 'spec_text' is not a string",
+    ),
     "suggest-fixture_bare_number": ("suggest", lambda doc: 5, "{target} is not a JSON object"),
 }
 
@@ -507,7 +577,7 @@ def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform,
     else:
         source = request.getfixturevalue("results_file")
         target = tmp_path / "best.json"
-        args = (command, "--results", target, "--spec", SPEC, "--dict", DICT)
+        args = (command, "--results", target, "--dict", DICT)
     doc = malform(json.loads(source.read_text(encoding="utf-8")))
     target.write_text(json.dumps(doc), encoding="utf-8")
     res = invoke(*args)
