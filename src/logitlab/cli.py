@@ -207,8 +207,8 @@ def validate_cmd(results_path: str, dict_path: str) -> None:
 
 
 def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
-    from logitlab.llmgate.client import FixtureMissing
-    from logitlab.llmgate.config import ProviderConfig, check_provider_name
+    from logitlab.llmgate import client as llm_client
+    from logitlab.llmgate.config import ProviderConfig
 
     providers: list[ProviderConfig] = []
     for item in text.split(","):
@@ -219,12 +219,7 @@ def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
             name, model = item.split(":", 1)
             providers.append(ProviderConfig(name=name, model=model))
         elif replay_dir:
-            check_provider_name(item)
-            root = Path(replay_dir) / item
-            models = sorted(p.name for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
-            if not models:
-                raise FixtureMissing(f"no fixtures under {root}")
-            providers.extend(ProviderConfig(name=item, model=m) for m in models)
+            providers.extend(llm_client.recorded_providers(replay_dir, item))
         else:
             raise ValueError(f"provider '{item}' needs a model (use provider:model) in live mode")
     return providers
@@ -241,7 +236,7 @@ def _parse_providers(text: str, replay_dir: str | None) -> list[ProviderConfig]:
 @click.option("--dict", "dict_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Write extracted .dcm files here.")
 @click.option("--transcripts", "transcript_dir", type=click.Path(), default=None,
-              help="Persist live transcripts into this directory.")
+              help="Keep live transcripts here, in the layout --replay reads.")
 def suggest_cmd(
     exp_id: int,
     provider: str,

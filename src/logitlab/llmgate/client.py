@@ -1,17 +1,15 @@
 """Chat-completions client: recorded fixtures replayed, or one live call.
 
-Given a fixture directory, a completion is the recorded transcript
-returned byte-identically from ``<root>/<provider>/<model>/exp<id>.json``,
-which is what every test and deterministic run uses.  Without one, it is
-exactly one live call (no regeneration): a single user message sent with
-the fixed :data:`~logitlab.llmgate.config.SAMPLING`, its transcript
-persisted before anyone parses it.  ``requests`` is imported only on the
-live path, so replay runs and the CLI start without it.
+The one owner of the transcript layout ``<root>/<provider>/<model>/exp<id>.json``:
+given a fixture directory, a completion is the transcript recorded there,
+returned byte-identically.  Without one, it is exactly one live call (no
+regeneration) with the fixed :data:`~logitlab.llmgate.config.SAMPLING`, its
+transcript written in that layout before anyone parses it.  ``requests`` is
+imported only on the live path, so replay runs and the CLI start without it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,11 +18,15 @@ from pathlib import Path
 
 from logitlab import LogitlabError
 from logitlab.jsonio import dump_json, load_json
-from logitlab.llmgate.config import SAMPLING, ProviderConfig
+from logitlab.llmgate.config import SAMPLING, ProviderConfig, check_provider_name
 from logitlab.llmgate.prompts import PromptBundle
 
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0  # seconds, doubled per attempt
+
+# Inlined-CSV budget of a live call, in estimated tokens (~4 chars per
+# token).  Deliberately generous; the reference dataset is ~60k tokens.
+MAX_ATTACHMENT_TOKENS = 200_000
 
 
 class AuthError(LogitlabError):
@@ -41,6 +43,10 @@ class FixtureMissing(LogitlabError):
 
 class TransportError(LogitlabError):
     pass
+
+
+class AttachmentTooLarge(LogitlabError):
+    """Inlined CSV exceeds the attachment token budget of a live call."""
 
 
 @dataclass(frozen=True)
@@ -66,27 +72,30 @@ def load_fixture(root: str | Path, provider: str, model: str, exp_id: int) -> LL
 
 
 def write_fixture(transcript: LLMTranscript, root: str | Path, exp_id: int) -> Path:
+    """Store a transcript where :func:`load_fixture` reads it, replacing any earlier one."""
     path = fixture_path(root, transcript.provider, transcript.model, exp_id)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dump_json(transcript), encoding="utf-8")
     return path
 
 
-def persist_transcript(transcript: LLMTranscript, directory: str | Path) -> Path:
-    """Store a transcript under a content hash; same content, same file."""
-    payload = dump_json(transcript)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{digest}.json"
-    if not path.exists():
-        path.write_text(payload, encoding="utf-8")
-    return path
+def recorded_providers(root: str | Path, name: str) -> list[ProviderConfig]:
+    """One provider per model recorded for ``name`` under ``root``: every directory
+    below ``<root>/<name>``, at any depth, that holds an ``exp*.json``."""
+    check_provider_name(name)
+    base = Path(root) / name
+    models = sorted({p.parent.relative_to(base).as_posix() for p in base.glob("*/**/exp*.json")})
+    if not models:
+        raise FixtureMissing(f"no fixtures under {base}")
+    return [ProviderConfig(name=name, model=m) for m in models]
 
 
 def _live_call(bundle: PromptBundle, provider: ProviderConfig, session) -> LLMTranscript:
     import requests
 
+    tokens = 0 if bundle.csv is None else len(bundle.csv) // 4
+    if tokens > MAX_ATTACHMENT_TOKENS:
+        raise AttachmentTooLarge(f"csv attachment is ~{tokens} tokens, budget {MAX_ATTACHMENT_TOKENS}")
     key = os.environ.get(provider.key_env)
     if not key:
         raise AuthError(f"set {provider.key_env} for live calls to '{provider.name}'")
@@ -143,8 +152,9 @@ def complete(
 ) -> LLMTranscript:
     """One completion for a prompt bundle: replayed from ``replay_dir`` when given, else live.
 
-    Replayed transcripts are returned exactly as stored; live ones are
-    persisted to ``transcript_dir`` (when given) before being returned.
+    Replayed transcripts are returned exactly as stored; a live one is
+    written to ``transcript_dir`` (when given) by :func:`write_fixture`
+    before being returned, so ``transcript_dir`` replays it.
     """
     if replay_dir is not None:
         return load_fixture(replay_dir, provider.name, provider.model, bundle.experiment_id)
@@ -154,5 +164,5 @@ def complete(
         session = requests.Session()
     transcript = _live_call(bundle, provider, session)
     if transcript_dir is not None:
-        persist_transcript(transcript, transcript_dir)
+        write_fixture(transcript, transcript_dir, bundle.experiment_id)
     return transcript

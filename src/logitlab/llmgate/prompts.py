@@ -11,17 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from logitlab import LogitlabError
 from logitlab.dataset import Dataset, describe, format_csv
 from logitlab.llmgate.config import FULL, ExperimentConfig
-
-# Inlined-CSV budget for the API path, in estimated tokens (~4 chars per
-# token).  Deliberately generous; the reference dataset is ~60k tokens.
-MAX_ATTACHMENT_TOKENS = 200_000
-
-
-class AttachmentTooLarge(LogitlabError):
-    """Inlined CSV exceeds the attachment token budget."""
 
 
 def template_text(name: str) -> str:
@@ -61,12 +52,5 @@ def build_prompt(
         text = text.rstrip("\n") + "\n\n" + template_text("format_addendum")
 
     description = describe(dataset)
-    csv_text = None
-    if config.information == FULL:
-        csv_text = format_csv(dataset)
-        tokens = len(csv_text) // 4
-        if tokens > MAX_ATTACHMENT_TOKENS:
-            raise AttachmentTooLarge(
-                f"csv attachment is ~{tokens} tokens, budget {MAX_ATTACHMENT_TOKENS}"
-            )
+    csv_text = format_csv(dataset) if config.information == FULL else None
     return PromptBundle(config.id, text, description, csv_text)

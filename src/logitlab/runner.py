@@ -173,7 +173,7 @@ def run_experiment(
 
     Transcripts are replayed from ``replay_dir`` when it is given and
     requested live otherwise; a live one is kept under
-    ``<out_dir>/transcripts`` when ``out_dir`` is given.
+    ``<out_dir>/transcripts``, a replay directory, when ``out_dir`` is given.
 
     Raises :class:`RunError`, listing each provider's failure, only when
     no provider yields a transcript; per-provider and per-spec failures

@@ -422,7 +422,8 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_param_line(words: list[str], line: int, alts: tuple[str, ...]):
+def _parse_param_line(words: list[str], line: int):
+    """Name, scope, fixed value, start value, and every alternative named after ``alt``."""
     if len(words) < 2:
         raise DslSyntaxError("param needs a name", line)
     name = words[1]
@@ -431,6 +432,7 @@ def _parse_param_line(words: list[str], line: int, alts: tuple[str, ...]):
     scope: str | None = None
     fixed: float | None = None
     start: float | None = None
+    named_alts: list[str] = []
     i = 2
     while i < len(words):
         word = words[i]
@@ -442,8 +444,7 @@ def _parse_param_line(words: list[str], line: int, alts: tuple[str, ...]):
                 raise DslSyntaxError(f"'{word}' needs a value", line)
             value = words[i + 1]
             if word == "alt":
-                if alts and value not in alts:
-                    raise DslSyntaxError(f"unknown alternative {value!r}", line)
+                named_alts.append(value)
                 scope = value
             else:
                 if not NUMBER_RE.match(value):
@@ -455,7 +456,7 @@ def _parse_param_line(words: list[str], line: int, alts: tuple[str, ...]):
             i += 2
         else:
             raise DslSyntaxError(f"unexpected '{word}' in param declaration", line)
-    return name, scope, fixed, start
+    return name, scope, fixed, start, named_alts
 
 
 def additive_terms(expr: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
@@ -506,6 +507,7 @@ def parse_spec(text: str) -> UtilitySpec:
     decls: dict[str, tuple[int, str | None, float | None, float | None]] = {}
     decl_order: list[str] = []
     u_texts: dict[str, tuple[int, str]] = {}
+    alt_scopes: list[tuple[str, int]] = []  # (alternative, line) of each `param ... alt <name>`
 
     # Declarations first, utilities second, so parameters may be declared
     # anywhere in the file relative to the utilities that use them.
@@ -533,9 +535,10 @@ def parse_spec(text: str) -> UtilitySpec:
                 raise DslSyntaxError("duplicate alternative", lineno)
             alts = tuple(ids)
         elif head == "param":
-            pname, scope, fixed, start = _parse_param_line(words, lineno, alts)
+            pname, scope, fixed, start, named_alts = _parse_param_line(words, lineno)
             if pname in decls:
                 raise DuplicateParameter(f"parameter '{pname}' declared twice", lineno)
+            alt_scopes.extend((a, lineno) for a in named_alts)
             decls[pname] = (lineno, scope, fixed, start)
             decl_order.append(pname)
         elif head.startswith("U(") or head.startswith("U "):
@@ -555,6 +558,9 @@ def parse_spec(text: str) -> UtilitySpec:
         raise DslSyntaxError("missing spec line", 1)
     if not alts:
         raise DslSyntaxError("missing alt line", 1)
+    for alt, lineno in alt_scopes:
+        if alt not in alts:
+            raise DslSyntaxError(f"unknown alternative {alt!r}", lineno)
     for alt, (lineno, _) in u_texts.items():
         if alt not in alts:
             raise DslSyntaxError(f"utility for undeclared alternative '{alt}'", lineno)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import os
@@ -17,9 +18,11 @@ import logitlab
 from logitlab import LogitlabError
 from logitlab.cli import main
 from logitlab.engine import bfgs
+from logitlab.llmgate import client
 from logitlab.llmgate.config import ProviderConfig
 
 from conftest import BEST_SPEC, BOXCOX_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
+from test_runner import live_beta
 
 runner = CliRunner()
 
@@ -326,6 +329,23 @@ def test_suggest_never_writes_outside_out(tmp_path):
     ]
 
 
+def test_suggest_replays_its_live_transcripts(monkeypatch, tmp_path):
+    """``suggest --transcripts T`` keeps the live answer where ``--replay T`` reads it."""
+    beta, _ = live_beta(monkeypatch, model="org/beta-mini")
+    outputs = []
+    for source, name in (("--transcripts", "live"), ("--replay", "replayed")):
+        out = tmp_path / name
+        res = invoke(
+            "suggest", "--experiment", 3, "--provider", beta.name, "--model", beta.model,
+            source, tmp_path / "transcripts", "--data", CSV, "--dict", DICT, "--out", out,
+        )
+        assert res.exit_code == 0, res.output
+        dcm = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs.append((res.stdout.replace(str(out), "<out>"), dcm))
+    assert len(outputs[0][1]) == 3
+    assert outputs[0] == outputs[1]
+
+
 def test_suggest_full_information_needs_data():
     res = invoke(
         "suggest", "--experiment", 1, "--provider", "alpha", "--model", "alpha-large",
@@ -376,6 +396,40 @@ def test_run_summary_line(tmp_path):
     )
     assert res.exit_code == 0
     assert "experiment 1: 3 spec(s), 3 included" in res.stdout
+
+
+def test_run_replays_a_live_run_by_bare_provider(monkeypatch, tmp_path):
+    """Record once, replay forever: ``run --out A`` live, then ``--replay A/transcripts``
+    with the bare provider name, writes the same result files."""
+    live_beta(monkeypatch, model="org/beta-mini")
+    for providers, source in (("beta:org/beta-mini", ()), ("beta", ("--replay", tmp_path / "A/transcripts"))):
+        out = tmp_path / ("B" if source else "A")
+        res = invoke(
+            "run", "--experiment", 3, "--providers", providers,
+            "--data", CSV, "--dict", DICT, *source, "--out", out,
+        )
+        assert res.exit_code == 0, res.output
+    for name in ("beta.json", "manifest.json"):
+        assert (tmp_path / "B/exp3" / name).read_bytes() == (tmp_path / "A/exp3" / name).read_bytes()
+    assert not (tmp_path / "B/transcripts").exists()
+
+
+def test_run_bare_provider_finds_nested_models(tmp_path):
+    """A model named ``org/large`` is recorded two directories deep.  Before, a bare
+    provider found only ``org`` and the run ended in "fixture missing"; a model
+    recorded only for another experiment still ends in that diagnostic."""
+    recorded = client.load_fixture(FIXTURES, "alpha", "alpha-large", 1)
+    client.write_fixture(dataclasses.replace(recorded, model="org/large"), tmp_path / "fx", 1)
+    client.write_fixture(dataclasses.replace(recorded, model="org/other"), tmp_path / "fx", 3)
+    res = invoke(
+        "run", "--experiment", 1, "--providers", "alpha",
+        "--data", CSV, "--dict", DICT, "--replay", tmp_path / "fx", "--out", tmp_path / "runs",
+    )
+    assert res.exit_code == 0, res.output
+    assert "experiment 1: 3 spec(s), 3 included" in res.stdout
+    assert "diagnostic: alpha/org/other: fixture missing" in res.stderr
+    records = json.loads((tmp_path / "runs/exp1/alpha.json").read_text(encoding="utf-8"))["records"]
+    assert {r["model"] for r in records} == {"org/large"}
 
 
 def test_run_bare_provider_requires_replay():

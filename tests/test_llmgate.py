@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 
 import pytest
 import requests
@@ -109,9 +109,16 @@ def test_limited_information_never_ships_csv(synth_data):
 
 
 def test_attachment_budget_enforced(synth_data, monkeypatch):
-    monkeypatch.setattr(prompts, "MAX_ATTACHMENT_TOKENS", 10)
-    with pytest.raises(prompts.AttachmentTooLarge):
-        prompts.build_prompt(config.experiment(1), dataset=synth_data)
+    """The budget limits what a live call sends, before its first request; a
+    replay sends nothing, so a bundle over the budget still replays."""
+    monkeypatch.setattr(client, "MAX_ATTACHMENT_TOKENS", 10)
+    bundle = prompts.build_prompt(config.experiment(1), dataset=synth_data)
+    alpha = config.ProviderConfig(name="alpha", model="alpha-large")
+    assert client.complete(bundle, alpha, replay_dir=FIXTURES).model == "alpha-large"
+    session = FakeSession([])
+    with pytest.raises(client.AttachmentTooLarge, match="budget 10"):
+        client.complete(bundle, alpha, session=session)
+    assert session.calls == []
 
 
 # The recorded fixtures hold the prompts this package sends: a change to the
@@ -258,16 +265,20 @@ def test_recorded_fixtures_replay_byte_identically():
     assert len(got.specs) == 3
 
 
-def test_persist_transcript_content_addressed(tmp_path):
-    t = transcript_with("one")
-    p1 = client.persist_transcript(t, tmp_path)
-    p2 = client.persist_transcript(t, tmp_path)
-    assert p1 == p2
-    assert len(list(tmp_path.glob("*.json"))) == 1
-    p3 = client.persist_transcript(transcript_with("two"), tmp_path)
-    assert p3 != p1
-    stored = json.loads(p1.read_text(encoding="utf-8"))
-    assert stored["response_text"] == "one"
+def test_recorded_providers_finds_models_at_any_depth(tmp_path):
+    """A model name may hold ``/``: each directory below ``<root>/<provider>`` that
+    holds an ``exp*.json`` is one model, whatever its depth and experiment."""
+    for model, exp_id in (("plain", 1), ("org/large", 1), ("org/small/v2", 3)):
+        t = dataclasses.replace(transcript_with("x"), provider="alpha", model=model)
+        client.write_fixture(t, tmp_path, exp_id)
+    (tmp_path / "alpha/empty").mkdir()
+    (tmp_path / "alpha/exp1.json").write_text("{}", encoding="utf-8")  # no model directory
+    got = client.recorded_providers(tmp_path, "alpha")
+    assert got == [config.ProviderConfig(name="alpha", model=m) for m in ("org/large", "org/small/v2", "plain")]
+    with pytest.raises(client.FixtureMissing, match="no fixtures under"):
+        client.recorded_providers(tmp_path, "ghost")
+    with pytest.raises(ValueError, match="not an identifier"):
+        client.recorded_providers(tmp_path, "../alpha")
 
 
 # -- live transport -----------------------------------------------------------------
@@ -340,7 +351,18 @@ def test_live_call_shape_and_transcript(live_env, bundle, tmp_path):
     assert call["body"]["messages"] == [{"role": "user", "content": bundle.as_user_message()}]
     assert t.response_text == "the answer"
     assert t.token_counts == {"completion_tokens": 3, "prompt_tokens": 12}
-    assert len(list(tmp_path.glob("*.json"))) == 1  # persisted before return
+    # kept before return, where a replay reads it
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json")] == ["prov/mod/exp5.json"]
+    assert client.complete(bundle, PROVIDER, replay_dir=tmp_path) == t
+
+
+def test_live_rerun_overwrites_its_transcript(live_env, bundle, tmp_path):
+    for text in ("first", "second"):
+        payload = {**OK_PAYLOAD, "choices": [{"message": {"content": text}}]}
+        session = FakeSession([FakeResponse(200, payload)])
+        client.complete(bundle, PROVIDER, transcript_dir=tmp_path, session=session)
+    assert len(list(tmp_path.rglob("*.json"))) == 1
+    assert client.load_fixture(tmp_path, "prov", "mod", 5).response_text == "second"
 
 
 def test_live_retries_on_429_then_succeeds(live_env, bundle, monkeypatch):

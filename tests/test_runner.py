@@ -19,6 +19,7 @@ from logitlab.llmgate.client import (
     RateLimited,
     TransportError,
     load_fixture,
+    recorded_providers,
     write_fixture,
 )
 from logitlab.llmgate.config import ProviderConfig
@@ -172,7 +173,8 @@ def test_every_provider_failing_is_named_in_run_error(monkeypatch, synth_data):
     assert "delta/delta-pro: TransportError: refused" in str(info.value)
 
 
-def test_live_run_keeps_its_transcript_beside_the_experiment(monkeypatch, tmp_path, synth_data):
+def live_beta(monkeypatch, model="beta-mini"):
+    """Route ``requests.Session`` to one recorded beta answer, as a live call would get it."""
     import requests
 
     text = load_fixture(FIXTURES, "beta", "beta-mini", 3).response_text
@@ -180,11 +182,30 @@ def test_live_run_keeps_its_transcript_beside_the_experiment(monkeypatch, tmp_pa
     monkeypatch.setattr(requests, "Session", lambda: FakeSession([FakeResponse(200, payload)]))
     monkeypatch.setenv("BETA_API_KEY", "secret-key")
     monkeypatch.setenv("BETA_BASE_URL", "https://api.example/v1")
-    result = runner.run_experiment(3, [BETA], synth_data, out_dir=tmp_path)
+    return ProviderConfig(name="beta", model=model), text
+
+
+def test_live_run_keeps_its_transcript_beside_the_experiment(monkeypatch, tmp_path, synth_data):
+    beta, text = live_beta(monkeypatch)
+    result = runner.run_experiment(3, [beta], synth_data, out_dir=tmp_path)
     assert len(result.records) == 3
-    (kept,) = (tmp_path / "transcripts").iterdir()
+    (kept,) = (tmp_path / "transcripts").rglob("*.json")
+    assert kept == tmp_path / "transcripts/beta/beta-mini/exp3.json"
     assert load_json(kept, LLMTranscript).response_text == text
     assert sorted(p.name for p in (tmp_path / "exp3").iterdir()) == ["beta.json", "manifest.json"]
+
+
+def test_live_run_replays_from_its_transcripts(monkeypatch, tmp_path, synth_data):
+    """Record once, replay forever: a live run's ``transcripts/`` is a replay
+    directory, and its replay, with the model found there, writes the same files."""
+    beta, _ = live_beta(monkeypatch, model="org/beta-mini")
+    live, replayed = tmp_path / "live", tmp_path / "replayed"
+    runner.run_experiment(3, [beta], synth_data, out_dir=live)
+    providers = recorded_providers(live / "transcripts", "beta")
+    assert providers == [beta]
+    runner.run_experiment(3, providers, synth_data, replay_dir=live / "transcripts", out_dir=replayed)
+    for name in ("beta.json", "manifest.json"):
+        assert (replayed / "exp3" / name).read_bytes() == (live / "exp3" / name).read_bytes()
 
 
 def test_no_providers_raises(synth_data):

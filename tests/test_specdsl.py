@@ -92,6 +92,21 @@ def test_missing_and_undeclared_utilities_rejected():
         parse_spec("spec s\nalt a\nparam b_t\nU(a) = b_t * t\nU(c) = 0\n")
 
 
+@pytest.mark.parametrize("alt_line_first", [True, False], ids=["alt_line_first", "param_line_first"])
+def test_param_scope_names_a_declared_alternative_in_either_line_order(alt_line_first):
+    """``alt <name>`` on a ``param`` line is checked against the ``alt`` line wherever
+    that line is.  Before, a ``param`` above it was not checked: the spec parsed, a run
+    saved it, and every report on that runs directory failed re-reading it."""
+    lines = ["alt car bus", "param b_x alt nowhere"]
+    if not alt_line_first:
+        lines.reverse()
+    text = "\n".join(["spec s", *lines, "U(car) = b_x * time_car", "U(bus) = 0"]) + "\n"
+    param_line = 2 + lines.index("param b_x alt nowhere")
+    with pytest.raises(DslSyntaxError, match=f"^line {param_line}: unknown alternative 'nowhere'$"):
+        parse_spec(text)
+    assert parse_spec(text.replace("nowhere", "car")).parameter("b_x").scope == "car"
+
+
 @pytest.mark.parametrize("name", ["../../escaped", "a/b", "1st", "s-1", "s.dcm"])
 def test_spec_name_must_be_an_identifier(name):
     with pytest.raises(DslSyntaxError, match=f"^line 1: invalid spec name {re.escape(repr(name))}$"):
