@@ -161,9 +161,8 @@ def metrics_cmd(results_path: str, dict_path: str) -> None:
     """Fit statistics and value of time from a results file, for the spec it holds."""
     from logitlab import dataset as ds
     from logitlab import metrics as metrics_mod
-    from logitlab.jsonio import load_json
 
-    doc = load_json(results_path, metrics_mod.ResultsFile)
+    doc = metrics_mod.read_results(results_path)
     result, spec = doc["estimation"], doc["spec_text"]
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
     fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc["n_obs"])
@@ -188,9 +187,8 @@ def validate_cmd(results_path: str, dict_path: str) -> None:
     from logitlab import dataset as ds
     from logitlab import metrics as metrics_mod
     from logitlab import validate as validate_mod
-    from logitlab.jsonio import load_json
 
-    doc = load_json(results_path, metrics_mod.ResultsFile)
+    doc = metrics_mod.read_results(results_path)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
     report = validate_mod.check_model(doc["estimation"], doc["spec_text"], dictionary)
     click.echo(f"exclusion: {report.exclusion}")
@@ -266,6 +264,8 @@ def suggest_cmd(
         transcript_dir=transcript_dir,
     )
     extraction = llm_extract.extract_specs(transcript)
+    # provenance for the reader, as plain comments under the spec line
+    provenance = f"\n# model: {transcript.model}\n# provider: {transcript.provider}\n"
 
     for spec in extraction.specs:
         click.echo(f"spec: {spec.name}")
@@ -273,7 +273,7 @@ def suggest_cmd(
             path = Path(out_dir)
             path.mkdir(parents=True, exist_ok=True)
             (path / f"{spec.name}.dcm").write_text(
-                serialize.serialize_spec(spec), encoding="utf-8"
+                serialize.serialize_spec(spec).replace("\n", provenance, 1), encoding="utf-8"
             )
     for claim in extraction.claimed:
         click.echo(f"claim: {claim.spec_name} LL={claim.loglik}")

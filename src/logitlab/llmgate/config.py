@@ -23,6 +23,7 @@ _PRESETS = {
     4: (FULL, CHAIN_OF_THOUGHT, SUGGEST),
     5: (LIMITED, ZERO_SHOT, SUGGEST),
 }
+EXPERIMENT_IDS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,6 @@ def extract_specs(transcript: LLMTranscript) -> SpecExtraction:
         if any(s.name == spec.name for s in specs):
             diagnostics.append(f"duplicate spec name '{spec.name}'; later block ignored")
             continue
-        spec.metadata["provider"] = transcript.provider
-        spec.metadata["model"] = transcript.model
         specs.append(spec)
 
     if not specs:

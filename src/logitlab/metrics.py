@@ -17,6 +17,7 @@ from typing import TypedDict
 from logitlab import LogitlabError
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
+from logitlab.jsonio import load_json
 from logitlab.specdsl.expr import Const, Div, Expr, Mul, Param, Var
 from logitlab.specdsl.parser import UtilitySpec, additive_terms
 
@@ -78,6 +79,20 @@ def information_criteria(loglik: float, k: int, n: int) -> FitStats:
 
 def rho_squared(loglik: float, null_loglik: float) -> float:
     return 1.0 - loglik / null_loglik
+
+
+def read_results(path) -> ResultsFile:
+    """An ``estimate --out`` file, refused in one line when its figures cannot be
+    judged: a null log-likelihood of 0 (no rho-squared) or no estimate for one of
+    the spec's free parameters."""
+    doc = load_json(path, ResultsFile)
+    result, spec = doc["estimation"], doc["spec_text"]
+    if result.null_loglik == 0.0:
+        raise ValueError(f"{path} 'null_loglik' is 0, so rho-squared is undefined")
+    for p in spec.free_parameters:
+        if p.name not in result.names:
+            raise ValueError(f"{path} 'estimation' has no estimate for parameter '{p.name}'")
+    return doc
 
 
 def _factorize(term: Expr) -> list[Expr] | None:

@@ -29,7 +29,7 @@ from logitlab.dataset import Dataset, format_csv, write_dictionary
 from logitlab.engine.bfgs import EstimationResult, estimate
 from logitlab.jsonio import dump_json, load_json
 from logitlab.llmgate.client import AuthError, FixtureMissing, RateLimited, TransportError, complete
-from logitlab.llmgate.config import ExperimentConfig, ProviderConfig, experiment
+from logitlab.llmgate.config import EXPERIMENT_IDS, ExperimentConfig, ProviderConfig, experiment
 from logitlab.llmgate.extract import Claim, extract_specs
 from logitlab.llmgate.prompts import build_prompt
 from logitlab.metrics import FitStats, MissingCoefficient, VotEstimate, information_criteria, value_of_time
@@ -206,7 +206,6 @@ def run_experiment(
         diagnostics.extend(f"{label}: {d}" for d in extraction.diagnostics)
         claims = {c.spec_name: c for c in extraction.claimed}
         for spec in extraction.specs:
-            spec.metadata["experiment"] = str(config.id)
             records.append(_process_spec(spec, dataset, provider, claims))
 
     if transcripts == 0:
@@ -264,10 +263,16 @@ def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset)
 
 def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
     """Read every persisted experiment under a runs directory: the result files its
-    manifest lists, so a provider file a later run left behind is not read."""
+    manifest lists, so a provider file a later run left behind is not read.
+
+    Only the directories :func:`save_result` writes, ``exp<N>`` for each experiment
+    id N, are read, so a copy such as ``exp1_old`` is no second experiment 1; a
+    result file there that holds another experiment is refused.
+    """
     out: list[ExperimentResult] = []
     root = Path(runs_dir)
-    for exp_dir in sorted(root.glob("exp*")):
+    for exp_id in EXPERIMENT_IDS:
+        exp_dir = root / f"exp{exp_id}"
         manifest_path = exp_dir / "manifest.json"
         if not manifest_path.is_file():
             continue
@@ -277,8 +282,11 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
         for name in sorted(manifest["result_files"]):
             if name in ("", ".", "..") or Path(name).name != name:
                 raise ValueError(f"{manifest_path} 'result_files' lists '{name}', not a plain file name")
-            doc = load_json(exp_dir / name, ProviderFile)
+            path = exp_dir / name
+            doc = load_json(path, ProviderFile)
             config = doc["config"]
+            if config.id != exp_id:
+                raise ValueError(f"{path} holds experiment {config.id}, not {exp_id}")
             records.extend(doc["records"])
         if config is None:
             continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from logitlab import LogitlabError
 from logitlab.specdsl.expr import (
@@ -106,18 +106,12 @@ class ParameterDecl:
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """A parsed specification: alternatives, parameters, utilities.
-
-    ``metadata`` carries provenance (which prompt produced it, etc.) and
-    is deliberately excluded from equality: two specs are the same model
-    regardless of where they came from.
-    """
+    """A parsed specification, only its model: alternatives, parameters, utilities."""
 
     name: str
     alternatives: tuple[str, ...]
     parameters: tuple[ParameterDecl, ...]
     utilities: dict[str, Expr]
-    metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
     def parameter(self, name: str) -> ParameterDecl:
         for p in self.parameters:
@@ -140,7 +134,7 @@ class UtilitySpec:
         return any(p.role == "asc" and p.fixed is None and p.name in users for p in self.parameters)
 
     def to_json(self) -> str:
-        """The spec's text, metadata included, as :func:`parse_spec` reads it back."""
+        """The spec's canonical text, as :func:`parse_spec` reads it back."""
         from logitlab.specdsl.serialize import serialize_spec  # serialize imports this module
 
         return serialize_spec(self)
@@ -374,30 +368,6 @@ def parse_expression(text: str, declared: set[str], line: int = 1) -> Expr:
 
 
 _U_LINE_RE = re.compile(r"U\(([A-Za-z_][A-Za-z0-9_]*)\)\s*=\s*(.*)$")
-_META_RE = re.compile(r"^#\s*([A-Za-z_][A-Za-z0-9_]*):\s*(.*?)\s*$")
-
-
-def _metadata_block(text: str) -> dict[str, str]:
-    """Recover ``# key: value`` comments directly under the spec line.
-
-    This inverts the serializer's metadata placement, so parse/serialize
-    cycles are byte-stable; comments anywhere else stay plain comments.
-    """
-    meta: dict[str, str] = {}
-    seen_spec = False
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not seen_spec:
-            if raw.split("#", 1)[0].strip().startswith("spec "):
-                seen_spec = True
-            continue
-        if not stripped:
-            continue
-        m = _META_RE.match(stripped)
-        if m is None:
-            break
-        meta[m.group(1)] = m.group(2)
-    return meta
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
@@ -495,7 +465,7 @@ def _check_asc_usage(name: str, uses: list[str], utilities: dict[str, Expr], u_l
 
 
 def parse_spec(text: str) -> UtilitySpec:
-    """Parse a complete specification file.
+    """Parse a complete specification file; every comment, provenance too, is skipped.
 
     Raises one of the :class:`SpecDslError` subclasses with a line number
     on any malformed input; never returns a partially built spec.
@@ -605,4 +575,4 @@ def parse_spec(text: str) -> UtilitySpec:
             start = fixed
         params.append(ParameterDecl(pname, role, scope, fixed, start))
 
-    return UtilitySpec(name, alts, tuple(params), utilities, metadata=_metadata_block(text))
+    return UtilitySpec(name, alts, tuple(params), utilities)

@@ -100,11 +100,8 @@ def _serialize_param(p: ParameterDecl) -> str:
 
 
 def serialize_spec(spec: UtilitySpec) -> str:
-    """Render a spec in canonical form, metadata as leading comments."""
-    lines = [f"spec {spec.name}"]
-    for key in sorted(spec.metadata):
-        lines.append(f"# {key}: {spec.metadata[key]}")
-    lines.append("alt " + " ".join(spec.alternatives))
+    """Render a spec in canonical form: its model only, with no comment lines."""
+    lines = [f"spec {spec.name}", "alt " + " ".join(spec.alternatives)]
     for p in spec.parameters:
         lines.append(_serialize_param(p))
     for alt in spec.alternatives:

@@ -177,8 +177,6 @@ def test_extracts_spec_and_matching_claims():
     )
     got = extract.extract_specs(transcript_with(text))
     assert [s.name for s in got.specs] == ["m1"]
-    assert got.specs[0].metadata["provider"] == "prov"
-    assert got.specs[0].metadata["model"] == "mod"
     assert got.claimed == (extract.Claim("m1", -950.1, 1904.2, 1914.0),)
     assert got.diagnostics == ()
 

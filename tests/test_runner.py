@@ -25,6 +25,7 @@ from logitlab.llmgate.client import (
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.extract import Claim
 from logitlab.metrics import FitStats
+from logitlab.specdsl.serialize import serialize_spec
 
 from conftest import FIXTURES
 from test_llmgate import OK_PAYLOAD, FakeResponse, FakeSession
@@ -111,11 +112,30 @@ def test_replay_fit_consistent_with_estimation(alpha_run):
         )
 
 
-def test_spec_metadata_carries_run_context(alpha_run):
-    spec = alpha_run.records[0].spec
-    assert spec.metadata["provider"] == "alpha"
-    assert spec.metadata["model"] == "alpha-large"
-    assert spec.metadata["experiment"] == "1"
+def test_record_and_document_carry_the_run_context(tmp_path, alpha_run, synth_data):
+    """Provenance lives on the record and in the document's config; the
+    persisted spec text is the spec's canonical text, with no comment line."""
+    runner.save_result(alpha_run, tmp_path, synth_data)
+    doc = json.loads((tmp_path / "exp1/alpha.json").read_text(encoding="utf-8"))
+    assert doc["config"]["id"] == 1
+    assert [(r["provider"], r["model"]) for r in doc["records"]] == [("alpha", "alpha-large")] * 3
+    for raw, record in zip(doc["records"], alpha_run.records):
+        assert not any(line.startswith("#") for line in raw["spec_text"].splitlines())
+        assert raw["spec_text"] == serialize_spec(record.spec)
+
+
+def test_llm_comments_do_not_reach_the_runs_directory(tmp_path, synth_data):
+    """A comment the LLM wrote under a block's spec line is not part of the model
+    and is not persisted."""
+    transcript = load_fixture(FIXTURES, "alpha", "alpha-large", 1)
+    assert "spec s1_base\n" in transcript.response_text
+    text = transcript.response_text.replace(
+        "spec s1_base\n", "spec s1_base\n# note: baseline with generic time\n"
+    )
+    write_fixture(dataclasses.replace(transcript, response_text=text), tmp_path / "replay", 1)
+    runner.run_experiment(1, [ALPHA], synth_data, replay_dir=tmp_path / "replay", out_dir=tmp_path / "runs")
+    saved = (tmp_path / "runs/exp1/alpha.json").read_text(encoding="utf-8")
+    assert "baseline with generic time" not in saved and "# " not in saved
 
 
 def test_fabricated_claim_flagged(synth_data):

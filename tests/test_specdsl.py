@@ -273,20 +273,12 @@ def test_spec_serialization_canonical(best_spec):
     assert serialize.serialize_spec(again) == text
 
 
-def test_metadata_comments_survive_round_trip():
-    spec = parse_spec(TWO_ALT)
-    spec.metadata["provider"] = "alpha"
-    spec.metadata["model"] = "alpha-large"
-    text = serialize.serialize_spec(spec)
-    assert "# model: alpha-large\n# provider: alpha\n" in text
-    again = parse_spec(text)
-    assert again.metadata == spec.metadata
-    assert serialize.serialize_spec(again) == text
-
-
-def test_ordinary_comments_are_not_metadata():
+def test_comments_under_the_spec_line_are_plain_comments():
+    """A spec is only its model: comments, provenance-like ones included, are
+    skipped by the parser and never printed by the serializer."""
     text = (
         "spec s\n"
+        "# model: alpha-large\n"
         "# provider: alpha\n"
         "alt a b\n"
         "# cost enters linearly: keep it simple\n"
@@ -294,8 +286,10 @@ def test_ordinary_comments_are_not_metadata():
         "U(a) = b_x * x\nU(b) = 0\n"
     )
     spec = parse_spec(text)
-    # only the block directly under the spec line is provenance
-    assert spec.metadata == {"provider": "alpha"}
+    out = serialize.serialize_spec(spec)
+    assert "#" not in out
+    assert out == "spec s\nalt a b\nparam b_x generic\nU(a) = b_x * x\nU(b) = 0\n"
+    assert parse_spec(out) == spec
 
 
 # -- property: parse/serialize round-trip ------------------------------------
