@@ -161,11 +161,12 @@ def metrics_cmd(results_path: str, dict_path: str) -> None:
     """Fit statistics and value of time from a results file, for the spec it holds."""
     from logitlab import dataset as ds
     from logitlab import metrics as metrics_mod
+    from logitlab.jsonio import load_json
 
-    doc = metrics_mod.read_results(results_path)
-    result, spec = doc["estimation"], doc["spec_text"]
+    doc = load_json(results_path, metrics_mod.ResultsFile)
+    result, spec = doc.estimation, doc.spec_text
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-    fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc["n_obs"])
+    fit = metrics_mod.information_criteria(result.loglik, result.n_free, doc.n_obs)
     rho = metrics_mod.rho_squared(result.loglik, result.null_loglik)
     click.echo(f"LL={fit.loglik:.4f}  AIC={fit.aic:.4f}  BIC={fit.bic:.4f}  k={fit.k}  n={fit.n}")
     click.echo(f"rho-squared={rho:.4f}")
@@ -187,14 +188,15 @@ def validate_cmd(results_path: str, dict_path: str) -> None:
     from logitlab import dataset as ds
     from logitlab import metrics as metrics_mod
     from logitlab import validate as validate_mod
+    from logitlab.jsonio import load_json
 
-    doc = metrics_mod.read_results(results_path)
+    doc = load_json(results_path, metrics_mod.ResultsFile)
     dictionary = ds.parse_dictionary(Path(dict_path).read_text(encoding="utf-8"))
-    report = validate_mod.check_model(doc["estimation"], doc["spec_text"], dictionary)
+    report = validate_mod.check_model(doc.estimation, doc.spec_text, dictionary)
     click.echo(f"exclusion: {report.exclusion}")
     click.echo(f"has_asc={str(report.has_asc).lower()} converged={str(report.converged).lower()}")
     for v in report.sign_violations:
-        click.echo(f"  positive sign: {v['parameter']} = {v['estimate']:.6f}")
+        click.echo(f"  positive sign: {v.parameter} = {v.estimate:.6f}")
     for name in report.insignificant_core:
         click.echo(f"  insignificant: {name}")
     if report.notes:

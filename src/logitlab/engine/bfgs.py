@@ -75,6 +75,16 @@ class EstimationResult:
     convergence_reason: str  # gradient_tolerance | max_iterations | line_search_failure | non_finite
     hessian_pd: bool
 
+    def __post_init__(self) -> None:
+        names = self.names
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"'parameters' has more than one row for '{name}'")
+        if self.null_loglik >= 0.0:
+            raise ValueError(f"'null_loglik' is {self.null_loglik}, not negative")
+        if self.loglik > 0.0:
+            raise ValueError(f"'loglik' is {self.loglik}, above 0")
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)

@@ -1,25 +1,25 @@
 """JSON as logitlab writes it: byte-stable text, null for NaN and infinity.
 
 :func:`to_json` maps a dataclass to an object with one key per field,
-tuples and lists to lists, and a NaN or infinite float to
-``null``.  :func:`from_json` rebuilds a value from the type hints of each
-dataclass or TypedDict field, resolved once per class.  A ``null`` is
-``None`` where the hint allows it (``X | None``) and the field's
-"missing" float where the hint is a bare ``float``: NaN unless its
-``dataclasses.field(metadata=...)`` sets ``"missing"`` (``-math.inf``
-for a log-likelihood that could not be computed).  The metadata's
-``"key"`` names the JSON key when it differs from the field name.  An
-absent key leaves the field's default, and raises ``ValueError`` when
-the field has none.
+tuples and lists to lists, and a NaN or infinite float to ``null``.
+:func:`from_json` rebuilds a value from the type hints of each dataclass
+field, resolved once per class; it decodes no record type but a
+dataclass.  A ``null`` is ``None`` where the hint allows it
+(``X | None``) and the field's "missing" float where the hint is a bare
+``float``: NaN unless its ``dataclasses.field(metadata=...)`` sets
+``"missing"`` (``-math.inf`` for a log-likelihood that could not be
+computed).  The metadata's ``"key"`` names the JSON key when it differs
+from the field name.  An absent key leaves the field's default, and
+raises ``ValueError`` when the field has none.
 A value whose JSON type does not fit its hint (a non-array for a list or
 tuple, a non-object for a dict or dataclass, a non-number for an int or
 float, a number that is not a JSON integer for an int, a non-string for
 a str, a non-boolean for a bool) raises ``ValueError`` naming where it
 sits: the class and key of its field, or the ``where`` a caller passes
-for a value outside one.  A dataclass names its keys by its class name;
-a TypedDict names them by the ``where`` it is given (a file, for the
-one-line TypedDict a reader passes to :func:`load_json`), and by its
-class name without one.
+for a value outside one.  A dataclass names its keys by its class name, or
+by the file when :func:`load_json` decodes a whole file into it.  A type
+states the rules of its figures in ``__post_init__``; the ``ValueError``
+that raises is re-raised once, prefixed by where the value sits.
 
 A dataclass stored as a string (:class:`UtilitySpec`, as its DSL text)
 defines the hook pair ``to_json(self)`` and the classmethod
@@ -37,12 +37,8 @@ import typing
 
 @functools.cache
 def _fields(cls) -> tuple[tuple[str, str, object, float, bool], ...]:
-    """(name, JSON key, type hint, missing float, required) of each field of a dataclass or TypedDict."""
+    """(name, JSON key, type hint, missing float, required) of each field of a dataclass."""
     hints = typing.get_type_hints(cls)
-    if not dataclasses.is_dataclass(cls):
-        return tuple(
-            (name, name, hint, math.nan, name in cls.__required_keys__) for name, hint in hints.items()
-        )
     return tuple(
         (
             f.name,
@@ -70,11 +66,14 @@ def to_json(obj):
     return obj
 
 
-def from_json(tp, data, missing: float = math.nan, where: str | None = None):
+def from_json(
+    tp, data, missing: float = math.nan, where: str | None = None, owner: str | None = None
+):
     """A value of type ``tp`` from :func:`to_json`'s output; ``missing`` is a bare float's null.
 
-    ``where`` names the value in the ValueError its JSON type raises when it
-    does not fit ``tp``, and the keys of a TypedDict; a dataclass names its own keys.
+    ``where`` names the value in the ValueError its JSON type or its dataclass's
+    rules raise when it does not fit ``tp``; ``owner`` names the keys of a
+    dataclass ``tp``, its class name by default.
     """
     origin = typing.get_origin(tp)
     args = typing.get_args(tp)
@@ -82,24 +81,29 @@ def from_json(tp, data, missing: float = math.nan, where: str | None = None):
         if data is None:
             return None
         (inner,) = [a for a in args if a is not type(None)]
-        return from_json(inner, data, missing, where)
+        return from_json(inner, data, missing, where, owner)
     if tp is float and data is None:
         return missing
-    if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
+    if dataclasses.is_dataclass(tp):
+        where = where or tp.__name__
         if hasattr(tp, "from_json"):
-            _expect(data, str, where or tp.__name__)
+            _expect(data, str, where)
             return tp.from_json(data)
-        _expect(data, dict, where or tp.__name__)
-        owner = where if where and typing.is_typeddict(tp) else tp.__name__
+        _expect(data, dict, where)
+        owner = owner or tp.__name__
         fields = _fields(tp)
         for _, key, _, _, required in fields:
             if required and key not in data:
                 raise ValueError(f"{owner} has no '{key}'")
-        return tp(**{
+        values = {
             name: from_json(hint, data[key], miss, f"{owner} '{key}'")
             for name, key, hint, miss, _ in fields
             if key in data  # an absent key leaves the field's default
-        })
+        }
+        try:
+            return tp(**values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     where = where or "JSON value"
     if tp in (int, float):
         _expect(data, (int, float), where)
@@ -133,10 +137,10 @@ def _expect(data, json_type, where: str) -> None:
 
 
 def load_json(path, tp):
-    """The value of type ``tp`` in the JSON file ``path``; ValueError naming the file
-    where it does not fit."""
+    """The value of dataclass ``tp`` in the JSON file ``path``, its keys named by the
+    file; ValueError naming the file where it does not fit."""
     with open(path, encoding="utf-8") as fh:
-        return from_json(tp, json.load(fh), where=str(path))
+        return from_json(tp, json.load(fh), where=str(path), owner=str(path))
 
 
 def dump_json(obj) -> str:

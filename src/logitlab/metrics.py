@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TypedDict
 
 from logitlab import LogitlabError
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
-from logitlab.jsonio import load_json
 from logitlab.specdsl.expr import Const, Div, Expr, Mul, Param, Var
 from logitlab.specdsl.parser import UtilitySpec, additive_terms
 
@@ -28,10 +26,21 @@ class MissingCoefficient(LogitlabError):
     """No alternative carries both a time and a cost main effect."""
 
 
-# The keys of an estimate --out file that metrics and validate read, its spec among them.
-ResultsFile = TypedDict(
-    "ResultsFile", {"spec_text": UtilitySpec, "n_obs": int, "estimation": EstimationResult}
-)
+@dataclass(frozen=True)
+class ResultsFile:
+    """The keys of an ``estimate --out`` file that ``metrics`` and ``validate`` read:
+    a fit of ``spec_text`` to ``n_obs`` observations, one row per free parameter."""
+
+    spec_text: UtilitySpec
+    n_obs: int
+    estimation: EstimationResult
+
+    def __post_init__(self) -> None:
+        if self.n_obs < 1:
+            raise ValueError(f"'n_obs' is {self.n_obs}, not a positive count")
+        rows, free = list(self.estimation.names), [p.name for p in self.spec_text.free_parameters]
+        if rows != free:
+            raise ValueError(f"'estimation' has rows {rows}, not the spec's free parameters {free}")
 
 
 @dataclass(frozen=True)
@@ -79,20 +88,6 @@ def information_criteria(loglik: float, k: int, n: int) -> FitStats:
 
 def rho_squared(loglik: float, null_loglik: float) -> float:
     return 1.0 - loglik / null_loglik
-
-
-def read_results(path) -> ResultsFile:
-    """An ``estimate --out`` file, refused in one line when its figures cannot be
-    judged: a null log-likelihood of 0 (no rho-squared) or no estimate for one of
-    the spec's free parameters."""
-    doc = load_json(path, ResultsFile)
-    result, spec = doc["estimation"], doc["spec_text"]
-    if result.null_loglik == 0.0:
-        raise ValueError(f"{path} 'null_loglik' is 0, so rho-squared is undefined")
-    for p in spec.free_parameters:
-        if p.name not in result.names:
-            raise ValueError(f"{path} 'estimation' has no estimate for parameter '{p.name}'")
-    return doc
 
 
 def _factorize(term: Expr) -> list[Expr] | None:

@@ -22,7 +22,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TypedDict
 
 from logitlab import LogitlabError
 from logitlab.dataset import Dataset, format_csv, write_dictionary
@@ -47,7 +46,7 @@ NOT_REPRODUCED = "not_reproduced"
 
 
 class RunError(LogitlabError):
-    """No provider produced a transcript; nothing to report."""
+    """A provider list that cannot run, or no provider produced a transcript."""
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,15 @@ class Record:
     reproduction: ReproductionVerdict | None = None
     diagnostics: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.fit is not None and self.estimation is not None and (
+            self.fit.loglik != self.estimation.loglik or self.fit.k != self.estimation.n_free
+        ):
+            raise ValueError(
+                f"'fit' has loglik {self.fit.loglik} and k={self.fit.k}, not the estimation's"
+                f" {self.estimation.loglik} and {self.estimation.n_free}"
+            )
+
     @property
     def included(self) -> bool:
         """Validated and passed every inclusion rule."""
@@ -100,14 +108,19 @@ class Record:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One experiment's records; also the type a provider document decodes as."""
+
     config: ExperimentConfig
     records: tuple[Record, ...]
     diagnostics: tuple[str, ...] = ()
 
 
-# The keys load_results reads from a provider document and from a manifest.
-ProviderFile = TypedDict("ProviderFile", {"config": ExperimentConfig, "records": list[Record]})
-ManifestFile = TypedDict("ManifestFile", {"diagnostics": list[str], "result_files": dict[str, str]})
+@dataclass(frozen=True)
+class ManifestFile:
+    """The keys :func:`load_results` reads from a manifest."""
+
+    diagnostics: tuple[str, ...]
+    result_files: dict[str, str]
 
 
 def natural_key(name: str) -> tuple:
@@ -175,14 +188,18 @@ def run_experiment(
     requested live otherwise; a live one is kept under
     ``<out_dir>/transcripts``, a replay directory, when ``out_dir`` is given.
 
-    Raises :class:`RunError`, listing each provider's failure, only when
-    no provider yields a transcript; per-provider and per-spec failures
-    are reported as diagnostics.
+    Raises :class:`RunError` before any call when a (provider, model) pair is
+    given twice, and, listing each provider's failure, when no provider yields
+    a transcript; per-provider and per-spec failures are reported as diagnostics.
     """
     if isinstance(config, int):
         config = experiment(config)
     if not providers:
         raise RunError("no providers given")
+    pairs = [(p.name, p.model) for p in providers]
+    for i, (name, model) in enumerate(pairs):
+        if (name, model) in pairs[:i]:
+            raise RunError(f"provider {name}:{model} is given more than once")
 
     bundle = build_prompt(config, dataset, paper_faithful=paper_faithful)
     transcript_dir = None if out_dir is None else Path(out_dir) / "transcripts"
@@ -279,21 +296,21 @@ def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
         manifest = load_json(manifest_path, ManifestFile)
         records: list[Record] = []
         config = None
-        for name in sorted(manifest["result_files"]):
+        for name in sorted(manifest.result_files):
             if name in ("", ".", "..") or Path(name).name != name:
                 raise ValueError(f"{manifest_path} 'result_files' lists '{name}', not a plain file name")
             path = exp_dir / name
-            doc = load_json(path, ProviderFile)
-            config = doc["config"]
+            doc = load_json(path, ExperimentResult)
+            config = doc.config
             if config.id != exp_id:
                 raise ValueError(f"{path} holds experiment {config.id}, not {exp_id}")
-            records.extend(doc["records"])
+            records.extend(doc.records)
         if config is None:
             continue
         records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))
         out.append(
             ExperimentResult(
-                config=config, records=tuple(records), diagnostics=tuple(manifest["diagnostics"])
+                config=config, records=tuple(records), diagnostics=manifest.diagnostics
             )
         )
     return out

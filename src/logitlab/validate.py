@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TypedDict
 
 from logitlab.dataset import DataDictionary
 from logitlab.engine.bfgs import EstimationResult
@@ -24,7 +23,8 @@ EXCLUDED_NONCONVERGENCE = "excluded_nonconvergence"
 EXCLUDED_POSITIVE_SIGN = "excluded_positive_sign"
 
 
-class SignViolation(TypedDict):
+@dataclass(frozen=True)
+class SignViolation:
     parameter: str
     estimate: float
 

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import importlib
 import json
+import operator
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import logitlab
 from logitlab import LogitlabError
@@ -31,6 +37,7 @@ runner = CliRunner()
 CSV = str(SYNTH_CSV)
 DICT = str(SYNTH_DICT)
 SPEC = str(BEST_SPEC)
+BEST_FREE = ["asc_bus", "asc_air", "asc_rail", "b_time", "b_cost", "b_access", "b_time_business"]
 
 
 def invoke(*args):
@@ -188,16 +195,7 @@ def test_estimate_stdout_and_results_doc(results_file):
     assert doc["n_obs"] == 1000
     assert doc["estimation"]["converged"] is True
     assert abs(doc["estimation"]["loglik"] - (-841.822354614)) < 1e-6
-    names = [p["name"] for p in doc["estimation"]["parameters"]]
-    assert names == [
-        "asc_bus",
-        "asc_air",
-        "asc_rail",
-        "b_time",
-        "b_cost",
-        "b_access",
-        "b_time_business",
-    ]
+    assert [p["name"] for p in doc["estimation"]["parameters"]] == BEST_FREE
     assert abs(doc["fit"]["aic"] - 1697.644709227) < 1e-5
     assert doc["spec_text"].startswith("spec synthetic_best\n")
 
@@ -455,6 +453,19 @@ def test_run_unknown_provider_in_replay(tmp_path):
     assert "FixtureMissing" in res.stderr
 
 
+@pytest.mark.parametrize("providers", ["alpha:alpha-large,alpha:alpha-large", "alpha,alpha:alpha-large"])
+def test_run_refuses_a_model_given_twice(tmp_path, providers):
+    """Before, both lists ran alpha-large twice and counted its 3 specs as 6."""
+    res = invoke(
+        "run", "--experiment", 1, "--providers", providers,
+        "--data", CSV, "--dict", DICT, "--replay", FIXTURES, "--out", tmp_path,
+    )
+    assert res.exit_code == 1
+    assert res.stderr == "Error: RunError: provider alpha:alpha-large is given more than once\n"
+    assert res.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, message", [
     (("run", "--experiment", 1, "--providers", "../fixtures/alpha:alpha-large"),
      "provider name '../fixtures/alpha' is not an identifier"),
@@ -577,6 +588,15 @@ def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
+def _with_estimation(**figures):
+    return lambda doc: {**doc, "estimation": {**doc["estimation"], **figures}}
+
+
+def _with_first_row_twice(doc):
+    rows = doc["estimation"]["parameters"]
+    return _with_estimation(parameters=[*rows, rows[0]])(doc)
+
+
 def _without_parameter(name):
     return lambda doc: {**doc, "estimation": {**doc["estimation"], "parameters": [
         row for row in doc["estimation"]["parameters"] if row["name"] != name
@@ -648,18 +668,52 @@ MALFORMED = {
     "suggest-fixture_bare_number": ("suggest", lambda doc: 5, "{target} is not a JSON object"),
     "metrics-null_loglik_zero": (
         "metrics",
-        lambda doc: {**doc, "estimation": {**doc["estimation"], "null_loglik": 0}},
-        "{target} 'null_loglik' is 0, so rho-squared is undefined",
+        _with_estimation(null_loglik=0),
+        "{target} 'estimation': 'null_loglik' is 0.0, not negative",
     ),
     "metrics-parameter_missing": (
         "metrics",
         _without_parameter("b_cost"),
-        "{target} 'estimation' has no estimate for parameter 'b_cost'",
+        f"{{target}}: 'estimation' has rows {[n for n in BEST_FREE if n != 'b_cost']},"
+        f" not the spec's free parameters {BEST_FREE}",
     ),
     "validate-parameter_missing": (
         "validate",
         _without_parameter("b_cost"),
-        "{target} 'estimation' has no estimate for parameter 'b_cost'",
+        f"{{target}}: 'estimation' has rows {[n for n in BEST_FREE if n != 'b_cost']},"
+        f" not the spec's free parameters {BEST_FREE}",
+    ),
+    "metrics-n_obs_zero": (
+        "metrics", lambda doc: {**doc, "n_obs": 0}, "{target}: 'n_obs' is 0, not a positive count"
+    ),
+    "validate-n_obs_negative": (
+        "validate", lambda doc: {**doc, "n_obs": -5}, "{target}: 'n_obs' is -5, not a positive count"
+    ),
+    "metrics-null_loglik_positive": (
+        "metrics",
+        _with_estimation(null_loglik=5.0),
+        "{target} 'estimation': 'null_loglik' is 5.0, not negative",
+    ),
+    "metrics-loglik_positive": (
+        "metrics", _with_estimation(loglik=12.0), "{target} 'estimation': 'loglik' is 12.0, above 0"
+    ),
+    "metrics-parameter_twice": (
+        "metrics",
+        _with_first_row_twice,
+        "{target} 'estimation': 'parameters' has more than one row for 'asc_bus'",
+    ),
+    "validate-parameter_twice": (
+        "validate",
+        _with_first_row_twice,
+        "{target} 'estimation': 'parameters' has more than one row for 'asc_bus'",
+    ),
+    "report-fit_k": (
+        "exp3/beta.json",
+        lambda doc: {**doc, "records": [
+            {**doc["records"][0], "fit": {**doc["records"][0]["fit"], "k": 99}}, *doc["records"][1:]
+        ]},
+        "an item of {target} 'records': 'fit' has loglik {good[records][0][fit][loglik]} and k=99,"
+        " not the estimation's {good[records][0][estimation][loglik]} and {good[records][0][fit][k]}",
     ),
 }
 
@@ -681,12 +735,101 @@ def test_malformed_results_fail_in_one_line(request, tmp_path, command, malform,
         source = request.getfixturevalue("results_file")
         target = tmp_path / "best.json"
         args = (command, "--results", target, "--dict", DICT)
-    doc = malform(json.loads(source.read_text(encoding="utf-8")))
-    target.write_text(json.dumps(doc), encoding="utf-8")
+    good = json.loads(source.read_text(encoding="utf-8"))
+    target.write_text(json.dumps(malform(good)), encoding="utf-8")
     res = invoke(*args)
     assert res.exit_code == 1
-    assert res.stderr == f"Error: ValueError: {message.format(target=target)}\n"
+    assert res.stderr == f"Error: ValueError: {message.format(target=target, good=good)}\n"
     assert res.stdout == ""
+
+
+
+# Every value of the synthetic_best results file, as a path of keys and row indices.
+ROW_KEYS = ("name", "estimate", "std_error", "t_ratio")
+RESULTS_PATHS = [
+    *((key,) for key in ("spec_name", "spec_text", "n_obs", "estimation", "fit")),
+    *(("estimation", key) for key in (
+        "parameters", "loglik", "null_loglik", "iterations", "converged", "convergence_reason",
+        "hessian_pd",
+    )),
+    *(("fit", key) for key in ("loglik", "k", "n", "aic", "bic")),
+    *(("estimation", "parameters", i) for i in range(len(BEST_FREE))),
+    *(("estimation", "parameters", i, key) for i in range(len(BEST_FREE)) for key in ROW_KEYS),
+]
+DROP, DUPLICATE = "drop the key or row", "duplicate the row"
+EXCLUSIONS = ("included", "excluded_no_asc", "excluded_nonconvergence", "excluded_positive_sign")
+
+
+@pytest.fixture(scope="module")
+def intact_output(results_file):
+    return {command: invoke(command, "--results", results_file, "--dict", DICT)
+            for command in ("metrics", "validate")}
+
+
+def _mutated(doc, path, change):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    holder = functools.reduce(operator.getitem, parents, doc)
+    if change == DROP:
+        del holder[last]
+    elif change == DUPLICATE:
+        holder.insert(last, holder[last])
+    else:
+        holder[last] = change
+    return doc
+
+
+def _judged_figures(stdout):
+    """The figures of ``metrics`` output, which must obey the rules a fit obeys."""
+    head, rho = stdout.splitlines()[:2]
+    figures = dict(item.split("=") for item in head.split())
+    assert figures["k"] == str(len(BEST_FREE))
+    assert int(figures["n"]) >= 1
+    assert float(figures["LL"]) <= 0.0
+    assert not float(rho.removeprefix("rho-squared=")) > 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(RESULTS_PATHS),
+    change=st.one_of(
+        st.sampled_from([0, None, DROP, DUPLICATE]),
+        st.integers(1, 10**6), st.integers(-10**6, -1),
+        st.floats(1e-9, 1e9), st.floats(-1e9, -1e-9),
+    ),
+)
+@example(path=("n_obs",), change=0)  # ended metrics in 'math domain error'
+@example(path=("estimation", "null_loglik"), change=5.0)  # printed rho-squared=169.3645
+@example(path=("estimation", "parameters", 0), change=DUPLICATE)  # printed k=8
+@example(path=("estimation", "loglik"), change=12.0)  # printed AIC=-10.0000, rho-squared=1.0113
+def test_a_mutated_results_file_is_judged_as_written_or_refused(
+    results_file, intact_output, path, change
+):
+    """One field of an ``estimate --out`` file set to 0, a negative or positive
+    number or null, or its key or row dropped or duplicated.  ``metrics`` and
+    ``validate`` each print what they printed for the intact file, refuse the
+    file in one line, or print another fit whose figures a fit could have:
+    never a traceback, and never a figure the estimator cannot produce."""
+    if change == DUPLICATE and not isinstance(path[-1], int):
+        change = DROP
+    target = results_file.parent / "mutated.json"
+    good = json.loads(results_file.read_text(encoding="utf-8"))
+    target.write_text(json.dumps(_mutated(good, path, change)), encoding="utf-8")
+    for command, intact in intact_output.items():
+        res = invoke(command, "--results", target, "--dict", DICT)
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        if res.exit_code == 1:  # in one line that names the file, or the class whose field it is
+            assert res.stdout == ""
+            assert res.stderr.count("\n") == 1
+            assert res.stderr.startswith(f"Error: ValueError: {target}") or re.match(
+                "Error: ValueError: (an item of )?(EstimationResult|ParameterEstimate) ", res.stderr
+            ), res.stderr
+        elif res.stdout != intact.stdout:
+            assert res.exit_code == 0 and path[0] in ("n_obs", "estimation")
+            if command == "metrics":
+                _judged_figures(res.stdout)
+            else:
+                assert res.stdout.split()[1] in EXCLUSIONS
 
 
 # -- start-up --------------------------------------------------------------

@@ -24,7 +24,7 @@ from logitlab.llmgate.client import (
 )
 from logitlab.llmgate.config import ProviderConfig
 from logitlab.llmgate.extract import Claim
-from logitlab.metrics import FitStats
+from logitlab.metrics import FitStats, information_criteria
 from logitlab.specdsl.serialize import serialize_spec
 
 from conftest import FIXTURES
@@ -233,6 +233,19 @@ def test_no_providers_raises(synth_data):
         runner.run_experiment(1, [], synth_data, replay_dir=FIXTURES)
 
 
+def test_a_model_given_twice_is_refused_before_any_call(monkeypatch, tmp_path, synth_data):
+    """Before, the repeated model was called twice and its specs counted twice."""
+    calls = []
+    monkeypatch.setattr(runner, "complete", lambda bundle, provider, **kwargs: calls.append(provider))
+    again = ProviderConfig(name="alpha", model="alpha-large")
+    with pytest.raises(runner.RunError, match="^provider alpha:alpha-large is given more than once$"):
+        runner.run_experiment(
+            1, [ALPHA, DELTA, again], synth_data, replay_dir=FIXTURES, out_dir=tmp_path
+        )
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 GOOD_BLOCK = (
     "```dcm-spec\n"
     "spec good\nalt car bus air rail\nparam asc_bus\nparam b_time generic\n"
@@ -368,8 +381,9 @@ def test_save_and_load_round_trip(tmp_path, synth_data):
         hessian_pd=False,
     )
     first, *rest = results[1].records
+    fit = information_criteria(non_finite.loglik, non_finite.n_free, first.fit.n)
     results[1] = dataclasses.replace(
-        results[1], records=(dataclasses.replace(first, estimation=non_finite), *rest)
+        results[1], records=(dataclasses.replace(first, estimation=non_finite, fit=fit), *rest)
     )
     runner.save_result(results[1], tmp_path, synth_data)
     # beta/s2_ivt is collinear: NaN standard errors and t-ratios

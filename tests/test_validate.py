@@ -53,8 +53,8 @@ def test_positive_time_coefficient_excludes():
     est = dict(GOOD_EST, b_time=+0.01)
     report = validate.check_model(result_for(GOOD, est), GOOD, CORE_DICT)
     assert report.exclusion == validate.EXCLUDED_POSITIVE_SIGN
-    assert [v["parameter"] for v in report.sign_violations] == ["b_time"]
-    assert report.sign_violations[0]["estimate"] == 0.01
+    assert [v.parameter for v in report.sign_violations] == ["b_time"]
+    assert report.sign_violations[0].estimate == 0.01
 
 
 def test_sign_violation_does_not_need_significance():
@@ -62,7 +62,7 @@ def test_sign_violation_does_not_need_significance():
     ts = {"asc_bus": 10.0, "b_time": 10.0, "b_cost": 0.3}
     report = validate.check_model(result_for(GOOD, est, t=ts), GOOD, CORE_DICT)
     assert report.exclusion == validate.EXCLUDED_POSITIVE_SIGN
-    assert [v["parameter"] for v in report.sign_violations] == ["b_cost"]
+    assert [v.parameter for v in report.sign_violations] == ["b_cost"]
 
 
 def test_insignificant_core_recorded_but_included():
