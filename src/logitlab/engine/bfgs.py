@@ -45,6 +45,8 @@ PD_TOL = 1e-8  # relative eigenvalue floor for "positive definite"
 LL_ROUNDING = 1e-15  # relative rise of -loglik the Armijo test ignores
 MAX_ITERS = 500
 GRAD_TOL = 1e-6  # scaled by max(1, |LL|/n_obs): see estimate
+# Why iteration stopped, as estimate records it.
+CONVERGENCE_REASONS = ("gradient_tolerance", "max_iterations", "line_search_failure", "non_finite")
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ class EstimationResult:
 
     ``converged`` requires both the gradient criterion and a negative
     definite Hessian; ``convergence_reason`` records why iteration
-    stopped, which is informative even for failed runs.  Standard errors
-    and t-ratios are NaN when the Hessian is singular or indefinite.
+    stopped, which is informative even for failed runs.  Every estimate is
+    finite; standard errors and t-ratios are NaN when the Hessian is
+    singular or indefinite.
     """
 
     parameters: tuple[ParameterEstimate, ...]
@@ -72,7 +75,7 @@ class EstimationResult:
     null_loglik: float = field(metadata={"missing": -math.inf})
     iterations: int
     converged: bool
-    convergence_reason: str  # gradient_tolerance | max_iterations | line_search_failure | non_finite
+    convergence_reason: str  # one of CONVERGENCE_REASONS
     hessian_pd: bool
 
     def __post_init__(self) -> None:
@@ -84,6 +87,21 @@ class EstimationResult:
             raise ValueError(f"'null_loglik' is {self.null_loglik}, not negative")
         if self.loglik > 0.0:
             raise ValueError(f"'loglik' is {self.loglik}, above 0")
+        for p in self.parameters:
+            if not math.isfinite(p.estimate):
+                raise ValueError(
+                    f"'parameters' has estimate {p.estimate} for '{p.name}', not a finite number"
+                )
+        if self.convergence_reason not in CONVERGENCE_REASONS:
+            raise ValueError(
+                f"'convergence_reason' is '{self.convergence_reason}',"
+                f" not one of {list(CONVERGENCE_REASONS)}"
+            )
+        if self.converged != (self.convergence_reason == "gradient_tolerance" and self.hessian_pd):
+            raise ValueError(
+                f"'converged' is {str(self.converged).lower()} with 'convergence_reason'"
+                f" '{self.convergence_reason}' and 'hessian_pd' {str(self.hessian_pd).lower()}"
+            )
 
     @property
     def names(self) -> tuple[str, ...]:

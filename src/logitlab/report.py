@@ -104,13 +104,17 @@ def best_of(results: list[ExperimentResult], metric: str = "ll") -> str:
     """Best included value per (model, experiment), with marginals.
 
     LL is best when largest, AIC/BIC when smallest.  Ties go to the
-    lower experiment id.
+    lower experiment id.  A model's best across experiments is left blank,
+    with a footnote, unless every experiment was fit to the same dataset.
     """
     if metric not in ("ll", "aic", "bic"):
         raise ValueError(f"unknown metric {metric!r}")
     better = (lambda a, b: a > b) if metric == "ll" else (lambda a, b: a < b)
 
     exp_ids = sorted(r.config.id for r in results)
+    by_dataset: dict[str, list[int]] = {}
+    for result in sorted(results, key=lambda r: r.config.id):
+        by_dataset.setdefault(result.dataset_sha256, []).append(result.config.id)
     cells: dict[tuple[str, int], float] = {}
     models: set[str] = set()
     for result in results:
@@ -137,7 +141,10 @@ def best_of(results: list[ExperimentResult], metric: str = "ll") -> str:
             row.append(_fmt2(value))
             if value is not None and (best_val is None or better(value, best_val)):
                 best_val, best_exp = value, exp_id
-        row.append("-" if best_val is None else f"{_fmt2(best_val)} (exp {best_exp})")
+        if best_val is None or len(by_dataset) > 1:
+            row.append("-")
+        else:
+            row.append(f"{_fmt2(best_val)} (exp {best_exp})")
         lines.append("| " + " | ".join(row) + " |")
 
     marginal = ["Best model"]
@@ -152,6 +159,11 @@ def best_of(results: list[ExperimentResult], metric: str = "ll") -> str:
     lines.append("| " + " | ".join(marginal) + " |")
 
     lines += ["", "Only included specifications count; ties resolve to the lower experiment id."]
+    if len(by_dataset) > 1:
+        groups = "; ".join(
+            f"exp {', '.join(map(str, ids))} on dataset {sha[:12]}" for sha, ids in by_dataset.items()
+        )
+        lines.append(f"No Best across experiments fit to different data: {groups}.")
     return "\n".join(lines) + "\n"
 
 

@@ -6,13 +6,14 @@ claimed log-likelihood cross-checked against the re-estimated one.  A
 failure inside one spec's pipeline produces a diagnostic record and never
 aborts the run.
 
-Persistence is deterministic: one JSON document per (experiment,
-provider) under ``runs/expN/<provider>.json`` plus a manifest carrying
-content hashes of the inputs, with sorted keys and no timestamps, so
-replayed runs are byte-identical.  Records are written and read back by
-the dataclass codec in :mod:`logitlab.jsonio`, one key per field (the
-spec as its text, under ``spec_text``), so a field added to
-:class:`Record` or to one of its parts is persisted without code here.
+Persistence is deterministic: one JSON document per experiment,
+``runs/expN/results.json``, holding the :class:`ExperimentResult` that
+:func:`run_experiment` returned and :mod:`logitlab.report` reads, with
+sorted keys and no timestamps, so replayed runs are byte-identical.  It is
+written and read back by the dataclass codec in :mod:`logitlab.jsonio`,
+one key per field (a record's spec as its text, under ``spec_text``), so a
+field added to :class:`Record` or to one of its parts is persisted without
+code here.
 """
 
 from __future__ import annotations
@@ -108,19 +109,15 @@ class Record:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One experiment's records; also the type a provider document decodes as."""
+    """One experiment's records, sorted by provider, model and spec name, its run's
+    diagnostics and the sha256 of its dataset's CSV text and dictionary: the
+    document ``runs/expN/results.json``."""
 
     config: ExperimentConfig
     records: tuple[Record, ...]
-    diagnostics: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ManifestFile:
-    """The keys :func:`load_results` reads from a manifest."""
-
     diagnostics: tuple[str, ...]
-    result_files: dict[str, str]
+    dataset_sha256: str
+    dictionary_sha256: str
 
 
 def natural_key(name: str) -> tuple:
@@ -230,9 +227,15 @@ def run_experiment(
         raise RunError(f"experiment {config.id}: no transcripts from any provider: {failures}")
 
     records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))
-    result = ExperimentResult(config=config, records=tuple(records), diagnostics=tuple(diagnostics))
+    result = ExperimentResult(
+        config=config,
+        records=tuple(records),
+        diagnostics=tuple(diagnostics),
+        dataset_sha256=_sha256(format_csv(dataset)),
+        dictionary_sha256=_sha256(write_dictionary(dataset.dictionary)),
+    )
     if out_dir is not None:
-        save_result(result, out_dir, dataset)
+        save_result(result, out_dir)
     return result
 
 
@@ -243,74 +246,29 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def save_result(result: ExperimentResult, out_dir: str | Path, dataset: Dataset) -> Path:
-    """Write per-provider result documents and the run manifest."""
+def save_result(result: ExperimentResult, out_dir: str | Path) -> Path:
+    """Write ``result`` as ``<out_dir>/exp<id>/results.json``; return that path."""
     exp_dir = Path(out_dir) / f"exp{result.config.id}"
     exp_dir.mkdir(parents=True, exist_ok=True)
-
-    by_provider: dict[str, list[Record]] = {}
-    for record in result.records:
-        by_provider.setdefault(record.provider, []).append(record)
-
-    files: dict[str, str] = {}
-    for provider in sorted(by_provider):
-        doc = {
-            "config": result.config,
-            "provider": provider,
-            "records": by_provider[provider],
-            "diagnostics": sorted(
-                d for d in result.diagnostics if d.startswith(f"{provider}/")
-            ),
-        }
-        payload = dump_json(doc)
-        (exp_dir / f"{provider}.json").write_text(payload, encoding="utf-8")
-        files[f"{provider}.json"] = _sha256(payload)
-
-    manifest = {
-        "experiment": result.config.id,
-        "dataset_sha256": _sha256(format_csv(dataset)),
-        "dictionary_sha256": _sha256(write_dictionary(dataset.dictionary)),
-        "diagnostics": list(result.diagnostics),
-        "result_files": files,
-    }
-    path = exp_dir / "manifest.json"
-    path.write_text(dump_json(manifest), encoding="utf-8")
+    path = exp_dir / "results.json"
+    path.write_text(dump_json(result), encoding="utf-8")
     return path
 
 
 def load_results(runs_dir: str | Path) -> list[ExperimentResult]:
-    """Read every persisted experiment under a runs directory: the result files its
-    manifest lists, so a provider file a later run left behind is not read.
+    """Every persisted experiment under a runs directory, in id order.
 
-    Only the directories :func:`save_result` writes, ``exp<N>`` for each experiment
-    id N, are read, so a copy such as ``exp1_old`` is no second experiment 1; a
-    result file there that holds another experiment is refused.
+    Only the documents :func:`save_result` writes, ``exp<N>/results.json`` for
+    each experiment id N, are read, so a copy such as ``exp1_old`` is no second
+    experiment 1; a document there that holds another experiment is refused.
     """
     out: list[ExperimentResult] = []
-    root = Path(runs_dir)
     for exp_id in EXPERIMENT_IDS:
-        exp_dir = root / f"exp{exp_id}"
-        manifest_path = exp_dir / "manifest.json"
-        if not manifest_path.is_file():
+        path = Path(runs_dir) / f"exp{exp_id}" / "results.json"
+        if not path.is_file():
             continue
-        manifest = load_json(manifest_path, ManifestFile)
-        records: list[Record] = []
-        config = None
-        for name in sorted(manifest.result_files):
-            if name in ("", ".", "..") or Path(name).name != name:
-                raise ValueError(f"{manifest_path} 'result_files' lists '{name}', not a plain file name")
-            path = exp_dir / name
-            doc = load_json(path, ExperimentResult)
-            config = doc.config
-            if config.id != exp_id:
-                raise ValueError(f"{path} holds experiment {config.id}, not {exp_id}")
-            records.extend(doc.records)
-        if config is None:
-            continue
-        records.sort(key=lambda r: (r.provider, r.model, natural_key(r.spec_name)))
-        out.append(
-            ExperimentResult(
-                config=config, records=tuple(records), diagnostics=manifest.diagnostics
-            )
-        )
+        result = load_json(path, ExperimentResult)
+        if result.config.id != exp_id:
+            raise ValueError(f"{path} holds experiment {result.config.id}, not {exp_id}")
+        out.append(result)
     return out

@@ -85,22 +85,10 @@ def _missing_alternative(tmp_path):
 
 
 def _runs_without_records(tmp_path):
-    doc = tmp_path / "exp1/alpha.json"
+    doc = tmp_path / "exp1/results.json"
     doc.parent.mkdir()
     doc.write_text('{"config": {}}', encoding="utf-8")
-    (doc.parent / "manifest.json").write_text(
-        '{"diagnostics": [], "result_files": {"alpha.json": ""}}', encoding="utf-8"
-    )
     return ("report", "summary", "--runs", tmp_path), f"ValueError: {doc} has no 'records'"
-
-
-def _manifest_entry_outside_its_directory(tmp_path):
-    (tmp_path / "exp1").mkdir()
-    manifest = tmp_path / "exp1/manifest.json"
-    manifest.write_text('{"diagnostics": [], "result_files": {"../alpha.json": ""}}', encoding="utf-8")
-    return ("report", "summary", "--runs", tmp_path), (
-        f"ValueError: {manifest} 'result_files' lists '../alpha.json', not a plain file name"
-    )
 
 
 def _out_under_a_missing_directory(tmp_path):
@@ -112,7 +100,7 @@ def _out_under_a_missing_directory(tmp_path):
 
 @pytest.mark.parametrize("failing_call", [
     _bad_csv, _unknown_variable, _missing_alternative, _runs_without_records,
-    _manifest_entry_outside_its_directory, _out_under_a_missing_directory,
+    _out_under_a_missing_directory,
 ])
 def test_dataset_validate_failure_is_clean(tmp_path, failing_call):
     """One domain error per command group ends in one line, not a traceback."""
@@ -384,12 +372,12 @@ def runs_dir(tmp_path_factory):
 
 
 def test_run_discovers_models_and_persists(runs_dir):
-    assert sorted(p.name for p in (runs_dir / "exp1").iterdir()) == [
-        "alpha.json",
-        "delta.json",
-        "manifest.json",
+    assert sorted(p.name for p in (runs_dir / "exp1").iterdir()) == ["results.json"]
+    records = json.loads((runs_dir / "exp1/results.json").read_text(encoding="utf-8"))["records"]
+    assert sorted({(r["provider"], r["model"]) for r in records}) == [
+        ("alpha", "alpha-large"), ("delta", "delta-pro"),
     ]
-    assert (runs_dir / "exp3/beta.json").is_file()
+    assert (runs_dir / "exp3/results.json").is_file()
 
 
 def test_run_summary_line(tmp_path):
@@ -403,7 +391,7 @@ def test_run_summary_line(tmp_path):
 
 def test_run_replays_a_live_run_by_bare_provider(monkeypatch, tmp_path):
     """Record once, replay forever: ``run --out A`` live, then ``--replay A/transcripts``
-    with the bare provider name, writes the same result files."""
+    with the bare provider name, writes the same results document."""
     live_beta(monkeypatch, model="org/beta-mini")
     for providers, source in (("beta:org/beta-mini", ()), ("beta", ("--replay", tmp_path / "A/transcripts"))):
         out = tmp_path / ("B" if source else "A")
@@ -412,8 +400,9 @@ def test_run_replays_a_live_run_by_bare_provider(monkeypatch, tmp_path):
             "--data", CSV, "--dict", DICT, *source, "--out", out,
         )
         assert res.exit_code == 0, res.output
-    for name in ("beta.json", "manifest.json"):
-        assert (tmp_path / "B/exp3" / name).read_bytes() == (tmp_path / "A/exp3" / name).read_bytes()
+    assert (tmp_path / "B/exp3/results.json").read_bytes() == (
+        tmp_path / "A/exp3/results.json"
+    ).read_bytes()
     assert not (tmp_path / "B/transcripts").exists()
 
 
@@ -431,7 +420,7 @@ def test_run_bare_provider_finds_nested_models(tmp_path):
     assert res.exit_code == 0, res.output
     assert "experiment 1: 3 spec(s), 3 included" in res.stdout
     assert "diagnostic: alpha/org/other: fixture missing" in res.stderr
-    records = json.loads((tmp_path / "runs/exp1/alpha.json").read_text(encoding="utf-8"))["records"]
+    records = json.loads((tmp_path / "runs/exp1/results.json").read_text(encoding="utf-8"))["records"]
     assert {r["model"] for r in records} == {"org/large"}
 
 
@@ -477,9 +466,10 @@ def test_run_refuses_a_model_given_twice(tmp_path, providers):
      "provider name '../fixtures/alpha' is not an identifier"),
 ], ids=["run-provider", "run-bare_provider", "run-model", "suggest-provider"])
 def test_provider_and_model_names_stay_inside_out_and_replay(tmp_path, args, message):
-    """A provider name becomes ``<provider>.json`` under --out and a path under
-    --replay.  Before, ``../fixtures/alpha`` read the fixture through
-    ``fixtures/../fixtures`` and wrote ``<out>/fixtures/alpha.json``, outside ``exp1/``."""
+    """A provider and model name become a path under --replay and, for a live run,
+    under ``<out>/transcripts``.  Before, ``../fixtures/alpha`` read the fixture
+    through ``fixtures/../fixtures`` and wrote ``<out>/fixtures/alpha.json``,
+    outside ``exp1/``."""
     (tmp_path / "fixtures").mkdir()
     res = invoke(*args, "--data", CSV, "--dict", DICT, "--replay", FIXTURES, "--out", tmp_path)
     assert res.exit_code == 1
@@ -536,18 +526,18 @@ def test_report_export_file(runs_dir, tmp_path):
 
 
 def test_report_reads_only_the_providers_of_the_last_run(tmp_path):
-    """A rerun with fewer providers leaves the old provider file behind; its
-    manifest does not list it, so no report shows it.  A directory without a
-    manifest is not read at all."""
+    """A rerun with fewer providers replaces the experiment's document, so no
+    report shows a provider of the earlier run.  A directory without a results
+    document is not read at all."""
     for providers in ("alpha,delta", "alpha"):
         res = invoke(
             "run", "--experiment", 1, "--providers", providers,
             "--data", CSV, "--dict", DICT, "--replay", FIXTURES, "--out", tmp_path,
         )
         assert res.exit_code == 0, res.output
-    assert (tmp_path / "exp1/delta.json").is_file()
+    assert sorted(p.name for p in (tmp_path / "exp1").iterdir()) == ["results.json"]
     (tmp_path / "exp2").mkdir()
-    shutil.copy(tmp_path / "exp1/alpha.json", tmp_path / "exp2")
+    shutil.copy(tmp_path / "exp1/results.json", tmp_path / "exp2/alpha.json")
     res = invoke("report", "summary", "--runs", tmp_path)
     assert res.exit_code == 0, res.output
     assert res.stdout.count("## Experiment") == 1
@@ -575,7 +565,7 @@ def test_report_refuses_a_result_file_of_another_experiment(tmp_path, runs_dir):
     shutil.copytree(runs_dir / "exp3", tmp_path / "exp4")
     res = invoke("report", "summary", "--runs", tmp_path)
     assert res.exit_code == 1
-    assert res.stderr == f"Error: ValueError: {tmp_path / 'exp4/beta.json'} holds experiment 3, not 4\n"
+    assert res.stderr == f"Error: ValueError: {tmp_path / 'exp4/results.json'} holds experiment 3, not 4\n"
 
 
 def test_report_empty_runs_dir(tmp_path):
@@ -597,6 +587,13 @@ def _with_first_row_twice(doc):
     return _with_estimation(parameters=[*rows, rows[0]])(doc)
 
 
+def _with_estimate(name, value):
+    return lambda doc: {**doc, "estimation": {**doc["estimation"], "parameters": [
+        {**row, "estimate": value} if row["name"] == name else row
+        for row in doc["estimation"]["parameters"]
+    ]}}
+
+
 def _without_parameter(name):
     return lambda doc: {**doc, "estimation": {**doc["estimation"], "parameters": [
         row for row in doc["estimation"]["parameters"] if row["name"] != name
@@ -608,12 +605,12 @@ def _without_parameter(name):
 MALFORMED = {
     "metrics-n_obs": ("metrics", _without("n_obs"), "{target} has no 'n_obs'"),
     "validate-estimation": ("validate", _without("estimation"), "{target} has no 'estimation'"),
-    "report-config": ("exp3/beta.json", _without("config"), "{target} has no 'config'"),
+    "report-config": ("exp3/results.json", _without("config"), "{target} has no 'config'"),
     "validate-empty_estimation": (
         "validate", lambda doc: {**doc, "estimation": {}}, "EstimationResult has no 'parameters'"
     ),
     "report-empty_config": (
-        "exp3/beta.json", lambda doc: {"config": {}, "records": []}, "ExperimentConfig has no 'id'"
+        "exp3/results.json", lambda doc: {**doc, "config": {}}, "ExperimentConfig has no 'id'"
     ),
     "metrics-bare_number": ("metrics", lambda doc: 5, "{target} is not a JSON object"),
     "validate-parameters_number": (
@@ -633,7 +630,7 @@ MALFORMED = {
         "EstimationResult 'iterations' is not an integer",
     ),
     "report-records_number": (
-        "exp3/beta.json", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"
+        "exp3/results.json", lambda doc: {**doc, "records": 5}, "{target} 'records' is not a JSON array"
     ),
     "validate-converged_string": (
         "validate",
@@ -646,7 +643,7 @@ MALFORMED = {
         "EstimationResult 'convergence_reason' is not a string",
     ),
     "report-diagnostics_number": (
-        "exp3/manifest.json",
+        "exp3/results.json",
         lambda doc: {**doc, "diagnostics": 5},
         "{target} 'diagnostics' is not a JSON array",
     ),
@@ -661,7 +658,7 @@ MALFORMED = {
         "metrics", lambda doc: {**doc, "spec_text": 5}, "{target} 'spec_text' is not a string"
     ),
     "report-spec_text_number": (
-        "exp3/beta.json",
+        "exp3/results.json",
         lambda doc: {**doc, "records": [{**doc["records"][0], "spec_text": 5}, *doc["records"][1:]]},
         "Record 'spec_text' is not a string",
     ),
@@ -708,13 +705,33 @@ MALFORMED = {
         "{target} 'estimation': 'parameters' has more than one row for 'asc_bus'",
     ),
     "report-fit_k": (
-        "exp3/beta.json",
+        "exp3/results.json",
         lambda doc: {**doc, "records": [
             {**doc["records"][0], "fit": {**doc["records"][0]["fit"], "k": 99}}, *doc["records"][1:]
         ]},
         "an item of {target} 'records': 'fit' has loglik {good[records][0][fit][loglik]} and k=99,"
         " not the estimation's {good[records][0][estimation][loglik]} and {good[records][0][fit][k]}",
     ),
+    **{f"{command}-{case}": (command, malform, message) for command in ("metrics", "validate")
+       for case, malform, message in (
+        (
+            "estimate_null",
+            _with_estimate("b_time", None),
+            "{target} 'estimation': 'parameters' has estimate nan for 'b_time', not a finite number",
+        ),
+        (
+            "converged_at_max_iterations",
+            _with_estimation(converged=True, convergence_reason="max_iterations", hessian_pd=False),
+            "{target} 'estimation': 'converged' is true with 'convergence_reason' 'max_iterations'"
+            " and 'hessian_pd' false",
+        ),
+        (
+            "convergence_reason_unknown",
+            _with_estimation(convergence_reason="because"),
+            "{target} 'estimation': 'convergence_reason' is 'because', not one of"
+            " ['gradient_tolerance', 'max_iterations', 'line_search_failure', 'non_finite']",
+        ),
+    )},
 }
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import pytest
 
 from logitlab import report, runner
-from logitlab.llmgate.config import ProviderConfig
+from logitlab.llmgate.config import ProviderConfig, experiment
 
 from conftest import FIXTURES
 
@@ -106,6 +107,25 @@ def test_best_of_ll_matrix(alpha_exp1, beta_exp3):
     marginal = row_for(table, "Best model")
     assert marginal[1] == "-841.82 (alpha/alpha-large)"
     assert marginal[2] == "-864.20 (beta/beta-mini)"
+
+
+def test_best_of_compares_no_best_across_different_data(alpha_exp1):
+    """Log-likelihoods fit to different data do not compare: before, the Best
+    column picked one experiment's fit over another's whatever their CSVs."""
+    other = dataclasses.replace(alpha_exp1, config=experiment(2), dataset_sha256="f" * 64)
+    table = report.best_of([alpha_exp1, other], metric="ll")
+    assert row_for(table, "alpha/alpha-large") == [
+        "alpha/alpha-large", "-841.82", "-841.82", "-",
+    ]
+    assert row_for(table, "Best model")[1:3] == ["-841.82 (alpha/alpha-large)"] * 2
+    assert table.splitlines()[-1] == (
+        "No Best across experiments fit to different data:"
+        f" exp 1 on dataset {alpha_exp1.dataset_sha256[:12]}; exp 2 on dataset ffffffffffff."
+    )
+    same_data = dataclasses.replace(other, dataset_sha256=alpha_exp1.dataset_sha256)
+    same = report.best_of([alpha_exp1, same_data], metric="ll")
+    assert row_for(same, "alpha/alpha-large")[3] == "-841.82 (exp 1)"
+    assert "different data" not in same
 
 
 def test_best_of_aic_direction(alpha_exp1):

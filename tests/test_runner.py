@@ -115,8 +115,8 @@ def test_replay_fit_consistent_with_estimation(alpha_run):
 def test_record_and_document_carry_the_run_context(tmp_path, alpha_run, synth_data):
     """Provenance lives on the record and in the document's config; the
     persisted spec text is the spec's canonical text, with no comment line."""
-    runner.save_result(alpha_run, tmp_path, synth_data)
-    doc = json.loads((tmp_path / "exp1/alpha.json").read_text(encoding="utf-8"))
+    assert runner.save_result(alpha_run, tmp_path) == tmp_path / "exp1/results.json"
+    doc = json.loads((tmp_path / "exp1/results.json").read_text(encoding="utf-8"))
     assert doc["config"]["id"] == 1
     assert [(r["provider"], r["model"]) for r in doc["records"]] == [("alpha", "alpha-large")] * 3
     for raw, record in zip(doc["records"], alpha_run.records):
@@ -134,7 +134,7 @@ def test_llm_comments_do_not_reach_the_runs_directory(tmp_path, synth_data):
     )
     write_fixture(dataclasses.replace(transcript, response_text=text), tmp_path / "replay", 1)
     runner.run_experiment(1, [ALPHA], synth_data, replay_dir=tmp_path / "replay", out_dir=tmp_path / "runs")
-    saved = (tmp_path / "runs/exp1/alpha.json").read_text(encoding="utf-8")
+    saved = (tmp_path / "runs/exp1/results.json").read_text(encoding="utf-8")
     assert "baseline with generic time" not in saved and "# " not in saved
 
 
@@ -212,20 +212,19 @@ def test_live_run_keeps_its_transcript_beside_the_experiment(monkeypatch, tmp_pa
     (kept,) = (tmp_path / "transcripts").rglob("*.json")
     assert kept == tmp_path / "transcripts/beta/beta-mini/exp3.json"
     assert load_json(kept, LLMTranscript).response_text == text
-    assert sorted(p.name for p in (tmp_path / "exp3").iterdir()) == ["beta.json", "manifest.json"]
+    assert sorted(p.name for p in (tmp_path / "exp3").iterdir()) == ["results.json"]
 
 
 def test_live_run_replays_from_its_transcripts(monkeypatch, tmp_path, synth_data):
     """Record once, replay forever: a live run's ``transcripts/`` is a replay
-    directory, and its replay, with the model found there, writes the same files."""
+    directory, and its replay, with the model found there, writes the same document."""
     beta, _ = live_beta(monkeypatch, model="org/beta-mini")
     live, replayed = tmp_path / "live", tmp_path / "replayed"
     runner.run_experiment(3, [beta], synth_data, out_dir=live)
     providers = recorded_providers(live / "transcripts", "beta")
     assert providers == [beta]
     runner.run_experiment(3, providers, synth_data, replay_dir=live / "transcripts", out_dir=replayed)
-    for name in ("beta.json", "manifest.json"):
-        assert (replayed / "exp3" / name).read_bytes() == (live / "exp3" / name).read_bytes()
+    assert (replayed / "exp3/results.json").read_bytes() == (live / "exp3/results.json").read_bytes()
 
 
 def test_no_providers_raises(synth_data):
@@ -364,11 +363,7 @@ def test_save_and_load_round_trip(tmp_path, synth_data):
         runner.run_experiment(1, [ALPHA, DELTA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path),
         runner.run_experiment(3, [BETA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path),
     ]
-    assert sorted(p.name for p in (tmp_path / "exp1").iterdir()) == [
-        "alpha.json",
-        "delta.json",
-        "manifest.json",
-    ]
+    assert sorted(p.name for p in (tmp_path / "exp1").iterdir()) == ["results.json"]
     assert not (tmp_path / "transcripts").exists()  # replay keeps no transcript
     # a fit whose start values give no likelihood: -inf loglik, NaN standard errors
     non_finite = runner.EstimationResult(
@@ -385,12 +380,12 @@ def test_save_and_load_round_trip(tmp_path, synth_data):
     results[1] = dataclasses.replace(
         results[1], records=(dataclasses.replace(first, estimation=non_finite, fit=fit), *rest)
     )
-    runner.save_result(results[1], tmp_path, synth_data)
+    runner.save_result(results[1], tmp_path)
     # beta/s2_ivt is collinear: NaN standard errors and t-ratios
     ivt = next(r for r in results[1].records if r.spec_name == "s2_ivt")
     assert np.isnan(ivt.estimation.std_errors).all()
-    doc = json.loads((tmp_path / "exp1/alpha.json").read_text(encoding="utf-8"))
-    assert sorted(doc) == ["config", "diagnostics", "provider", "records"]
+    doc = json.loads((tmp_path / "exp1/results.json").read_text(encoding="utf-8"))
+    assert sorted(doc) == ["config", "dataset_sha256", "diagnostics", "dictionary_sha256", "records"]
     assert sorted(doc["records"][0]) == [
         "claimed", "diagnostics", "estimation", "fit", "model", "provider",
         "reproduction", "spec_name", "spec_text", "stats", "validation", "vot",
@@ -401,31 +396,21 @@ def test_save_and_load_round_trip(tmp_path, synth_data):
     loaded = runner.load_results(tmp_path)
     assert len(loaded) == len(results)
     for result, back in zip(results, loaded):
-        assert back.config == result.config
-        assert len(back.records) == len(result.records)
-        for a, b in zip(result.records, back.records):
-            assert_same(a, b, f"exp{result.config.id}/{a.provider}/{a.spec_name}")
-
-        again = tmp_path / "again"
-        runner.save_result(back, again, synth_data)
         exp = f"exp{result.config.id}"
-        for path in sorted((tmp_path / exp).iterdir()):
-            assert (again / exp / path.name).read_bytes() == path.read_bytes(), path.name
+        assert_same(back, result, exp)
+        path = runner.save_result(back, tmp_path / "again")
+        assert path.read_bytes() == (tmp_path / exp / "results.json").read_bytes(), exp
 
 
-def test_manifest_hashes_inputs_and_outputs(tmp_path, synth_data):
+def test_results_document_hashes_its_inputs(tmp_path, synth_data):
     runner.run_experiment(1, [ALPHA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path)
-    manifest = json.loads((tmp_path / "exp1/manifest.json").read_text())
-    assert manifest["experiment"] == 1
-    from logitlab.dataset import format_csv
-
-    assert manifest["dataset_sha256"] == runner._sha256(format_csv(synth_data))
-    payload = (tmp_path / "exp1/alpha.json").read_text(encoding="utf-8")
-    assert manifest["result_files"] == {"alpha.json": runner._sha256(payload)}
+    doc = json.loads((tmp_path / "exp1/results.json").read_text(encoding="utf-8"))
+    assert doc["dataset_sha256"] == runner._sha256(ds.format_csv(synth_data))
+    assert doc["dictionary_sha256"] == runner._sha256(ds.write_dictionary(synth_data.dictionary))
 
 
 def test_full_information_run_serializes_the_dataset_once(tmp_path, synth_data, monkeypatch):
-    """The prompt's CSV attachment and the manifest's dataset hash share one serialization."""
+    """The prompt's CSV attachment and the result's dataset hash share one serialization."""
     data = dataclasses.replace(synth_data)  # a dataset whose CSV text is not formed yet
     formatted = []
     format_column = ds._format_column
@@ -437,7 +422,7 @@ def test_full_information_run_serializes_the_dataset_once(tmp_path, synth_data, 
 
 def test_saved_documents_have_no_timestamps(tmp_path, synth_data):
     runner.run_experiment(1, [ALPHA], synth_data, replay_dir=FIXTURES, out_dir=tmp_path)
-    doc = (tmp_path / "exp1/alpha.json").read_text(encoding="utf-8")
+    doc = (tmp_path / "exp1/results.json").read_text(encoding="utf-8")
     assert "timestamp" not in doc
 
 
