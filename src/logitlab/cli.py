@@ -4,7 +4,8 @@ Thin wrappers over the library: every command loads files, calls one
 operation and prints or writes its result.  The module imports only
 click and the ``logitlab`` package; each command imports the layers it
 runs when it runs, so ``--help`` and a usage error load neither numpy
-nor any layer.  A command calls a layer through its module
+nor any layer, and a ``report`` command, which only reads persisted
+results, runs without numpy.  A command calls a layer through its module
 (``runner_mod.run_experiment``), the name a tracer wraps.  The top-level
 group is the one error boundary: a :class:`~logitlab.LogitlabError`,
 ``ValueError`` or ``OSError`` raised by any command, nested groups

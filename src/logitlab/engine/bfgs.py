@@ -25,7 +25,6 @@ no randomness, so repeated runs on the same inputs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from logitlab.engine.kernel import (
     loglik_gradient_and_information,
     null_loglik,
 )
+from logitlab.engine.result import EstimationResult, ParameterEstimate
 from logitlab.specdsl.binding import BoundModel
 
 ARMIJO_C = 1e-4
@@ -45,89 +45,6 @@ PD_TOL = 1e-8  # relative eigenvalue floor for "positive definite"
 LL_ROUNDING = 1e-15  # relative rise of -loglik the Armijo test ignores
 MAX_ITERS = 500
 GRAD_TOL = 1e-6  # scaled by max(1, |LL|/n_obs): see estimate
-# Why iteration stopped, as estimate records it.
-CONVERGENCE_REASONS = ("gradient_tolerance", "max_iterations", "line_search_failure", "non_finite")
-
-
-@dataclass(frozen=True)
-class ParameterEstimate:
-    """One free parameter's row of an :class:`EstimationResult`."""
-
-    name: str
-    estimate: float
-    std_error: float
-    t_ratio: float
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    """Outcome of one maximum-likelihood run.
-
-    ``converged`` requires both the gradient criterion and a negative
-    definite Hessian; ``convergence_reason`` records why iteration
-    stopped, which is informative even for failed runs.  Every estimate is
-    finite; standard errors and t-ratios are NaN when the Hessian is
-    singular or indefinite.
-    """
-
-    parameters: tuple[ParameterEstimate, ...]
-    loglik: float = field(metadata={"missing": -math.inf})
-    null_loglik: float = field(metadata={"missing": -math.inf})
-    iterations: int
-    converged: bool
-    convergence_reason: str  # one of CONVERGENCE_REASONS
-    hessian_pd: bool
-
-    def __post_init__(self) -> None:
-        names = self.names
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ValueError(f"'parameters' has more than one row for '{name}'")
-        if self.null_loglik >= 0.0:
-            raise ValueError(f"'null_loglik' is {self.null_loglik}, not negative")
-        if self.loglik > 0.0:
-            raise ValueError(f"'loglik' is {self.loglik}, above 0")
-        for p in self.parameters:
-            if not math.isfinite(p.estimate):
-                raise ValueError(
-                    f"'parameters' has estimate {p.estimate} for '{p.name}', not a finite number"
-                )
-        if self.convergence_reason not in CONVERGENCE_REASONS:
-            raise ValueError(
-                f"'convergence_reason' is '{self.convergence_reason}',"
-                f" not one of {list(CONVERGENCE_REASONS)}"
-            )
-        if self.converged != (self.convergence_reason == "gradient_tolerance" and self.hessian_pd):
-            raise ValueError(
-                f"'converged' is {str(self.converged).lower()} with 'convergence_reason'"
-                f" '{self.convergence_reason}' and 'hessian_pd' {str(self.hessian_pd).lower()}"
-            )
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parameters)
-
-    @property
-    def estimates(self) -> np.ndarray:
-        return np.array([p.estimate for p in self.parameters])
-
-    @property
-    def std_errors(self) -> np.ndarray:
-        return np.array([p.std_error for p in self.parameters])
-
-    @property
-    def t_ratios(self) -> np.ndarray:
-        return np.array([p.t_ratio for p in self.parameters])
-
-    @property
-    def n_free(self) -> int:
-        return len(self.parameters)
-
-    def coefficient(self, name: str) -> float:
-        return self.parameters[self.names.index(name)].estimate
-
-    def t_ratio(self, name: str) -> float:
-        return self.parameters[self.names.index(name)].t_ratio
 
 
 def _rows(names: tuple[str, ...], theta, se, t) -> tuple[ParameterEstimate, ...]:

@@ -15,11 +15,14 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from logitlab import LogitlabError
 from logitlab.jsonio import dump_json, load_json
 from logitlab.llmgate.config import SAMPLING, ProviderConfig, check_provider_name
-from logitlab.llmgate.prompts import PromptBundle
+
+if TYPE_CHECKING:
+    from logitlab.llmgate.prompts import PromptBundle
 
 RETRY_ATTEMPTS = 5
 RETRY_BASE_DELAY = 1.0  # seconds, doubled per attempt

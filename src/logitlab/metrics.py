@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from logitlab import LogitlabError
-from logitlab.dataset import DataDictionary
-from logitlab.engine.bfgs import EstimationResult
+from logitlab.engine.result import EstimationResult
 from logitlab.specdsl.expr import Const, Div, Expr, Mul, Param, Var
 from logitlab.specdsl.parser import UtilitySpec, additive_terms
+
+if TYPE_CHECKING:
+    from logitlab.dataset import DataDictionary
 
 SIGNIFICANCE_T = 1.96
 

@@ -14,30 +14,60 @@ written and read back by the dataclass codec in :mod:`logitlab.jsonio`,
 one key per field (a record's spec as its text, under ``spec_text``), so a
 field added to :class:`Record` or to one of its parts is persisted without
 code here.
+
+Reading results needs no numpy, so a process that only loads them, such as
+a ``report`` command, never imports it.  The five layers that do
+(``format_csv``, ``write_dictionary``, ``bind``, ``estimate`` and
+``build_prompt``) are bound as module globals on first use: by
+:func:`run_experiment` before its first call, or by an attribute lookup on
+this module.  A name already bound, by a tracer's wrapper or a test's
+patch, is kept, and every call looks the name up here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from logitlab import LogitlabError
-from logitlab.dataset import Dataset, format_csv, write_dictionary
-from logitlab.engine.bfgs import EstimationResult, estimate
+from logitlab.engine.result import EstimationResult
 from logitlab.jsonio import dump_json, load_json
 from logitlab.llmgate.client import AuthError, FixtureMissing, RateLimited, TransportError, complete
 from logitlab.llmgate.config import EXPERIMENT_IDS, ExperimentConfig, ProviderConfig, experiment
 from logitlab.llmgate.extract import Claim, extract_specs
-from logitlab.llmgate.prompts import build_prompt
 from logitlab.metrics import FitStats, MissingCoefficient, VotEstimate, information_criteria, value_of_time
 from logitlab.specdsl.analysis import SpecStats, analyze_structure
-from logitlab.specdsl.binding import bind
 # parse_spec is not called here; bench/spans.py wraps this module's name for it.
 from logitlab.specdsl.parser import UtilitySpec, parse_spec  # noqa: F401
 from logitlab.validate import ValidationReport, check_model
+
+if TYPE_CHECKING:
+    from logitlab.dataset import Dataset
+
+# The layers that import numpy, by the module that defines each; see the module docstring.
+_NUMPY_LAYERS = {
+    "format_csv": "logitlab.dataset",
+    "write_dictionary": "logitlab.dataset",
+    "bind": "logitlab.specdsl.binding",
+    "estimate": "logitlab.engine.bfgs",
+    "build_prompt": "logitlab.llmgate.prompts",
+}
+
+
+def _bind_layer(name: str):
+    """This module's global ``name``, set to the defining module's function unless already bound."""
+    return globals().setdefault(name, getattr(importlib.import_module(_NUMPY_LAYERS[name]), name))
+
+
+def __getattr__(name: str):
+    if name in _NUMPY_LAYERS:
+        return _bind_layer(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 REPRODUCTION_ABS_TOL = 0.5
 REPRODUCTION_REL_TOL = 5e-4
@@ -189,6 +219,8 @@ def run_experiment(
     given twice, and, listing each provider's failure, when no provider yields
     a transcript; per-provider and per-spec failures are reported as diagnostics.
     """
+    for name in _NUMPY_LAYERS:
+        _bind_layer(name)
     if isinstance(config, int):
         config = experiment(config)
     if not providers:

@@ -13,8 +13,8 @@ fixed behaves as if it had none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from logitlab.dataset import DataDictionary
 from logitlab.specdsl.expr import (
     BoxCox,
     Call1,
@@ -28,6 +28,9 @@ from logitlab.specdsl.expr import (
     var_names,
 )
 from logitlab.specdsl.parser import SpecDslError, UtilitySpec
+
+if TYPE_CHECKING:
+    from logitlab.dataset import DataDictionary
 
 
 class UnknownVariable(SpecDslError):

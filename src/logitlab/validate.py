@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from logitlab.dataset import DataDictionary
-from logitlab.engine.bfgs import EstimationResult
+from logitlab.engine.result import EstimationResult
 from logitlab.metrics import SIGNIFICANCE_T, core_terms
 from logitlab.specdsl.parser import UtilitySpec
+
+if TYPE_CHECKING:
+    from logitlab.dataset import DataDictionary
 
 INCLUDED = "included"
 EXCLUDED_NO_ASC = "excluded_no_asc"

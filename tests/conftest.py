@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,20 @@ def best_model(best_spec, synth_data) -> binding.BoundModel:
 @pytest.fixture(scope="session")
 def best_result(best_model) -> bfgs.EstimationResult:
     return bfgs.estimate(best_model)
+
+
+def fresh_python(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """A new interpreter run with ``-X importtime``, and the modules it imported."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    return proc, imported

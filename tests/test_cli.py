@@ -7,13 +7,11 @@ import dataclasses
 import functools
 import importlib
 import json
+import math
 import operator
-import os
 import pkgutil
 import re
 import shutil
-import subprocess
-import sys
 
 import pytest
 from click.testing import CliRunner
@@ -25,11 +23,16 @@ from logitlab import LogitlabError
 from logitlab import runner as runner_mod
 from logitlab.cli import main
 from logitlab.engine import bfgs
+from logitlab.engine.result import EstimationResult, ParameterEstimate
 from logitlab.llmgate import client
-from logitlab.llmgate.config import ProviderConfig
+from logitlab.llmgate.config import ExperimentConfig, ProviderConfig
+from logitlab.llmgate.extract import Claim
+from logitlab.metrics import FitStats, VotEstimate
+from logitlab.specdsl.analysis import SpecStats
 from logitlab.specdsl.parser import parse_spec
+from logitlab.validate import ValidationReport
 
-from conftest import BEST_SPEC, BOXCOX_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
+from conftest import BEST_SPEC, BOXCOX_SPEC, FIXTURES, SYNTH_CSV, SYNTH_DICT, fresh_python
 from test_runner import live_beta
 
 runner = CliRunner()
@@ -849,38 +852,110 @@ def test_a_mutated_results_file_is_judged_as_written_or_refused(
                 assert res.stdout.split()[1] in EXCLUSIONS
 
 
-# -- start-up --------------------------------------------------------------
+def _keys(cls) -> list[str]:
+    """The JSON keys of a persisted dataclass."""
+    return [f.metadata.get("key", f.name) for f in dataclasses.fields(cls)]
 
 
-def _fresh_python(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """A new interpreter run with ``-X importtime``, and the modules it imported."""
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
+# Every value of an experiment's results.json, as a path of keys and indices, for its
+# first and last record: all five records of the replayed experiment 1 have every part.
+RECORD_PARTS = {
+    "stats": SpecStats, "estimation": EstimationResult, "fit": FitStats, "vot": VotEstimate,
+    "validation": ValidationReport, "claimed": Claim, "reproduction": runner_mod.ReproductionVerdict,
+}
+EXPERIMENT_PATHS = [
+    *((key,) for key in _keys(runner_mod.ExperimentResult)),
+    *(("config", key) for key in _keys(ExperimentConfig)),
+    *(path for i in (0, -1) for path in (
+        ("records", i),
+        *(("records", i, key) for key in _keys(runner_mod.Record)),
+        *(("records", i, part, key) for part, cls in RECORD_PARTS.items() for key in _keys(cls)),
+        *(("records", i, "vot", "per_alternative", alt) for alt in ("car", "rail")),
+        *(("records", i, "estimation", "parameters", j) for j in (0, -1)),
+        *(("records", i, "estimation", "parameters", j, key)
+          for j in (0, -1) for key in _keys(ParameterEstimate)),
+    )),
+]
+REPORTS = (
+    ("summary",), ("best-of",), ("best-of", "--metric", "aic"), ("profile",),
+    ("export", "--metric", "vot"), ("export", "--metric", "bic"),
+)
+
+
+@pytest.fixture(scope="module")
+def mutable_runs(runs_dir, tmp_path_factory):
+    """A copy of ``runs_dir`` whose exp1/results.json each example overwrites."""
+    runs = tmp_path_factory.mktemp("mutable_runs")
+    shutil.copytree(runs_dir, runs, dirs_exist_ok=True)
+    return runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(EXPERIMENT_PATHS),
+    change=st.one_of(
+        st.sampled_from([DROP, "x", True, [], {}, None, 1.5, math.nan, math.inf, -math.inf]),
+        st.integers(-10**6, -1),
+    ),
+)
+def test_a_mutated_experiment_is_reported_or_refused(runs_dir, mutable_runs, path, change):
+    """One value of an experiment's results.json swapped for another JSON type, a
+    non-finite number or a negative count, or its key or row deleted.  Every
+    report prints its table or refuses the document in one line: never a
+    traceback."""
+    good = json.loads((runs_dir / "exp1/results.json").read_text(encoding="utf-8"))
+    (mutable_runs / "exp1/results.json").write_text(
+        json.dumps(_mutated(good, path, change)), encoding="utf-8"
     )
-    imported = {
-        line.rsplit("|", 1)[-1].strip()
-        for line in proc.stderr.splitlines() if line.startswith("import time:")
-    }
-    return proc, imported
+    for args in REPORTS:
+        res = invoke("report", *args, "--runs", mutable_runs)
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        if res.exit_code == 1:
+            assert res.stdout == ""
+            assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1, res.stderr
+        else:
+            assert res.exit_code == 0
+            assert res.stdout.startswith("model,experiment,spec,value" if args[0] == "export" else "## ")
+
+
+# -- start-up --------------------------------------------------------------
 
 
 def test_cli_import_leaves_requests_unloaded():
     """Only live completions need requests, and only a command's body imports
     numpy or a layer: the CLI and its help start with logitlab and click."""
-    proc, _ = _fresh_python("-c", (
+    proc, _ = fresh_python("-c", (
         "import sys, logitlab.cli; "
         "print(sorted(m for m in sys.modules if m in ('requests', 'numpy') or m.startswith('logitlab')))"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['logitlab', 'logitlab.cli']\n"
     for args in (("--help",), ("report", "--help")):
-        proc, imported = _fresh_python("-m", "logitlab.cli", *args)
+        proc, imported = fresh_python("-m", "logitlab.cli", *args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("Usage: ")
         assert "click" in imported and "numpy" not in imported
         assert {m for m in imported if m.startswith("logitlab.")} == set()
+
+
+# Modules only fitting and prompting need: a process that reads results loads none.
+NUMPY_MODULES = (
+    "numpy", "logitlab.dataset", "logitlab.engine.bfgs", "logitlab.engine.kernel",
+    "logitlab.specdsl.binding",
+)
+
+
+def test_report_process_leaves_numpy_unloaded(tmp_path):
+    """A report reads results.json documents; numpy enters only with a fit."""
+    for exp, providers in ((1, "alpha,delta,golden"), (3, "beta"), (5, "epsilon")):
+        res = invoke("run", "--experiment", exp, "--providers", providers,
+                     "--data", CSV, "--dict", DICT, "--replay", FIXTURES, "--out", tmp_path)
+        assert res.exit_code == 0, res.output
+    for args in (("summary",), ("best-of",), ("profile",), ("export", "--metric", "vot")):
+        proc, imported = fresh_python("-m", "logitlab.cli", "report", *args, "--runs", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "logitlab.runner" in imported
+        assert [m for m in NUMPY_MODULES if m in imported] == [], args
+    proc, imported = fresh_python("-c", "import logitlab.runner")
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in NUMPY_MODULES if m in imported] == []

@@ -27,7 +27,7 @@ from logitlab.llmgate.extract import Claim
 from logitlab.metrics import FitStats, information_criteria
 from logitlab.specdsl.serialize import serialize_spec
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SYNTH_CSV, SYNTH_DICT, fresh_python
 from test_llmgate import OK_PAYLOAD, FakeResponse, FakeSession
 
 ALPHA = ProviderConfig(name="alpha", model="alpha-large")
@@ -329,6 +329,59 @@ def test_division_by_a_literal_zero_keeps_the_validation(tmp_path, synth_data):
     assert record.estimation.convergence_reason == "non_finite"
     assert record.validation.exclusion == "excluded_nonconvergence"
     assert not any("ZeroDivisionError" in d for d in record.diagnostics)
+
+
+# -- first-use layers -----------------------------------------------------------
+
+# The runner's layers that import numpy, by the module that defines each.
+NUMPY_LAYERS = {
+    "format_csv": "logitlab.dataset",
+    "write_dictionary": "logitlab.dataset",
+    "bind": "logitlab.specdsl.binding",
+    "estimate": "logitlab.engine.bfgs",
+    "build_prompt": "logitlab.llmgate.prompts",
+}
+
+# Sets a spy on one layer's runner name before anything binds it, replays
+# experiment 3, and checks that the spy was called and kept, and that every
+# other name is bound to its layer's own function.
+SPY_SCRIPT = """
+import importlib, json, sys
+from logitlab import dataset, runner
+from logitlab.llmgate.config import ProviderConfig
+
+name, layers, fixtures, csv_path, dict_path = sys.argv[1], json.loads(sys.argv[2]), *sys.argv[3:]
+assert not set(layers) & set(vars(runner)), "bound on import"
+layer = getattr(importlib.import_module(layers[name]), name)
+calls = []
+
+def spy(*args, **kwargs):
+    calls.append(name)
+    return layer(*args, **kwargs)
+
+setattr(runner, name, spy)
+data = dataset.load_dataset(csv_path, dict_path)
+runner.run_experiment(3, [ProviderConfig("beta", "beta-mini")], data, replay_dir=fixtures)
+assert calls and getattr(runner, name) is spy, name
+for other, module in layers.items():
+    if other != name:
+        assert getattr(runner, other) is getattr(importlib.import_module(module), other), other
+"""
+
+
+@pytest.mark.parametrize("name", NUMPY_LAYERS)
+def test_a_name_set_before_first_use_is_the_one_called(name):
+    """A tracer or a test sets its wrapper with setattr before any run: the
+    first-use binding keeps it, and binds the other names to the layers."""
+    proc, _ = fresh_python(
+        "-c", SPY_SCRIPT, name, json.dumps(NUMPY_LAYERS), str(FIXTURES), str(SYNTH_CSV), str(SYNTH_DICT)
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_an_unknown_runner_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_layer'"):
+        runner.no_such_layer  # noqa: B018
 
 
 # -- persistence ------------------------------------------------------------------
