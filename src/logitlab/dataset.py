@@ -18,13 +18,28 @@ with a number numpy parses in each attribute and covariate cell.  Every
 other file, and every file that breaks a rule, is read again from the
 start by ``csv.reader``, the reference reader, so the data loaded and
 each error message are the same whichever reader took the file.
+
+Parsing happens once per file content.  :func:`load_dataset` keeps the
+checked columns of each file it parses in an on-disk cache under
+``$XDG_CACHE_HOME/logitlab/datasets`` (``~/.cache/logitlab/datasets`` when
+that is unset), keyed by a sha256 of the CSV bytes, the dictionary text,
+this module's source and the versions that decide a parse, and rebuilds
+a later load of the same content from there.  A missing or damaged entry
+is parsed again; only a load that succeeds is cached, so every error
+comes from a parse.  Deleting the directory is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
+import os
+import sys
+import tempfile
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -38,6 +53,12 @@ from logitlab import LogitlabError
 VALID_KINDS = ("attribute", "availability", "covariate", "choice", "id")
 VALID_QUANTITIES = ("time", "cost", "other")
 BLOCK_ROWS = 8192  # CSV rows csv.reader holds as strings at once
+# Bytes of entries the cache keeps; a write evicts the least recently used beyond
+# these.  An entry holds about 8 bytes per number cell: some 13 MB for 100k rows of
+# the shipped dictionary's 14 attributes and covariates.
+CACHE_BYTES = 256 * 2**20
+# A .tmp file older than this was left by a writer killed before its rename.
+STALE_SECONDS = 3600
 
 
 class DatasetError(LogitlabError):
@@ -278,19 +299,33 @@ def load_dataset(csv_path: str | Path, dictionary_path: str | Path) -> Dataset:
     from the start by :func:`_read_csv` with ``csv.reader``, so the data
     and every error are the same whichever reader took the file.
 
+    The checked columns of a file that loads are cached on disk (see
+    :func:`_entry_path`), and a later load of the same CSV bytes under the
+    same dictionary text is rebuilt from that entry, bit for bit as a parse
+    gives them.  A cache directory that cannot be made or written only
+    costs the parse.
+
     Raises :class:`MissingColumn`, :class:`NonFiniteValue`,
     :class:`ChoiceUnavailable`, :class:`TooFewAvailable` or another
     :class:`DatasetError` for the lowest violating data row; messages
     carry that 1-based row, blank lines counted.
     """
     csv_path = Path(csv_path)
-    dictionary = parse_dictionary(Path(dictionary_path).read_text(encoding="utf-8"))
+    dictionary_text = Path(dictionary_path).read_text(encoding="utf-8")
+    dictionary = parse_dictionary(dictionary_text)
     if len(dictionary.alternatives) < 2:
         raise DatasetError("dictionary must declare availability for at least two alternatives")
-    try:
-        values, avail, choice_idx, person_id = _read_plain(csv_path, dictionary)
-    except (ValueError, DatasetError):  # UnicodeDecodeError too; csv.reader words the error
-        values, avail, choice_idx, person_id = _read_csv(csv_path, dictionary)
+    raw = csv_path.read_bytes()  # parsed and hashed alike, so an entry holds what its key names
+    entry = _entry_path(raw, dictionary_text)
+    columns = None if entry is None else _read_entry(entry, dictionary)
+    if columns is None:
+        try:
+            columns = _read_plain(csv_path, raw, dictionary)
+        except (ValueError, DatasetError):  # UnicodeDecodeError too; csv.reader words the error
+            columns = _read_csv(csv_path, raw, dictionary)
+        if entry is not None:
+            _write_entry(entry, columns)
+    values, avail, choice_idx, person_id = columns
     return Dataset(
         alternatives=dictionary.alternatives,
         columns=dict(zip(dictionary.variable_names, values)),
@@ -326,8 +361,14 @@ def _read_header(reader, csv_path: Path, dictionary: DataDictionary) -> list[str
 _NOT_PLAIN = '"\x00\x1c\x1d\x1e\x1f'
 
 
-def _read_plain(csv_path: Path, dictionary: DataDictionary) -> Columns:
-    """Checked columns of a plain CSV, read in one pass by ``np.loadtxt``.
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """CSV bytes as text, as ``open(newline="", encoding="utf-8")`` reads a file."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
+def _read_plain(csv_path: Path, raw: bytes, dictionary: DataDictionary) -> Columns:
+    """Checked columns of a plain CSV, the bytes ``raw`` of ``csv_path``, read in one
+    pass by ``np.loadtxt``.
 
     After its header, a plain CSV has no ``"``, NUL or ASCII separator
     (``\\x1c``-``\\x1f``), no blank line and no line longer than csv's
@@ -341,7 +382,7 @@ def _read_plain(csv_path: Path, dictionary: DataDictionary) -> Columns:
     Raises ValueError for a file that is not plain or a row numpy refuses,
     and :class:`DatasetError` when a rule of :func:`_checked_columns` fails.
     """
-    with csv_path.open(newline="", encoding="utf-8") as fh:
+    with _text(raw) as fh:
         header = _read_header(csv.reader(fh), csv_path, dictionary)
         text = fh.read()
     lines = text.removesuffix("\n").split("\n")
@@ -367,13 +408,14 @@ def _read_plain(csv_path: Path, dictionary: DataDictionary) -> Columns:
     )
 
 
-def _read_csv(csv_path: Path, dictionary: DataDictionary) -> Columns:
-    """Checked columns of any CSV, read by ``csv.reader`` in blocks of BLOCK_ROWS rows.
+def _read_csv(csv_path: Path, raw: bytes, dictionary: DataDictionary) -> Columns:
+    """Checked columns of any CSV, the bytes ``raw`` of ``csv_path``, read by
+    ``csv.reader`` in blocks of BLOCK_ROWS rows.
 
     This is the reference reader: it takes every file, and every error
     message comes from it.
     """
-    with csv_path.open(newline="", encoding="utf-8") as fh:
+    with _text(raw) as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, csv_path, dictionary)
         blocks = []
@@ -525,6 +567,115 @@ def _choice_index(cell: str, alternatives: tuple[str, ...]) -> int | str:
     if 1 <= code <= len(alternatives):
         return code - 1
     return f"choice code {code} out of range 1..{len(alternatives)}"
+
+
+# -- the parsed-columns cache --------------------------------------------
+
+
+def _entry_path(raw: bytes, dictionary_text: str) -> Path | None:
+    """Where the checked columns of CSV bytes ``raw`` under a dictionary are cached.
+
+    The file name is a sha256 over every input that decides what a parse
+    gives: the CSV bytes, the dictionary text, this module's source, numpy's
+    version, Python's minor version (``csv.reader`` refuses NUL before 3.11)
+    and csv's field size limit; never a path or a time.  The directory is
+    ``$XDG_CACHE_HOME/logitlab/datasets``, or ``~/.cache/logitlab/datasets``
+    where that variable is unset or not absolute.  None when this module's
+    source cannot be read, or the directory would lie in a home directory
+    that cannot be found.
+    """
+    try:
+        source = Path(__file__).read_bytes()
+        root = os.environ.get("XDG_CACHE_HOME", "")
+        root = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    versions = repr((np.__version__, sys.version_info[:2], csv.field_size_limit()))
+    digest = hashlib.sha256()
+    for part in (raw, dictionary_text.encode("utf-8"), source, versions.encode("utf-8")):
+        digest.update(len(part).to_bytes(8, "little"))  # so no part runs into the next
+        digest.update(part)
+    return root / "logitlab" / "datasets" / f"{digest.hexdigest()}.columns"
+
+
+# An entry is four .npy arrays back to back: the (n_vars, n) values, avail,
+# choice_idx, and the IDs as the UTF-8 bytes of a separator followed by the
+# IDs joined by it, a character no ID holds; so any str round-trips, NUL and
+# trailing NUL included, which numpy's fixed-width strings would drop.
+
+
+def _read_entry(path: Path, dictionary: DataDictionary) -> Columns | None:
+    """The columns cached at ``path``, or None where the entry is missing, cut short or
+    does not fit ``dictionary``; a hit marks the entry as used now."""
+    try:
+        with open(path, "rb") as fh:
+            values, avail, choice_idx, ids = (np.load(fh, allow_pickle=False) for _ in range(4))
+            whole = not fh.read(1)
+        text = ids.tobytes().decode("utf-8", "surrogatepass")
+        person_id = text[1:].split(text[0])
+    except (OSError, ValueError, EOFError, IndexError):  # UnicodeDecodeError is a ValueError
+        return None
+    n = len(person_id)
+    layout = [(a.dtype, a.shape) for a in (values, avail, choice_idx)]
+    expected = [
+        (np.float64, (len(dictionary.variable_names), n)),
+        (bool, (n, len(dictionary.alternatives))),
+        (np.int64, (n,)),
+    ]
+    if not whole or layout != expected:
+        return None
+    with contextlib.suppress(OSError):  # a read-only cache still serves its entries
+        os.utime(path)
+    return values, avail, choice_idx, person_id
+
+
+def _write_entry(path: Path, columns: Columns) -> None:
+    """Cache ``columns`` at ``path``, then evict the least recently used entries beyond
+    CACHE_BYTES and stale ``.tmp`` files.  Columns larger than CACHE_BYTES are not
+    cached.  A directory that cannot be made or written leaves the cache as it was."""
+    values, avail, choice_idx, person_id = columns
+    joined = "".join(person_id)
+    separator = next(c for c in map(chr, itertools.count(ord("\n"))) if c not in joined)
+    text = separator + separator.join(person_id)
+    ids = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    if sum(a.nbytes for a in (values, avail, choice_idx, ids)) > CACHE_BYTES:
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+        try:
+            with open(fd, "wb") as fh:
+                for array in (values, avail, choice_idx, ids):
+                    np.save(fh, array, allow_pickle=False)
+            os.replace(tmp, path)  # a reader sees the whole entry or none
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        _evict(path.parent)
+    except OSError:
+        pass  # the cache only saves time; the columns are loaded either way
+
+
+def _evict(directory: Path) -> None:
+    """Remove the least recently used entries of ``directory`` beyond CACHE_BYTES, and
+    every ``.tmp`` file older than STALE_SECONDS.  A file another process removes
+    first is skipped."""
+    entries = []
+    stale = time.time() - STALE_SECONDS
+    with os.scandir(directory) as listing:
+        for e in listing:
+            with contextlib.suppress(OSError):
+                stat = e.stat()
+                if e.name.endswith(".tmp") and stat.st_mtime < stale:
+                    os.unlink(e.path)
+                elif e.name.endswith(".columns"):
+                    entries.append((stat.st_mtime_ns, stat.st_size, e.path))
+    kept = 0
+    for _, size, old in sorted(entries, reverse=True):
+        kept += size
+        if kept > CACHE_BYTES:
+            with contextlib.suppress(OSError):
+                os.unlink(old)
 
 
 def format_csv(dataset: Dataset) -> str:

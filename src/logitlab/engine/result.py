@@ -36,14 +36,16 @@ class EstimationResult:
     ``converged`` requires both the gradient criterion and a negative
     definite Hessian; ``convergence_reason`` records why iteration
     stopped, which is informative even for failed runs.  Every estimate is
-    finite; standard errors and t-ratios are NaN when the Hessian is
+    finite, and so is the null log-likelihood, which is negative; a
+    ``loglik`` that could not be computed is -inf.  Standard errors and
+    t-ratios are NaN when the Hessian is
     singular or indefinite.  ``estimates``, ``std_errors`` and ``t_ratios``
     return arrays and import numpy when called.
     """
 
     parameters: tuple[ParameterEstimate, ...]
     loglik: float = field(metadata={"missing": -math.inf})
-    null_loglik: float = field(metadata={"missing": -math.inf})
+    null_loglik: float
     iterations: int
     converged: bool
     convergence_reason: str  # one of CONVERGENCE_REASONS
@@ -54,8 +56,8 @@ class EstimationResult:
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValueError(f"'parameters' has more than one row for '{name}'")
-        if self.null_loglik >= 0.0:
-            raise ValueError(f"'null_loglik' is {self.null_loglik}, not negative")
+        if not -math.inf < self.null_loglik < 0.0:
+            raise ValueError(f"'null_loglik' is {self.null_loglik}, not a finite negative number")
         if self.loglik > 0.0:
             raise ValueError(f"'loglik' is {self.loglik}, above 0")
         for p in self.parameters:

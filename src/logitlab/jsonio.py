@@ -20,6 +20,8 @@ for a value outside one.  A dataclass names its keys by its class name, or
 by the file when :func:`load_json` decodes a whole file into it.  A type
 states the rules of its figures in ``__post_init__``; the ``ValueError``
 that raises is re-raised once, prefixed by where the value sits.
+:func:`load_json` refuses the literals ``NaN``, ``Infinity`` and
+``-Infinity``, which ``json`` would otherwise read as floats.
 
 A dataclass stored as a string (:class:`UtilitySpec`, as its DSL text)
 defines the hook pair ``to_json(self)`` and the classmethod
@@ -138,9 +140,15 @@ def _expect(data, json_type, where: str) -> None:
 
 def load_json(path, tp):
     """The value of dataclass ``tp`` in the JSON file ``path``, its keys named by the
-    file; ValueError naming the file where it does not fit."""
+    file; ValueError naming the file where it does not fit, or where it holds ``NaN``,
+    ``Infinity`` or ``-Infinity``, which are not JSON and which :func:`dump_json` never
+    writes."""
+
+    def refuse(literal: str):
+        raise ValueError(f"{path} holds {literal}, which is not JSON")
+
     with open(path, encoding="utf-8") as fh:
-        return from_json(tp, json.load(fh), where=str(path), owner=str(path))
+        return from_json(tp, json.load(fh, parse_constant=refuse), where=str(path), owner=str(path))
 
 
 def dump_json(obj) -> str:

@@ -128,12 +128,15 @@ def _live_call(bundle: PromptBundle, provider: ProviderConfig, session) -> LLMTr
             raise AuthError(f"'{provider.name}' rejected credentials ({resp.status_code})")
         if resp.status_code != 200:
             raise TransportError(f"'{provider.name}' returned {resp.status_code}: {resp.text[:200]}")
-        data = resp.json()
+        malformed = f"malformed completion payload from '{provider.name}'"
         try:
+            data = resp.json()  # a body that is not JSON raises a ValueError
             text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion payload from '{provider.name}'") from exc
-        usage = data.get("usage") or {}
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise TransportError(malformed) from exc
+        usage = {} if data.get("usage") is None else data["usage"]
+        if not isinstance(text, str) or not isinstance(usage, dict):
+            raise TransportError(malformed)
         return LLMTranscript(
             provider=provider.name,
             model=provider.model,

@@ -669,7 +669,7 @@ MALFORMED = {
     "metrics-null_loglik_zero": (
         "metrics",
         _with_estimation(null_loglik=0),
-        "{target} 'estimation': 'null_loglik' is 0.0, not negative",
+        "{target} 'estimation': 'null_loglik' is 0.0, not a finite negative number",
     ),
     "metrics-parameter_missing": (
         "metrics",
@@ -692,7 +692,30 @@ MALFORMED = {
     "metrics-null_loglik_positive": (
         "metrics",
         _with_estimation(null_loglik=5.0),
-        "{target} 'estimation': 'null_loglik' is 5.0, not negative",
+        "{target} 'estimation': 'null_loglik' is 5.0, not a finite negative number",
+    ),
+    # NaN and Infinity are not JSON, and a null null_loglik is NaN: each used to pass,
+    # and metrics printed rho-squared=nan or, for -inf, 1.0000
+    "metrics-null_loglik_nan": (
+        "metrics", _with_estimation(null_loglik=math.nan), "{target} holds NaN, which is not JSON"
+    ),
+    "validate-null_loglik_infinity": (
+        "validate",
+        _with_estimation(null_loglik=-math.inf),
+        "{target} holds -Infinity, which is not JSON",
+    ),
+    "metrics-null_loglik_null": (
+        "metrics",
+        _with_estimation(null_loglik=None),
+        "{target} 'estimation': 'null_loglik' is nan, not a finite negative number",
+    ),
+    "report-infinity": (
+        "exp3/results.json",
+        lambda doc: {**doc, "records": [
+            {**doc["records"][0], "fit": {**doc["records"][0]["fit"], "aic": math.inf}},
+            *doc["records"][1:],
+        ]},
+        "{target} holds Infinity, which is not JSON",
     ),
     "metrics-loglik_positive": (
         "metrics", _with_estimation(loglik=12.0), "{target} 'estimation': 'loglik' is 12.0, above 0"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +55,15 @@ def _refuse(*args):
     raise ValueError("numpy's reader refuses every file")
 
 
+def uncached(mp: pytest.MonkeyPatch) -> None:
+    """Make each ``load_dataset`` parse its file: no cache entry is read or written."""
+    mp.setattr(ds, "_entry_path", lambda raw, dictionary_text: None)
+
+
 def load_with_csv_reader(csv_path, dictionary_path) -> ds.Dataset:
     """``load_dataset`` as it goes for a file numpy's reader refuses: by csv.reader alone."""
     with pytest.MonkeyPatch.context() as mp:
+        uncached(mp)
         mp.setattr(ds, "_read_plain", _refuse)
         return ds.load_dataset(csv_path, dictionary_path)
 
@@ -259,6 +267,7 @@ def test_ids_differing_in_trailing_nul_stay_apart(tmp_path, monkeypatch):
         plain_reads.append(read_plain(*args))
         return plain_reads[-1]
 
+    uncached(monkeypatch)
     monkeypatch.setattr(ds, "_read_plain", spy)
     data = ds.load_dataset(csv_path, write(tmp_path, "d.md", DICT_MD))
     assert not plain_reads  # a NUL leaves the file to csv.reader
@@ -350,6 +359,19 @@ def synth_csv_files(draw) -> tuple[bytes, bool, bool]:
     return data, draw(st.booleans()), set(edits) <= set(PLAIN_EDITS)
 
 
+def write_case(tmp_path_factory, case) -> tuple[Path, Path]:
+    """The CSV file of a :func:`synth_csv_files` case and its dictionary file."""
+    data, documented_id, _ = case
+    path = tmp_path_factory.mktemp("case") / "c.csv"
+    path.write_bytes(data)
+    dictionary = SYNTH_DICT.read_text(encoding="utf-8")
+    if not documented_id:
+        dictionary = "".join(
+            line for line in dictionary.splitlines(keepends=True) if not line.startswith("| ID |")
+        )
+    return path, write(path.parent, "d.md", dictionary)
+
+
 def load_outcome(path, dictionary_path):
     """The dataset, or the class and message of the error loading it raises."""
     try:
@@ -371,15 +393,7 @@ SYNTH_ROW = "1,1,1,0,1,car," + ",".join(["12"] * len(NUMBER_NAMES))
 @example(case=(f"{','.join(SYNTH_NAMES)}\n{SYNTH_ROW}\r\r{SYNTH_ROW}\n".encode(), False, False))
 @example(case=(f"{','.join(SYNTH_NAMES)}\n{'7' * 200_000}{SYNTH_ROW[1:]}\n".encode(), True, False))
 def test_numpy_reader_loads_as_csv_reader_does(tmp_path_factory, case):
-    data, documented_id, plain = case
-    path = tmp_path_factory.mktemp("differential") / "c.csv"
-    path.write_bytes(data)
-    dictionary = SYNTH_DICT.read_text(encoding="utf-8")
-    if not documented_id:
-        dictionary = "".join(
-            line for line in dictionary.splitlines(keepends=True) if not line.startswith("| ID |")
-        )
-    dictionary_path = write(path.parent, "d.md", dictionary)
+    path, dictionary_path = write_case(tmp_path_factory, case)
     plain_reads = []
     read_plain = ds._read_plain
 
@@ -388,6 +402,7 @@ def test_numpy_reader_loads_as_csv_reader_does(tmp_path_factory, case):
         return plain_reads[-1]
 
     with pytest.MonkeyPatch.context() as mp:
+        uncached(mp)  # both loads parse, or the second would be the first's cached columns
         mp.setattr(ds, "_read_plain", spy)
         loaded = load_outcome(path, dictionary_path)
         mp.setattr(ds, "_read_plain", _refuse)
@@ -399,7 +414,229 @@ def test_numpy_reader_loads_as_csv_reader_does(tmp_path_factory, case):
     assert_same_data(loaded, reference)
     for name, values in reference.columns.items():  # bit for bit, -0.0 included
         np.testing.assert_array_equal(loaded.columns[name].view(np.int64), values.view(np.int64))
-    assert bool(plain_reads) == plain
+    assert bool(plain_reads) == case[2]
+
+
+# -- the parsed-columns cache --------------------------------------------------
+
+
+def assert_same_bits(a: ds.Dataset, b: ds.Dataset) -> None:
+    """Every field of ``a`` is ``b``'s bit for bit: dtypes, shapes, -0.0, read-only flags."""
+    assert (a.alternatives, a.dictionary) == (b.alternatives, b.dictionary)
+    assert type(a.person_id) is tuple and a.person_id == b.person_id
+    assert a.columns.keys() == b.columns.keys()
+    for x, y in zip((a.avail, a.choice_idx, *a.columns.values()),
+                    (b.avail, b.choice_idx, *b.columns.values())):
+        assert (x.dtype, x.shape, x.flags.writeable) == (y.dtype, y.shape, y.flags.writeable)
+        assert x.tobytes() == y.tobytes()
+
+
+def spy_on_readers(mp: pytest.MonkeyPatch) -> list[str]:
+    """The names of the readers ``load_dataset`` calls from now on, in order."""
+    reads = []
+    for name in ("_read_plain", "_read_csv"):
+        def spy(*args, name=name, read=getattr(ds, name)):
+            reads.append(name)
+            return read(*args)
+
+        mp.setattr(ds, name, spy)
+    return reads
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=synth_csv_files())
+@example(case=(f"{','.join(SYNTH_NAMES)}\n{SYNTH_ROW}\n".encode(), True, True))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n\"7\x00\"{SYNTH_ROW[1:]}\n".encode(), True, False))
+@example(case=(f"{','.join(SYNTH_NAMES)}\n\n".encode(), True, False))
+def test_a_cached_load_gives_every_field_of_a_parse(tmp_path_factory, case):
+    """A first load parses and caches, a second is rebuilt from the entry without a
+    reader, and both equal a load that bypasses the cache; a refused file is refused
+    alike each time and leaves the cache empty."""
+    path, dictionary_path = write_case(tmp_path_factory, case)
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        miss = load_outcome(path, dictionary_path)
+        reads = spy_on_readers(mp)
+        hit = load_outcome(path, dictionary_path)
+        hit_reads = list(reads)
+        uncached(mp)
+        parse = load_outcome(path, dictionary_path)
+    if not isinstance(parse, ds.Dataset):
+        assert miss == hit == parse
+        assert list(cache.iterdir()) == []
+        return
+    assert hit_reads == []
+    assert [p.suffix for p in cache.rglob("*") if p.is_file()] == [".columns"]
+    assert_same_bits(miss, parse)
+    assert_same_bits(hit, parse)
+
+
+@pytest.fixture()
+def cache(tmp_path, monkeypatch) -> Path:
+    """The entries directory of an empty cache of this test's own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg/logitlab/datasets"
+
+
+@pytest.fixture()
+def tiny(tmp_path) -> tuple[Path, Path]:
+    """A two-row CSV and its dictionary."""
+    return (
+        write(tmp_path, "c.csv", HEADER + "7,1,1,a,1,2,3,4\n8,1,1,b,-0,2,3,4\n"),
+        write(tmp_path, "d.md", DICT_MD),
+    )
+
+
+def test_a_cache_directory_that_cannot_be_made_costs_only_the_parse(
+    tmp_path, monkeypatch, capsys, tiny
+):
+    blocker = write(tmp_path, "xdg", "a file where the cache directory would go")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    reads = spy_on_readers(monkeypatch)
+    loads = [ds.load_dataset(*tiny) for _ in range(2)]
+    assert reads == ["_read_plain", "_read_plain"]
+    assert_same_bits(*loads)
+    assert blocker.read_text() == "a file where the cache directory would go"
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cache_lives_under_xdg_cache_home_or_home(tmp_path, monkeypatch, tiny):
+    raw, text = tiny[0].read_bytes(), DICT_MD
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert ds._entry_path(raw, text).parent == tmp_path / "xdg/logitlab/datasets"
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for unusable in ("", "relative/cache"):
+        monkeypatch.setenv("XDG_CACHE_HOME", unusable)
+        assert ds._entry_path(raw, text).parent == tmp_path / "home/.cache/logitlab/datasets"
+
+
+def _change_source(tmp_path, monkeypatch):
+    changed = tmp_path / "dataset.py"
+    changed.write_bytes(Path(ds.__file__).read_bytes() + b"\n")
+    monkeypatch.setattr(ds, "__file__", str(changed))
+
+
+def _change_field_size_limit(tmp_path, monkeypatch):
+    limit = csv.field_size_limit()
+    monkeypatch.setattr(csv, "field_size_limit", lambda: limit + 1)
+
+
+CHANGES = {
+    "nothing": lambda tmp_path, monkeypatch: None,
+    "a csv byte": lambda tmp_path, monkeypatch: write(
+        tmp_path, "c.csv", HEADER + "7,1,1,a,1,2,3,4\n8,1,1,b,-0,2,3,5\n"
+    ),
+    "the dictionary": lambda tmp_path, monkeypatch: write(
+        tmp_path, "d.md", DICT_MD.replace("| person |", "| traveller |")
+    ),
+    "the loader's source": _change_source,
+    "numpy's version": lambda tmp_path, monkeypatch: monkeypatch.setattr(
+        np, "__version__", np.__version__ + "+changed"
+    ),
+    "csv's field size limit": _change_field_size_limit,
+}
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_a_change_to_any_keyed_input_is_a_miss(tmp_path, monkeypatch, cache, tiny, change):
+    ds.load_dataset(*tiny)
+    CHANGES[change](tmp_path, monkeypatch)
+    reads = spy_on_readers(monkeypatch)
+    ds.load_dataset(*tiny)
+    assert reads == ([] if change == "nothing" else ["_read_plain"])
+    assert len(list(cache.iterdir())) == (1 if change == "nothing" else 2)
+
+
+def _entry(tiny) -> Path:
+    return ds._entry_path(tiny[0].read_bytes(), tiny[1].read_text(encoding="utf-8"))
+
+
+def _without_first_variable(entry: Path, dictionary: ds.DataDictionary) -> None:
+    values, *rest = ds._read_entry(entry, dictionary)
+    ds._write_entry(entry, (values[1:], *rest))
+
+
+def _cut_at_an_array_end(entry: Path, dictionary: ds.DataDictionary) -> None:
+    with open(entry, "rb") as fh:
+        for _ in range(3):
+            np.load(fh)
+        entry.write_bytes(entry.read_bytes()[:fh.tell()])
+
+
+DAMAGE = {
+    "cut short": lambda entry, dictionary: entry.write_bytes(entry.read_bytes()[:-1]),
+    "cut at an array's end": _cut_at_an_array_end,
+    "empty": lambda entry, dictionary: entry.write_bytes(b""),
+    "one byte too many": lambda entry, dictionary: entry.write_bytes(entry.read_bytes() + b"\0"),
+    "a variable short": _without_first_variable,
+    "not a file": lambda entry, dictionary: entry.unlink() or entry.mkdir(),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_entry_is_parsed_again_and_replaced(monkeypatch, cache, tiny, damage):
+    first = ds.load_dataset(*tiny)
+    entry = _entry(tiny)
+    whole = entry.read_bytes()
+    DAMAGE[damage](entry, first.dictionary)
+    reads = spy_on_readers(monkeypatch)
+    assert_same_bits(ds.load_dataset(*tiny), first)
+    assert reads == ["_read_plain"]
+    if damage != "not a file":  # a directory in its place cannot be replaced; it stays a miss
+        assert entry.read_bytes() == whole
+
+
+def test_ids_with_nul_newline_and_non_ascii_text_round_trip(tmp_path, monkeypatch, cache):
+    ids = ["7", "7\x00", "\x00", "é\x00ü", "a\nb", "", "東京\x00"]
+    rows = "".join(f'"{i}",1,1,a,1,2,3,4\n' for i in ids)
+    csv_path = write(tmp_path, "c.csv", HEADER + rows)
+    dictionary_path = write(tmp_path, "d.md", DICT_MD)
+    reads = spy_on_readers(monkeypatch)
+    loads = [ds.load_dataset(csv_path, dictionary_path) for _ in range(2)]
+    assert reads == ["_read_plain", "_read_csv"]  # the quotes leave the file to csv.reader
+    for data in loads:
+        assert data.person_id == tuple(ids)
+
+
+def test_writing_past_the_cap_evicts_the_least_recently_used(tmp_path, monkeypatch, cache):
+    dictionary_path = write(tmp_path, "d.md", DICT_MD)
+    files = {
+        name: write(tmp_path, f"{name}.csv", HEADER + f"{i},1,1,a,1,2,3,4\n")
+        for i, name in enumerate("abc")
+    }
+    entries = {name: _entry((path, dictionary_path)) for name, path in files.items()}
+    for name, seconds in (("a", 1), ("b", 2)):
+        ds.load_dataset(files[name], dictionary_path)
+        os.utime(entries[name], (seconds, seconds))  # a older than b
+    size = entries["a"].stat().st_size
+    assert entries["b"].stat().st_size == size
+    monkeypatch.setattr(ds, "CACHE_BYTES", 2 * size + 1)  # room for two entries, not three
+    ds.load_dataset(files["a"], dictionary_path)  # a hit makes a the more recent
+    ds.load_dataset(files["c"], dictionary_path)
+    assert sorted(cache.iterdir()) == sorted((entries["a"], entries["c"]))
+
+
+def test_a_write_removes_stale_tmp_files_and_keeps_fresh_ones(tmp_path, cache):
+    """A writer killed between creating its .tmp file and renaming it leaves the file;
+    the next write removes it once it is STALE_SECONDS old, and leaves a young one,
+    which may be another process's write in progress."""
+    cache.mkdir(parents=True)
+    stale, fresh = write(cache, "stale.tmp", "x" * 1000), write(cache, "fresh.tmp", "y")
+    then = os.stat(stale).st_mtime - ds.STALE_SECONDS - 1
+    os.utime(stale, (then, then))
+    tiny = (write(tmp_path, "c.csv", HEADER + "7,1,1,a,1,2,3,4\n"), write(tmp_path, "d.md", DICT_MD))
+    ds.load_dataset(*tiny)
+    assert sorted(cache.iterdir()) == sorted((fresh, _entry(tiny)))
+
+
+def test_columns_larger_than_the_cap_are_not_cached(tmp_path, monkeypatch, cache, tiny):
+    monkeypatch.setattr(ds, "CACHE_BYTES", 10)
+    reads = spy_on_readers(monkeypatch)
+    for _ in range(2):
+        ds.load_dataset(*tiny)
+    assert reads == ["_read_plain", "_read_plain"]
+    assert not cache.exists()
 
 
 def test_arrays_are_read_only(synth_data):

@@ -289,6 +289,8 @@ class FakeResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
         return self._payload
 
 
@@ -403,3 +405,26 @@ def test_live_malformed_payload(live_env, bundle):
     session = FakeSession([FakeResponse(200, {"choices": []})])
     with pytest.raises(client.TransportError, match="malformed"):
         client.complete(bundle, PROVIDER, session=session)
+
+
+# 200 responses of a shape no completion has, each of which used to end a run in an
+# exception that is not a LogitlabError
+MALFORMED_PAYLOADS = {
+    "not JSON": requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0),
+    "null content": {**OK_PAYLOAD, "choices": [{"message": {"content": None}}]},
+    "usage not an object": {**OK_PAYLOAD, "usage": "free"},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS)
+def test_live_payload_of_the_wrong_shape(live_env, bundle, payload):
+    session = FakeSession([FakeResponse(200, payload)])
+    with pytest.raises(client.TransportError, match="^malformed completion payload from 'prov'$"):
+        client.complete(bundle, PROVIDER, session=session)
+
+
+def test_live_payload_without_usage_counts_no_tokens(live_env, bundle):
+    for usage in ({}, {"usage": None}):
+        payload = {"choices": OK_PAYLOAD["choices"], **usage}
+        t = client.complete(bundle, PROVIDER, session=FakeSession([FakeResponse(200, payload)]))
+        assert t.token_counts == {}

@@ -28,7 +28,7 @@ from logitlab.metrics import FitStats, information_criteria
 from logitlab.specdsl.serialize import serialize_spec
 
 from conftest import FIXTURES, SYNTH_CSV, SYNTH_DICT, fresh_python
-from test_llmgate import OK_PAYLOAD, FakeResponse, FakeSession
+from test_llmgate import MALFORMED_PAYLOADS, OK_PAYLOAD, FakeResponse, FakeSession
 
 ALPHA = ProviderConfig(name="alpha", model="alpha-large")
 BETA = ProviderConfig(name="beta", model="beta-mini")
@@ -213,6 +213,30 @@ def test_live_run_keeps_its_transcript_beside_the_experiment(monkeypatch, tmp_pa
     assert kept == tmp_path / "transcripts/beta/beta-mini/exp3.json"
     assert load_json(kept, LLMTranscript).response_text == text
     assert sorted(p.name for p in (tmp_path / "exp3").iterdir()) == ["results.json"]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS)
+def test_a_malformed_live_response_is_one_diagnostic(monkeypatch, tmp_path, synth_data, payload):
+    """One provider's 200 response of the wrong shape loses only that provider's specs."""
+    import requests
+
+    beta, text = live_beta(monkeypatch)
+    good = {**OK_PAYLOAD, "choices": [{"message": {"content": text}}]}
+    sessions = iter([FakeSession([FakeResponse(200, p)]) for p in (payload, good)])
+    monkeypatch.setattr(requests, "Session", lambda: next(sessions))
+    monkeypatch.setenv("ALPHA_API_KEY", "secret-key")
+    monkeypatch.setenv("ALPHA_BASE_URL", "https://api.example/v1")
+    result = runner.run_experiment(3, [ALPHA, beta], synth_data, out_dir=tmp_path)
+    assert result.diagnostics[0] == (
+        "alpha/alpha-large: TransportError: malformed completion payload from 'alpha'"
+    )
+    assert not any(d.startswith("alpha/") for d in result.diagnostics[1:])
+    saved = load_json(tmp_path / "exp3/results.json", runner.ExperimentResult)
+    assert saved.diagnostics == result.diagnostics
+    assert [(r.provider, r.spec_name) for r in saved.records] == [
+        ("beta", r.spec_name) for r in result.records
+    ]
+    assert len(saved.records) == 3
 
 
 def test_live_run_replays_from_its_transcripts(monkeypatch, tmp_path, synth_data):
