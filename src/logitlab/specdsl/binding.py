@@ -8,11 +8,14 @@ one forward-mode compiler (:func:`compile_expr`), into a function of
 ``(rows, theta, d)`` that gives its value and its derivative along the
 direction ``d``.  The value pass asks for the value alone.  Along a free
 parameter that only the utilities' affine additive terms read, ∂V/∂θ does
-not depend on θ, so binding caches it as ``design``: it compiles each
-utility's affine terms and writes their derivative along each such
-parameter's unit vector, with no θ, into that parameter's slab.  Along the
-parameters that the other terms read (``residual_idx``), the estimation
-kernel differentiates the whole compiled utilities at each θ.
+not depend on θ, so binding caches it as ``design``.  It stores a row
+∂Vⱼ/∂θ_q only where alternative j's affine terms name parameter q, as the
+expression says, whatever the data: each alternative's rows are its affine
+terms' derivative along those parameters' unit vectors, with no θ, all in
+one call per row block, zero on unavailable cells.  A pair with no row is
+zero.  Along the parameters that the other terms read (``residual_idx``),
+the estimation kernel differentiates the whole compiled utilities at each
+θ.
 
 The design fill and every kernel pass run over the same row blocks,
 :func:`row_blocks` of ``ROW_BLOCK`` rows each.
@@ -284,14 +287,15 @@ class BoundModel:
     Arrays are aligned to ``alternatives`` (dataset order).  ``utilities``
     holds one compiled expression per alternative in the same order
     (:func:`compile_expr`), which gives its value and its derivative along a
-    direction.  ``residual_idx`` indexes the free parameters that some
-    utility's non-affine terms read; ∂V/∂θ along those is the utilities'
-    derivative at each θ.  Along every other free parameter it does not depend
-    on θ and is ``design``: the derivative of the utilities' affine terms, zero
-    on unavailable cells.  The design's slabs along ``residual_idx`` are zero.
-    The design is parameter-first and then alternative-major: ``design[q]`` is
-    parameter q's contiguous (n_alts, n_obs) slab, laid out as the kernel's
-    probabilities are.
+    direction.  ``reads[j]`` lists, ascending, the free parameters that
+    alternative j's utility names; ∂Vⱼ/∂θ is zero along every other one.
+    ``residual_idx`` indexes the free parameters that some utility's non-affine
+    terms read; ∂V/∂θ along those is the utilities' derivative at each θ.  Along
+    every other free parameter it does not depend on θ and is stored in
+    ``design``: ``design[j]`` is a contiguous (len(design_idx[j]), n_obs) array
+    whose row i is ∂Vⱼ/∂θ along parameter ``design_idx[j][i]``, the derivative
+    of alternative j's affine terms, zero on unavailable cells.
+    ``design_idx[j]`` is ``reads[j]`` without ``residual_idx``.
 
     The rest belongs to the estimation kernel: ``avail_weight``, ``avail_log``
     and ``chosen_cell`` are made from ``avail`` and ``choice_idx`` when the model
@@ -306,8 +310,11 @@ class BoundModel:
     start: np.ndarray  # aligned to free_names
     avail: np.ndarray  # (n_obs, n_alts) bool
     choice_idx: np.ndarray  # (n_obs,) int
-    design: np.ndarray  # (n_free, n_alts, n_obs)
+    reads: tuple[tuple[int, ...], ...]  # per alternative, into free_names
+    design: tuple[np.ndarray, ...]  # per alternative, (len(design_idx[j]), n_obs)
     residual_idx: tuple[int, ...]  # into free_names
+    # per alternative, the parameters of design[j]'s rows
+    design_idx: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     # (n_alts, n_obs): 1.0 on available cells, 0.0 elsewhere
     avail_weight: np.ndarray = field(init=False, compare=False, repr=False)
     # (n_alts, n_obs) log of avail_weight: 0.0 on available cells, -inf elsewhere
@@ -320,7 +327,12 @@ class BoundModel:
         with np.errstate(divide="ignore"):
             log_weight = np.log(weight)
         chosen = self.choice_idx.astype(np.intp) * self.n_obs + np.arange(self.n_obs)
-        for name, value in (("avail_weight", weight), ("avail_log", log_weight), ("chosen_cell", chosen)):
+        stored = tuple(tuple(q for q in reads if q not in self.residual_idx) for reads in self.reads)
+        if [len(idx) for idx in stored] != [len(rows) for rows in self.design]:
+            raise ValueError("design does not hold one row per stored (parameter, alternative) pair")
+        for name, value in (
+            ("design_idx", stored), ("avail_weight", weight), ("avail_log", log_weight), ("chosen_cell", chosen)
+        ):
             object.__setattr__(self, name, value)
 
     @property
@@ -404,16 +416,21 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
     compile_on_data = lambda expr: compile_expr(expr, dataset.columns, free_names, fixed)
     affine, residual = zip(*(_affine_part(u, set(free_names)) for u in utilities))
     residual_idx = tuple(i for i, name in enumerate(free_names) if name in set().union(*residual))
-    design = np.zeros((len(free_names), len(alternatives), dataset.n_obs))
-    units = [(q, unit) for q, unit in enumerate(np.eye(len(free_names)).tolist()) if q not in residual_idx]
-    with np.errstate(all="ignore"):
-        for j, terms in enumerate(affine):
-            if param_names(terms) & set(free_names):
-                derivative = compile_on_data(terms)
-                for q, unit in units:
-                    for rows in row_blocks(dataset.n_obs):
-                        design[q, j, rows] = derivative(rows, None, unit)[1]
-    design[:, ~dataset.avail.T] = 0.0
+    reads = tuple(
+        tuple(q for q, name in enumerate(free_names) if name in named) for named in map(param_names, utilities)
+    )
+    design = []
+    for j, terms in enumerate(affine):
+        idx = [q for q in reads[j] if q not in residual_idx]
+        X = np.empty((len(idx), dataset.n_obs))
+        if idx:
+            derivative = compile_on_data(terms)
+            seeds = np.eye(len(free_names))[:, idx, None]  # seeds[i]: (len(idx), 1), parameter i's
+            with np.errstate(all="ignore"):
+                for rows in row_blocks(dataset.n_obs):
+                    X[:, rows] = derivative(rows, None, seeds)[1]
+            X[:, ~dataset.avail[:, j]] = 0.0
+        design.append(X)
     return BoundModel(
         spec=spec,
         dataset=dataset,
@@ -423,6 +440,7 @@ def bind(spec: UtilitySpec, dataset: Dataset) -> BoundModel:
         start=start,
         avail=dataset.avail,
         choice_idx=dataset.choice_idx,
-        design=design,
+        reads=reads,
+        design=tuple(design),
         residual_idx=residual_idx,
     )

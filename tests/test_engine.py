@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import importlib.util
 import json
 import math
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -27,7 +29,7 @@ from logitlab.jsonio import from_json
 from logitlab.llmgate import client, extract
 from logitlab.specdsl import binding, parser
 from logitlab.specdsl.expr import (
-    Add, BoxCox, Call1, Const, Div, Mul, Neg, Param, Piecewise, Pow, Sub, Var,
+    Add, BoxCox, Call1, Const, Div, Mul, Neg, Param, Piecewise, Pow, Sub, Var, param_names,
 )
 
 from conftest import BEST_SPEC, BOXCOX_SPEC, FIXTURES, ROOT, SYNTH_CSV, SYNTH_DICT
@@ -218,7 +220,7 @@ def table_model(V: np.ndarray, avail: np.ndarray, choice_idx: np.ndarray) -> bin
         spec=None, dataset=None, alternatives=tuple(f"alt{j}" for j in range(J)),
         utilities=tuple((lambda rows, theta, d, v=V[:, j]: (v[rows], None)) for j in range(J)),
         free_names=(), start=np.empty(0), avail=avail, choice_idx=choice_idx,
-        design=np.empty((0, J, n)), residual_idx=(),
+        reads=((),) * J, design=(np.empty((0, n)),) * J, residual_idx=(),
     )
 
 
@@ -281,10 +283,10 @@ class WalkedUtility:
 
 
 def all_residual(model: binding.BoundModel) -> binding.BoundModel:
-    """``model`` with a zero design and every free parameter a residual one, each
-    utility differentiated by a dual pass: the reference for the design."""
+    """``model`` with no stored design rows and every free parameter a residual one,
+    each utility differentiated by a dual pass: the reference for the design."""
     return dataclasses.replace(
-        model, design=np.zeros_like(model.design),
+        model, design=tuple(np.empty((0, model.n_obs)) for _ in model.reads),
         utilities=tuple(WalkedUtility(model, *pair) for pair in zip(model.utilities, utility_exprs(model))),
         residual_idx=tuple(range(model.n_free)),
     )
@@ -317,7 +319,7 @@ def test_design_path_matches_dual_path(best_spec, synth_data, blocking):
     for spec in specs:
         model = binding.bind(spec, synth_data)
         assert model.residual_idx == (), spec.name
-        assert model.design.tobytes() == unblocked(binding.bind, spec, synth_data).design.tobytes()
+        assert design_bits(model) == design_bits(unblocked(binding.bind, spec, synth_data)), spec.name
         dual = all_residual(model)
         for _ in range(3):
             theta = model.start + rng.normal(0.0, 0.02, size=model.n_free)
@@ -464,7 +466,7 @@ def test_derivatives_are_zero_on_unavailable_cells(synth_data, blocking):
     unavailable = ~model.avail.T
     assert unavailable[0].any() and unavailable[1].any()
     full = kernel.jacobian(model, theta, range(model.n_free))
-    for G in (model.design, full):
+    for G in (dense_design(model), full):
         assert np.all(G[:, unavailable] == 0.0) and np.all(np.isfinite(G))
     for m in (model, all_residual(model)):
         ll, grad = kernel.loglik_and_gradient(m, theta)
@@ -476,15 +478,15 @@ BOXCOX_PIECEWISE_SPEC = BOXCOX_SPEC.read_text(encoding="utf-8")
 
 def test_boxcox_piecewise_spec_sends_only_its_boxcox_terms_to_the_residuals(synth_data):
     """The ASCs, time and piecewise income terms are affine, so only along b_cost and
-    lambda_cost are the utilities differentiated at each θ; the design holds the other
-    columns."""
+    lambda_cost are the utilities differentiated at each θ; the design stores the
+    other parameters' rows, and each has the bits of the Jacobian's."""
     model = binding.bind(parser.parse_spec(BOXCOX_PIECEWISE_SPEC), synth_data)
     assert [model.free_names[i] for i in model.residual_idx] == ["b_cost", "lambda_cost"]
     affine = [i for i in range(model.n_free) if i not in model.residual_idx]
-    assert not model.design[list(model.residual_idx)].any()
+    assert not stored_pairs(model)[list(model.residual_idx)].any()
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.1, 0.5, model.n_free)
     full = kernel.jacobian(model, theta, range(model.n_free))
-    assert full[affine].tobytes() == model.design[affine].tobytes()
+    assert_stored_rows_are(model, full, affine)
 
 
 def affine_terms(model: binding.BoundModel) -> list:
@@ -501,12 +503,57 @@ def dual_design(model: binding.BoundModel) -> np.ndarray:
     return G
 
 
+def stored_pairs(model: binding.BoundModel) -> np.ndarray:
+    """(k, J): where bind's design stores the row ∂Vⱼ/∂θ_q."""
+    pairs = np.zeros((model.n_free, model.n_alts), dtype=bool)
+    for j, idx in enumerate(model.design_idx):
+        pairs[list(idx), j] = True
+    return pairs
+
+
+def dense_design(model: binding.BoundModel) -> np.ndarray:
+    """(k, J, n) bind's stored rows in their (parameter, alternative) pairs, 0.0 in the others."""
+    G = np.zeros((model.n_free, model.n_alts, model.n_obs))
+    for j, (idx, X) in enumerate(zip(model.design_idx, model.design)):
+        G[list(idx), j] = X
+    return G
+
+
+def design_bits(model: binding.BoundModel, bits=np.ndarray.tobytes) -> tuple:
+    """Which rows bind's design stores, and the bits of each."""
+    return tuple((idx, [bits(x) for x in X]) for idx, X in zip(model.design_idx, model.design))
+
+
+def assert_stored_rows_are(
+    model: binding.BoundModel, want: np.ndarray, params=None, bits=np.ndarray.tobytes
+) -> None:
+    """Bind stores a row for each free parameter outside ``residual_idx`` that an
+    alternative's affine terms name, and for no other.  Each is a contiguous row of
+    its alternative's (len(design_idx[j]), n) array with the bits of its (parameter,
+    alternative) row of the (k, J, n) ``want``, and ``want`` is exactly zero in every
+    other pair of the parameters ``params`` (all of them by default), on each cell
+    where that alternative's stored rows are all finite.  Elsewhere a dual pass's
+    zero seed can meet an infinite factor or a zero divisor, as in b_one / 0, and
+    give NaN along a parameter the utility does not name."""
+    for j, (idx, X, terms) in enumerate(zip(model.design_idx, model.design, affine_terms(model))):
+        named = param_names(terms)
+        assert idx == tuple(
+            q for q, name in enumerate(model.free_names) if name in named and q not in model.residual_idx
+        ), model.alternatives[j]
+        assert X.shape == (len(idx), model.n_obs) and X.flags.c_contiguous
+        for q, x in zip(idx, X):
+            assert bits(x) == bits(want[q, j]), (model.free_names[q], model.alternatives[j])
+        finite = np.isfinite(X).all(axis=0)
+        for q in set(range(model.n_free) if params is None else params) - set(idx):
+            assert np.all(want[q, j, finite] == 0.0), (model.free_names[q], model.alternatives[j])
+
+
 def test_fixture_designs_have_the_bits_of_a_dual_pass(synth_data):
     specs = [*replay_specs(), parser.parse_spec(BOXCOX_PIECEWISE_SPEC)]
     assert len(specs) == 14
     for spec in specs:
         model = binding.bind(spec, synth_data)
-        assert model.design.tobytes() == dual_design(model).tobytes(), spec.name
+        assert_stored_rows_are(model, dual_design(model))
 
 
 def test_fixture_jacobians_have_the_bits_of_a_dual_pass(synth_data, blocking):
@@ -588,8 +635,8 @@ def test_parameter_in_affine_and_non_affine_terms_is_differentiated_whole(synth_
     model = binding.bind(parser.parse_spec(SHARED_SPEC), synth_data)
     residual = list(model.residual_idx)
     assert [model.free_names[i] for i in residual] == ["b_cost", "lambda_c"]
-    assert not model.design[residual].any()
-    assert model.design[model.free_names.index("b_time")].any()
+    assert not stored_pairs(model)[residual].any()
+    assert stored_pairs(model)[model.free_names.index("b_time")].all()
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, model.n_free)
     walked = walk_jacobian(model, utility_exprs(model), theta)
     assert kernel.jacobian(model, theta, residual).tobytes() == walked[residual].tobytes()
@@ -635,7 +682,7 @@ HAND_UTILITIES = {
 def test_hand_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
     model = binding.bind(random_spec(exprs), xyz_data)
     assert model.residual_idx == ()
-    assert model.design.tobytes() == dual_design(model).tobytes()
+    assert_stored_rows_are(model, dual_design(model))
 
 
 def test_binding_and_estimating_make_no_dual_number(best_spec, synth_data, monkeypatch):
@@ -688,24 +735,56 @@ def test_gradient_and_information_match_the_parameter_last_contraction(synth_dat
     ids=["synthetic_best", "boxcox_piecewise"],
 )
 def test_every_per_cell_array_is_alternative_major(synth_data, text, blocking):
-    """The design, the Jacobian and the value pass's P are contiguous (…, J, n) arrays, and
-    each parameter's gradient has the bits of one sum of ``Y − P`` with that
-    parameter's slab of the design or, along ``residual_idx``, of the walked Jacobian."""
+    """Each alternative's design rows, the Jacobian and the value pass's P are
+    contiguous (…, n) arrays, and the gradient has the bits of the sum, in
+    alternative order, of one contraction of ``(Y − P)ⱼ`` with each alternative's
+    stack of rows along the parameters it reads: its design rows or, along
+    ``residual_idx``, the walked Jacobian's."""
     model = binding.bind(parser.parse_spec(text), synth_data)
     k, J, n = model.n_free, model.n_alts, model.n_obs
     theta = model.start + np.random.default_rng(RNG_SEED).uniform(0.01, 0.05, k)
     residual = list(model.residual_idx)
     jac = kernel.jacobian(model, theta, residual)
-    for a, shape in ((model.design, (k, J, n)), (jac, (len(residual), J, n))):
-        assert a.shape == shape and a.flags.c_contiguous
+    assert jac.shape == (len(residual), J, n) and jac.flags.c_contiguous
+    for X, idx in zip(model.design, model.design_idx):
+        assert X.shape == (len(idx), n) and X.flags.c_contiguous
     P = kernel.log_likelihood(model, theta).P
     assert P.shape == (J, n) and P.flags.c_contiguous
     Y = np.full((J, n), -0.0)  # Y − P is −P off the chosen cells, the sign of a zero included
     Y[model.choice_idx, np.arange(n)] = 1.0
-    G = model.design.copy()
+    G = dense_design(model)
     G[residual] = walk_jacobian(model, utility_exprs(model), theta)[residual]
+    parts = np.zeros((J, k))
+    for j, reads in enumerate(model.reads):
+        parts[j, list(reads)] = np.einsum("n,qn->q", (Y - P)[j], G[list(reads), j])
     _, grad = kernel.loglik_and_gradient(model, theta)
-    assert _bits((grad,)) == _bits(([np.einsum("jn,jn->", Y - P, G[q]) for q in range(k)],))
+    assert _bits((grad,)) == _bits((functools.reduce(np.add, parts),))
+
+
+@pytest.mark.parametrize(
+    "prefix, change, bound",
+    [
+        ("cost_", lambda v: v * 1e-3, 1e-12),
+        ("cost_", lambda v: v * 1e3, 1e-12),
+        ("time_", lambda v: v + 1e4, 1e-13),  # 2.9e-14 measured; uncentred forms lose ~1e-10 here
+    ],
+    ids=["cost_times_1e-3", "cost_times_1000", "time_plus_1e4"],
+)
+def test_information_off_the_shipped_scale_matches_the_centred_contraction(
+    synth_data, best_spec, prefix, change, bound
+):
+    """synthetic_best fitted with rescaled costs or shifted times: at the estimate,
+    the information matrix is the textbook contraction of the P-weighted centred
+    ∂V/∂θ, each entry to ``bound`` of √(I_qq I_rr)."""
+    columns = {name: change(v) if name.startswith(prefix) else v for name, v in synth_data.columns.items()}
+    model = binding.bind(best_spec, dataclasses.replace(synth_data, columns=columns))
+    value = kernel.log_likelihood(model, bfgs.estimate(model).estimates)
+    _, _, info = kernel.loglik_gradient_and_information(model, value)
+    P, D = value.P.T, dense_design(model).transpose(2, 1, 0)
+    C = D - np.einsum("nj,njk->nk", P, D)[:, None, :]
+    want = np.einsum("nj,njk,njl->kl", P, C, C)
+    scale = np.sqrt(np.diag(want))
+    assert (np.abs(info - want) / np.outer(scale, scale)).max() <= bound
 
 
 def test_information_of_an_affine_spec_is_minus_the_hessian(best_model):
@@ -863,6 +942,26 @@ def test_null_loglik_matches_recount(synth_data):
             for row in csv.DictReader(fh)
         )
     assert abs(kernel.null_loglik(synth_data) - manual) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.integers(1, 8).flatmap(
+        lambda J: st.tuples(st.just(J), st.lists(st.integers(1, J), min_size=1, max_size=400))
+    )
+)
+@example(counts=(3, [2]))  # a single row
+@example(counts=(8, [8] * 1000))  # every count equal
+@example(counts=(1, [1, 1, 1]))  # log 1 = 0
+def test_null_loglik_from_counts_has_the_bits_of_fsum(counts):
+    """The sum over distinct availability counts, rounded once, is the correctly
+    rounded sum of every row's log count: math.fsum's."""
+    J, per_row = counts
+    avail = np.arange(J) < np.array(per_row)[:, None]
+    event(f"{len(set(per_row))} distinct counts")
+    want = -math.fsum(map(math.log, per_row))
+    got = kernel.null_loglik(types.SimpleNamespace(avail=avail))  # it reads only avail
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_loglik_is_log_sum_exp_where_chosen_probabilities_underflow(best_model):
@@ -1100,7 +1199,7 @@ def test_random_utilities_give_the_same_bits_in_any_row_blocks(xyz_data, exprs, 
             model = binding.bind(spec, xyz_data)
         except binding.DomainViolation as exc:
             return [str(exc).encode()]
-        out = [_nan_blind_bits(model.design)]
+        out = [design_bits(model, _nan_blind_bits)]
         for idx in (range(model.n_free), model.residual_idx):
             out.append(_nan_blind_bits(kernel.jacobian(model, theta, idx)))
         for m in (model, all_residual(model)):
@@ -1125,13 +1224,13 @@ def test_random_designs_have_the_bits_of_a_dual_pass(xyz_data, exprs):
     except binding.DomainViolation:
         event("domain violation")
         return
-    assert _nan_blind_bits(model.design) == _nan_blind_bits(dual_design(model))
+    assert_stored_rows_are(model, dual_design(model), bits=_nan_blind_bits)
 
 
 def _term_scale(model: binding.BoundModel, theta: np.ndarray) -> np.ndarray:
     """(k, J, n) sum over each utility's additive terms of |∂term/∂θ|: the size of
     the sums that the split and the all-residual reference add up in other orders."""
-    scale = np.zeros_like(model.design)
+    scale = np.zeros((model.n_free, model.n_alts, model.n_obs))
     zeros = (Const(0.0),) * model.n_alts
     for j, utility in enumerate(utility_exprs(model)):
         for _, term in parser.additive_terms(utility):
